@@ -20,7 +20,9 @@ use quicspin_qlog::{
 use quicspin_telemetry::{
     Metric, ProfileDoc, ProfileSnapshot, Registry, RunManifest, Stage, TimeSeriesDoc,
 };
-use std::io::ErrorKind;
+use serde::{Deserialize, Serialize};
+use std::fs::File;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 /// File name of the run manifest written next to campaign artifacts.
@@ -104,34 +106,52 @@ pub fn export_binary_stripped_telemetry(campaign: &Campaign, registry: &Registry
     blobs
 }
 
-/// Writes a [`RunManifest`] as pretty-printed JSON named
-/// [`MANIFEST_FILE_NAME`] inside `dir` (created if missing). Returns the
-/// path written.
-pub fn write_run_manifest(dir: &Path, manifest: &RunManifest) -> std::io::Result<PathBuf> {
+/// Streams `value` as pretty-printed JSON into file `name` inside `dir`
+/// (created if missing), through a buffered writer: no in-memory copy of
+/// the document is built. Returns the path written.
+pub fn write_json<T: Serialize + ?Sized>(
+    dir: &Path,
+    name: &str,
+    value: &T,
+) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(MANIFEST_FILE_NAME);
-    let json = serde_json::to_string_pretty(manifest)
-        .map_err(|e| std::io::Error::other(format!("manifest serialization failed: {e}")))?;
-    std::fs::write(&path, json)?;
+    let path = dir.join(name);
+    let mut out = BufWriter::new(File::create(&path)?);
+    serde_json::to_writer_pretty(&mut out, value)?;
+    out.flush()?;
     Ok(path)
 }
 
-/// Reads a [`RunManifest`] back from `dir`. A missing file or corrupt
-/// JSON both yield a descriptive error naming the path.
-pub fn read_run_manifest(dir: &Path) -> std::io::Result<RunManifest> {
-    let path = dir.join(MANIFEST_FILE_NAME);
-    let json = std::fs::read_to_string(&path).map_err(|e| {
+/// Reads the JSON file at `path` back as a `T`. A missing file and
+/// corrupt JSON both yield a descriptive error naming `what` and the
+/// path; a corrupt file's error also names the field path and byte
+/// offset at fault.
+pub fn read_json<T: Deserialize>(path: &Path, what: &str) -> std::io::Result<T> {
+    let json = std::fs::read_to_string(path).map_err(|e| {
         std::io::Error::new(
             e.kind(),
-            format!("cannot read run manifest {}: {e}", path.display()),
+            format!("cannot read {what} {}: {e}", path.display()),
         )
     })?;
     serde_json::from_str(&json).map_err(|e| {
         std::io::Error::new(
             ErrorKind::InvalidData,
-            format!("corrupt run manifest {}: {e}", path.display()),
+            format!("corrupt {what} {}: {e}", path.display()),
         )
     })
+}
+
+/// Writes a [`RunManifest`] as pretty-printed JSON named
+/// [`MANIFEST_FILE_NAME`] inside `dir` (created if missing). Returns the
+/// path written.
+pub fn write_run_manifest(dir: &Path, manifest: &RunManifest) -> std::io::Result<PathBuf> {
+    write_json(dir, MANIFEST_FILE_NAME, manifest)
+}
+
+/// Reads a [`RunManifest`] back from `dir`. A missing file or corrupt
+/// JSON both yield a descriptive error naming the path.
+pub fn read_run_manifest(dir: &Path) -> std::io::Result<RunManifest> {
+    read_json(&dir.join(MANIFEST_FILE_NAME), "run manifest")
 }
 
 /// Writes a [`TimeSeriesDoc`] as pretty-printed JSON named
@@ -139,30 +159,13 @@ pub fn read_run_manifest(dir: &Path) -> std::io::Result<RunManifest> {
 /// bytes are a pure function of the document, so a deterministic series
 /// produces a byte-identical file. Returns the path written.
 pub fn write_timeseries(dir: &Path, doc: &TimeSeriesDoc) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(TIMESERIES_FILE_NAME);
-    let json = serde_json::to_string_pretty(doc)
-        .map_err(|e| std::io::Error::other(format!("time series serialization failed: {e}")))?;
-    std::fs::write(&path, json)?;
-    Ok(path)
+    write_json(dir, TIMESERIES_FILE_NAME, doc)
 }
 
 /// Reads a [`TimeSeriesDoc`] back from `dir`, with the same descriptive
 /// error contract as [`read_run_manifest`].
 pub fn read_timeseries(dir: &Path) -> std::io::Result<TimeSeriesDoc> {
-    let path = dir.join(TIMESERIES_FILE_NAME);
-    let json = std::fs::read_to_string(&path).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!("cannot read time series {}: {e}", path.display()),
-        )
-    })?;
-    serde_json::from_str(&json).map_err(|e| {
-        std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("corrupt time series {}: {e}", path.display()),
-        )
-    })
+    read_json(&dir.join(TIMESERIES_FILE_NAME), "time series")
 }
 
 /// Writes an [`ObserverDoc`](crate::observe::ObserverDoc) as
@@ -172,31 +175,14 @@ pub fn read_timeseries(dir: &Path) -> std::io::Result<TimeSeriesDoc> {
 /// the file is byte-identical for any `--threads`. Returns the path
 /// written.
 pub fn write_observer(dir: &Path, doc: &crate::observe::ObserverDoc) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(OBSERVER_FILE_NAME);
-    let json = serde_json::to_string_pretty(doc)
-        .map_err(|e| std::io::Error::other(format!("observer doc serialization failed: {e}")))?;
-    std::fs::write(&path, json)?;
-    Ok(path)
+    write_json(dir, OBSERVER_FILE_NAME, doc)
 }
 
 /// Reads the [`ObserverDoc`](crate::observe::ObserverDoc) back from
 /// `dir`, with the same descriptive error contract as
 /// [`read_run_manifest`].
 pub fn read_observer(dir: &Path) -> std::io::Result<crate::observe::ObserverDoc> {
-    let path = dir.join(OBSERVER_FILE_NAME);
-    let json = std::fs::read_to_string(&path).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!("cannot read observer doc {}: {e}", path.display()),
-        )
-    })?;
-    serde_json::from_str(&json).map_err(|e| {
-        std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("corrupt observer doc {}: {e}", path.display()),
-        )
-    })
+    read_json(&dir.join(OBSERVER_FILE_NAME), "observer doc")
 }
 
 /// Writes a [`ProfileDoc`] as pretty-printed JSON named
@@ -205,30 +191,13 @@ pub fn read_observer(dir: &Path) -> std::io::Result<crate::observe::ObserverDoc>
 /// queue-ops — never wall time), so the file is byte-identical for any
 /// `--threads` on the streamed path. Returns the path written.
 pub fn write_profile(dir: &Path, doc: &ProfileDoc) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(PROFILE_FILE_NAME);
-    let json = serde_json::to_string_pretty(doc)
-        .map_err(|e| std::io::Error::other(format!("profile serialization failed: {e}")))?;
-    std::fs::write(&path, json)?;
-    Ok(path)
+    write_json(dir, PROFILE_FILE_NAME, doc)
 }
 
 /// Reads the [`ProfileDoc`] back from `dir`, with the same descriptive
 /// error contract as [`read_run_manifest`].
 pub fn read_profile(dir: &Path) -> std::io::Result<ProfileDoc> {
-    let path = dir.join(PROFILE_FILE_NAME);
-    let json = std::fs::read_to_string(&path).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!("cannot read profile {}: {e}", path.display()),
-        )
-    })?;
-    serde_json::from_str(&json).map_err(|e| {
-        std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("corrupt profile {}: {e}", path.display()),
-        )
-    })
+    read_json(&dir.join(PROFILE_FILE_NAME), "profile")
 }
 
 /// Converts a profiler snapshot into collapsed flamegraph stacks: one
@@ -280,30 +249,13 @@ pub fn read_profile_folded(dir: &Path) -> std::io::Result<Vec<FoldedStack>> {
 /// array-of-events trace-event form Perfetto and `chrome://tracing` load
 /// directly. Returns the path written.
 pub fn write_chrome_trace(dir: &Path, events: &[ChromeEvent]) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(CHROME_TRACE_FILE_NAME);
-    let json = serde_json::to_string_pretty(&events)
-        .map_err(|e| std::io::Error::other(format!("chrome trace serialization failed: {e}")))?;
-    std::fs::write(&path, json)?;
-    Ok(path)
+    write_json(dir, CHROME_TRACE_FILE_NAME, events)
 }
 
 /// Reads the Chrome trace events back from `dir`, with the same
 /// descriptive error contract as [`read_run_manifest`].
 pub fn read_chrome_trace(dir: &Path) -> std::io::Result<Vec<ChromeEvent>> {
-    let path = dir.join(CHROME_TRACE_FILE_NAME);
-    let json = std::fs::read_to_string(&path).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!("cannot read chrome trace {}: {e}", path.display()),
-        )
-    })?;
-    serde_json::from_str(&json).map_err(|e| {
-        std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("corrupt chrome trace {}: {e}", path.display()),
-        )
-    })
+    read_json(&dir.join(CHROME_TRACE_FILE_NAME), "chrome trace")
 }
 
 /// Writes a [`FlightRecording`]'s artifacts into `dir` (created if
@@ -314,11 +266,7 @@ pub fn write_flight_recording(
     dir: &Path,
     recording: &FlightRecording,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let index_path = dir.join(ANOMALY_INDEX_FILE_NAME);
-    let json = serde_json::to_string_pretty(&recording.index())
-        .map_err(|e| std::io::Error::other(format!("anomaly index serialization failed: {e}")))?;
-    std::fs::write(&index_path, json)?;
+    let index_path = write_json(dir, ANOMALY_INDEX_FILE_NAME, &recording.index())?;
     let store_path = dir.join(TRACE_STORE_FILE_NAME);
     std::fs::write(&store_path, recording.trace_store())?;
     Ok((index_path, store_path))
@@ -327,19 +275,7 @@ pub fn write_flight_recording(
 /// Reads the [`AnomalyIndex`] back from `dir`, with the same descriptive
 /// error contract as [`read_run_manifest`].
 pub fn read_anomaly_index(dir: &Path) -> std::io::Result<AnomalyIndex> {
-    let path = dir.join(ANOMALY_INDEX_FILE_NAME);
-    let json = std::fs::read_to_string(&path).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!("cannot read anomaly index {}: {e}", path.display()),
-        )
-    })?;
-    serde_json::from_str(&json).map_err(|e| {
-        std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("corrupt anomaly index {}: {e}", path.display()),
-        )
-    })
+    read_json(&dir.join(ANOMALY_INDEX_FILE_NAME), "anomaly index")
 }
 
 /// Loads and decodes one retained trace from `dir`'s trace store, using

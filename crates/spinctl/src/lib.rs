@@ -47,10 +47,10 @@ use quicspin_core::{ObserverConfig, PacketObservation};
 use quicspin_qlog::render_timeline;
 use quicspin_scanner::{
     chrome_trace_export, parse_scenario, profile_folded_stacks, read_anomaly_index,
-    read_flagged_trace, read_observer, read_profile, read_profile_folded, read_run_manifest,
-    read_timeseries, write_chrome_trace, write_flight_recording, write_observer, write_profile,
-    write_profile_folded, write_run_manifest, write_timeseries, AnomalyIndex, AnomalyKind,
-    CampaignConfig, FlightConfig, ObserverDocBuilder, ProbeId, RunManifest, Scanner,
+    read_flagged_trace, read_json, read_observer, read_profile, read_profile_folded,
+    read_run_manifest, read_timeseries, write_chrome_trace, write_flight_recording, write_observer,
+    write_profile, write_profile_folded, write_run_manifest, write_timeseries, AnomalyIndex,
+    AnomalyKind, CampaignConfig, FlightConfig, ObserverDocBuilder, ProbeId, RunManifest, Scanner,
     TimeSeriesBuilder, TimeSeriesDoc, OBSERVER_FILE_NAME,
 };
 use quicspin_telemetry::{ProfileDoc, ProfilerRegistry, ScopeId, DEFAULT_TIMESERIES_CAPACITY};
@@ -858,9 +858,8 @@ fn cmd_anomalies(args: &[String], out: &mut dyn Write) -> Result<(), String> {
                 })
                 .collect(),
         };
-        let json = serde_json::to_string_pretty(&doc)
-            .map_err(|e| format!("cannot encode anomaly listing: {e}"))?;
-        return writeln!(out, "{json}").map_err(|e| e.to_string());
+        serde_json::to_writer_pretty(&mut *out, &doc).map_err(|e| e.to_string())?;
+        return writeln!(out).map_err(|e| e.to_string());
     }
     writeln!(
         out,
@@ -1213,9 +1212,7 @@ fn compare_runs(
 }
 
 fn load_bench(path: &Path) -> Result<BenchReport, String> {
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read bench report {}: {e}", path.display()))?;
-    serde_json::from_str(&json).map_err(|e| format!("corrupt bench report {}: {e}", path.display()))
+    read_json(path, "bench report").map_err(|e| e.to_string())
 }
 
 fn compare_bench(

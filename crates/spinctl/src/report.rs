@@ -24,9 +24,9 @@
 
 use quicspin_qlog::{heading, millionths_percent, opt_millionths_percent, MarkdownTable};
 use quicspin_scanner::{
-    read_anomaly_index, read_observer, read_profile, read_run_manifest, read_timeseries,
-    AnomalyKind, ScenarioMatrix, CHROME_TRACE_FILE_NAME, OBSERVER_FILE_NAME, PROFILE_FILE_NAME,
-    PROFILE_FOLDED_FILE_NAME, TRACE_STORE_FILE_NAME,
+    read_anomaly_index, read_json, read_observer, read_profile, read_run_manifest, read_timeseries,
+    write_json, AnomalyKind, ScenarioMatrix, CHROME_TRACE_FILE_NAME, OBSERVER_FILE_NAME,
+    PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME, TRACE_STORE_FILE_NAME,
 };
 use quicspin_telemetry::ConfigEntry;
 use serde::{Deserialize, Serialize};
@@ -123,23 +123,15 @@ impl MatrixLayout {
 
 /// Writes `matrix.json` into the matrix out-dir.
 pub fn write_matrix_layout(dir: &Path, layout: &MatrixLayout) -> Result<PathBuf, String> {
-    let path = dir.join(MATRIX_FILE_NAME);
-    std::fs::create_dir_all(dir)
-        .map_err(|e| format!("cannot create matrix dir {}: {e}", dir.display()))?;
-    let json = serde_json::to_string_pretty(layout)
-        .map_err(|e| format!("cannot encode scenario matrix: {e}"))?;
-    std::fs::write(&path, json)
-        .map_err(|e| format!("cannot write scenario matrix {}: {e}", path.display()))?;
-    Ok(path)
+    write_json(dir, MATRIX_FILE_NAME, layout).map_err(|e| {
+        let path = dir.join(MATRIX_FILE_NAME);
+        format!("cannot write scenario matrix {}: {e}", path.display())
+    })
 }
 
 /// Reads `matrix.json` back from a matrix out-dir.
 pub fn read_matrix_layout(dir: &Path) -> Result<MatrixLayout, String> {
-    let path = dir.join(MATRIX_FILE_NAME);
-    let json = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read scenario matrix {}: {e}", path.display()))?;
-    serde_json::from_str(&json)
-        .map_err(|e| format!("corrupt scenario matrix {}: {e}", path.display()))
+    read_json(&dir.join(MATRIX_FILE_NAME), "scenario matrix").map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -470,9 +462,7 @@ pub fn write_report(
     let json_path = out_dir.join(REPORT_JSON_FILE_NAME);
     std::fs::write(&md_path, md)
         .map_err(|e| format!("cannot write report {}: {e}", md_path.display()))?;
-    let json =
-        serde_json::to_string_pretty(doc).map_err(|e| format!("cannot encode report: {e}"))?;
-    std::fs::write(&json_path, json)
+    write_json(out_dir, REPORT_JSON_FILE_NAME, doc)
         .map_err(|e| format!("cannot write report {}: {e}", json_path.display()))?;
     Ok((md_path, json_path))
 }

@@ -19,6 +19,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q --workspace
 cargo test -q -p quicspin-telemetry
+# The benchmark is a package of its own, outside the workspace: test it
+# here so a signature change to a function its replay calls cannot
+# break `bash spinbench/run.sh` unseen.
+cargo test -q --manifest-path spinbench/Cargo.toml
 
 # Bench smoke doubles as the BENCH_JSON report path check: one smoke
 # iteration per benchmark, report written, then diffed against itself
