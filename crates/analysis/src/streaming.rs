@@ -14,9 +14,7 @@
 use crate::dataset::DomainClass;
 use crate::overview::{OverviewRow, OverviewTable};
 use quicspin_core::FlowClassification;
-use quicspin_scanner::{
-    CampaignConfig, ConnectionRecord, RecordBatch, RecordRow, ScanOutcome, Scanner,
-};
+use quicspin_scanner::{CampaignConfig, ConnectionRecord, RecordRow, ScanOutcome, Scanner};
 use quicspin_webpop::{HostAddr, ListKind};
 use std::collections::BTreeMap;
 
@@ -60,19 +58,8 @@ impl CampaignAggregates {
         self.fold_rows(records.iter().map(RecordRow::of));
     }
 
-    /// Folds every domain group of a columnar batch, in order — the
-    /// streamed campaign path's entry point. Produces exactly the same
-    /// aggregates as [`fold_domain`](CampaignAggregates::fold_domain)
-    /// over the equivalent record slices.
-    pub fn fold_batch(&mut self, batch: &RecordBatch) {
-        for group in batch.groups() {
-            self.fold_rows(group);
-        }
-    }
-
-    /// The row-based fold core shared by the record-slice and columnar
-    /// paths: a single pass over one domain's rows (all redirect hops).
-    pub fn fold_rows(&mut self, rows: impl Iterator<Item = RecordRow>) {
+    /// A single pass over one domain's rows (all redirect hops).
+    fn fold_rows(&mut self, rows: impl Iterator<Item = RecordRow>) {
         let mut first: Option<(ListKind, ScanOutcome)> = None;
         let mut count = 0u64;
         let mut established = 0u64;
@@ -228,20 +215,6 @@ pub fn aggregate_campaign(
     )
 }
 
-/// [`aggregate_campaign`] over the streamed, bounded-memory campaign
-/// path: columnar batches fold straight into the aggregates under a
-/// resident-byte budget (`0` = unbounded). Same result, flat memory.
-pub fn aggregate_campaign_streamed(
-    scanner: &Scanner,
-    config: &CampaignConfig,
-    ids: std::ops::Range<u32>,
-    budget_bytes: usize,
-) -> CampaignAggregates {
-    let mut agg = CampaignAggregates::default();
-    scanner.run_campaign_streamed_over(config, ids, budget_bytes, |batch| agg.fold_batch(batch));
-    agg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,17 +290,6 @@ mod tests {
         let one = aggregate_campaign(&scanner, &config(1), ids.clone());
         let eight = aggregate_campaign(&scanner, &config(8), ids);
         assert_eq!(one, eight);
-    }
-
-    #[test]
-    fn columnar_stream_matches_record_fold() {
-        let pop = pop();
-        let scanner = Scanner::new(&pop);
-        let cfg = config(4);
-        let ids = 0..pop.len() as u32;
-        let record_fold = aggregate_campaign(&scanner, &cfg, ids.clone());
-        let streamed = aggregate_campaign_streamed(&scanner, &cfg, ids, 16 * 1024);
-        assert_eq!(record_fold, streamed);
     }
 
     #[test]

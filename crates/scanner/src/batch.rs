@@ -4,18 +4,18 @@
 //! A [`crate::record::ConnectionRecord`] is built for fidelity, not for
 //! aggregation: it drags an optional observer report (spin samples,
 //! rejection counters) and an optional qlog trace behind every row. The
-//! aggregation consumers — `streaming::aggregate_campaign` in the
-//! analysis crate and [`crate::timeseries`]'s cumulative fold — touch a
-//! dozen scalar fields per record. A [`RecordBatch`] stores exactly those
-//! fields in parallel columns, one batch per scheduler work unit, so the
-//! merge path walks dense arrays instead of pointer-laden structs and the
-//! streamed campaign mode can account its resident bytes precisely.
+//! sinks of a streamed campaign — [`crate::timeseries`]'s cumulative fold
+//! and the observer document builder — touch a dozen scalar fields per
+//! record. A [`RecordBatch`] stores exactly those fields in parallel
+//! columns, one batch per scheduler work unit, so the sinks walk dense
+//! arrays instead of pointer-laden structs and
+//! [`run_campaign_streamed`](crate::campaign::Scanner::run_campaign_streamed)
+//! can account its resident bytes precisely.
 //!
 //! Rows are appended per domain ([`RecordBatch::push_group`]) and read
 //! back per domain ([`RecordBatch::groups`]): the group structure mirrors
-//! the `fold(acc, domain_records)` contract of the campaign engine, where
-//! each domain's records (all redirect hops) arrive as one contiguous
-//! run.
+//! the per-domain fold of the campaign engine, where each domain's
+//! records (all redirect hops) arrive as one contiguous run.
 
 use crate::observe::ObserverView;
 use crate::record::{ConnectionRecord, ScanOutcome};

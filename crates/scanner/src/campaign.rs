@@ -20,7 +20,7 @@ use quicspin_telemetry::{
 use quicspin_webpop::{IpVersion, Population};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of domain ids a worker claims per cursor fetch. Small enough to
@@ -60,9 +60,10 @@ pub struct CampaignConfig {
     /// profiler never changes the records produced, and its
     /// deterministic counts are identical for any thread count.
     pub profiler: Arc<ProfilerRegistry>,
-    /// Flight-recorder configuration. Disabled by default; the
-    /// [`run_campaign_flight`](Scanner::run_campaign_flight) family
-    /// force-enables it. Detection never changes the records produced.
+    /// Flight-recorder configuration. Disabled by default;
+    /// [`run_campaign_flight`](Scanner::run_campaign_flight) and
+    /// [`run_campaign_streamed_flight_with_progress`](Scanner::run_campaign_streamed_flight_with_progress)
+    /// force-enable it. Detection never changes the records produced.
     pub flight: FlightConfig,
     /// Position of the passive on-path observer tap, as a fraction of the
     /// client→server path (0.0 = client-side, 1.0 = server-side). `None`
@@ -336,35 +337,21 @@ impl<'p> Scanner<'p> {
         config: &CampaignConfig,
         ids: std::ops::Range<u32>,
     ) -> Campaign {
-        let records = self.run_campaign_fold(
-            config,
-            ids,
-            Vec::new,
-            |acc: &mut Vec<ConnectionRecord>, domain: &mut Vec<ConnectionRecord>| {
-                acc.append(domain);
-            },
-            |acc, mut batch| acc.append(&mut batch),
-        );
-        Campaign {
-            week: config.week,
-            version: config.version,
-            records,
-        }
+        self.materialize(config, ids).0
     }
 
-    /// The campaign engine's generic core: sweeps `ids`, folding each
-    /// domain's records into an accumulator instead of retaining them.
+    /// Sweeps `ids`, folding each domain's records into an accumulator
+    /// instead of retaining them.
     ///
-    /// Domain ids are claimed in fixed-size batches from a shared atomic
-    /// cursor by `config.threads` workers (work stealing, so expensive
-    /// targets cannot pile up on one static shard). Each batch folds into
-    /// its own accumulator — `fold` is called once per domain, in id
-    /// order within the batch, with that domain's records (the callee may
-    /// drain the `Vec`; it is cleared before reuse either way) — and the
-    /// batch accumulators are `merge`d into `init()` in batch-index
-    /// order. The accumulation tree therefore depends only on `ids`,
-    /// never on the thread count or claim timing: results are
-    /// bit-identical for any `config.threads`, including float folds.
+    /// Every batch of domain ids folds into its own `init()` accumulator
+    /// — `fold` is called once per domain, in id order within the batch,
+    /// with that domain's records (the callee may drain the `Vec`; it is
+    /// cleared before reuse either way) — and the batch accumulators are
+    /// `merge`d into one more `init()` on the calling thread, in
+    /// batch-index order, as they arrive. The accumulation tree therefore
+    /// depends only on `ids`, never on the thread count or claim timing:
+    /// results are bit-identical for any `config.threads`, including
+    /// float folds.
     pub fn run_campaign_fold<A, I, F, M>(
         &self,
         config: &CampaignConfig,
@@ -379,43 +366,158 @@ impl<'p> Scanner<'p> {
         F: Fn(&mut A, &mut Vec<ConnectionRecord>) + Sync,
         M: Fn(&mut A, A),
     {
-        self.run_campaign_fold_flight(config, ids, init, fold, merge)
-            .0
+        let mut acc = init();
+        self.sweep(config, ids, None, &init, fold, |batch| {
+            merge(&mut acc, batch)
+        });
+        acc
     }
 
-    /// [`run_campaign_fold`](Scanner::run_campaign_fold), additionally
-    /// returning the merged (not yet finalized) flight-recorder shard.
-    /// With `config.flight` disabled the shard is empty.
-    fn run_campaign_fold_flight<A, I, F, M>(
+    /// Runs a full sweep in streamed, bounded-memory mode: every finished
+    /// scheduler batch reaches `sink` as a columnar [`RecordBatch`], in
+    /// strict batch-index order, and is dropped right after — the full
+    /// record vector never exists. Aggregates, time series and flight
+    /// artifacts folded from the stream are byte-identical to the
+    /// materializing path for any worker-thread count, because the sink
+    /// sees exactly the per-batch merge sequence `run_campaign` uses.
+    ///
+    /// `budget_bytes` is the high-water byte budget for resident columnar
+    /// records (finished batches awaiting the in-order merge plus the one
+    /// being folded); `0` means unbounded. Workers stop claiming new
+    /// batches while the budget is exhausted, so the overshoot is bounded
+    /// by one in-flight batch per worker. Peak residency is reported on
+    /// the [`GaugeId::PeakRecordBytes`] gauge, the merge-queue depth on
+    /// [`GaugeId::EventQueueDepth`], and the configured budget on
+    /// [`GaugeId::RecordBudgetBytes`].
+    pub fn run_campaign_streamed<S>(&self, config: &CampaignConfig, budget_bytes: usize, sink: S)
+    where
+        S: FnMut(&RecordBatch),
+    {
+        let n = self.population.len() as u32;
+        self.stream(config, 0..n, budget_bytes, sink);
+    }
+
+    /// Runs a full sweep with the flight recorder armed: every probe is
+    /// inspected for anomalies and flagged probes' qlog traces are
+    /// retained (bounded by `config.flight.retention_budget_bytes`).
+    /// The records are identical to a plain [`run_campaign`]
+    /// (inspection-only traces are stripped again unless `keep_qlogs`),
+    /// and the recording is deterministic for any thread count.
+    ///
+    /// [`run_campaign`]: Scanner::run_campaign
+    pub fn run_campaign_flight(&self, config: &CampaignConfig) -> (Campaign, FlightRecording) {
+        let mut config = config.clone();
+        config.flight.enabled = true;
+        let n = self.population.len() as u32;
+        let (campaign, shard) = self.materialize(&config, 0..n);
+        (campaign, self.finalize_flight(&config, shard))
+    }
+
+    /// The materializing caller of the engine: batches of records are
+    /// appended in batch order. Also returns the merged (not yet
+    /// finalized) flight shard, empty unless `config.flight` is enabled.
+    fn materialize(
         &self,
         config: &CampaignConfig,
         ids: std::ops::Range<u32>,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> (A, FlightShard)
+    ) -> (Campaign, FlightShard) {
+        let mut records = Vec::new();
+        let shard = self.sweep(
+            config,
+            ids,
+            None,
+            Vec::new,
+            |acc: &mut Vec<ConnectionRecord>, domain| acc.append(domain),
+            |mut batch| records.append(&mut batch),
+        );
+        let campaign = Campaign {
+            week: config.week,
+            version: config.version,
+            records,
+        };
+        (campaign, shard)
+    }
+
+    /// The streamed caller of the engine: each batch interns into a
+    /// columnar [`RecordBatch`], accounted against `budget_bytes`, and
+    /// reaches `sink` in batch order. Returns the merged (not yet
+    /// finalized) flight shard. See
+    /// [`run_campaign_streamed`](Scanner::run_campaign_streamed).
+    fn stream<S>(
+        &self,
+        config: &CampaignConfig,
+        ids: std::ops::Range<u32>,
+        budget_bytes: usize,
+        mut sink: S,
+    ) -> FlightShard
     where
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(&mut A, &mut Vec<ConnectionRecord>) + Sync,
-        M: Fn(&mut A, A),
+        S: FnMut(&RecordBatch),
     {
-        let threads = config.threads.max(1);
-        let batches = (ids.end.saturating_sub(ids.start)).div_ceil(BATCH_SIZE);
+        self.sweep(
+            config,
+            ids,
+            Some((budget_bytes, RecordBatch::approx_bytes)),
+            RecordBatch::new,
+            |out, domain| out.push_group(domain),
+            |batch| sink(&batch),
+        )
+    }
+
+    /// The campaign engine: the one worker loop under every
+    /// `run_campaign_*` entry point.
+    ///
+    /// Domain ids are claimed in [`BATCH_SIZE`] batches from a shared
+    /// atomic cursor by up to `config.threads` workers (work stealing, so
+    /// expensive targets cannot pile up on one static shard). Each worker
+    /// scans a batch's domains in id order, folds each domain's records
+    /// into the batch's own `init()` accumulator, and publishes the
+    /// finished accumulator to a [`Mailbox`]. The calling thread hands
+    /// the accumulators to `consume` in strict batch-index order, so
+    /// what `consume` sees depends only on `ids`, never on the thread
+    /// count or claim timing. A one-worker sweep runs the same loop
+    /// inline and consumes each batch right after publishing it.
+    ///
+    /// With `residency` set, undelivered accumulators count against its
+    /// byte budget: workers wait before claiming new work while it is
+    /// exhausted, and the residency gauges are recorded. A panic in a
+    /// worker or in `consume` fails the mailbox, which wakes every waiter
+    /// on the other side, and is then passed on to the caller. Returns
+    /// the workers' merged flight shard.
+    fn sweep<A: Send>(
+        &self,
+        config: &CampaignConfig,
+        ids: std::ops::Range<u32>,
+        residency: Residency<A>,
+        init: impl Fn() -> A + Sync,
+        fold: impl Fn(&mut A, &mut Vec<ConnectionRecord>) + Sync,
+        mut consume: impl FnMut(A),
+    ) -> FlightShard {
+        let batches = ids.end.saturating_sub(ids.start).div_ceil(BATCH_SIZE);
+        let reg = &*config.telemetry;
+        if let Some((budget_bytes, _)) = residency {
+            if reg.is_enabled() {
+                reg.gauge_set(GaugeId::RecordBudgetBytes, budget_bytes as u64);
+            }
+        }
         note_tap_vantage(config);
         let cursor = AtomicU32::new(0);
-        // One worker loop, shared by the sequential and threaded paths so
-        // both build the exact same per-batch accumulation tree. Each
-        // worker hands back its flight shard; shard merge order does not
-        // matter because finalization canonicalizes the contents.
-        let worker = |out: &mut Vec<(u32, A)>| -> FlightShard {
-            let reg = &*config.telemetry;
+        let mailbox = Mailbox::new(residency);
+
+        // Workers block only *before claiming new work*, never between
+        // claim and publish: the batch the consumer waits for next is
+        // therefore always either unclaimed (then every earlier batch is
+        // delivered and no later one claimed, so nothing is resident and
+        // the gate is open) or already on its way, and the budget cannot
+        // deadlock the pipeline. `published` runs after every publish
+        // (the inline consumer).
+        let work = |published: &mut dyn FnMut()| -> FlightShard {
+            let _alarm = PanicAlarm(&mailbox);
             let mut scratch = ProbeScratch::default();
             scratch.telemetry.set_enabled(reg.is_enabled());
             scratch.profiler.set_enabled(config.profiler.is_enabled());
             let mut domain_records: Vec<ConnectionRecord> = Vec::new();
             let mut warm = false;
-            loop {
+            while mailbox.admit() {
                 let batch = cursor.fetch_add(1, Ordering::Relaxed);
                 if batch >= batches {
                     break;
@@ -443,242 +545,13 @@ impl<'p> Scanner<'p> {
                     fold(&mut acc, &mut domain_records);
                     scratch.profiler.end(ScopeId::RecordIntern, p);
                 }
-                out.push((batch, acc));
-            }
-            config.profiler.absorb(&scratch.profiler);
-            reg.absorb(&scratch.telemetry);
-            reg.incr(Metric::WorkersFinished);
-            std::mem::take(&mut scratch.flight)
-        };
-
-        let (mut tagged, flight): (Vec<(u32, A)>, FlightShard) = if threads == 1 || batches <= 1 {
-            let mut out = Vec::new();
-            let shard = worker(&mut out);
-            (out, shard)
-        } else {
-            let workers = threads.min(batches as usize);
-            let mut parts: Vec<Vec<(u32, A)>> = Vec::new();
-            let mut flight = FlightShard::default();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            let shard = worker(&mut out);
-                            (out, shard)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    let (out, shard) = handle.join().expect("scan worker panicked");
-                    parts.push(out);
-                    flight.merge(shard);
-                }
-            });
-            (parts.into_iter().flatten().collect(), flight)
-        };
-
-        tagged.sort_by_key(|&(batch, _)| batch);
-        let mut acc = init();
-        for (_, batch_acc) in tagged {
-            merge(&mut acc, batch_acc);
-        }
-        (acc, flight)
-    }
-
-    /// Runs a full sweep in streamed, bounded-memory mode: every finished
-    /// scheduler batch reaches `sink` as a columnar [`RecordBatch`], in
-    /// strict batch-index order, and is dropped right after — the full
-    /// record vector never exists. Aggregates, time series and flight
-    /// artifacts folded from the stream are byte-identical to the
-    /// materializing path for any worker-thread count, because the sink
-    /// sees exactly the per-batch merge sequence `run_campaign` uses.
-    ///
-    /// `budget_bytes` is the high-water byte budget for resident columnar
-    /// records (finished batches awaiting the in-order merge plus the one
-    /// being folded); `0` means unbounded. Workers stop claiming new
-    /// batches while the budget is exhausted, so the overshoot is bounded
-    /// by one in-flight batch per worker. Peak residency is reported on
-    /// the [`GaugeId::PeakRecordBytes`] gauge, the merge-queue depth on
-    /// [`GaugeId::EventQueueDepth`], and the configured budget on
-    /// [`GaugeId::RecordBudgetBytes`].
-    pub fn run_campaign_streamed<S>(&self, config: &CampaignConfig, budget_bytes: usize, sink: S)
-    where
-        S: FnMut(&RecordBatch),
-    {
-        let n = self.population.len() as u32;
-        self.run_campaign_streamed_over(config, 0..n, budget_bytes, sink);
-    }
-
-    /// [`run_campaign_streamed`](Scanner::run_campaign_streamed) with the
-    /// flight recorder armed; returns the finalized recording (records
-    /// streamed to `sink` match a non-flight run exactly, as in
-    /// [`run_campaign_flight`](Scanner::run_campaign_flight)).
-    pub fn run_campaign_streamed_flight<S>(
-        &self,
-        config: &CampaignConfig,
-        budget_bytes: usize,
-        sink: S,
-    ) -> FlightRecording
-    where
-        S: FnMut(&RecordBatch),
-    {
-        let mut config = config.clone();
-        config.flight.enabled = true;
-        let n = self.population.len() as u32;
-        let shard = self.run_campaign_streamed_over(&config, 0..n, budget_bytes, sink);
-        self.finalize_flight(&config, shard)
-    }
-
-    /// The streamed engine's core: sweeps `ids` and hands each finished
-    /// batch to `sink` in batch-index order, returning the merged (not
-    /// yet finalized) flight shard. See
-    /// [`run_campaign_streamed`](Scanner::run_campaign_streamed).
-    pub fn run_campaign_streamed_over<S>(
-        &self,
-        config: &CampaignConfig,
-        ids: std::ops::Range<u32>,
-        budget_bytes: usize,
-        mut sink: S,
-    ) -> FlightShard
-    where
-        S: FnMut(&RecordBatch),
-    {
-        let threads = config.threads.max(1);
-        let batches = (ids.end.saturating_sub(ids.start)).div_ceil(BATCH_SIZE);
-        let reg = &*config.telemetry;
-        if reg.is_enabled() {
-            reg.gauge_set(GaugeId::RecordBudgetBytes, budget_bytes as u64);
-        }
-        note_tap_vantage(config);
-        let cursor = AtomicU32::new(0);
-
-        // Scans one claimed batch into `out`. Mirrors the fold engine's
-        // inner loop exactly (same counters, same stage spans), so the
-        // streamed and materializing paths produce identical manifests up
-        // to machine-shape gauges.
-        let produce = |batch: u32,
-                       scratch: &mut ProbeScratch,
-                       warm: &mut bool,
-                       domain_records: &mut Vec<ConnectionRecord>,
-                       out: &mut RecordBatch| {
-            let reg = &*config.telemetry;
-            reg.incr(Metric::BatchesClaimed);
-            let lo = ids.start + batch * BATCH_SIZE;
-            let hi = lo.saturating_add(BATCH_SIZE).min(ids.end);
-            for id in lo..hi {
-                domain_records.clear();
-                reg.incr(Metric::ProbesStarted);
-                if *warm {
-                    scratch.telemetry.incr(Metric::ScratchReuseHits);
-                } else {
-                    *warm = true;
-                }
-                let t = scratch.telemetry.timer();
-                self.scan_domain_into(id, config, scratch, domain_records);
-                scratch.telemetry.record_since(Stage::Probe, t);
-                note_domain_records(reg, domain_records);
-                let p = scratch.profiler.begin();
-                out.push_group(domain_records);
-                scratch.profiler.end(ScopeId::RecordIntern, p);
-            }
-        };
-
-        if threads == 1 || batches <= 1 {
-            // Sequential: produce and fold each batch in place, reusing
-            // one columnar scratch batch across the whole sweep.
-            let mut scratch = ProbeScratch::default();
-            scratch.telemetry.set_enabled(reg.is_enabled());
-            scratch.profiler.set_enabled(config.profiler.is_enabled());
-            let mut warm = false;
-            let mut domain_records: Vec<ConnectionRecord> = Vec::new();
-            let mut out = RecordBatch::new();
-            loop {
-                let batch = cursor.fetch_add(1, Ordering::Relaxed);
-                if batch >= batches {
-                    break;
-                }
-                out.clear();
-                produce(
-                    batch,
-                    &mut scratch,
-                    &mut warm,
-                    &mut domain_records,
-                    &mut out,
-                );
-                if reg.is_enabled() {
-                    reg.gauge_max(GaugeId::PeakRecordBytes, out.approx_bytes() as u64);
-                    reg.gauge_max(GaugeId::EventQueueDepth, 1);
-                }
-                sink(&out);
-            }
-            config.profiler.absorb(&scratch.profiler);
-            reg.absorb(&scratch.telemetry);
-            reg.incr(Metric::WorkersFinished);
-            return std::mem::take(&mut scratch.flight);
-        }
-
-        // Threaded: workers publish finished batches into a shared
-        // in-order merge queue; the calling thread is the consumer,
-        // draining strictly by batch index. A batch stays accounted
-        // against the budget until the sink has folded it. Workers block
-        // only *before claiming new work*, never between claim and
-        // publish — the batch the consumer waits for next is therefore
-        // always either unclaimed (in which case nothing is resident and
-        // the gate is open) or already on its way, so the budget cannot
-        // deadlock the pipeline.
-        struct StreamShared {
-            pending: BTreeMap<u32, (RecordBatch, usize)>,
-            resident: usize,
-        }
-        let shared = Mutex::new(StreamShared {
-            pending: BTreeMap::new(),
-            resident: 0,
-        });
-        let ready = Condvar::new();
-        let space = Condvar::new();
-
-        let worker = || -> FlightShard {
-            let reg = &*config.telemetry;
-            let mut scratch = ProbeScratch::default();
-            scratch.telemetry.set_enabled(reg.is_enabled());
-            scratch.profiler.set_enabled(config.profiler.is_enabled());
-            let mut warm = false;
-            let mut domain_records: Vec<ConnectionRecord> = Vec::new();
-            loop {
-                if budget_bytes > 0 {
-                    let mut s = shared.lock().unwrap();
-                    while s.resident >= budget_bytes {
-                        s = space.wait(s).unwrap();
-                    }
-                }
-                let batch = cursor.fetch_add(1, Ordering::Relaxed);
-                if batch >= batches {
-                    break;
-                }
-                let mut out = RecordBatch::new();
-                produce(
-                    batch,
-                    &mut scratch,
-                    &mut warm,
-                    &mut domain_records,
-                    &mut out,
-                );
-                let bytes = out.approx_bytes();
                 // Mailbox publish cost (lock + in-order queue handoff) is
-                // threaded-streamed-only machinery: the scope is marked
+                // scheduling machinery: the scope is marked
                 // non-deterministic and never reaches `profile.json`.
                 let p = scratch.profiler.begin();
-                let mut s = shared.lock().unwrap();
-                s.resident += bytes;
-                s.pending.insert(batch, (out, bytes));
-                if reg.is_enabled() {
-                    reg.gauge_max(GaugeId::PeakRecordBytes, s.resident as u64);
-                    reg.gauge_max(GaugeId::EventQueueDepth, s.pending.len() as u64);
-                }
-                drop(s);
-                ready.notify_one();
+                mailbox.publish(batch, acc, reg);
                 scratch.profiler.end(ScopeId::BatchMailbox, p);
+                published();
             }
             config.profiler.absorb(&scratch.profiler);
             reg.absorb(&scratch.telemetry);
@@ -686,97 +559,35 @@ impl<'p> Scanner<'p> {
             std::mem::take(&mut scratch.flight)
         };
 
-        let workers = threads.min(batches as usize);
-        let mut flight = FlightShard::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            for next in 0..batches {
-                let (batch, bytes) = {
-                    let mut s = shared.lock().unwrap();
-                    loop {
-                        if let Some(entry) = s.pending.remove(&next) {
-                            break entry;
-                        }
-                        s = ready.wait(s).unwrap();
-                    }
-                };
-                sink(&batch);
-                let mut s = shared.lock().unwrap();
-                s.resident -= bytes;
-                drop(s);
-                space.notify_all();
-            }
-            for handle in handles {
-                flight.merge(handle.join().expect("stream worker panicked"));
-            }
-        });
-        flight
-    }
-
-    /// Runs a full sweep with the flight recorder armed: every probe is
-    /// inspected for anomalies and flagged probes' qlog traces are
-    /// retained (bounded by `config.flight.retention_budget_bytes`).
-    /// The records are identical to a plain [`run_campaign`]
-    /// (inspection-only traces are stripped again unless `keep_qlogs`),
-    /// and the recording is deterministic for any thread count.
-    ///
-    /// [`run_campaign`]: Scanner::run_campaign
-    pub fn run_campaign_flight(&self, config: &CampaignConfig) -> (Campaign, FlightRecording) {
-        let n = self.population.len() as u32;
-        self.run_campaign_flight_over(config, 0..n)
-    }
-
-    /// [`run_campaign_flight`](Scanner::run_campaign_flight) over a
-    /// subrange of domain ids.
-    pub fn run_campaign_flight_over(
-        &self,
-        config: &CampaignConfig,
-        ids: std::ops::Range<u32>,
-    ) -> (Campaign, FlightRecording) {
-        let mut config = config.clone();
-        config.flight.enabled = true;
-        let (records, shard) = self.run_campaign_fold_flight(
-            &config,
-            ids,
-            Vec::new,
-            |acc: &mut Vec<ConnectionRecord>, domain: &mut Vec<ConnectionRecord>| {
-                acc.append(domain);
-            },
-            |acc, mut batch| acc.append(&mut batch),
-        );
-        let recording = self.finalize_flight(&config, shard);
-        (
-            Campaign {
-                week: config.week,
-                version: config.version,
-                records,
-            },
-            recording,
-        )
-    }
-
-    /// Finalizes a merged flight shard into a recording and notes the
-    /// retention metrics. The index must be byte-identical for any worker
-    /// count, so the config echo drops the one execution-environment
-    /// entry; the run manifest still records it.
-    fn finalize_flight(&self, config: &CampaignConfig, shard: FlightShard) -> FlightRecording {
-        let index_config = config
-            .config_entries()
-            .into_iter()
-            .filter(|e| e.key != "threads")
-            .collect();
-        let recording =
-            FlightRecording::new(shard, &config.flight, config.campaign_id(), index_config);
-        let reg = &*config.telemetry;
-        if reg.is_enabled() {
-            reg.add(
-                Metric::FlightTracesRetained,
-                recording.retained().len() as u64,
-            );
-            reg.add(Metric::FlightTracesEvicted, recording.evicted_traces());
-            reg.add(Metric::FlightTraceBytesRetained, recording.retained_bytes());
+        let workers = config.threads.max(1).min(batches as usize);
+        if workers <= 1 {
+            let mut next = 0;
+            return work(&mut || {
+                mailbox.deliver(next, &mut consume);
+                next += 1;
+            });
         }
-        recording
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| work(&mut || {})))
+                .collect();
+            let _alarm = PanicAlarm(&mailbox);
+            for next in 0..batches {
+                if !mailbox.deliver(next, &mut consume) {
+                    break;
+                }
+            }
+            // Shard merge order does not matter: finalization
+            // canonicalizes the contents.
+            let mut flight = FlightShard::default();
+            for handle in handles {
+                match handle.join() {
+                    Ok(shard) => flight.merge(shard),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            flight
+        })
     }
 
     /// Runs a full sweep with live progress reporting and a run manifest.
@@ -804,34 +615,16 @@ impl<'p> Scanner<'p> {
         })
     }
 
-    /// [`run_campaign_flight`](Scanner::run_campaign_flight) with the
-    /// same live progress reporting and run manifest as
-    /// [`run_campaign_with_progress`](Scanner::run_campaign_with_progress).
-    /// Write the recording next to `metrics.json` with
-    /// [`write_flight_recording`](crate::artifacts::write_flight_recording).
-    pub fn run_campaign_flight_with_progress<F>(
-        &self,
-        config: &CampaignConfig,
-        progress_every: Duration,
-        sink: F,
-    ) -> (Campaign, FlightRecording, RunManifest)
-    where
-        F: FnMut(&str) + Send,
-    {
-        let ((campaign, recording), manifest) =
-            self.run_with_progress_impl(config, progress_every, sink, |scanner, cfg| {
-                scanner.run_campaign_flight(cfg)
-            });
-        (campaign, recording, manifest)
-    }
-
     /// The streamed, bounded-memory campaign with the flight recorder
     /// armed, live progress reporting, and a run manifest — the full
     /// operator path without ever materializing the record vector.
     /// Columnar batches reach `batch_sink` on the calling thread, in
     /// deterministic batch order; `budget_bytes` caps resident record
     /// bytes as in [`run_campaign_streamed`](Scanner::run_campaign_streamed)
-    /// (`0` = unbounded).
+    /// (`0` = unbounded). The streamed records match a non-flight run
+    /// exactly, as in [`run_campaign_flight`](Scanner::run_campaign_flight).
+    /// Write the recording next to `metrics.json` with
+    /// [`write_flight_recording`](crate::artifacts::write_flight_recording).
     pub fn run_campaign_streamed_flight_with_progress<S, F>(
         &self,
         config: &CampaignConfig,
@@ -848,9 +641,33 @@ impl<'p> Scanner<'p> {
         config.flight.enabled = true;
         self.run_with_progress_impl(&config, progress_every, progress, move |scanner, cfg| {
             let n = scanner.population.len() as u32;
-            let shard = scanner.run_campaign_streamed_over(cfg, 0..n, budget_bytes, batch_sink);
+            let shard = scanner.stream(cfg, 0..n, budget_bytes, batch_sink);
             scanner.finalize_flight(cfg, shard)
         })
+    }
+
+    /// Finalizes a merged flight shard into a recording and notes the
+    /// retention metrics. The index must be byte-identical for any worker
+    /// count, so the config echo drops the one execution-environment
+    /// entry; the run manifest still records it.
+    fn finalize_flight(&self, config: &CampaignConfig, shard: FlightShard) -> FlightRecording {
+        let index_config = config
+            .config_entries()
+            .into_iter()
+            .filter(|e| e.key != "threads")
+            .collect();
+        let recording =
+            FlightRecording::new(shard, &config.flight, config.campaign_id(), index_config);
+        let reg = &*config.telemetry;
+        if reg.is_enabled() {
+            reg.add(
+                Metric::FlightTracesRetained,
+                recording.retained().len() as u64,
+            );
+            reg.add(Metric::FlightTracesEvicted, recording.evicted_traces());
+            reg.add(Metric::FlightTraceBytesRetained, recording.retained_bytes());
+        }
+        recording
     }
 
     /// Shared monitor-thread scaffolding for the `*_with_progress` family.
@@ -917,6 +734,118 @@ impl<'p> Scanner<'p> {
         }
         sink(&manifest.summary_table());
         (result, manifest)
+    }
+}
+
+/// Resident-byte accounting of a sweep's undelivered batch accumulators:
+/// the byte budget (`0` = unbounded) and the size of one accumulator.
+/// `None` leaves residency unaccounted and its gauges untouched.
+type Residency<A> = Option<(usize, fn(&A) -> usize)>;
+
+/// The in-order hand-off between a sweep's workers and its consumer.
+struct Mailbox<A> {
+    state: Mutex<MailboxState<A>>,
+    /// Signalled when a batch is published or the sweep fails.
+    ready: Condvar,
+    /// Signalled when resident bytes drop or the sweep fails.
+    space: Condvar,
+    residency: Residency<A>,
+}
+
+struct MailboxState<A> {
+    /// Published, undelivered accumulators and their resident bytes, by
+    /// batch index.
+    pending: BTreeMap<u32, (A, usize)>,
+    resident: usize,
+    /// A worker or the consumer panicked: nobody may wait any longer.
+    failed: bool,
+}
+
+const MAILBOX_POISONED: &str = "campaign mailbox lock poisoned by a panicked thread";
+
+impl<A> Mailbox<A> {
+    fn new(residency: Residency<A>) -> Self {
+        Mailbox {
+            state: Mutex::new(MailboxState {
+                pending: BTreeMap::new(),
+                resident: 0,
+                failed: false,
+            }),
+            ready: Condvar::new(),
+            space: Condvar::new(),
+            residency,
+        }
+    }
+
+    /// Waits until the byte budget admits claiming one more batch.
+    /// Returns `false` once the sweep has failed.
+    fn admit(&self) -> bool {
+        let budget = self.residency.map_or(0, |(budget, _)| budget);
+        let mut s = self.state.lock().expect(MAILBOX_POISONED);
+        while budget > 0 && s.resident >= budget && !s.failed {
+            s = self.space.wait(s).expect(MAILBOX_POISONED);
+        }
+        !s.failed
+    }
+
+    /// Publishes batch `batch`'s finished accumulator.
+    fn publish(&self, batch: u32, acc: A, reg: &Registry) {
+        let bytes = self.residency.map_or(0, |(_, size)| size(&acc));
+        let mut s = self.state.lock().expect(MAILBOX_POISONED);
+        s.resident += bytes;
+        s.pending.insert(batch, (acc, bytes));
+        if self.residency.is_some() && reg.is_enabled() {
+            reg.gauge_max(GaugeId::PeakRecordBytes, s.resident as u64);
+            reg.gauge_max(GaugeId::EventQueueDepth, s.pending.len() as u64);
+        }
+        drop(s);
+        self.ready.notify_one();
+    }
+
+    /// Waits for batch `next`, hands it to `consume`, and only then
+    /// returns its bytes to the budget. Returns `false`, delivering
+    /// nothing, once the sweep has failed.
+    fn deliver(&self, next: u32, consume: &mut impl FnMut(A)) -> bool {
+        let (acc, bytes) = {
+            let mut s = self.state.lock().expect(MAILBOX_POISONED);
+            loop {
+                if s.failed {
+                    return false;
+                }
+                if let Some(entry) = s.pending.remove(&next) {
+                    break entry;
+                }
+                s = self.ready.wait(s).expect(MAILBOX_POISONED);
+            }
+        };
+        consume(acc);
+        self.state.lock().expect(MAILBOX_POISONED).resident -= bytes;
+        self.space.notify_all();
+        true
+    }
+
+    /// Marks the sweep failed and wakes every waiter on both sides.
+    fn fail(&self) {
+        // Runs while unwinding: must not panic on a poisoned lock.
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .failed = true;
+        self.ready.notify_all();
+        self.space.notify_all();
+    }
+}
+
+/// Fails the mailbox when dropped during a panic, so a worker or
+/// consumer that unwinds wakes the other side instead of leaving it
+/// waiting forever; the panic itself is then passed on to the caller.
+struct PanicAlarm<'m, A>(&'m Mailbox<A>);
+
+impl<A> Drop for PanicAlarm<'_, A> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.fail();
+        }
     }
 }
 
@@ -1311,6 +1240,53 @@ mod tests {
             peak <= budget + 4 * max_batch,
             "peak {peak} exceeds budget {budget} plus 4x{max_batch} slack"
         );
+    }
+
+    /// Runs `sweep` on a helper thread and returns its panic message.
+    /// Fails, instead of hanging the suite, if the sweep neither returns
+    /// nor panics within a minute; a hung helper thread is left behind.
+    fn panic_of(sweep: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(sweep));
+            let message = outcome
+                .err()
+                .map(|payload| match payload.downcast::<String>() {
+                    Ok(text) => *text,
+                    Err(payload) => payload
+                        .downcast_ref::<&str>()
+                        .map_or_else(String::new, |text| text.to_string()),
+                });
+            let _ = tx.send(message);
+        });
+        let deadline = Duration::from_secs(60);
+        match rx.recv_timeout(deadline) {
+            Ok(Some(message)) => message,
+            Ok(None) => panic!("the sweep returned instead of panicking"),
+            Err(_) => panic!("the sweep neither returned nor panicked within {deadline:?}"),
+        }
+    }
+
+    #[test]
+    fn streamed_sweep_passes_on_a_worker_panic() {
+        // Ids past the population end make a worker panic mid-sweep; the
+        // consumer waiting for that worker's batch must not wait forever.
+        let message = panic_of(|| {
+            let pop = tiny_pop();
+            Scanner::new(&pop).stream(&clean_config(), 0..1200, 0, |_| {});
+        });
+        assert!(message.contains("index out of bounds"), "{message}");
+    }
+
+    #[test]
+    fn streamed_sweep_passes_on_a_sink_panic() {
+        // A one-byte budget parks the workers on the budget gate; a sink
+        // that unwinds out of the consumer must release them.
+        let message = panic_of(|| {
+            let pop = tiny_pop();
+            Scanner::new(&pop).run_campaign_streamed(&clean_config(), 1, |_| panic!("sink failed"));
+        });
+        assert_eq!(message, "sink failed");
     }
 
     #[test]

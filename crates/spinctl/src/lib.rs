@@ -50,8 +50,8 @@ use quicspin_scanner::{
     read_flagged_trace, read_json, read_observer, read_profile, read_profile_folded,
     read_run_manifest, read_timeseries, write_chrome_trace, write_flight_recording, write_observer,
     write_profile, write_profile_folded, write_run_manifest, write_timeseries, AnomalyIndex,
-    AnomalyKind, CampaignConfig, FlightConfig, ObserverDocBuilder, ProbeId, RunManifest, Scanner,
-    TimeSeriesBuilder, TimeSeriesDoc, OBSERVER_FILE_NAME,
+    AnomalyKind, CampaignConfig, FlightConfig, FlightRecording, ObserverDocBuilder, ProbeId,
+    RunManifest, Scanner, TimeSeriesBuilder, TimeSeriesDoc, OBSERVER_FILE_NAME,
 };
 use quicspin_telemetry::{ProfileDoc, ProfilerRegistry, ScopeId, DEFAULT_TIMESERIES_CAPACITY};
 use quicspin_webpop::{Population, PopulationConfig};
@@ -326,35 +326,61 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             Some(p)
         }
     };
+    stream_campaign(
+        &population,
+        &config,
+        record_budget,
+        Duration::from_secs(2),
+        &dir,
+        out,
+    )?;
+    Ok(())
+}
+
+/// Runs the streamed, flight-recorded campaign that `spinctl run` and
+/// every `spinctl matrix` cell share, and writes all of its artifacts
+/// into `dir`: manifest, flight recording, time series, Chrome trace and,
+/// when enabled, the observer document and the profile. Logs the
+/// progress lines, a summary and one `wrote` line per artifact to `log`.
+/// Returns the number of records streamed and the flight recording.
+fn stream_campaign(
+    population: &Population,
+    config: &CampaignConfig,
+    record_budget: usize,
+    progress_every: Duration,
+    dir: &Path,
+    log: &mut dyn Write,
+) -> Result<(u64, FlightRecording), String> {
     // The progress sink must be Send, so collect the monitor lines and
-    // replay them onto `out` once the sweep has joined. The batch sink
-    // runs on this thread: record batches fold into the time series (and
-    // a row count) the moment workers publish them — no record vector.
+    // replay them onto `log` once the sweep has joined. The batch sink
+    // runs on this thread: record batches fold into the time series, the
+    // observer document and a row count the moment workers publish them
+    // — no record vector.
     let mut progress: Vec<String> = Vec::new();
     let mut builder = TimeSeriesBuilder::new(DEFAULT_TIMESERIES_CAPACITY);
     let mut observer = config
         .tap
         .map(|p| ObserverDocBuilder::new(&config.campaign_id(), p));
     let mut rows: u64 = 0;
-    let scanner = Scanner::new(&population);
-    let (recording, manifest) = scanner.run_campaign_streamed_flight_with_progress(
-        &config,
-        record_budget,
-        Duration::from_secs(2),
-        |line| progress.push(line.to_string()),
-        |batch| {
-            rows += batch.len() as u64;
-            if let Some(observer) = observer.as_mut() {
-                for i in 0..batch.len() {
-                    observer.note_row(&batch.row(i));
+    let (recording, manifest) = Scanner::new(population)
+        .run_campaign_streamed_flight_with_progress(
+            config,
+            record_budget,
+            progress_every,
+            |line| progress.push(line.to_string()),
+            |batch| {
+                rows += batch.len() as u64;
+                if let Some(observer) = observer.as_mut() {
+                    for i in 0..batch.len() {
+                        observer.note_row(&batch.row(i));
+                    }
                 }
-            }
-            builder.push_batch(batch);
-        },
-    );
-    let mut w = |s: String| writeln!(out, "{s}").map_err(|e| e.to_string());
-    for line in &progress {
-        w(line.clone())?;
+                builder.push_batch(batch);
+            },
+        );
+    let mut w = |s: String| writeln!(log, "{s}").map_err(|e| e.to_string());
+    for line in progress {
+        w(line)?;
     }
     w(format!(
         "campaign {}: {} domains, {} records, {} anomalies on {} probes",
@@ -368,7 +394,7 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         "retained {} traces ({} B of {} B budget), evicted {}",
         recording.retained().len(),
         recording.retained_bytes(),
-        budget,
+        config.flight.retention_budget_bytes,
         recording.evicted_traces(),
     ))?;
     w(format!(
@@ -376,13 +402,13 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         manifest.counter("peak_record_bytes"),
         record_budget,
     ))?;
-    let manifest_path = write_run_manifest(&dir, &manifest).map_err(|e| e.to_string())?;
+    let manifest_path = write_run_manifest(dir, &manifest).map_err(|e| e.to_string())?;
     let (index_path, store_path) =
-        write_flight_recording(&dir, &recording).map_err(|e| e.to_string())?;
+        write_flight_recording(dir, &recording).map_err(|e| e.to_string())?;
     let series = builder.finish(config.campaign_id());
-    let series_path = write_timeseries(&dir, &series).map_err(|e| e.to_string())?;
+    let series_path = write_timeseries(dir, &series).map_err(|e| e.to_string())?;
     let events = chrome_trace_export(&recording);
-    let trace_path = write_chrome_trace(&dir, &events).map_err(|e| e.to_string())?;
+    let trace_path = write_chrome_trace(dir, &events).map_err(|e| e.to_string())?;
     w(format!("wrote {}", manifest_path.display()))?;
     w(format!("wrote {}", index_path.display()))?;
     w(format!("wrote {}", store_path.display()))?;
@@ -399,7 +425,7 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     ))?;
     if let Some(observer) = observer {
         let doc = observer.finish();
-        let observer_path = write_observer(&dir, &doc).map_err(|e| e.to_string())?;
+        let observer_path = write_observer(dir, &doc).map_err(|e| e.to_string())?;
         w(format!(
             "wrote {} ({} observed flows, tap at {:.3} of the path)",
             observer_path.display(),
@@ -410,9 +436,9 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     if config.profiler.is_enabled() {
         let snapshot = config.profiler.snapshot();
         let doc = snapshot.doc();
-        let profile_path = write_profile(&dir, &doc).map_err(|e| e.to_string())?;
+        let profile_path = write_profile(dir, &doc).map_err(|e| e.to_string())?;
         let stacks = profile_folded_stacks(&snapshot);
-        let folded_path = write_profile_folded(&dir, &stacks).map_err(|e| e.to_string())?;
+        let folded_path = write_profile_folded(dir, &stacks).map_err(|e| e.to_string())?;
         w(format!(
             "wrote {} ({} deterministic scopes)",
             profile_path.display(),
@@ -424,7 +450,7 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             stacks.len(),
         ))?;
     }
-    Ok(())
+    Ok((rows, recording))
 }
 
 // ---------------------------------------------------------------------------
@@ -477,42 +503,14 @@ fn cmd_matrix(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         if cell.profile {
             config.profiler = Arc::new(ProfilerRegistry::new());
         }
-        let mut builder = TimeSeriesBuilder::new(DEFAULT_TIMESERIES_CAPACITY);
-        let mut observer = config
-            .tap
-            .map(|p| ObserverDocBuilder::new(&config.campaign_id(), p));
-        let mut rows: u64 = 0;
-        let scanner = Scanner::new(&population);
-        let (recording, manifest) = scanner.run_campaign_streamed_flight_with_progress(
+        let (rows, recording) = stream_campaign(
+            &population,
             &config,
             cell.record_budget,
             Duration::from_secs(3600),
-            |_line| {},
-            |batch| {
-                rows += batch.len() as u64;
-                if let Some(observer) = observer.as_mut() {
-                    for i in 0..batch.len() {
-                        observer.note_row(&batch.row(i));
-                    }
-                }
-                builder.push_batch(batch);
-            },
-        );
-        write_run_manifest(&cell_dir, &manifest).map_err(|e| e.to_string())?;
-        write_flight_recording(&cell_dir, &recording).map_err(|e| e.to_string())?;
-        let series = builder.finish(config.campaign_id());
-        write_timeseries(&cell_dir, &series).map_err(|e| e.to_string())?;
-        let events = chrome_trace_export(&recording);
-        write_chrome_trace(&cell_dir, &events).map_err(|e| e.to_string())?;
-        if let Some(observer) = observer {
-            write_observer(&cell_dir, &observer.finish()).map_err(|e| e.to_string())?;
-        }
-        if config.profiler.is_enabled() {
-            let snapshot = config.profiler.snapshot();
-            write_profile(&cell_dir, &snapshot.doc()).map_err(|e| e.to_string())?;
-            let stacks = profile_folded_stacks(&snapshot);
-            write_profile_folded(&cell_dir, &stacks).map_err(|e| e.to_string())?;
-        }
+            &cell_dir,
+            &mut std::io::sink(),
+        )?;
         writeln!(
             out,
             "cell {}: {} records, {} anomalies -> {}",

@@ -14,10 +14,10 @@
 //!    only costs that are pure functions of the record stream (enter
 //!    counts, allocation deltas, event-queue-op deltas), while wall-time
 //!    weights ride exclusively in the collapsed-stack export
-//!    (`profile.folded`) meant for flamegraph tooling. Scopes that only
-//!    exist on some execution shapes (the streamed path's batch mailbox
-//!    has no counterpart at `--threads 1`) are marked non-deterministic
-//!    and excluded from `profile.json` entirely.
+//!    (`profile.folded`) meant for flamegraph tooling. Scopes whose cost
+//!    is pure scheduling (the campaign engine's batch-mailbox hand-off)
+//!    are marked non-deterministic and excluded from `profile.json`
+//!    entirely.
 //! 2. **Hot-path overhead under the CI-gated 3% budget.** Only the
 //!    coarse per-probe scopes read the clock (~8 reads per multi-
 //!    microsecond probe, chained lap-style so each boundary costs one
@@ -89,8 +89,8 @@ pub enum ScopeId {
     QlogEncode,
     /// Folding finished domain records into the shared accumulators.
     RecordIntern,
-    /// Streamed-path producer blocking on the bounded batch mailbox.
-    /// Wall-only and shape-dependent (`--threads 1` has no mailbox), so
+    /// A worker publishing a finished batch to the campaign engine's
+    /// in-order mailbox (lock + hand-off). Pure scheduling cost, so
     /// non-deterministic and excluded from `profile.json`.
     BatchMailbox,
 }
@@ -665,8 +665,8 @@ mod tests {
             }
             assert_eq!(ScopeId::from_path(s.path()), Some(s));
         }
-        // The deliberate exception: the batch mailbox only exists on the
-        // threaded streamed path, so it must stay out of profile.json.
+        // The deliberate exception: the batch-mailbox hand-off is pure
+        // scheduling cost, so it must stay out of profile.json.
         assert!(!ScopeId::BatchMailbox.deterministic());
         assert_eq!(
             ScopeId::ALL.iter().filter(|s| !s.deterministic()).count(),

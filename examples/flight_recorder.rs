@@ -35,15 +35,21 @@ fn main() {
         flight,
         ..CampaignConfig::default()
     };
-    let (campaign, recording, manifest) =
-        scanner.run_campaign_flight_with_progress(&config, Duration::from_secs(2), |line| {
-            eprintln!("{line}")
-        });
+    // Stream the sweep (no record vector), counting rows as batches
+    // arrive; `0` leaves resident record bytes unbounded.
+    let mut rows = 0u64;
+    let (recording, manifest) = scanner.run_campaign_streamed_flight_with_progress(
+        &config,
+        0,
+        Duration::from_secs(2),
+        |line| eprintln!("{line}"),
+        |batch| rows += batch.len() as u64,
+    );
 
     println!(
         "campaign {}: {} records, {} anomalies on {} probes",
         recording.campaign_id(),
-        campaign.records.len(),
+        rows,
         recording.anomalies().len(),
         recording.flagged_traces()
     );

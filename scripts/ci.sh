@@ -80,6 +80,19 @@ cargo run --release -p quicspin-spinctl --bin spinctl -- \
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
   profile --diff "$SPINCTL_DIR/p" "$SPINCTL_DIR/p"
 
+# Thread-count contract of `spinctl run`: the same profiled sweep at
+# --threads 1 and --threads 4 must write byte-identical deterministic
+# artifacts. The 4 KiB record budget is smaller than one batch, so the
+# threaded workers block on the budget gate and that path runs too.
+for t in 1 4; do
+  cargo run --release -p quicspin-spinctl --bin spinctl -- \
+    run --dir "$SPINCTL_DIR/t$t" --domains 220 --seed 7 --sample-every 16 \
+    --profile --record-budget 4096 --threads "$t"
+done
+for f in observer.json anomalies.json trace.json timeseries.json profile.json traces.bin; do
+  cmp "$SPINCTL_DIR/t1/$f" "$SPINCTL_DIR/t4/$f"
+done
+
 # Matrix smoke: the committed loss×vantage scenario (a 2×2 grid) runs
 # twice, at --threads 1 and --threads 4; report.md and report.json must
 # come out byte-identical. A malformed scenario must fail the exit-code
