@@ -42,7 +42,8 @@ fn profiler_overhead(c: &mut Criterion) {
 fn probe_profiled(c: &mut Criterion) {
     // The per-probe view of the same budget: one established domain on
     // the scratch-reuse hot path, with and without the scope boundaries
-    // live. The gap is the ~9 clock reads plus the count mapping.
+    // live. The gap is the lap chain's 8 clock reads plus the count
+    // mapping.
     let pop = bench_population(2_000, 0);
     let scanner = Scanner::new(&pop);
     let unprofiled = clean_config(1);
@@ -61,7 +62,9 @@ fn probe_profiled(c: &mut Criterion) {
     for (case, cfg) in [("off", &unprofiled), ("on", &profiled)] {
         group.bench_function(case, |b| {
             let mut scratch = ProbeScratch::default();
-            scratch.profiler.set_enabled(cfg.profiler.is_enabled());
+            scratch
+                .telemetry
+                .set_enabled(cfg.telemetry.is_enabled(), cfg.profiler.is_enabled());
             let mut records = Vec::new();
             b.iter(|| {
                 records.clear();

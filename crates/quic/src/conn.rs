@@ -212,8 +212,9 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Creates a client connection; the first [`poll_transmit`]
-    /// (Connection::poll_transmit) yields the Initial flight.
+    /// Creates a client connection; the first
+    /// [`poll_transmit`](Connection::poll_transmit) yields the Initial
+    /// flight.
     pub fn new_client(cfg: TransportConfig, seed: u64, now: SimTime) -> Self {
         let mut rng = Rng::new(seed);
         let scid = ConnectionId::from_u64(rng.next_u64());

@@ -7,7 +7,7 @@
 //! > bit, i.e., it inverts the latest value." (paper §2.1)
 //!
 //! The generator also implements every disabling behaviour of
-//! [`SpinPolicy`](crate::config::SpinPolicy) and, optionally, the Valid
+//! [`SpinPolicy`] and, optionally, the Valid
 //! Edge Counter carried in the reserved header bits.
 
 use crate::config::SpinPolicy;

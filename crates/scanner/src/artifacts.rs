@@ -17,9 +17,7 @@ use quicspin_qlog::{
     decode_trace, encode_trace, parse_folded, render_folded, ChromeEvent, EventData, FoldedStack,
     QlogFile, TraceLog,
 };
-use quicspin_telemetry::{
-    Metric, ProfileDoc, ProfileSnapshot, Registry, RunManifest, Stage, TimeSeriesDoc,
-};
+use quicspin_telemetry::{ProfileDoc, ProfileSnapshot, RunManifest, TimeSeriesDoc};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Write};
@@ -85,25 +83,12 @@ pub fn strip_for_release(trace: &TraceLog) -> TraceLog {
 /// Exports all retained traces in the compact binary format, stripped.
 /// Returns one byte blob per connection.
 pub fn export_binary_stripped(campaign: &Campaign) -> Vec<Vec<u8>> {
-    export_binary_stripped_telemetry(campaign, &Registry::disabled())
-}
-
-/// [`export_binary_stripped`], counting encode time and output bytes into
-/// `registry` (`qlog_encode` stage, `qlog_bytes_encoded` counter).
-pub fn export_binary_stripped_telemetry(campaign: &Campaign, registry: &Registry) -> Vec<Vec<u8>> {
-    let span = registry.span(Stage::QlogEncode);
-    let blobs: Vec<Vec<u8>> = campaign
+    campaign
         .records
         .iter()
         .filter_map(|r| r.qlog.as_ref())
         .map(|t| encode_trace(&strip_for_release(t)))
-        .collect();
-    span.finish();
-    registry.add(
-        Metric::QlogBytesEncoded,
-        blobs.iter().map(|b| b.len() as u64).sum(),
-    );
-    blobs
+        .collect()
 }
 
 /// Streams `value` as pretty-printed JSON into file `name` inside `dir`

@@ -513,8 +513,9 @@ impl<'p> Scanner<'p> {
         let work = |published: &mut dyn FnMut()| -> FlightShard {
             let _alarm = PanicAlarm(&mailbox);
             let mut scratch = ProbeScratch::default();
-            scratch.telemetry.set_enabled(reg.is_enabled());
-            scratch.profiler.set_enabled(config.profiler.is_enabled());
+            scratch
+                .telemetry
+                .set_enabled(reg.is_enabled(), config.profiler.is_enabled());
             let mut domain_records: Vec<ConnectionRecord> = Vec::new();
             let mut warm = false;
             while mailbox.admit() {
@@ -537,23 +538,22 @@ impl<'p> Scanner<'p> {
                     } else {
                         warm = true;
                     }
-                    let t = scratch.telemetry.timer();
+                    let t = scratch.telemetry.begin();
                     self.scan_domain_into(id, config, &mut scratch, &mut domain_records);
-                    scratch.telemetry.record_since(Stage::Probe, t);
+                    let t = scratch.telemetry.lap_probe(t);
                     note_domain_records(reg, &domain_records);
-                    let p = scratch.profiler.begin();
                     fold(&mut acc, &mut domain_records);
-                    scratch.profiler.end(ScopeId::RecordIntern, p);
+                    scratch.telemetry.end(ScopeId::RecordIntern, t);
                 }
                 // Mailbox publish cost (lock + in-order queue handoff) is
                 // scheduling machinery: the scope is marked
                 // non-deterministic and never reaches `profile.json`.
-                let p = scratch.profiler.begin();
+                let t = scratch.telemetry.begin();
                 mailbox.publish(batch, acc, reg);
-                scratch.profiler.end(ScopeId::BatchMailbox, p);
+                scratch.telemetry.end(ScopeId::BatchMailbox, t);
                 published();
             }
-            config.profiler.absorb(&scratch.profiler);
+            config.profiler.absorb(&scratch.telemetry);
             reg.absorb(&scratch.telemetry);
             reg.incr(Metric::WorkersFinished);
             std::mem::take(&mut scratch.flight)
@@ -1351,6 +1351,64 @@ mod tests {
         );
         assert!(parsed.row("probe/lab/wheel_push").unwrap().queue_ops > 0);
         assert!(parsed.row("probe/observer_fold/samples").unwrap().enters > 0);
+    }
+
+    #[test]
+    fn stage_histograms_and_scopes_share_one_timing_source() {
+        // Every stage but `probe` is a view of one profiler scope, so with
+        // both registries on, each histogram holds exactly the wall values
+        // its scope summed. Loss makes some handshakes fail: their lab run
+        // counts a handshake enter but adds no handshake sample.
+        let pop = tiny_pop();
+        let reg = Arc::new(Registry::new());
+        let prof = Arc::new(ProfilerRegistry::new());
+        let cfg = CampaignConfig {
+            threads: 2,
+            tap: Some(0.5),
+            keep_qlogs: true,
+            conditions: NetworkConditions {
+                loss: 0.5,
+                ..NetworkConditions::default()
+            },
+            telemetry: Arc::clone(&reg),
+            profiler: Arc::clone(&prof),
+            ..CampaignConfig::default()
+        };
+        Scanner::new(&pop).run_campaign(&cfg);
+        assert!(reg.counter(Metric::HandshakesFailed) > 0);
+        let snap = prof.snapshot();
+        let views = [
+            (Stage::Handshake, ScopeId::LabHandshake),
+            (Stage::Transfer, ScopeId::LabTransfer),
+            (Stage::SpinExtraction, ScopeId::SpinExtraction),
+            (Stage::Classify, ScopeId::Classify),
+            (Stage::ObserverFold, ScopeId::ObserverFold),
+            (Stage::QlogEncode, ScopeId::QlogEncode),
+        ];
+        for (stage, scope) in views {
+            let hist = reg.stage_histogram(stage).to_shard();
+            let cost = snap.cost(scope);
+            assert!(hist.count() > 0, "{} recorded nothing", stage.name());
+            assert_eq!(
+                hist.sum(),
+                cost.wall_ns,
+                "{} sum vs scope wall",
+                stage.name()
+            );
+            if stage == Stage::Handshake {
+                assert!(
+                    hist.count() < cost.enters,
+                    "failed handshakes add no sample"
+                );
+            } else {
+                assert_eq!(
+                    hist.count(),
+                    cost.enters,
+                    "{} count vs enters",
+                    stage.name()
+                );
+            }
+        }
     }
 
     #[test]

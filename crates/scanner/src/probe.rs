@@ -8,7 +8,7 @@ use quicspin_netsim::{Rng, SimDuration};
 use quicspin_quic::{
     ConnectionLab, LabConfig, LabScratch, LabStats, ServerProfile, TransportConfig,
 };
-use quicspin_telemetry::{GaugeId, Metric, ProfilerShard, ScopeId, Stage, WorkerShard};
+use quicspin_telemetry::{GaugeId, Metric, ScopeId, WorkerShard};
 use quicspin_webpop::{ConnectionPlan, DomainRecord, IpVersion, WebServer};
 
 /// Reusable per-worker probe state.
@@ -18,21 +18,18 @@ use quicspin_webpop::{ConnectionPlan, DomainRecord, IpVersion, WebServer};
 /// are then recycled instead of reallocated per connection. A fresh
 /// scratch and a reused one produce identical records.
 ///
-/// The scratch also carries the worker's private telemetry shard, so
-/// per-packet counters and stage timings accumulate contention-free and
-/// ride the existing per-worker state through the hot path. The campaign
-/// engine enables the shard to match its registry and absorbs it when the
-/// worker finishes; outside a campaign the shard stays disabled and costs
-/// nothing.
+/// The scratch also carries the worker's one instrumentation shard, so
+/// per-packet counters, stage histograms and profiler scope costs
+/// accumulate contention-free and ride the existing per-worker state
+/// through the hot path. The campaign engine enables the shard to match
+/// its telemetry registry and profiler and absorbs it into both when the
+/// worker finishes; outside a campaign the shard stays disabled and its
+/// lap chain never reads the clock.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     lab: LabScratch,
-    /// Worker-private telemetry buffer (see [`quicspin_telemetry`]).
+    /// Worker-private instrumentation shard (see [`WorkerShard`]).
     pub telemetry: WorkerShard,
-    /// Worker-private hierarchical profiler buffer. Enabled by profiled
-    /// campaigns alongside [`ProbeScratch::telemetry`]; when disabled the
-    /// scope points cost a branch and never read the clock.
-    pub profiler: ProfilerShard,
     /// When set (by a flight-recorder campaign), probes capture the client
     /// qlog trace on the record even if `keep_qlog` is off, so the
     /// recorder can inspect it. The campaign engine strips and recycles
@@ -78,8 +75,13 @@ impl ProbeScratch {
     }
 }
 
-/// Maps one lab run's plain stats into the worker's telemetry shard.
-fn note_lab_stats(shard: &mut WorkerShard, stats: &LabStats) {
+/// Maps one lab run's plain stats into the worker's shard: transport and
+/// path counters, the count-only netsim/quic scopes (enters, allocation
+/// deltas, event-queue-op deltas, fed post hoc from counters those
+/// crates already maintain — the hot path reads no clock for them), and
+/// the lab's own handshake/transfer stopwatches, each recorded once into
+/// its scope and the scope's stage.
+fn note_lab(shard: &mut WorkerShard, stats: &LabStats, established: bool) {
     // Transport counters, both endpoints.
     for conn in [&stats.client, &stats.server] {
         shard.add(Metric::PacketsSent, conn.packets_sent);
@@ -91,6 +93,17 @@ fn note_lab_stats(shard: &mut WorkerShard, stats: &LabStats) {
         shard.add(Metric::PtosFired, conn.ptos_fired);
         shard.add(Metric::DatagramPoolHits, conn.datagram_pool_hits);
         shard.add(Metric::DatagramPoolMisses, conn.datagram_pool_misses);
+        shard.enter_n(ScopeId::PacketEncode, conn.packets_sent);
+        shard.enter_n(
+            ScopeId::PacketDecode,
+            conn.packets_received + conn.packets_undecodable,
+        );
+        shard.enter_n(ScopeId::Reassembly, conn.frames_reassembled);
+        shard.enter_n(
+            ScopeId::DatagramPool,
+            conn.datagram_pool_hits + conn.datagram_pool_misses,
+        );
+        shard.add_allocs(ScopeId::DatagramPool, conn.datagram_pool_misses);
     }
     // Spin edges as seen by the scanning client (the measurement side).
     shard.add(Metric::SpinTransitionsObserved, stats.client.spin_edges);
@@ -106,52 +119,26 @@ fn note_lab_stats(shard: &mut WorkerShard, stats: &LabStats) {
         path.duplicated[0] + path.duplicated[1],
     );
     shard.gauge_max(GaugeId::NetsimQueueHighWater, path.queue_high_water);
+    shard.enter_n(ScopeId::WheelPush, path.queue_pushes);
+    shard.add_queue_ops(ScopeId::WheelPush, path.queue_pushes);
+    shard.enter_n(ScopeId::WheelPop, path.queue_pops);
+    shard.add_queue_ops(ScopeId::WheelPop, path.queue_pops);
+    shard.enter_n(ScopeId::LinkDelivery, path.delivered);
     // Payload-pool hit rate.
     shard.add(Metric::PayloadReclaimed, stats.payload_reclaimed);
     shard.add(Metric::PayloadShared, stats.payload_shared);
-    // Stage wall times measured inside the lab's event loop.
-    if stats.handshake_wall_ns > 0 {
-        shard.record_ns(Stage::Handshake, stats.handshake_wall_ns);
-    }
-    if stats.transfer_wall_ns > 0 {
-        shard.record_ns(Stage::Transfer, stats.transfer_wall_ns);
-    }
-}
-
-/// Maps one lab run's plain stats into the worker's profiler shard: the
-/// inner netsim/quic scopes are count-only (enters, allocation deltas,
-/// event-queue-op deltas), fed post hoc from counters the transport and
-/// path simulator already maintain — the hot path itself reads no clock
-/// for them. The lab's own handshake/transfer stopwatches supply the
-/// wall split inside the `probe/lab` scope.
-fn note_lab_profile(prof: &mut ProfilerShard, stats: &LabStats, established: bool) {
-    let path = &stats.path;
-    prof.enter_n(ScopeId::WheelPush, path.queue_pushes);
-    prof.add_queue_ops(ScopeId::WheelPush, path.queue_pushes);
-    prof.enter_n(ScopeId::WheelPop, path.queue_pops);
-    prof.add_queue_ops(ScopeId::WheelPop, path.queue_pops);
-    prof.enter_n(ScopeId::LinkDelivery, path.delivered);
-    for conn in [&stats.client, &stats.server] {
-        prof.enter_n(ScopeId::PacketEncode, conn.packets_sent);
-        prof.enter_n(
-            ScopeId::PacketDecode,
-            conn.packets_received + conn.packets_undecodable,
-        );
-        prof.enter_n(ScopeId::Reassembly, conn.frames_reassembled);
-        prof.enter_n(
-            ScopeId::DatagramPool,
-            conn.datagram_pool_hits + conn.datagram_pool_misses,
-        );
-        prof.add_allocs(ScopeId::DatagramPool, conn.datagram_pool_misses);
-    }
     // Every lab run attempts a handshake; only established connections
     // reach the transfer phase. Both facts are worker-count invariant.
-    prof.enter(ScopeId::LabHandshake);
-    if established {
-        prof.enter(ScopeId::LabTransfer);
+    // The handshake stopwatch stops only on establishment, so a failed
+    // handshake adds no wall sample.
+    shard.enter(ScopeId::LabHandshake);
+    if stats.handshake_wall_ns > 0 {
+        shard.add_wall_ns(ScopeId::LabHandshake, stats.handshake_wall_ns);
     }
-    prof.add_wall_ns(ScopeId::LabHandshake, stats.handshake_wall_ns);
-    prof.add_wall_ns(ScopeId::LabTransfer, stats.transfer_wall_ns);
+    if established {
+        shard.enter(ScopeId::LabTransfer);
+        shard.add_wall_ns(ScopeId::LabTransfer, stats.transfer_wall_ns);
+    }
 }
 
 /// Network conditions of the scan path (the part of the path shared by
@@ -257,11 +244,12 @@ pub fn probe_connection_scratch(
     keep_qlog: bool,
     scratch: &mut ProbeScratch,
 ) -> (ConnectionRecord, Option<Response>) {
-    // Profiler lap chain: one clock read per scope boundary, and none at
-    // all when profiling is off (begin/lap return None on a disabled
-    // shard). The inner netsim/quic scopes never read the clock — they
-    // are fed post hoc by `note_lab_profile`.
-    let p0 = scratch.profiler.begin();
+    // One lap chain: one clock read per scope boundary, feeding the scope
+    // and (for the staged scopes) its stage histogram, and none at all
+    // when the shard is disabled (begin/lap return None). The inner
+    // netsim/quic scopes never read the clock — `note_lab` feeds them
+    // post hoc.
+    let t0 = scratch.telemetry.begin();
     // Build the HTTP exchange for this hop.
     let request = Request::get(
         scratch.www_target(domain),
@@ -326,29 +314,26 @@ pub fn probe_connection_scratch(
         request: request.encode(),
         response_prefix: response.encode_header(),
         max_duration: SimDuration::from_secs(60),
-        // Only pay for phase wall-clocks when telemetry or the profiler
-        // is live (the profiler splits probe/lab into handshake/transfer
-        // from the same stopwatches).
-        time_stages: scratch.telemetry.is_enabled() || scratch.profiler.is_enabled(),
+        // Only pay for phase wall-clocks when the shard is live (they
+        // split probe/lab into handshake/transfer).
+        time_stages: scratch.telemetry.is_enabled(),
     };
-    let p = scratch.profiler.lap(ScopeId::Plan, p0);
+    let t = scratch.telemetry.lap(ScopeId::Plan, t0);
     let mut outcome = ConnectionLab::new(lab_cfg).run_with_scratch(&mut scratch.lab);
-    scratch.profiler.lap(ScopeId::Lab, p);
-    note_lab_stats(&mut scratch.telemetry, &outcome.stats);
-    if scratch.profiler.is_enabled() {
-        note_lab_profile(
-            &mut scratch.profiler,
-            &outcome.stats,
-            outcome.handshake_completed,
-        );
-    }
-
+    note_lab(
+        &mut scratch.telemetry,
+        &outcome.stats,
+        outcome.handshake_completed,
+    );
     // Virtual-clock timings for the time-series layer, read off the client
     // qlog before it is (maybe) stripped below. These are simulated
     // microseconds, so they are identical for any worker-thread count.
     let virtual_handshake_us = outcome.client_qlog.handshake_time_us();
     let virtual_total_us = outcome.client_qlog.duration_us();
     let queue_high_water = outcome.stats.path.queue_high_water;
+    // The lab scope closes here, so the next lap times spin extraction
+    // alone.
+    let t = scratch.telemetry.lap(ScopeId::Lab, t);
 
     if !outcome.handshake_completed {
         scratch.telemetry.incr(Metric::HandshakesFailed);
@@ -377,22 +362,14 @@ pub fn probe_connection_scratch(
             queue_high_water,
             qlog,
         };
-        scratch.profiler.end(ScopeId::Probe, p0);
+        scratch.telemetry.end(ScopeId::Probe, t0);
         scratch.lab.reclaim(outcome);
         return (record, None);
     }
 
     scratch.telemetry.incr(Metric::HandshakesCompleted);
-    let parsed = Response::parse_header(&outcome.response_data).map(|(r, _)| r);
-    let webserver = parsed.as_ref().map(|r| WebServer::from_header(&r.server));
-
-    // Back-to-back stages share clock reads: each lap's end timestamp is
-    // the next stage's start.
-    let t = scratch.telemetry.timer();
-    let p = scratch.profiler.begin();
     let observations = outcome.client_observations();
-    let t = scratch.telemetry.record_lap(Stage::SpinExtraction, t);
-    let p = scratch.profiler.lap(ScopeId::SpinExtraction, p);
+    let t = scratch.telemetry.lap(ScopeId::SpinExtraction, t);
 
     let report = ObserverReport::build(
         &observations,
@@ -400,8 +377,7 @@ pub fn probe_connection_scratch(
         observer,
         grease,
     );
-    let t = scratch.telemetry.record_lap(Stage::Classify, t);
-    let p = scratch.profiler.lap(ScopeId::Classify, p);
+    let t = scratch.telemetry.lap(ScopeId::Classify, t);
 
     // On-path observation: narrow the tap capture through the observer's
     // privacy boundary (short-header bytes only) and keep the flow view
@@ -434,17 +410,14 @@ pub fn probe_connection_scratch(
             Metric::ObserverFlowsUnmeasurable
         });
         scratch
-            .profiler
+            .telemetry
             .enter_n(ScopeId::ObserverSamples, stats.packets);
         crate::observe::ObserverView::new(position, stats, &report)
     });
-    let (t, p) = if scratch.tap_position.is_some() {
-        (
-            scratch.telemetry.record_lap(Stage::ObserverFold, t),
-            scratch.profiler.lap(ScopeId::ObserverFold, p),
-        )
+    let t = if scratch.tap_position.is_some() {
+        scratch.telemetry.lap(ScopeId::ObserverFold, t)
     } else {
-        (t, p)
+        t
     };
 
     let qlog = (keep_qlog || scratch.flight_inspect).then(|| {
@@ -459,9 +432,14 @@ pub fn probe_connection_scratch(
         trace
     });
     if keep_qlog {
-        scratch.telemetry.record_since(Stage::QlogEncode, t);
-        scratch.profiler.lap(ScopeId::QlogEncode, p);
+        scratch.telemetry.end(ScopeId::QlogEncode, t);
     }
+
+    // The response header only feeds the record (and redirect
+    // following), so it parses after the timed stages, in the probe's
+    // own self time.
+    let parsed = Response::parse_header(&outcome.response_data).map(|(r, _)| r);
+    let webserver = parsed.as_ref().map(|r| WebServer::from_header(&r.server));
 
     let record = ConnectionRecord {
         domain_id: domain.id,
@@ -480,7 +458,7 @@ pub fn probe_connection_scratch(
         queue_high_water,
         qlog,
     };
-    scratch.profiler.end(ScopeId::Probe, p0);
+    scratch.telemetry.end(ScopeId::Probe, t0);
     scratch.lab.reclaim(outcome);
     (record, parsed)
 }
@@ -706,7 +684,7 @@ mod tests {
                 tap_position: Some(0.5),
                 ..ProbeScratch::default()
             };
-            scratch.profiler.set_enabled(true);
+            scratch.telemetry.set_enabled(false, true);
             probe_connection_scratch(
                 d,
                 &plan,
@@ -719,7 +697,7 @@ mod tests {
                 true,
                 &mut scratch,
             );
-            scratch.profiler
+            scratch.telemetry
         };
         let a = run();
         let b = run();
@@ -740,8 +718,12 @@ mod tests {
         assert!(a.wall_ns(ScopeId::Probe) > 0, "probe wall must be timed");
         assert!(a.wall_ns(ScopeId::Lab) > 0, "lab wall must be timed");
 
-        // An unprofiled probe leaves the shard untouched.
-        let mut off = ProbeScratch::default();
+        // An unprofiled probe leaves every scope cell untouched.
+        let mut off = ProbeScratch {
+            tap_position: Some(0.5),
+            ..ProbeScratch::default()
+        };
+        off.telemetry.set_enabled(true, false);
         probe_connection_scratch(
             d,
             &plan,
@@ -754,7 +736,14 @@ mod tests {
             false,
             &mut off,
         );
-        assert!(off.profiler.is_empty());
+        assert!(ScopeId::ALL
+            .iter()
+            .all(|&s| off.telemetry.enters(s) == 0 && off.telemetry.wall_ns(s) == 0));
+        // ...while its metrics half still times the staged scopes.
+        let classify = off
+            .telemetry
+            .stage_histogram(quicspin_telemetry::Stage::Classify);
+        assert_eq!(classify.count(), 1);
     }
 
     #[test]

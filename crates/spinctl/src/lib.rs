@@ -69,6 +69,11 @@ pub const DEFAULT_DIR: &str = "target/flight";
 /// least one regression.
 pub const EXIT_REGRESSIONS: i32 = 2;
 
+/// Default multiplicative band of every regression gate on run
+/// artifacts: `compare`'s p99 gate, `profile --diff`'s count gate and
+/// the matrix report's per-cell p99 verdicts.
+const DEFAULT_BAND: f64 = 1.25;
+
 /// Minimum absolute worsening (µs) before a latency quantile can count
 /// as regressed; filters noise on near-zero baselines.
 const LATENCY_FLOOR_US: u64 = 1_000;
@@ -1015,11 +1020,12 @@ pub struct BenchResult {
     pub max_ns: u64,
 }
 
-/// Whether quantile `b` regressed against `a`: worse than the
-/// multiplicative band AND past the absolute floor (so a 2 µs → 4 µs
-/// wobble on a tiny baseline never trips the gate).
-fn quantile_regressed(a_us: u64, b_us: u64, band: f64) -> bool {
-    b_us as f64 > a_us as f64 * band && b_us >= a_us + LATENCY_FLOOR_US
+/// The one regression rule behind every gate: `b` regressed against
+/// `a` when it is worse than the multiplicative band AND past the
+/// absolute floor (so a 2 µs → 4 µs wobble on a tiny baseline never
+/// trips a gate).
+fn regressed(a: u64, b: u64, band: f64, floor: u64) -> bool {
+    b as f64 > a as f64 * band && b >= a.saturating_add(floor)
 }
 
 fn cmd_compare(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
@@ -1037,7 +1043,7 @@ fn cmd_compare(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
         let band: f64 = args.get_parsed("bench-band", 1.5)?;
         compare_bench(&a, &b, band, out)
     } else {
-        let band: f64 = args.get_parsed("p99-band", 1.25)?;
+        let band: f64 = args.get_parsed("p99-band", DEFAULT_BAND)?;
         let drift: f64 = args.get_parsed("mix-drift", 0.02)?;
         compare_runs(&a, &b, band, drift, out)
     }
@@ -1108,11 +1114,11 @@ fn compare_runs(
         ("total_p99_us", ap.total_p99_us, bp.total_p99_us, true),
     ];
     for (name, av, bv, gated) in quantiles {
-        let regressed = gated && quantile_regressed(av, bv, band);
-        if regressed {
+        let worse = gated && regressed(av, bv, band, LATENCY_FLOOR_US);
+        if worse {
             regressions.push(name.to_string());
         }
-        let verdict = if regressed {
+        let verdict = if worse {
             "REGRESSED"
         } else if gated {
             "ok"
@@ -1187,8 +1193,8 @@ fn compare_runs(
         if let Some(sb) = b.manifest.stage(&sa.stage) {
             let _ = writeln!(
                 text,
-                "  {:<18} {:>12} ns {:>12} ns",
-                sa.stage, sa.p99_ns, sb.p99_ns
+                "  {:<18} {:>12} ns (n={}) {:>12} ns (n={})",
+                sa.stage, sa.p99_ns, sa.count, sb.p99_ns, sb.count
             );
         }
     }
@@ -1237,9 +1243,8 @@ fn compare_bench(
             let _ = writeln!(text, "  {:<44} only in {}", ra.name, a_path.display());
             continue;
         };
-        let regressed = rb.mean_ns as f64 > ra.mean_ns as f64 * band
-            && rb.mean_ns >= ra.mean_ns + BENCH_FLOOR_NS;
-        if regressed {
+        let worse = regressed(ra.mean_ns, rb.mean_ns, band, BENCH_FLOOR_NS);
+        if worse {
             regressions.push(ra.name.clone());
         }
         let _ = writeln!(
@@ -1248,7 +1253,7 @@ fn compare_bench(
             ra.name,
             ra.mean_ns,
             rb.mean_ns,
-            if regressed { "REGRESSED" } else { "ok" }
+            if worse { "REGRESSED" } else { "ok" }
         );
     }
     for rb in &b.results {
@@ -1286,7 +1291,7 @@ fn cmd_profile(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 args.positional.len()
             ));
         }
-        let band: f64 = args.get_parsed("count-band", 1.25)?;
+        let band: f64 = args.get_parsed("count-band", DEFAULT_BAND)?;
         let a = PathBuf::from(&args.positional[0]);
         let b = PathBuf::from(&args.positional[1]);
         profile_diff(&a, &b, band, out)
@@ -1407,8 +1412,7 @@ fn profile_diff(a_dir: &Path, b_dir: &Path, band: f64, out: &mut dyn Write) -> R
             paths.push(r.path.as_str());
         }
     }
-    let count_regressed =
-        |av: u64, bv: u64| bv as f64 > av as f64 * band && bv >= av + PROFILE_COUNT_FLOOR;
+    let count_regressed = |av: u64, bv: u64| regressed(av, bv, band, PROFILE_COUNT_FLOOR);
     for path in paths {
         let zero = (0u64, 0u64, 0u64);
         let counts = |doc: &ProfileDoc| {
@@ -1829,6 +1833,18 @@ mod tests {
             run_code(&["compare", dir_a.to_str().unwrap(), dir_b.to_str().unwrap()]).unwrap();
         assert_eq!(code, 0, "identical runs must compare clean: {report}");
         assert!(report.contains("no regressions detected"), "out: {report}");
+        // Every wall-clock stage percentile carries both sides' sample size.
+        let stage_lines: Vec<&str> = report
+            .lines()
+            .skip_while(|l| !l.starts_with("wall-clock stage p99"))
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert!(!stage_lines.is_empty(), "out: {report}");
+        assert!(
+            stage_lines.iter().all(|l| l.matches(" (n=").count() == 2),
+            "out: {report}"
+        );
 
         let (code, report) =
             run_code(&["compare", dir_a.to_str().unwrap(), dir_c.to_str().unwrap()]).unwrap();

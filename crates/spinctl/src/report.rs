@@ -51,10 +51,6 @@ const MIX_DRIFT_MILLIONTHS: u64 = 20_000;
 /// vs the baseline cell — the integer twin of `compare`'s 2% gate.
 const ERROR_DRIFT_MILLIONTHS: u64 = 20_000;
 
-/// p99 multiplicative band, in hundredths (125 = ×1.25), matching
-/// `compare`'s default `--p99-band`.
-const P99_BAND_HUNDREDTHS: u64 = 125;
-
 // ---------------------------------------------------------------------------
 // matrix.json — the layout document the runner writes
 // ---------------------------------------------------------------------------
@@ -382,10 +378,14 @@ fn fold_cell(out_dir: &Path, slot: &CellSlot) -> Result<CellReport, String> {
     })
 }
 
-/// Integer twin of the `compare` p99 gate: worse than ×1.25 AND past
-/// the absolute floor.
+/// `compare`'s p99 gate at its default band.
 fn p99_regressed(base_us: u64, cell_us: u64) -> bool {
-    cell_us * 100 > base_us * P99_BAND_HUNDREDTHS && cell_us >= base_us + super::LATENCY_FLOOR_US
+    super::regressed(
+        base_us,
+        cell_us,
+        super::DEFAULT_BAND,
+        super::LATENCY_FLOOR_US,
+    )
 }
 
 fn mark_regressions(cells: &mut [CellReport]) {

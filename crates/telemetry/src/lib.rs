@@ -12,15 +12,20 @@
 //! * [`LatencyHistogram`] — fixed-bucket log-scale histogram (~6% relative
 //!   resolution) with mergeable plain-integer [`HistogramShard`]s so
 //!   workers never contend.
-//! * [`Span`] — RAII stage timer; [`Stage`] names the pipeline phases
-//!   (handshake, transfer, spin-extraction, classify, qlog-encode).
+//! * [`Stage`] names the pipeline phases (probe, handshake, transfer,
+//!   spin-extraction, classify, qlog-encode, observer-fold).
 //! * [`Registry`] — the shared store workers shard into
 //!   ([`Registry::shard`]) and merge back out of ([`Registry::absorb`]).
 //!   [`Registry::disabled`] is a no-op mode whose cost is a branch.
-//! * [`ProfilerRegistry`] / [`ProfilerShard`] — hierarchical per-probe
-//!   cost profiler over a static [`ScopeId`] tree: deterministic counts
-//!   export as `profile.json` ([`ProfileDoc`]), wall self-time as
-//!   collapsed flamegraph stacks.
+//! * [`ProfilerRegistry`] — hierarchical per-probe cost profiler over a
+//!   static [`ScopeId`] tree: deterministic counts export as
+//!   `profile.json` ([`ProfileDoc`]), wall self-time as collapsed
+//!   flamegraph stacks.
+//! * [`WorkerShard`] — the one per-worker instrumentation shard both
+//!   registries absorb: counters, gauges, stage histograms and scope
+//!   cells, timed by one lap chain. Every stage but [`Stage::Probe`] is
+//!   a view of one scope, so each boundary reads the clock once and
+//!   feeds both.
 //! * [`RunManifest`] — serde-serializable export (config echo, wall time,
 //!   counters, per-stage histograms) written as `metrics.json`, plus
 //!   [`ProgressSnapshot`] for periodic `probes/sec | eta | errors` lines.
@@ -38,7 +43,6 @@ pub mod manifest;
 pub mod metrics;
 pub mod profiler;
 pub mod registry;
-pub mod span;
 pub mod timeseries;
 
 pub use histogram::{bucket_bounds, bucket_index, HistogramShard, LatencyHistogram, BUCKET_COUNT};
@@ -48,11 +52,10 @@ pub use manifest::{
 };
 pub use metrics::{Counter, Gauge, GaugeId, Metric, Stage};
 pub use profiler::{
-    ProfileDoc, ProfileScopeRow, ProfileSnapshot, ProfilerRegistry, ProfilerShard, ScopeCost,
-    ScopeId, ScopeInfo, MAX_SCOPE_DEPTH, PROFILE_SCHEMA_VERSION,
+    ProfileDoc, ProfileScopeRow, ProfileSnapshot, ProfilerRegistry, ScopeCost, ScopeId, ScopeInfo,
+    MAX_SCOPE_DEPTH, PROFILE_SCHEMA_VERSION,
 };
 pub use registry::{Registry, WorkerShard};
-pub use span::Span;
 pub use timeseries::{
     SeriesClock, TimePoint, TimeSeries, TimeSeriesDoc, DEFAULT_TIMESERIES_CAPACITY,
     TIMESERIES_SCHEMA_VERSION,

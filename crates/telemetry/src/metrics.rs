@@ -151,7 +151,9 @@ metric_enum! {
         PayloadShared => "payload_shared",
         /// Qlog traces retained on records (`keep_qlogs` campaigns).
         QlogTracesRetained => "qlog_traces_retained",
-        /// Bytes produced by compact binary qlog encoding.
+        /// Bytes produced by compact binary qlog encoding. No campaign
+        /// path encodes binary qlog, so this stays 0; it keeps its slot so
+        /// `metrics.json` keeps its counter layout.
         QlogBytesEncoded => "qlog_bytes_encoded",
         /// Qlog traces captured solely for flight-recorder inspection.
         FlightTracesInspected => "flight_traces_inspected",
@@ -207,11 +209,18 @@ metric_enum! {
 }
 
 metric_enum! {
-    /// Named pipeline stages timed by spans (wall clock, nanoseconds).
+    /// Named pipeline stages (wall clock, nanoseconds). Every stage but
+    /// [`Stage::Probe`] is a view of one profiler scope
+    /// ([`ScopeId::stage`](crate::ScopeId::stage)): its histogram samples
+    /// are the wall values that scope records.
     Stage {
-        /// Whole probe: everything from plan to record.
+        /// One domain, timed by the campaign engine around its scan: the
+        /// population lookup (a fast-fail domain that never reaches the
+        /// lab records here too), every connection probed, and any
+        /// redirect hop.
         Probe => "probe",
-        /// QUIC connection establishment (lab wall time until established).
+        /// QUIC connection establishment (lab wall time until established;
+        /// a failed handshake records no sample).
         Handshake => "handshake",
         /// Request/response transfer after the handshake.
         Transfer => "transfer",

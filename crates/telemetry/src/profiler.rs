@@ -1,10 +1,11 @@
 //! Per-probe hierarchical cost profiler.
 //!
-//! The ROADMAP's 1:1-scale blocker is probe cost: ~50 µs today against a
-//! <20 µs target. The coarse [`Stage`](crate::Stage) laps say *that* a
-//! probe is slow, not *where* — this module attributes cost to a static
-//! tree of [`ScopeId`]s threaded through the hot path, so the ranked
-//! "where does the next 2× live" list falls out of any profiled sweep.
+//! The ROADMAP's 1:1-scale blocker is probe cost: 41–43 µs per
+//! established probe against a ~20 µs target. A stage histogram says
+//! *that* a probe is slow, not *where* — this module attributes cost to
+//! a static tree of [`ScopeId`]s threaded through the hot path, so the
+//! ranked "where does the next 2× live" list falls out of any profiled
+//! sweep.
 //!
 //! Design constraints, in order:
 //!
@@ -19,24 +20,31 @@
 //!    are marked non-deterministic and excluded from `profile.json`
 //!    entirely.
 //! 2. **Hot-path overhead under the CI-gated 3% budget.** Only the
-//!    coarse per-probe scopes read the clock (~8 reads per multi-
-//!    microsecond probe, chained lap-style so each boundary costs one
-//!    read); the inner netsim/quic scopes are fed *post hoc* from the
-//!    plain counters those crates already export, costing integer adds.
-//!    [`MAX_SCOPE_DEPTH`] bounds the tree so per-scope work stays O(1).
-//! 3. **Shard-and-merge like [`Registry`](crate::Registry).** Workers
-//!    accumulate into a private [`ProfilerShard`] (plain integers, no
-//!    atomics) and the engine folds shards into the shared
+//!    coarse per-probe scopes read the clock: one lap chain of at most
+//!    eight reads per established probe (probe start, then the end of
+//!    `plan`, `lab`, `spin_extraction`, `classify`, `observer_fold` and
+//!    `qlog_encode`, plus the probe's own end), each read shared by the
+//!    scope it closes and the one it opens. The inner netsim/quic scopes
+//!    are fed *post hoc* from the plain counters those crates already
+//!    export, costing integer adds. [`MAX_SCOPE_DEPTH`] bounds the tree
+//!    so per-scope work stays O(1).
+//! 3. **One instrumentation shard.** Scope costs accumulate in the same
+//!    [`WorkerShard`] as the telemetry counters and stage histograms
+//!    (plain integers, no atomics); the engine folds it into the shared
 //!    [`ProfilerRegistry`] (relaxed atomics, commutative adds — merge
-//!    order cannot matter).
+//!    order cannot matter) and the [`Registry`](crate::Registry).
+//!    Every [`Stage`] except
+//!    [`Stage::Probe`] is a *view* of exactly one scope (the stage
+//!    column of the scope table): one wall value per boundary feeds the
+//!    scope and its stage histogram, so the two can never disagree.
 //!
 //! The scope *paths* are interned statically: every [`ScopeId`] carries
 //! its full slash-joined path as a `&'static str`, so nothing on the hot
 //! path ever formats a string.
 
-use crate::metrics::Counter;
+use crate::metrics::{Counter, Stage};
+use crate::registry::WorkerShard;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Schema version stamped into [`ProfileDoc`] (`profile.json`).
 pub const PROFILE_SCHEMA_VERSION: u32 = 1;
@@ -53,7 +61,8 @@ pub const MAX_SCOPE_DEPTH: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum ScopeId {
-    /// Whole probe: plan to record.
+    /// One connection probe (one lab run): plan to record. Counts
+    /// connections, not domains — see [`Stage::Probe`] for the latter.
     Probe,
     /// Probe plan derivation (population lookup, RNG seeding).
     Plan,
@@ -96,8 +105,9 @@ pub enum ScopeId {
 }
 
 /// Static metadata for one scope: leaf name, interned full path,
-/// parent link, and whether its counts are deterministic (pure
-/// functions of the record stream, independent of worker count).
+/// parent link, whether its counts are deterministic (pure functions of
+/// the record stream, independent of worker count), and the telemetry
+/// stage it feeds.
 #[derive(Debug)]
 pub struct ScopeInfo {
     /// Leaf name (last path segment).
@@ -108,6 +118,8 @@ pub struct ScopeInfo {
     pub parent: Option<ScopeId>,
     /// Whether the scope's counts belong in `profile.json`.
     pub deterministic: bool,
+    /// The stage histogram that is a view of this scope's wall samples.
+    pub stage: Option<Stage>,
 }
 
 const fn scope(
@@ -115,86 +127,122 @@ const fn scope(
     path: &'static str,
     parent: Option<ScopeId>,
     deterministic: bool,
+    stage: Option<Stage>,
 ) -> ScopeInfo {
     ScopeInfo {
         name,
         path,
         parent,
         deterministic,
+        stage,
     }
 }
 
 /// The static scope table, indexed by `ScopeId as usize`.
 const SCOPES: [ScopeInfo; ScopeId::COUNT] = [
-    scope("probe", "probe", None, true),
-    scope("plan", "probe/plan", Some(ScopeId::Probe), true),
-    scope("lab", "probe/lab", Some(ScopeId::Probe), true),
-    scope("handshake", "probe/lab/handshake", Some(ScopeId::Lab), true),
-    scope("transfer", "probe/lab/transfer", Some(ScopeId::Lab), true),
+    scope("probe", "probe", None, true, None),
+    scope("plan", "probe/plan", Some(ScopeId::Probe), true, None),
+    scope("lab", "probe/lab", Some(ScopeId::Probe), true, None),
+    scope(
+        "handshake",
+        "probe/lab/handshake",
+        Some(ScopeId::Lab),
+        true,
+        Some(Stage::Handshake),
+    ),
+    scope(
+        "transfer",
+        "probe/lab/transfer",
+        Some(ScopeId::Lab),
+        true,
+        Some(Stage::Transfer),
+    ),
     scope(
         "wheel_push",
         "probe/lab/wheel_push",
         Some(ScopeId::Lab),
         true,
+        None,
     ),
-    scope("wheel_pop", "probe/lab/wheel_pop", Some(ScopeId::Lab), true),
+    scope(
+        "wheel_pop",
+        "probe/lab/wheel_pop",
+        Some(ScopeId::Lab),
+        true,
+        None,
+    ),
     scope(
         "link_delivery",
         "probe/lab/link_delivery",
         Some(ScopeId::Lab),
         true,
+        None,
     ),
     scope(
         "packet_encode",
         "probe/lab/packet_encode",
         Some(ScopeId::Lab),
         true,
+        None,
     ),
     scope(
         "packet_decode",
         "probe/lab/packet_decode",
         Some(ScopeId::Lab),
         true,
+        None,
     ),
     scope(
         "reassembly",
         "probe/lab/reassembly",
         Some(ScopeId::Lab),
         true,
+        None,
     ),
     scope(
         "datagram_pool",
         "probe/lab/datagram_pool",
         Some(ScopeId::Lab),
         true,
+        None,
     ),
     scope(
         "spin_extraction",
         "probe/spin_extraction",
         Some(ScopeId::Probe),
         true,
+        Some(Stage::SpinExtraction),
     ),
-    scope("classify", "probe/classify", Some(ScopeId::Probe), true),
+    scope(
+        "classify",
+        "probe/classify",
+        Some(ScopeId::Probe),
+        true,
+        Some(Stage::Classify),
+    ),
     scope(
         "observer_fold",
         "probe/observer_fold",
         Some(ScopeId::Probe),
         true,
+        Some(Stage::ObserverFold),
     ),
     scope(
         "samples",
         "probe/observer_fold/samples",
         Some(ScopeId::ObserverFold),
         true,
+        None,
     ),
     scope(
         "qlog_encode",
         "probe/qlog_encode",
         Some(ScopeId::Probe),
         true,
+        Some(Stage::QlogEncode),
     ),
-    scope("record_intern", "record_intern", None, true),
-    scope("batch_mailbox", "batch_mailbox", None, false),
+    scope("record_intern", "record_intern", None, true, None),
+    scope("batch_mailbox", "batch_mailbox", None, false, None),
 ];
 
 impl ScopeId {
@@ -250,6 +298,12 @@ impl ScopeId {
         self.info().deterministic
     }
 
+    /// The telemetry stage whose histogram is a view of this scope's
+    /// wall samples, if any.
+    pub fn stage(self) -> Option<Stage> {
+        self.info().stage
+    }
+
     /// Nesting depth (roots are 0).
     pub fn depth(self) -> usize {
         let mut d = 0;
@@ -275,151 +329,14 @@ impl ScopeId {
     }
 }
 
-/// One worker's private profiler buffer: plain integers, no atomics.
-///
-/// Mirrors [`WorkerShard`](crate::WorkerShard): count mutators are
-/// un-gated plain adds, while the clock-reading helpers ([`begin`]
-/// [`lap`] [`end`]) are gated on the enabled flag so disabled pipelines
-/// never touch the monotonic clock.
-///
-/// [`begin`]: ProfilerShard::begin
-/// [`lap`]: ProfilerShard::lap
-/// [`end`]: ProfilerShard::end
-#[derive(Debug, Clone)]
-pub struct ProfilerShard {
-    enabled: bool,
-    enters: [u64; ScopeId::COUNT],
-    wall_ns: [u64; ScopeId::COUNT],
-    allocs: [u64; ScopeId::COUNT],
-    queue_ops: [u64; ScopeId::COUNT],
-}
-
-impl Default for ProfilerShard {
-    /// A disabled shard; the engine re-enables it to match the campaign
-    /// profiler via [`ProfilerShard::set_enabled`].
-    fn default() -> Self {
-        ProfilerShard {
-            enabled: false,
-            enters: [0; ScopeId::COUNT],
-            wall_ns: [0; ScopeId::COUNT],
-            allocs: [0; ScopeId::COUNT],
-            queue_ops: [0; ScopeId::COUNT],
-        }
-    }
-}
-
-impl ProfilerShard {
-    /// Whether the clock-reading helpers are live.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Flips the enabled flag (used when a reusable scratch joins a
-    /// campaign whose profiler differs from the scratch's last run).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Counts one scope entry.
-    #[inline]
-    pub fn enter(&mut self, scope: ScopeId) {
-        self.enters[scope as usize] += 1;
-    }
-
-    /// Counts `n` scope entries (post-hoc mapping of per-lab counters).
-    #[inline]
-    pub fn enter_n(&mut self, scope: ScopeId, n: u64) {
-        self.enters[scope as usize] += n;
-    }
-
-    /// Adds cumulative wall time to a scope directly (for walls measured
-    /// elsewhere, e.g. the lab's own handshake/transfer stopwatches).
-    #[inline]
-    pub fn add_wall_ns(&mut self, scope: ScopeId, ns: u64) {
-        self.wall_ns[scope as usize] += ns;
-    }
-
-    /// Attributes `n` heap allocations to a scope.
-    #[inline]
-    pub fn add_allocs(&mut self, scope: ScopeId, n: u64) {
-        self.allocs[scope as usize] += n;
-    }
-
-    /// Attributes `n` event-queue operations to a scope.
-    #[inline]
-    pub fn add_queue_ops(&mut self, scope: ScopeId, n: u64) {
-        self.queue_ops[scope as usize] += n;
-    }
-
-    /// Samples the clock if enabled. Pair with [`ProfilerShard::lap`] or
-    /// [`ProfilerShard::end`].
-    #[inline]
-    pub fn begin(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Closes a scope at a stage boundary: records the elapsed wall and
-    /// one enter into `scope`, and returns a fresh timestamp so chained
-    /// boundaries cost one clock read each.
-    #[inline]
-    pub fn lap(&mut self, scope: ScopeId, start: Option<Instant>) -> Option<Instant> {
-        let start = start?;
-        let now = Instant::now();
-        self.enters[scope as usize] += 1;
-        self.wall_ns[scope as usize] += now.saturating_duration_since(start).as_nanos() as u64;
-        Some(now)
-    }
-
-    /// Closes a scope without chaining: records elapsed wall plus one
-    /// enter. Use for outermost scopes whose end is the last boundary.
-    #[inline]
-    pub fn end(&mut self, scope: ScopeId, start: Option<Instant>) {
-        if let Some(start) = start {
-            self.enters[scope as usize] += 1;
-            self.wall_ns[scope as usize] += start.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Recorded enter count for one scope.
-    pub fn enters(&self, scope: ScopeId) -> u64 {
-        self.enters[scope as usize]
-    }
-
-    /// Recorded cumulative wall nanoseconds for one scope.
-    pub fn wall_ns(&self, scope: ScopeId) -> u64 {
-        self.wall_ns[scope as usize]
-    }
-
-    /// Adds every cell of `other` into `self` (shard-level merge).
-    pub fn merge(&mut self, other: &ProfilerShard) {
-        for i in 0..ScopeId::COUNT {
-            self.enters[i] += other.enters[i];
-            self.wall_ns[i] += other.wall_ns[i];
-            self.allocs[i] += other.allocs[i];
-            self.queue_ops[i] += other.queue_ops[i];
-        }
-    }
-
-    /// True when nothing has been recorded since the last reset.
-    pub fn is_empty(&self) -> bool {
-        self.enters.iter().all(|&v| v == 0)
-            && self.wall_ns.iter().all(|&v| v == 0)
-            && self.allocs.iter().all(|&v| v == 0)
-            && self.queue_ops.iter().all(|&v| v == 0)
-    }
-
-    /// Clears all recorded data (keeps the enabled flag).
-    pub fn reset(&mut self) {
-        self.enters = [0; ScopeId::COUNT];
-        self.wall_ns = [0; ScopeId::COUNT];
-        self.allocs = [0; ScopeId::COUNT];
-        self.queue_ops = [0; ScopeId::COUNT];
-    }
+/// One scope's cells inside a [`WorkerShard`]: plain integers the
+/// [`ProfilerRegistry`] folds in on absorb.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScopeCells {
+    pub(crate) enters: u64,
+    pub(crate) wall_ns: u64,
+    pub(crate) allocs: u64,
+    pub(crate) queue_ops: u64,
 }
 
 /// The shared, campaign-wide profiler store (relaxed atomics).
@@ -479,32 +396,32 @@ impl ProfilerRegistry {
         self.enabled
     }
 
-    /// Creates a worker shard matching this profiler's enabled state.
-    pub fn shard(&self) -> ProfilerShard {
-        ProfilerShard {
-            enabled: self.enabled,
-            ..ProfilerShard::default()
-        }
+    /// Creates a worker shard that profiles when this profiler is
+    /// enabled (and records no metrics).
+    pub fn shard(&self) -> WorkerShard {
+        let mut shard = WorkerShard::default();
+        shard.set_enabled(false, self.enabled);
+        shard
     }
 
-    /// Folds one worker shard into the shared store (no-op when
-    /// disabled; only nonzero cells touch shared cachelines).
-    pub fn absorb(&self, shard: &ProfilerShard) {
+    /// Folds the scope cells of one worker shard into the shared store
+    /// (no-op when disabled; only nonzero cells touch shared
+    /// cachelines).
+    pub fn absorb(&self, shard: &WorkerShard) {
         if !self.enabled {
             return;
         }
-        for i in 0..ScopeId::COUNT {
-            if shard.enters[i] != 0 {
-                self.enters[i].add(shard.enters[i]);
-            }
-            if shard.wall_ns[i] != 0 {
-                self.wall_ns[i].add(shard.wall_ns[i]);
-            }
-            if shard.allocs[i] != 0 {
-                self.allocs[i].add(shard.allocs[i]);
-            }
-            if shard.queue_ops[i] != 0 {
-                self.queue_ops[i].add(shard.queue_ops[i]);
+        for (i, cells) in shard.scopes.iter().enumerate() {
+            let pairs = [
+                (&self.enters[i], cells.enters),
+                (&self.wall_ns[i], cells.wall_ns),
+                (&self.allocs[i], cells.allocs),
+                (&self.queue_ops[i], cells.queue_ops),
+            ];
+            for (total, v) in pairs {
+                if v != 0 {
+                    total.add(v);
+                }
             }
         }
     }
@@ -675,6 +592,24 @@ mod tests {
     }
 
     #[test]
+    fn every_stage_but_probe_is_a_view_of_exactly_one_scope() {
+        for &stage in Stage::ALL {
+            let scopes: Vec<ScopeId> = ScopeId::ALL
+                .iter()
+                .copied()
+                .filter(|s| s.stage() == Some(stage))
+                .collect();
+            match stage {
+                Stage::Probe => assert!(scopes.is_empty()),
+                _ => {
+                    assert_eq!(scopes.len(), 1, "{}", stage.name());
+                    assert_eq!(scopes[0].name(), stage.name());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn disabled_profiler_costs_a_branch_and_records_nothing() {
         let reg = ProfilerRegistry::disabled();
         let mut shard = reg.shard();
@@ -683,6 +618,7 @@ mod tests {
         assert!(shard.lap(ScopeId::Plan, None).is_none());
         shard.end(ScopeId::Probe, None);
         shard.enter(ScopeId::Probe);
+        assert!(shard.is_empty());
         reg.absorb(&shard);
         assert_eq!(reg.enters(ScopeId::Probe), 0);
         assert!(reg.snapshot().scopes.iter().all(|c| c.enters == 0));
@@ -737,19 +673,21 @@ mod tests {
     fn absorb_order_cannot_change_the_merged_totals() {
         // Satellite guarantee: scope-tree determinism under shard merge.
         // Build k distinct shards and fold them in different orders (and
-        // groupings, via shard-level pre-merge); every variant must agree.
-        let shards: Vec<ProfilerShard> = (0..5u64)
+        // groupings, by recording several into one shard); every variant
+        // must agree.
+        let profiler = ProfilerRegistry::new();
+        let fill = |s: &mut WorkerShard, k: u64| {
+            for (i, &scope) in ScopeId::ALL.iter().enumerate() {
+                s.enter_n(scope, k * 7 + i as u64);
+                s.add_wall_ns(scope, k * 1_000 + i as u64 * 13);
+                s.add_allocs(scope, k + i as u64);
+                s.add_queue_ops(scope, (k * i as u64) % 9);
+            }
+        };
+        let shards: Vec<WorkerShard> = (0..5u64)
             .map(|k| {
-                let mut s = ProfilerShard {
-                    enabled: true,
-                    ..ProfilerShard::default()
-                };
-                for (i, &scope) in ScopeId::ALL.iter().enumerate() {
-                    s.enter_n(scope, k * 7 + i as u64);
-                    s.add_wall_ns(scope, k * 1_000 + i as u64 * 13);
-                    s.add_allocs(scope, k + i as u64);
-                    s.add_queue_ops(scope, (k * i as u64) % 9);
-                }
+                let mut s = profiler.shard();
+                fill(&mut s, k);
                 s
             })
             .collect();
@@ -769,14 +707,13 @@ mod tests {
             reverse.absorb(s);
         }
         let grouped = ProfilerRegistry::new();
-        let mut pre = shards[0].clone();
-        for s in &shards[1..3] {
-            pre.merge(s);
+        for ks in [0..3u64, 3..5] {
+            let mut s = profiler.shard();
+            for k in ks {
+                fill(&mut s, k);
+            }
+            grouped.absorb(&s);
         }
-        grouped.absorb(&pre);
-        let mut rest = shards[3].clone();
-        rest.merge(&shards[4]);
-        grouped.absorb(&rest);
         assert_eq!(totals(&forward), totals(&reverse));
         assert_eq!(totals(&forward), totals(&grouped));
         assert_eq!(
@@ -827,18 +764,5 @@ mod tests {
         // probe self = 0 (lab swallows it) — only lab and its handshake
         // carry weight.
         assert_eq!(lines, vec![("probe/lab", 60), ("probe/lab/handshake", 40)]);
-    }
-
-    #[test]
-    fn shard_reset_clears_and_keeps_enabled() {
-        let reg = ProfilerRegistry::new();
-        let mut shard = reg.shard();
-        assert!(shard.is_empty());
-        shard.enter(ScopeId::Classify);
-        shard.add_wall_ns(ScopeId::Classify, 5);
-        assert!(!shard.is_empty());
-        shard.reset();
-        assert!(shard.is_empty());
-        assert!(shard.is_enabled());
     }
 }

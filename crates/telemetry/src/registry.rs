@@ -1,4 +1,5 @@
-//! The campaign-wide metric registry and its per-worker shards.
+//! The campaign-wide metric registry and the per-worker instrumentation
+//! shard.
 //!
 //! Concurrency model:
 //!
@@ -6,24 +7,31 @@
 //!   [`Gauge`] per [`GaugeId`], and one [`LatencyHistogram`] per
 //!   [`Stage`]. It is shared behind an `Arc` and safe to read at any time
 //!   (progress monitoring reads slightly-stale relaxed values).
-//! * Each worker thread owns a private [`WorkerShard`] — plain integers,
-//!   zero atomics — and records per-packet counters and stage timings
-//!   there. The engine calls [`Registry::absorb`] once per worker (or per
-//!   batch) to fold the shard into the shared registry, then
-//!   [`WorkerShard::reset`] so the scratch can be reused.
+//! * Each worker thread owns one private [`WorkerShard`] — plain
+//!   integers, zero atomics — that holds both halves of the
+//!   instrumentation: telemetry counters, gauges and stage histograms,
+//!   and the profiler's per-scope cells. The engine folds it into the
+//!   shared [`Registry`] and [`ProfilerRegistry`](crate::ProfilerRegistry)
+//!   once per worker ([`Registry::absorb`] and
+//!   [`ProfilerRegistry::absorb`](crate::ProfilerRegistry::absorb) take
+//!   the same shard).
 //! * Coarse per-domain counters (probes started/completed/errored) go
 //!   straight to the registry's atomics so a monitor thread can report
 //!   live progress; at a handful of relaxed adds per multi-microsecond
 //!   probe this is far below measurement noise.
 //!
-//! A registry built with [`Registry::disabled`] hands out disabled shards
-//! whose timers never touch the clock, and ignores direct recording —
-//! instrumented code paths cost a predictable branch and nothing else.
+//! Timing is one lap chain per shard: [`WorkerShard::begin`] /
+//! [`WorkerShard::lap`] / [`WorkerShard::end`] read the clock once per
+//! boundary and hand each wall value to its [`ScopeId`] (when profiling)
+//! and to the scope's stage histogram (when metrics are on), so a stage
+//! histogram is a view of its scope rather than a second stopwatch. A
+//! shard with both halves off never reads the clock, and a disabled
+//! registry ignores whatever it is asked to absorb.
 
 use crate::histogram::{HistogramShard, LatencyHistogram};
 use crate::manifest::{ConfigEntry, CounterSnapshot, RunManifest, MANIFEST_SCHEMA_VERSION};
 use crate::metrics::{Counter, Gauge, GaugeId, Metric, Stage};
-use crate::span::{saturating_elapsed_ns, Span};
+use crate::profiler::{ScopeCells, ScopeId};
 use crate::ProgressSnapshot;
 use std::time::Instant;
 
@@ -65,9 +73,9 @@ impl Registry {
         Registry::with_enabled(true)
     }
 
-    /// A no-op registry: recording is ignored, shards are disabled, spans
-    /// never read the clock. Used as the default for campaigns that don't
-    /// ask for telemetry, and as the bench baseline.
+    /// A no-op registry: recording and absorbs are ignored, and its
+    /// shards never read the clock. Used as the default for campaigns
+    /// that don't ask for telemetry, and as the bench baseline.
     pub fn disabled() -> Self {
         Registry::with_enabled(false)
     }
@@ -125,31 +133,17 @@ impl Registry {
         &self.stages[stage as usize]
     }
 
-    /// Starts an RAII span for `stage`; a no-op span when disabled.
-    #[inline]
-    pub fn span(&self, stage: Stage) -> Span<'_> {
-        if self.enabled {
-            Span::start(&self.stages[stage as usize])
-        } else {
-            Span::noop()
-        }
-    }
-
-    /// Records a duration into a stage histogram directly.
-    #[inline]
-    pub fn record_stage_ns(&self, stage: Stage, ns: u64) {
-        if self.enabled {
-            self.stages[stage as usize].record(ns);
-        }
-    }
-
-    /// Creates a worker shard matching this registry's enabled state.
+    /// Creates a worker shard that records metrics when this registry is
+    /// enabled (and does not profile).
     pub fn shard(&self) -> WorkerShard {
-        WorkerShard::with_enabled(self.enabled)
+        let mut shard = WorkerShard::default();
+        shard.set_enabled(self.enabled, false);
+        shard
     }
 
-    /// Folds one worker shard into the shared store. Cheap when the shard
-    /// recorded nothing; callers may absorb per batch or per worker.
+    /// Folds the counters, gauges and stage histograms of one worker
+    /// shard into the shared store. Cheap when the shard recorded
+    /// nothing; callers may absorb per batch or per worker.
     pub fn absorb(&self, shard: &WorkerShard) {
         if !self.enabled {
             return;
@@ -209,47 +203,51 @@ impl Registry {
     }
 }
 
-/// One worker's private, unsynchronized metric buffer.
+/// One worker's private, unsynchronized instrumentation buffer:
+/// telemetry counters, gauges and stage histograms, plus the profiler's
+/// per-scope cells.
 ///
-/// Counter/gauge updates are plain integer ops and stay un-gated — they
-/// cost nothing measurable either way. Timing helpers are gated on the
-/// enabled flag so disabled pipelines never read the monotonic clock.
+/// Two enabled bits mirror the campaign's two registries. Counter and
+/// gauge updates are plain integer ops and stay un-gated; scope counts
+/// record only while profiling, stage samples only while metrics are on,
+/// and the clock helpers read the clock only while either is.
 #[derive(Debug, Clone)]
 pub struct WorkerShard {
-    enabled: bool,
+    metrics: bool,
+    profiling: bool,
     counters: [u64; Metric::COUNT],
     gauges: [u64; GaugeId::COUNT],
     stages: [HistogramShard; Stage::COUNT],
+    pub(crate) scopes: [ScopeCells; ScopeId::COUNT],
 }
 
 impl Default for WorkerShard {
-    /// A disabled shard; the engine re-enables it to match the campaign
-    /// registry via [`WorkerShard::set_enabled`].
+    /// A disabled shard; the engine enables it to match the campaign's
+    /// registries via [`WorkerShard::set_enabled`].
     fn default() -> Self {
-        WorkerShard::with_enabled(false)
+        WorkerShard {
+            metrics: false,
+            profiling: false,
+            counters: [0; Metric::COUNT],
+            gauges: [0; GaugeId::COUNT],
+            stages: std::array::from_fn(|_| HistogramShard::default()),
+            scopes: [ScopeCells::default(); ScopeId::COUNT],
+        }
     }
 }
 
 impl WorkerShard {
-    fn with_enabled(enabled: bool) -> Self {
-        WorkerShard {
-            enabled,
-            counters: [0; Metric::COUNT],
-            gauges: [0; GaugeId::COUNT],
-            stages: std::array::from_fn(|_| HistogramShard::default()),
-        }
-    }
-
-    /// Whether timing helpers are live.
+    /// Whether the clock helpers are live (metrics or profiling on).
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.metrics || self.profiling
     }
 
-    /// Flips the enabled flag (used when a reusable scratch joins a
-    /// campaign whose registry differs from the scratch's last run).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
+    /// Sets both enabled bits (used when a reusable scratch joins a
+    /// campaign whose registries differ from the scratch's last run).
+    pub fn set_enabled(&mut self, metrics: bool, profiling: bool) {
+        self.metrics = metrics;
+        self.profiling = profiling;
     }
 
     /// Adds `n` to a counter.
@@ -283,48 +281,119 @@ impl WorkerShard {
         self.gauges[gauge as usize]
     }
 
-    /// Records a duration into a stage histogram.
-    #[inline]
-    pub fn record_ns(&mut self, stage: Stage, ns: u64) {
-        self.stages[stage as usize].record(ns);
-    }
-
     /// The shard-local histogram for one stage.
     pub fn stage_histogram(&self, stage: Stage) -> &HistogramShard {
         &self.stages[stage as usize]
     }
 
-    /// Samples the clock if enabled. Pair with [`WorkerShard::record_since`].
+    /// Counts one scope entry (while profiling).
     #[inline]
-    pub fn timer(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
+    pub fn enter(&mut self, scope: ScopeId) {
+        self.enter_n(scope, 1);
+    }
+
+    /// Counts `n` scope entries (post-hoc mapping of per-lab counters).
+    #[inline]
+    pub fn enter_n(&mut self, scope: ScopeId, n: u64) {
+        if self.profiling {
+            self.scopes[scope as usize].enters += n;
         }
     }
 
-    /// Records the time since `start` (from [`WorkerShard::timer`]) into a
-    /// stage histogram; no-op if the timer was disabled.
+    /// Attributes `n` heap allocations to a scope (while profiling).
     #[inline]
-    pub fn record_since(&mut self, stage: Stage, start: Option<Instant>) {
-        if let Some(start) = start {
-            self.record_ns(stage, saturating_elapsed_ns(start));
+    pub fn add_allocs(&mut self, scope: ScopeId, n: u64) {
+        if self.profiling {
+            self.scopes[scope as usize].allocs += n;
         }
     }
 
-    /// Records the time since `start` into `stage` and returns a fresh
-    /// timestamp for the next back-to-back stage, reading the clock once
-    /// instead of twice at each stage boundary.
+    /// Attributes `n` event-queue operations to a scope (while
+    /// profiling).
     #[inline]
-    pub fn record_lap(&mut self, stage: Stage, start: Option<Instant>) -> Option<Instant> {
+    pub fn add_queue_ops(&mut self, scope: ScopeId, n: u64) {
+        if self.profiling {
+            self.scopes[scope as usize].queue_ops += n;
+        }
+    }
+
+    /// Adds one wall value measured elsewhere (e.g. the lab's own
+    /// handshake/transfer stopwatches) without counting an entry: to the
+    /// scope while profiling, and as one sample of the scope's stage
+    /// histogram while metrics are on.
+    #[inline]
+    pub fn add_wall_ns(&mut self, scope: ScopeId, ns: u64) {
+        if self.profiling {
+            self.scopes[scope as usize].wall_ns += ns;
+        }
+        if self.metrics {
+            if let Some(stage) = scope.stage() {
+                self.stages[stage as usize].record(ns);
+            }
+        }
+    }
+
+    /// Samples the clock if metrics or profiling is on. Pair with
+    /// [`WorkerShard::lap`] or [`WorkerShard::end`].
+    #[inline]
+    pub fn begin(&self) -> Option<Instant> {
+        self.is_enabled().then(Instant::now)
+    }
+
+    /// Closes `scope` at a stage boundary: one enter plus the elapsed
+    /// wall (see [`WorkerShard::add_wall_ns`]), and returns the boundary
+    /// timestamp so the next scope starts where this one ended — one
+    /// clock read per boundary.
+    #[inline]
+    pub fn lap(&mut self, scope: ScopeId, start: Option<Instant>) -> Option<Instant> {
         let start = start?;
         let now = Instant::now();
-        self.record_ns(
-            stage,
+        self.close(
+            scope,
             now.saturating_duration_since(start).as_nanos() as u64,
         );
         Some(now)
+    }
+
+    /// Closes `scope` without chaining. Reads the clock only when the
+    /// scope records something: while profiling, or for a scope with a
+    /// stage while metrics are on.
+    #[inline]
+    pub fn end(&mut self, scope: ScopeId, start: Option<Instant>) {
+        if let Some(start) = start {
+            if self.profiling || self.metrics && scope.stage().is_some() {
+                self.close(scope, start.elapsed().as_nanos() as u64);
+            }
+        }
+    }
+
+    /// Closes the engine's per-domain [`Stage::Probe`] timer — the one
+    /// stage that is no scope's view — and returns the boundary
+    /// timestamp for the next lap.
+    #[inline]
+    pub fn lap_probe(&mut self, start: Option<Instant>) -> Option<Instant> {
+        let start = start?;
+        let now = Instant::now();
+        if self.metrics {
+            let ns = now.saturating_duration_since(start).as_nanos() as u64;
+            self.stages[Stage::Probe as usize].record(ns);
+        }
+        Some(now)
+    }
+
+    fn close(&mut self, scope: ScopeId, ns: u64) {
+        self.enter(scope);
+        self.add_wall_ns(scope, ns);
+    }
+
+    /// Recorded enter count for one scope.
+    pub fn enters(&self, scope: ScopeId) -> u64 {
+        self.scopes[scope as usize].enters
+    }
+
+    /// Recorded cumulative wall nanoseconds for one scope.
+    pub fn wall_ns(&self, scope: ScopeId) -> u64 {
+        self.scopes[scope as usize].wall_ns
     }
 
     /// True when nothing has been recorded since the last reset.
@@ -332,16 +401,18 @@ impl WorkerShard {
         self.counters.iter().all(|&c| c == 0)
             && self.gauges.iter().all(|&g| g == 0)
             && self.stages.iter().all(|s| s.count() == 0)
+            && self.scopes.iter().all(|c| *c == ScopeCells::default())
     }
 
-    /// Clears all recorded data (keeps the enabled flag). Call after the
-    /// registry absorbed the shard so a reused scratch doesn't double-count.
+    /// Clears all recorded data (keeps the enabled bits). Call after the
+    /// registries absorbed the shard so a reused scratch doesn't
+    /// double-count.
     pub fn reset(&mut self) {
-        self.counters = [0; Metric::COUNT];
-        self.gauges = [0; GaugeId::COUNT];
-        for s in &mut self.stages {
-            *s = HistogramShard::default();
-        }
+        *self = WorkerShard {
+            metrics: self.metrics,
+            profiling: self.profiling,
+            ..WorkerShard::default()
+        };
     }
 }
 
@@ -350,35 +421,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_matches_direct_recording() {
-        // Shard-and-merge must be lossless vs. recording straight into the
-        // registry.
-        let direct = Registry::new();
+    fn absorb_is_lossless_across_shards() {
+        // Shard-and-merge must not depend on how the work was split:
+        // four shards absorb to the same totals as one.
+        let single = Registry::new();
         let sharded = Registry::new();
+        let mut one = single.shard();
         let mut shards: Vec<WorkerShard> = (0..4).map(|_| sharded.shard()).collect();
         for i in 0..1_000u64 {
             let w = (i % 4) as usize;
-            direct.incr(Metric::PacketsSent);
-            shards[w].incr(Metric::PacketsSent);
-            direct.record_stage_ns(Stage::Handshake, i * 37);
-            shards[w].record_ns(Stage::Handshake, i * 37);
-            direct.gauge_max(GaugeId::NetsimQueueHighWater, i);
-            shards[w].gauge_max(GaugeId::NetsimQueueHighWater, i);
+            for shard in [&mut one, &mut shards[w]] {
+                shard.incr(Metric::PacketsSent);
+                shard.add_wall_ns(ScopeId::LabHandshake, i * 37);
+                shard.gauge_max(GaugeId::NetsimQueueHighWater, i);
+            }
         }
+        single.absorb(&one);
         for shard in &shards {
             sharded.absorb(shard);
         }
+        assert_eq!(sharded.counter(Metric::PacketsSent), 1_000);
         assert_eq!(
             sharded.counter(Metric::PacketsSent),
-            direct.counter(Metric::PacketsSent)
+            single.counter(Metric::PacketsSent)
         );
         assert_eq!(
             sharded.gauge(GaugeId::NetsimQueueHighWater),
-            direct.gauge(GaugeId::NetsimQueueHighWater)
+            single.gauge(GaugeId::NetsimQueueHighWater)
         );
         assert_eq!(
             sharded.stage_histogram(Stage::Handshake).to_shard(),
-            direct.stage_histogram(Stage::Handshake).to_shard()
+            single.stage_histogram(Stage::Handshake).to_shard()
         );
     }
 
@@ -387,74 +460,93 @@ mod tests {
         let reg = Registry::disabled();
         reg.incr(Metric::ProbesCompleted);
         reg.gauge_set(GaugeId::CampaignSize, 42);
-        reg.record_stage_ns(Stage::Probe, 1_000);
-        let span = reg.span(Stage::Classify);
-        assert!(!span.is_recording());
-        drop(span);
         let mut shard = reg.shard();
         assert!(!shard.is_enabled());
-        assert!(shard.timer().is_none());
+        assert!(shard.begin().is_none());
+        assert!(shard.lap(ScopeId::Classify, None).is_none());
+        shard.add_wall_ns(ScopeId::Classify, 1_000);
         shard.incr(Metric::PacketsSent);
         reg.absorb(&shard);
         assert_eq!(reg.counter(Metric::ProbesCompleted), 0);
         assert_eq!(reg.counter(Metric::PacketsSent), 0);
         assert_eq!(reg.gauge(GaugeId::CampaignSize), 0);
-        assert_eq!(reg.stage_histogram(Stage::Probe).count(), 0);
+        assert_eq!(reg.stage_histogram(Stage::Classify).count(), 0);
     }
 
     #[test]
     fn shard_reset_clears_and_keeps_enabled() {
-        let reg = Registry::new();
-        let mut shard = reg.shard();
-        assert!(shard.is_enabled());
+        let mut shard = WorkerShard::default();
+        shard.set_enabled(true, true);
         assert!(shard.is_empty());
         shard.incr(Metric::NetsimDrops);
         shard.gauge_max(GaugeId::NetsimQueueHighWater, 9);
-        shard.record_ns(Stage::Transfer, 123);
+        shard.enter(ScopeId::LabTransfer);
+        shard.add_wall_ns(ScopeId::LabTransfer, 123);
         assert!(!shard.is_empty());
         shard.reset();
         assert!(shard.is_empty());
         assert!(shard.is_enabled());
         assert_eq!(shard.counter(Metric::NetsimDrops), 0);
         assert_eq!(shard.stage_histogram(Stage::Transfer).count(), 0);
+        assert_eq!(shard.enters(ScopeId::LabTransfer), 0);
     }
 
     #[test]
-    fn shard_timer_records_elapsed() {
-        let reg = Registry::new();
-        let mut shard = reg.shard();
-        let t = shard.timer();
-        assert!(t.is_some());
-        shard.record_since(Stage::SpinExtraction, t);
-        shard.record_since(Stage::SpinExtraction, None);
-        assert_eq!(shard.stage_histogram(Stage::SpinExtraction).count(), 1);
+    fn one_lap_feeds_the_scope_and_its_stage() {
+        let mut shard = WorkerShard::default();
+        shard.set_enabled(true, true);
+        let t = shard.begin();
+        let t = shard.lap(ScopeId::SpinExtraction, t);
+        let t = shard.lap(ScopeId::Classify, t);
+        shard.end(ScopeId::QlogEncode, t);
+        for scope in [
+            ScopeId::SpinExtraction,
+            ScopeId::Classify,
+            ScopeId::QlogEncode,
+        ] {
+            let stage = shard.stage_histogram(scope.stage().unwrap());
+            assert_eq!(shard.enters(scope), 1);
+            assert_eq!(stage.count(), 1);
+            assert_eq!(stage.sum(), shard.wall_ns(scope), "{}", scope.path());
+        }
     }
 
     #[test]
-    fn record_lap_chains_stage_boundaries() {
-        let reg = Registry::new();
-        let mut shard = reg.shard();
-        let t = shard.timer();
-        let t = shard.record_lap(Stage::SpinExtraction, t);
+    fn each_half_records_only_while_its_bit_is_on() {
+        // Metrics only: stage samples, no scope cells, and an end on a
+        // scope without a stage records nothing.
+        let mut metrics = WorkerShard::default();
+        metrics.set_enabled(true, false);
+        let t = metrics.begin();
+        let t = metrics.lap(ScopeId::Plan, t);
+        let t = metrics.lap(ScopeId::Classify, t);
+        let t = metrics.lap_probe(t);
         assert!(t.is_some());
-        let t = shard.record_lap(Stage::Classify, t);
-        assert!(shard.record_lap(Stage::QlogEncode, t).is_some());
-        assert!(shard.record_lap(Stage::QlogEncode, None).is_none());
-        assert_eq!(shard.stage_histogram(Stage::SpinExtraction).count(), 1);
-        assert_eq!(shard.stage_histogram(Stage::Classify).count(), 1);
-        assert_eq!(shard.stage_histogram(Stage::QlogEncode).count(), 1);
+        metrics.end(ScopeId::RecordIntern, t);
+        metrics.enter_n(ScopeId::WheelPush, 5);
+        assert_eq!(metrics.stage_histogram(Stage::Classify).count(), 1);
+        assert_eq!(metrics.stage_histogram(Stage::Probe).count(), 1);
+        assert!(ScopeId::ALL
+            .iter()
+            .all(|&s| metrics.enters(s) == 0 && metrics.wall_ns(s) == 0));
 
-        // A disabled shard's laps stay None and record nothing.
+        // Profiling only: scope cells, no stage samples.
+        let mut profiling = WorkerShard::default();
+        profiling.set_enabled(false, true);
+        let t = profiling.begin();
+        let t = profiling.lap(ScopeId::Classify, t);
+        profiling.lap_probe(t);
+        profiling.enter_n(ScopeId::WheelPush, 5);
+        assert_eq!(profiling.enters(ScopeId::Classify), 1);
+        assert_eq!(profiling.enters(ScopeId::WheelPush), 5);
+        assert!(Stage::ALL
+            .iter()
+            .all(|&s| profiling.stage_histogram(s).count() == 0));
+
+        // Both off: the chain never starts.
         let mut off = WorkerShard::default();
-        assert!(off.record_lap(Stage::Classify, off.timer()).is_none());
+        assert!(off.lap(ScopeId::Classify, off.begin()).is_none());
         assert!(off.is_empty());
-    }
-
-    #[test]
-    fn registry_span_records_into_stage() {
-        let reg = Registry::new();
-        reg.span(Stage::QlogEncode).finish();
-        assert_eq!(reg.stage_histogram(Stage::QlogEncode).count(), 1);
     }
 
     #[test]
@@ -462,7 +554,9 @@ mod tests {
         let reg = Registry::new();
         reg.add(Metric::ProbesCompleted, 7);
         reg.gauge_set(GaugeId::WorkerThreads, 3);
-        reg.record_stage_ns(Stage::Handshake, 50_000);
+        let mut shard = reg.shard();
+        shard.add_wall_ns(ScopeId::LabHandshake, 50_000);
+        reg.absorb(&shard);
         let m = reg.manifest(
             vec![ConfigEntry {
                 key: "week".into(),

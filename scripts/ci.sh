@@ -16,6 +16,9 @@ fi
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Docs build with warnings as errors, so an intra-doc link left stale by
+# a rename or deletion fails here instead of rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q --workspace
 cargo test -q -p quicspin-telemetry
