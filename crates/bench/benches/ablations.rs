@@ -1,9 +1,10 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! RFC 9312 heuristics, grease-filter threshold, reordering correction,
-//! and the VEC — each evaluated on the same simulated flows.
+//! RFC 9312 heuristics (the edge machine's `RAW` vs `ON_PATH` policy),
+//! grease-filter threshold, reordering correction, and the VEC — each
+//! evaluated on the same simulated flows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use quicspin_core::{GreaseFilter, ObserverConfig, ObserverReport, RttFilter, SpinObserver};
+use quicspin_core::{EdgeMachine, EdgePolicy, GreaseFilter, ObserverReport};
 use quicspin_netsim::Side;
 use quicspin_quic::{ConnectionLab, LabConfig, TransportConfig};
 
@@ -41,19 +42,16 @@ fn traces(reorder: f64, vec_enabled: bool, n: usize) -> Vec<Vec<quicspin_core::P
         .collect()
 }
 
-fn accuracy_of(
-    observations: &[Vec<quicspin_core::PacketObservation>],
-    config: ObserverConfig,
-) -> f64 {
+fn accuracy_of(observations: &[Vec<quicspin_core::PacketObservation>], policy: EdgePolicy) -> f64 {
     // Mean absolute error of per-flow mean RTT vs the true 40 ms.
     let mut err = 0.0;
     let mut n = 0;
     for trace in observations {
-        let mut observer = SpinObserver::with_config(config);
+        let mut machine = EdgeMachine::new();
         for obs in trace {
-            observer.observe(obs);
+            machine.observe(obs, &policy);
         }
-        if let Some(mean) = observer.mean_rtt_ms() {
+        if let Some(mean) = machine.samples().mean_ms() {
             err += (mean - 40.0).abs();
             n += 1;
         }
@@ -70,77 +68,37 @@ fn ablation_heuristics(c: &mut Criterion) {
     println!(
         "\nAblation: RFC 9312 heuristics on a 25%-reordering bottleneck path (true RTT 40 ms)"
     );
-    for (name, config) in [
-        ("none", ObserverConfig::default()),
-        (
-            "static_floor_5ms",
-            ObserverConfig {
-                filter: RttFilter::StaticFloor { min_us: 5_000 },
-                ..Default::default()
-            },
-        ),
-        (
-            "dynamic_range",
-            ObserverConfig {
-                filter: RttFilter::DynamicRange {
-                    lower: 0.3,
-                    upper: 3.0,
-                },
-                ..Default::default()
-            },
-        ),
-    ] {
+    for (name, policy) in [("raw", EdgePolicy::RAW), ("on_path", EdgePolicy::ON_PATH)] {
         println!(
             "  {:<18} mean abs error {:6.2} ms",
             name,
-            accuracy_of(&observations, config)
+            accuracy_of(&observations, policy)
         );
     }
-    c.bench_function("ablation/heuristics_dynamic_range", |b| {
-        b.iter(|| {
-            accuracy_of(
-                std::hint::black_box(&observations),
-                ObserverConfig {
-                    filter: RttFilter::DynamicRange {
-                        lower: 0.3,
-                        upper: 3.0,
-                    },
-                    ..Default::default()
-                },
-            )
-        })
+    c.bench_function("ablation/heuristics_on_path", |b| {
+        b.iter(|| accuracy_of(std::hint::black_box(&observations), EdgePolicy::ON_PATH))
     });
 }
 
 fn ablation_vec(c: &mut Criterion) {
     let observations = traces(0.25, true, 40);
     println!("\nAblation: VEC vs plain spin on a 25%-reordering bottleneck path (true RTT 40 ms)");
-    for (name, config) in [
-        ("plain_spin", ObserverConfig::default()),
-        (
-            "vec_validated",
-            ObserverConfig {
-                require_valid_edge: true,
-                ..Default::default()
-            },
-        ),
+    let vec_validated = EdgePolicy {
+        require_valid_edge: true,
+        ..EdgePolicy::RAW
+    };
+    for (name, policy) in [
+        ("plain_spin", EdgePolicy::RAW),
+        ("vec_validated", vec_validated),
     ] {
         println!(
             "  {:<18} mean abs error {:6.2} ms",
             name,
-            accuracy_of(&observations, config)
+            accuracy_of(&observations, policy)
         );
     }
     c.bench_function("ablation/vec_validated", |b| {
-        b.iter(|| {
-            accuracy_of(
-                std::hint::black_box(&observations),
-                ObserverConfig {
-                    require_valid_edge: true,
-                    ..Default::default()
-                },
-            )
-        })
+        b.iter(|| accuracy_of(std::hint::black_box(&observations), vec_validated))
     });
 }
 
@@ -167,8 +125,7 @@ fn ablation_grease_threshold(c: &mut Criterion) {
             traces
                 .iter()
                 .filter(|t| {
-                    let report =
-                        ObserverReport::build(t, vec![40_000], ObserverConfig::default(), filter);
+                    let report = ObserverReport::build(t, vec![40_000], filter);
                     report.classification == quicspin_core::FlowClassification::Greased
                 })
                 .count()
@@ -185,7 +142,6 @@ fn ablation_grease_threshold(c: &mut Criterion) {
             ObserverReport::build(
                 std::hint::black_box(&greased[0]),
                 vec![40_000],
-                ObserverConfig::default(),
                 GreaseFilter::paper(),
             )
         })

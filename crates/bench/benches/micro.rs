@@ -2,7 +2,7 @@
 //! connection handshake, and simulator event throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use quicspin_core::{ObserverConfig, PacketObservation, SpinObserver};
+use quicspin_core::{EdgeMachine, EdgePolicy, PacketObservation};
 use quicspin_netsim::{LinkConfig, Side, SimDuration, Simulator};
 use quicspin_quic::{ConnectionLab, LabConfig};
 use quicspin_wire::{ConnectionId, Frame, Header, Packet, PacketNumber, ShortHeader};
@@ -45,15 +45,27 @@ fn observer_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("observer");
     group.throughput(Throughput::Elements(observations.len() as u64));
     group.sample_size(10);
-    group.bench_function("spin_observer_1M_packets", |b| {
-        b.iter(|| {
-            let mut observer = SpinObserver::with_config(ObserverConfig::default());
-            for obs in &observations {
-                observer.observe(std::hint::black_box(obs));
-            }
-            observer.rtt_samples_us().len()
-        })
-    });
+    // The client-side extraction's policy, and the on-path observer's
+    // (a 16-period running median per edge).
+    for (name, policy) in [
+        ("spin_observer_1M_packets", EdgePolicy::RAW),
+        ("spin_observer_on_path_1M_packets", EdgePolicy::ON_PATH),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut machine = EdgeMachine::new();
+                let mut samples = 0usize;
+                for obs in &observations {
+                    samples += usize::from(
+                        machine
+                            .observe(std::hint::black_box(obs), &policy)
+                            .is_some(),
+                    );
+                }
+                samples
+            })
+        });
+    }
     group.finish();
 }
 

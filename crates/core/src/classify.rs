@@ -1,8 +1,8 @@
 //! The Table 3 flow taxonomy: how does a connection set its spin bit?
 
+use crate::edge::{EdgeMachine, EdgePolicy};
 use crate::grease::GreaseFilter;
 use crate::observation::PacketObservation;
-use crate::observer::SpinObserver;
 use serde::{Deserialize, Serialize};
 
 /// How a connection used the spin bit, per the paper's Table 3.
@@ -56,12 +56,22 @@ pub fn classify_flow(
     min_stack_rtt_us: Option<u64>,
     grease_filter: GreaseFilter,
 ) -> FlowClassification {
-    if observations.is_empty() {
+    let (machine, samples) = EdgeMachine::fold(observations, &EdgePolicy::RAW);
+    classify(&machine, &samples, min_stack_rtt_us, grease_filter)
+}
+
+/// Classifies a connection from the [`EdgePolicy::RAW`] machine that ran
+/// over its received packets and the samples that machine yielded.
+pub fn classify(
+    machine: &EdgeMachine,
+    samples_us: &[u64],
+    min_stack_rtt_us: Option<u64>,
+    grease_filter: GreaseFilter,
+) -> FlowClassification {
+    let (zeros, ones) = machine.value_counts();
+    if zeros + ones == 0 {
         return FlowClassification::NoShortPackets;
     }
-    let mut observer = SpinObserver::new();
-    observer.observe_all(observations);
-    let (zeros, ones) = observer.value_counts();
     if ones == 0 {
         return FlowClassification::AllZero;
     }
@@ -69,7 +79,7 @@ pub fn classify_flow(
         return FlowClassification::AllOne;
     }
     if let Some(min_stack) = min_stack_rtt_us {
-        if grease_filter.is_greased(observer.rtt_samples_us(), min_stack) {
+        if grease_filter.is_greased(samples_us, min_stack) {
             return FlowClassification::Greased;
         }
     }

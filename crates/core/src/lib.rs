@@ -5,10 +5,14 @@
 //!
 //! * [`PacketObservation`] — the §3.3 extraction: (timestamp, packet
 //!   number, spin bit) per received 1-RTT packet.
-//! * [`SpinObserver`] — detects spin edges in a single observed packet
-//!   stream and turns the time between consecutive edges into RTT samples,
-//!   optionally applying the RFC 9312 robustness heuristics
-//!   ([`heuristics::RttFilter`]).
+//! * [`EdgeMachine`] ([`edge`]) — the one spin-edge detector: a
+//!   fixed-size state per flow direction that turns the time between
+//!   consecutive edges into RTT samples under an [`EdgePolicy`]
+//!   ([`EdgePolicy::RAW`] for the paper's client-side extraction,
+//!   [`EdgePolicy::ON_PATH`] for the RFC 9312 heuristics of an on-path
+//!   observer), plus the RFC 9312 §4.2.1 [`component`] split of a tap
+//!   that sees both directions.
+//! * [`FlowMap`] — per-flow edge machines keyed by connection ID.
 //! * [`VecObserver`] — the Valid Edge Counter of De Vaere et al., carried
 //!   in the short header's reserved bits by consenting endpoints.
 //! * [`GreaseFilter`] — the paper's filter: a connection presumably
@@ -28,23 +32,22 @@
 
 pub mod accuracy;
 pub mod classify;
-pub mod dual;
+pub mod edge;
 pub mod flowmap;
 pub mod grease;
-pub mod heuristics;
 pub mod observation;
-pub mod observer;
 pub mod reorder;
 pub mod report;
 pub mod vec_counter;
 
 pub use accuracy::AccuracySample;
 pub use classify::FlowClassification;
-pub use dual::{Direction, DualDirectionObserver};
+pub use edge::{
+    component, AcceptedEdge, Component, Direction, Edge, EdgeMachine, EdgePolicy, SampleSummary,
+    PERIOD_WINDOW,
+};
 pub use flowmap::FlowMap;
 pub use grease::GreaseFilter;
-pub use heuristics::RttFilter;
 pub use observation::PacketObservation;
-pub use observer::{ObserverConfig, SpinEdge, SpinObserver};
 pub use report::ObserverReport;
 pub use vec_counter::{VecObserver, VEC_INVALID, VEC_MAX};

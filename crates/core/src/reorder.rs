@@ -6,8 +6,8 @@
 //! — and compares the outcomes to quantify how much reordering actually
 //! disturbs spin measurements in the wild (§5.2: almost not at all).
 
+use crate::edge::{EdgeMachine, EdgePolicy};
 use crate::observation::PacketObservation;
-use crate::observer::{ObserverConfig, SpinObserver};
 use serde::{Deserialize, Serialize};
 
 /// Sorts observations by packet number (stable for equal/missing numbers).
@@ -32,15 +32,23 @@ pub struct ReorderComparison {
 
 impl ReorderComparison {
     /// Runs the comparison for one connection.
-    pub fn run(observations: &[PacketObservation], config: ObserverConfig) -> Self {
-        let mut r = SpinObserver::with_config(config);
-        r.observe_all(observations);
+    pub fn run(observations: &[PacketObservation]) -> Self {
+        let (_, received) = EdgeMachine::fold(observations, &EdgePolicy::RAW);
+        Self::with_received(observations, received)
+    }
+
+    /// Completes the comparison from the samples an [`EdgePolicy::RAW`]
+    /// pass over the received order already yielded: only the sorted
+    /// pass runs.
+    pub fn with_received(
+        observations: &[PacketObservation],
+        samples_received_us: Vec<u64>,
+    ) -> Self {
         let sorted = sort_by_packet_number(observations);
-        let mut s = SpinObserver::with_config(config);
-        s.observe_all(&sorted);
+        let (_, samples_sorted_us) = EdgeMachine::fold(&sorted, &EdgePolicy::RAW);
         ReorderComparison {
-            samples_received_us: r.rtt_samples_us().to_vec(),
-            samples_sorted_us: s.rtt_samples_us().to_vec(),
+            samples_received_us,
+            samples_sorted_us,
         }
     }
 
@@ -110,7 +118,7 @@ mod tests {
             obs(80, 2, false),
             obs(120, 3, true),
         ];
-        let cmp = ReorderComparison::run(&seq, ObserverConfig::default());
+        let cmp = ReorderComparison::run(&seq);
         assert!(!cmp.differs());
         assert_eq!(cmp.mean_received_ms(), Some(40.0));
         assert_eq!(cmp.mean_abs_delta_ms(), Some(0.0));
@@ -127,7 +135,7 @@ mod tests {
             obs(42, 3, true),
             obs(80, 4, false),
         ];
-        let cmp = ReorderComparison::run(&seq, ObserverConfig::default());
+        let cmp = ReorderComparison::run(&seq);
         assert!(cmp.differs());
         // Sorted order: 0(f) 1(f) 2(t)@39 3(t) 4(f)@80 → edges at 39, 80.
         assert_eq!(cmp.samples_sorted_us, vec![41_000]);
@@ -145,7 +153,7 @@ mod tests {
     fn mean_delta_none_when_one_side_empty() {
         // A single edge yields no sample in either mode.
         let seq = vec![obs(0, 0, false), obs(40, 1, true)];
-        let cmp = ReorderComparison::run(&seq, ObserverConfig::default());
+        let cmp = ReorderComparison::run(&seq);
         assert_eq!(cmp.mean_abs_delta_ms(), None);
         assert!(!cmp.differs());
     }
@@ -161,7 +169,7 @@ mod tests {
             for i in 0..periods {
                 seq.push(obs(i as u64 * rtt_ms, i as u64, i % 2 == 1));
             }
-            let cmp = ReorderComparison::run(&seq, ObserverConfig::default());
+            let cmp = ReorderComparison::run(&seq);
             proptest::prop_assert!(!cmp.differs());
         }
 
@@ -180,8 +188,8 @@ mod tests {
                 let j = (state >> 33) as usize % (i + 1);
                 shuffled.swap(i, j);
             }
-            let a = ReorderComparison::run(&base, ObserverConfig::default());
-            let b = ReorderComparison::run(&shuffled, ObserverConfig::default());
+            let a = ReorderComparison::run(&base);
+            let b = ReorderComparison::run(&shuffled);
             proptest::prop_assert_eq!(a.samples_sorted_us, b.samples_sorted_us);
         }
     }

@@ -2,10 +2,10 @@
 //! about one connection, in one structure.
 
 use crate::accuracy::AccuracySample;
-use crate::classify::{classify_flow, FlowClassification};
+use crate::classify::{classify, FlowClassification};
+use crate::edge::{EdgeMachine, EdgePolicy};
 use crate::grease::GreaseFilter;
 use crate::observation::PacketObservation;
-use crate::observer::ObserverConfig;
 use crate::reorder::ReorderComparison;
 use serde::{Deserialize, Serialize};
 
@@ -29,16 +29,18 @@ impl ObserverReport {
     ///
     /// `observations` is the received-order packet sequence (§3.3);
     /// `stack_samples_us` are the endpoint's own RTT estimates used both
-    /// as the accuracy baseline and for the grease filter.
+    /// as the accuracy baseline and for the grease filter. One
+    /// [`EdgePolicy::RAW`] pass over the received order feeds both the
+    /// classification and the R side of the R/S comparison.
     pub fn build(
         observations: &[PacketObservation],
         stack_samples_us: Vec<u64>,
-        config: ObserverConfig,
         grease: GreaseFilter,
     ) -> Self {
         let min_stack = stack_samples_us.iter().copied().min();
-        let classification = classify_flow(observations, min_stack, grease);
-        let cmp = ReorderComparison::run(observations, config);
+        let (received, samples) = EdgeMachine::fold(observations, &EdgePolicy::RAW);
+        let classification = classify(&received, &samples, min_stack, grease);
+        let cmp = ReorderComparison::with_received(observations, samples);
         ObserverReport {
             classification,
             packets: observations.len(),
@@ -106,12 +108,8 @@ mod tests {
 
     #[test]
     fn report_for_clean_spinning_flow() {
-        let report = ObserverReport::build(
-            &clean_flow(),
-            vec![40_000, 40_000],
-            ObserverConfig::default(),
-            GreaseFilter::paper(),
-        );
+        let report =
+            ObserverReport::build(&clean_flow(), vec![40_000, 40_000], GreaseFilter::paper());
         assert_eq!(report.classification, FlowClassification::Spinning);
         assert_eq!(report.packets, 4);
         assert_eq!(report.spin_rtt_mean_ms(), Some(40.0));
@@ -125,12 +123,7 @@ mod tests {
     fn report_for_overestimating_flow() {
         // Spin period inflated by 200 ms server processing.
         let seq = vec![obs(0, 0, false), obs(240, 1, true), obs(480, 2, false)];
-        let report = ObserverReport::build(
-            &seq,
-            vec![40_000],
-            ObserverConfig::default(),
-            GreaseFilter::paper(),
-        );
+        let report = ObserverReport::build(&seq, vec![40_000], GreaseFilter::paper());
         let acc = report.accuracy_received().unwrap();
         assert!(acc.overestimates());
         assert_eq!(acc.mapped_ratio(), 6.0);
@@ -140,12 +133,7 @@ mod tests {
     #[test]
     fn report_for_all_zero_flow_has_no_accuracy() {
         let seq = vec![obs(0, 0, false), obs(40, 1, false)];
-        let report = ObserverReport::build(
-            &seq,
-            vec![40_000],
-            ObserverConfig::default(),
-            GreaseFilter::paper(),
-        );
+        let report = ObserverReport::build(&seq, vec![40_000], GreaseFilter::paper());
         assert_eq!(report.classification, FlowClassification::AllZero);
         assert!(report.accuracy_received().is_none());
     }
@@ -153,12 +141,7 @@ mod tests {
     #[test]
     fn greased_flow_flagged() {
         let seq: Vec<_> = (0..10).map(|t| obs(t, t, t % 2 == 0)).collect();
-        let report = ObserverReport::build(
-            &seq,
-            vec![40_000],
-            ObserverConfig::default(),
-            GreaseFilter::paper(),
-        );
+        let report = ObserverReport::build(&seq, vec![40_000], GreaseFilter::paper());
         assert_eq!(report.classification, FlowClassification::Greased);
         // Accuracy is still computable for greased flows — the paper's
         // Fig. 3/4 include a Grease series.
@@ -167,12 +150,7 @@ mod tests {
 
     #[test]
     fn no_stack_samples_no_accuracy() {
-        let report = ObserverReport::build(
-            &clean_flow(),
-            vec![],
-            ObserverConfig::default(),
-            GreaseFilter::paper(),
-        );
+        let report = ObserverReport::build(&clean_flow(), vec![], GreaseFilter::paper());
         assert!(report.accuracy_received().is_none());
         assert!(report.accuracy_sorted().is_none());
         assert_eq!(report.stack_rtt_mean_ms(), None);
@@ -180,12 +158,7 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let report = ObserverReport::build(
-            &clean_flow(),
-            vec![40_000],
-            ObserverConfig::default(),
-            GreaseFilter::paper(),
-        );
+        let report = ObserverReport::build(&clean_flow(), vec![40_000], GreaseFilter::paper());
         let json = serde_json::to_string(&report).unwrap();
         let back: ObserverReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);

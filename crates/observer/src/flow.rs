@@ -1,156 +1,29 @@
-//! Per-flow spin-edge state machines with observer-side validity
-//! heuristics.
+//! Per-flow spin observation at the tap.
 //!
 //! A [`FlowObserver`] consumes [`ObservedPacket`]s of one connection and
-//! reconstructs RTT samples the way an on-path device would: each
-//! direction's spin square wave flips once per RTT, so the time between
-//! consecutive edges *in the same direction* is one full RTT. Three
-//! heuristics guard the samples:
+//! reconstructs RTT samples the way an on-path device would: one core
+//! [`EdgeMachine`] per direction, both under one [`EdgePolicy`]
+//! ([`EdgePolicy::ON_PATH`] by default, so a reordered stale packet is
+//! rejected without moving the clock and a loss gap moves the clock
+//! without a sample). Long-header packets never reach the machines (see
+//! [`ObservedPacket`]); the observer only counts them.
 //!
-//! * **Reordering rejection (edge-direction check)** — a reordered
-//!   packet carrying a stale spin value fakes an edge that a packet with
-//!   the current value immediately reverts. An edge whose period is
-//!   implausibly short (below [`ObserverPolicy::min_period_frac`] of the
-//!   running median) is rejected *without* taking its value or advancing
-//!   the edge clock, so the revert packet matches the kept state and the
-//!   wave re-synchronizes by itself. Cross-direction consistency (a
-//!   downstream edge must reflect the last upstream value, RFC 9312
-//!   §4.2.1) is enforced by the embedded
-//!   [`DualDirectionObserver`] for the component samples.
-//! * **Loss-gap handling** — when an edge-carrying packet is lost before
-//!   the tap, the next observed period is a multiple of the true RTT.
-//!   Periods above [`ObserverPolicy::max_period_factor`] × median come
-//!   from a real edge (the clock advances) but yield no sample.
-//! * **Handshake warm-up suppression** — long-header packets never reach
-//!   the observer at all (see [`ObservedPacket`]), and samples whose
-//!   edge falls before [`ObserverPolicy::warmup_us`] are counted but
-//!   suppressed, keeping slow-start transients out of the stream.
+//! Every edge a machine accepts is also paired with the opposite
+//! direction's last accepted edge ([`component`]), which splits the RTT
+//! into its tap→server→tap and tap→client→tap components (RFC 9312
+//! §4.2.1). Because only accepted edges take part, a stale reordered
+//! packet cannot move the component clock either.
 //!
 //! With the default policy and a clean path (no loss, no reordering, no
-//! jitter) none of the heuristics fire and the downstream sample stream
-//! is exactly the client's own spin RTT stream — the property the test
-//! suite pins down.
+//! jitter) no heuristic fires and the downstream sample stream is exactly
+//! the client's own spin RTT stream — the property `lab_parity` pins.
+//! The observer keeps no sample list: [`FlowObserver::ingest`] returns
+//! each accepted sample to the caller, and [`FlowObserver::stats`]
+//! reports counts, means and ranges.
 
 use crate::packet::ObservedPacket;
-use quicspin_core::{Direction, DualDirectionObserver};
+use quicspin_core::{component, Component, Direction, EdgeMachine, EdgePolicy, SampleSummary};
 use serde::{Deserialize, Serialize};
-
-/// Validity-heuristic thresholds of a [`FlowObserver`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ObserverPolicy {
-    /// Suppress samples whose edge time is below this (µs since
-    /// connection start). 0 disables warm-up suppression.
-    pub warmup_us: u64,
-    /// Reject an edge as reordering when its period is below this
-    /// fraction of the running median period. 0 disables the check.
-    pub min_period_frac: f64,
-    /// Reject a sample as a loss gap when its period exceeds this
-    /// multiple of the running median period. 0 disables the check.
-    pub max_period_factor: f64,
-}
-
-impl Default for ObserverPolicy {
-    fn default() -> Self {
-        ObserverPolicy {
-            warmup_us: 0,
-            min_period_frac: 0.25,
-            max_period_factor: 4.0,
-        }
-    }
-}
-
-impl ObserverPolicy {
-    /// A policy with every heuristic disabled (raw edge periods).
-    pub fn permissive() -> Self {
-        ObserverPolicy {
-            warmup_us: 0,
-            min_period_frac: 0.0,
-            max_period_factor: 0.0,
-        }
-    }
-}
-
-/// Edge tracking state of one direction.
-#[derive(Debug, Clone, Default)]
-struct DirState {
-    last_spin: Option<bool>,
-    last_edge_us: Option<u64>,
-    edges: u64,
-    samples_us: Vec<u64>,
-    /// Accepted periods (including warm-up-suppressed ones), kept sorted
-    /// for the running median the heuristics compare against.
-    sorted_periods_us: Vec<u64>,
-    rejected_reorder: u64,
-    rejected_gap: u64,
-    suppressed_warmup: u64,
-}
-
-impl DirState {
-    fn median(&self) -> Option<f64> {
-        if self.sorted_periods_us.is_empty() {
-            return None;
-        }
-        let n = self.sorted_periods_us.len();
-        Some(if n % 2 == 1 {
-            self.sorted_periods_us[n / 2] as f64
-        } else {
-            (self.sorted_periods_us[n / 2 - 1] + self.sorted_periods_us[n / 2]) as f64 / 2.0
-        })
-    }
-
-    fn note(&mut self, time_us: u64, spin: bool, policy: &ObserverPolicy) {
-        let prev = match self.last_spin {
-            None => {
-                // First short-header packet of this direction defines the
-                // baseline value; a wave needs a level before an edge.
-                self.last_spin = Some(spin);
-                return;
-            }
-            Some(v) => v,
-        };
-        if prev == spin {
-            return;
-        }
-        self.edges += 1;
-        let prev_edge = match self.last_edge_us {
-            None => {
-                // First edge starts the period clock, exactly like the
-                // endpoint-side SpinObserver: no sample yet.
-                self.last_spin = Some(spin);
-                self.last_edge_us = Some(time_us);
-                return;
-            }
-            Some(t) => t,
-        };
-        let period = time_us.saturating_sub(prev_edge);
-        let median = self.median();
-        if let Some(m) = median {
-            if policy.min_period_frac > 0.0 && (period as f64) < policy.min_period_frac * m {
-                // Reordering: keep the pre-edge state so the flip-back
-                // packet re-synchronizes instead of faking a second edge.
-                self.rejected_reorder += 1;
-                return;
-            }
-        }
-        self.last_spin = Some(spin);
-        self.last_edge_us = Some(time_us);
-        if let Some(m) = median {
-            if policy.max_period_factor > 0.0 && (period as f64) > policy.max_period_factor * m {
-                // A lost edge inflated this period to a multiple of the
-                // RTT; the edge is real but the sample is not.
-                self.rejected_gap += 1;
-                return;
-            }
-        }
-        let at = self.sorted_periods_us.partition_point(|&p| p < period);
-        self.sorted_periods_us.insert(at, period);
-        if time_us < policy.warmup_us {
-            self.suppressed_warmup += 1;
-            return;
-        }
-        self.samples_us.push(period);
-    }
-}
 
 /// Serializable summary of one flow at the tap — everything the campaign
 /// artifacts and the flight recorder need, and nothing that could not be
@@ -185,66 +58,60 @@ pub struct FlowStats {
     pub rejected_reorder: u64,
     /// Samples rejected as loss gaps (both directions).
     pub rejected_gap: u64,
-    /// Samples suppressed by handshake warm-up (both directions).
+    /// Always 0: the handshake warm-up suppression is gone. The field
+    /// stays in `observer.json` until its next schema bump.
     pub suppressed_warmup: u64,
     /// Whether the flow yielded at least one accepted downstream sample.
     pub measurable: bool,
 }
 
-fn mean_us(samples: &[u64]) -> Option<u64> {
-    if samples.is_empty() {
-        None
-    } else {
-        Some(samples.iter().sum::<u64>() / samples.len() as u64)
-    }
-}
-
-/// Streaming per-flow observer: both directions' edge state machines
-/// plus the dual-direction component split.
+/// Streaming per-flow observer: one edge machine per direction plus the
+/// RFC 9312 §4.2.1 component split. Fixed size, whatever the flow length.
 #[derive(Debug, Clone)]
 pub struct FlowObserver {
-    policy: ObserverPolicy,
-    /// Index 0 = upstream, 1 = downstream (matches [`Direction`]).
-    dirs: [DirState; 2],
-    dual: DualDirectionObserver,
-    packets: u64,
+    policy: EdgePolicy,
+    /// Indexed by [`Direction::index`].
+    dirs: [EdgeMachine; 2],
+    server_side: SampleSummary,
+    client_side: SampleSummary,
     unobservable: u64,
 }
 
 impl Default for FlowObserver {
     fn default() -> Self {
-        FlowObserver::new(ObserverPolicy::default())
+        FlowObserver::new(EdgePolicy::ON_PATH)
     }
 }
 
 impl FlowObserver {
-    /// Creates an observer with the given validity policy.
-    pub fn new(policy: ObserverPolicy) -> Self {
+    /// Creates an observer whose machines run under `policy`.
+    pub fn new(policy: EdgePolicy) -> Self {
         FlowObserver {
             policy,
-            dirs: [DirState::default(), DirState::default()],
-            dual: DualDirectionObserver::new(),
-            packets: 0,
+            dirs: [EdgeMachine::new(); 2],
+            server_side: SampleSummary::default(),
+            client_side: SampleSummary::default(),
             unobservable: 0,
         }
     }
 
     /// The active policy.
-    pub fn policy(&self) -> ObserverPolicy {
+    pub fn policy(&self) -> EdgePolicy {
         self.policy
     }
 
-    /// Feeds one observed packet (must arrive in tap-crossing order).
-    pub fn ingest(&mut self, packet: &ObservedPacket) {
-        self.packets += 1;
-        self.dual
-            .observe(packet.direction(), &packet.to_observation());
-        let idx = match packet.direction() {
-            Direction::Upstream => 0,
-            Direction::Downstream => 1,
-        };
-        let policy = self.policy;
-        self.dirs[idx].note(packet.time_us(), packet.spin(), &policy);
+    /// Feeds one observed packet (in tap-crossing order). Returns the RTT
+    /// sample (µs) it completed in its own direction, if any.
+    pub fn ingest(&mut self, packet: &ObservedPacket) -> Option<u64> {
+        let dir = packet.direction();
+        let accepted =
+            self.dirs[dir.index()].observe_edge(&packet.to_observation(), &self.policy)?;
+        match component(dir, accepted.edge, self.dirs[1 - dir.index()].last_edge()) {
+            Some(Component::ServerSide(us)) => self.server_side.add(us),
+            Some(Component::ClientSide(us)) => self.client_side.add(us),
+            None => {}
+        }
+        accepted.sample
     }
 
     /// Notes a datagram the privacy boundary refused (long header or
@@ -254,61 +121,45 @@ impl FlowObserver {
     }
 
     /// Folds a whole tap capture: every record is either narrowed through
-    /// the [`ObservedPacket`] boundary or counted as unobservable.
-    pub fn ingest_tap_records(&mut self, records: &[quicspin_netsim::TapRecord], cid_len: usize) {
+    /// the [`ObservedPacket`] boundary or counted as unobservable. Each
+    /// accepted sample goes to `on_sample` with its direction.
+    pub fn ingest_tap_records(
+        &mut self,
+        records: &[quicspin_netsim::TapRecord],
+        cid_len: usize,
+        mut on_sample: impl FnMut(Direction, u64),
+    ) {
         for record in records {
             match ObservedPacket::from_tap(record, cid_len) {
-                Some(packet) => self.ingest(&packet),
+                Some(packet) => {
+                    if let Some(sample) = self.ingest(&packet) {
+                        on_sample(packet.direction(), sample);
+                    }
+                }
                 None => self.note_unobservable(),
             }
         }
     }
 
-    /// Accepted downstream RTT samples (µs) — the canonical stream.
-    pub fn rtt_samples_us(&self) -> &[u64] {
-        &self.dirs[1].samples_us
-    }
-
-    /// Accepted upstream RTT samples (µs).
-    pub fn upstream_samples_us(&self) -> &[u64] {
-        &self.dirs[0].samples_us
-    }
-
-    /// The embedded RFC 9312 §4.2.1 component observer.
-    pub fn dual(&self) -> &DualDirectionObserver {
-        &self.dual
-    }
-
-    /// Mean downstream RTT in ms, when measurable.
-    pub fn mean_rtt_ms(&self) -> Option<f64> {
-        let s = self.rtt_samples_us();
-        if s.is_empty() {
-            None
-        } else {
-            Some(s.iter().sum::<u64>() as f64 / s.len() as f64 / 1000.0)
-        }
-    }
-
     /// Snapshot of everything the campaign stores per flow.
     pub fn stats(&self) -> FlowStats {
-        let down = &self.dirs[1];
-        let up = &self.dirs[0];
+        let [up, down] = &self.dirs;
         FlowStats {
-            packets: self.packets,
+            packets: up.packets() + down.packets(),
             unobservable: self.unobservable,
-            edges_upstream: up.edges,
-            edges_downstream: down.edges,
-            samples: down.samples_us.len() as u64,
-            samples_upstream: up.samples_us.len() as u64,
-            mean_us: mean_us(&down.samples_us),
-            min_us: down.samples_us.iter().copied().min(),
-            max_us: down.samples_us.iter().copied().max(),
-            server_side_mean_us: mean_us(self.dual.server_side_us()),
-            client_side_mean_us: mean_us(self.dual.client_side_us()),
-            rejected_reorder: up.rejected_reorder + down.rejected_reorder,
-            rejected_gap: up.rejected_gap + down.rejected_gap,
-            suppressed_warmup: up.suppressed_warmup + down.suppressed_warmup,
-            measurable: !down.samples_us.is_empty(),
+            edges_upstream: up.edges(),
+            edges_downstream: down.edges(),
+            samples: down.samples().count(),
+            samples_upstream: up.samples().count(),
+            mean_us: down.samples().mean_us(),
+            min_us: down.samples().min_us(),
+            max_us: down.samples().max_us(),
+            server_side_mean_us: self.server_side.mean_us(),
+            client_side_mean_us: self.client_side.mean_us(),
+            rejected_reorder: up.rejected_reorder() + down.rejected_reorder(),
+            rejected_gap: up.rejected_gap() + down.rejected_gap(),
+            suppressed_warmup: 0,
+            measurable: down.samples().count() > 0,
         }
     }
 }
@@ -329,17 +180,16 @@ mod tests {
         ObservedPacket::from_datagram(t_ms * 1000, dir, &w.into_bytes(), 8).unwrap()
     }
 
-    fn feed_square_wave(obs: &mut FlowObserver, period_ms: u64, edges: u64) {
-        for k in 0..edges {
-            obs.ingest(&packet(k * period_ms, Direction::Downstream, k % 2 == 1));
-        }
+    fn feed_square_wave(obs: &mut FlowObserver, period_ms: u64, edges: u64) -> Vec<u64> {
+        (0..edges)
+            .filter_map(|k| obs.ingest(&packet(k * period_ms, Direction::Downstream, k % 2 == 1)))
+            .collect()
     }
 
     #[test]
     fn clean_wave_yields_one_sample_per_edge_after_the_first() {
         let mut obs = FlowObserver::default();
-        feed_square_wave(&mut obs, 40, 6);
-        assert_eq!(obs.rtt_samples_us(), &[40_000; 4]);
+        assert_eq!(feed_square_wave(&mut obs, 40, 6), vec![40_000; 4]);
         let stats = obs.stats();
         assert_eq!(stats.edges_downstream, 5);
         assert_eq!(stats.samples, 4);
@@ -351,16 +201,16 @@ mod tests {
     #[test]
     fn reordered_stale_value_is_rejected_and_state_recovers() {
         let mut obs = FlowObserver::default();
-        feed_square_wave(&mut obs, 40, 4); // last value: true at t=120
-                                           // A stale `false` overtakes at t=121 (fake edge), the stream then
-                                           // continues with the genuine value.
-        obs.ingest(&packet(121, Direction::Downstream, false));
-        obs.ingest(&packet(122, Direction::Downstream, true));
-        obs.ingest(&packet(160, Direction::Downstream, false)); // genuine edge
+        let mut samples = feed_square_wave(&mut obs, 40, 4); // last value: true at t=120
+                                                             // A stale `false` overtakes at t=121 (fake edge), the stream then
+                                                             // continues with the genuine value.
+        samples.extend(obs.ingest(&packet(121, Direction::Downstream, false)));
+        samples.extend(obs.ingest(&packet(122, Direction::Downstream, true)));
+        samples.extend(obs.ingest(&packet(160, Direction::Downstream, false))); // genuine edge
         let stats = obs.stats();
         assert_eq!(stats.rejected_reorder, 1);
         // Periods stay clean: the genuine edge measures from t=120.
-        assert_eq!(obs.rtt_samples_us(), &[40_000, 40_000, 40_000]);
+        assert_eq!(samples, vec![40_000, 40_000, 40_000]);
     }
 
     #[test]
@@ -369,31 +219,20 @@ mod tests {
         feed_square_wave(&mut obs, 40, 4);
         // The edge at t=160 was lost; the next flip lands at t=200 with a
         // 2-RTT period (80 ms > 4.0 isn't hit; use a bigger gap).
-        obs.ingest(&packet(120 + 200, Direction::Downstream, false));
-        obs.ingest(&packet(120 + 240, Direction::Downstream, true));
+        assert_eq!(
+            obs.ingest(&packet(120 + 200, Direction::Downstream, false)),
+            None
+        );
+        let last = obs.ingest(&packet(120 + 240, Direction::Downstream, true));
         let stats = obs.stats();
         assert_eq!(stats.rejected_gap, 1);
         // The post-gap edge measures a clean period again.
-        assert_eq!(*obs.rtt_samples_us().last().unwrap(), 40_000);
-    }
-
-    #[test]
-    fn warmup_suppresses_early_samples() {
-        let mut obs = FlowObserver::new(ObserverPolicy {
-            warmup_us: 150_000,
-            ..ObserverPolicy::default()
-        });
-        feed_square_wave(&mut obs, 40, 6);
-        // The sample-yielding edges at 80 and 120 ms fall inside the
-        // warm-up window; 160 and 200 ms are past it.
-        let stats = obs.stats();
-        assert_eq!(stats.suppressed_warmup, 2);
-        assert_eq!(obs.rtt_samples_us(), &[40_000, 40_000]);
+        assert_eq!(last, Some(40_000));
     }
 
     #[test]
     fn permissive_policy_takes_raw_periods() {
-        let mut obs = FlowObserver::new(ObserverPolicy::permissive());
+        let mut obs = FlowObserver::new(EdgePolicy::RAW);
         feed_square_wave(&mut obs, 40, 4);
         obs.ingest(&packet(121, Direction::Downstream, false));
         let stats = obs.stats();
@@ -420,6 +259,42 @@ mod tests {
     }
 
     #[test]
+    fn rejected_reorder_edge_does_not_move_the_component_clock() {
+        // A clean loop, then a stale upstream packet right after the last
+        // upstream edge: rejected, so the next reflection still measures
+        // the server side from the genuine upstream edge.
+        let mut obs = FlowObserver::default();
+        obs.ingest(&packet(0, Direction::Upstream, false));
+        obs.ingest(&packet(1, Direction::Downstream, false));
+        for k in 0..4u64 {
+            let base = 10 + 80 * k;
+            let value = k % 2 == 0;
+            obs.ingest(&packet(base, Direction::Upstream, value));
+            if k == 3 {
+                obs.ingest(&packet(base + 1, Direction::Upstream, !value)); // stale
+                obs.ingest(&packet(base + 2, Direction::Upstream, value));
+            }
+            obs.ingest(&packet(base + 60, Direction::Downstream, value));
+        }
+        let stats = obs.stats();
+        assert_eq!(stats.rejected_reorder, 1);
+        assert_eq!(stats.server_side_mean_us, Some(60_000));
+        assert_eq!(stats.client_side_mean_us, Some(20_000));
+    }
+
+    #[test]
+    fn no_components_without_edges() {
+        let mut obs = FlowObserver::default();
+        for t in 0..10 {
+            obs.ingest(&packet(t, Direction::Upstream, false));
+            obs.ingest(&packet(t, Direction::Downstream, false));
+        }
+        let stats = obs.stats();
+        assert_eq!(stats.server_side_mean_us, None);
+        assert_eq!(stats.client_side_mean_us, None);
+    }
+
+    #[test]
     fn unmeasurable_flow_reports_counts_only() {
         let mut obs = FlowObserver::default();
         for t in 0..8 {
@@ -441,5 +316,12 @@ mod tests {
         let json = serde_json::to_string(&stats).unwrap();
         let back: FlowStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
+    }
+
+    #[test]
+    fn flow_state_size_is_pinned() {
+        // Two fixed-size direction machines, the policy, two component
+        // summaries and one counter: nothing grows with the flow.
+        assert_eq!(std::mem::size_of::<FlowObserver>(), 560);
     }
 }

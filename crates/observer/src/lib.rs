@@ -12,12 +12,12 @@
 //!   `Header::peek_observable`; long-header (handshake) packets and
 //!   anything undecodable never yield a value, so plaintext bytes cannot
 //!   reach observer code by construction.
-//! * [`FlowObserver`] / [`ObserverPolicy`] ([`flow`]) — per-flow,
-//!   per-direction spin-edge state machines with validity heuristics
-//!   (reordering rejection, loss-gap handling, handshake warm-up
-//!   suppression) plus the RFC 9312 §4.2.1 dual-direction component
-//!   split. [`FlowStats`] is the serializable snapshot the campaign
-//!   artifacts carry.
+//! * [`FlowObserver`] ([`flow`]) — the flow table entry: one core
+//!   `EdgeMachine` per direction under `EdgePolicy::ON_PATH` (reordering
+//!   rejection and loss-gap handling against a 16-period running
+//!   median), plus the RFC 9312 §4.2.1 component split from the two
+//!   directions' accepted edges. It holds no heap field. [`FlowStats`] is
+//!   the serializable snapshot the campaign artifacts carry.
 //!
 //! The scanner attaches one [`FlowObserver`] per probed connection at the
 //! configured tap position (see `quicspin-scanner`); `spinctl observe`
@@ -26,5 +26,5 @@
 pub mod flow;
 pub mod packet;
 
-pub use flow::{FlowObserver, FlowStats, ObserverPolicy};
+pub use flow::{FlowObserver, FlowStats};
 pub use packet::ObservedPacket;

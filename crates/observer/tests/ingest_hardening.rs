@@ -1,0 +1,129 @@
+//! Hardening of the observer's ingest path against hostile captures.
+//!
+//! An on-path observer sees whatever crosses the wire: truncated
+//! datagrams, corrupted bytes, and (from a badly merged capture) times
+//! that run backwards. Seeded mutations of real lab tap datagrams must
+//! never panic the fold, and every record must be accounted for — either
+//! observed or counted as unobservable.
+
+use proptest::TestRng;
+use quicspin_netsim::{Payload, SimTime, TapRecord};
+use quicspin_observer::FlowObserver;
+use quicspin_quic::{ConnectionLab, LabConfig, LabOutcome};
+
+const ROUNDS: usize = 200;
+
+fn lab_capture(seed: u64) -> LabOutcome {
+    ConnectionLab::new(LabConfig {
+        seed,
+        loss: 0.02,
+        reorder: 0.05,
+        jitter_ms: 2.0,
+        tap_position: Some(0.5),
+        ..LabConfig::default()
+    })
+    .run()
+}
+
+/// Folds `records`; panics (failing the test) if any record is lost.
+fn fold_accounts_for_every_record(records: &[TapRecord], cid_len: usize) {
+    let mut flow = FlowObserver::default();
+    let mut samples = 0u64;
+    flow.ingest_tap_records(records, cid_len, |_, _| samples += 1);
+    let stats = flow.stats();
+    assert_eq!(stats.packets + stats.unobservable, records.len() as u64);
+    assert_eq!(samples, stats.samples + stats.samples_upstream);
+}
+
+fn with_datagram(record: &TapRecord, bytes: Vec<u8>) -> TapRecord {
+    TapRecord {
+        time: record.time,
+        from: record.from,
+        datagram: Payload::from(bytes),
+    }
+}
+
+#[test]
+fn truncated_datagrams_never_panic() {
+    let outcome = lab_capture(3);
+    assert!(!outcome.tap_records.is_empty());
+    let mut rng = TestRng::from_name("observer_ingest_truncations");
+    for _ in 0..ROUNDS {
+        let records: Vec<TapRecord> = outcome
+            .tap_records
+            .iter()
+            .map(|r| {
+                let keep = (rng.next_u64() % (r.datagram.len() as u64 + 1)) as usize;
+                with_datagram(r, r.datagram[..keep].to_vec())
+            })
+            .collect();
+        fold_accounts_for_every_record(&records, outcome.cid_len);
+    }
+}
+
+#[test]
+fn one_byte_mutations_never_panic() {
+    let outcome = lab_capture(5);
+    let mut rng = TestRng::from_name("observer_ingest_mutations");
+    for _ in 0..ROUNDS {
+        let records: Vec<TapRecord> = outcome
+            .tap_records
+            .iter()
+            .map(|r| {
+                let mut bytes = r.datagram.to_vec();
+                if !bytes.is_empty() {
+                    // Bias toward the first bytes: the header is all an
+                    // observer parses.
+                    let span = bytes.len().min(24) as u64;
+                    let at = (rng.next_u64() % span) as usize;
+                    bytes[at] = rng.next_u64() as u8;
+                }
+                with_datagram(r, bytes)
+            })
+            .collect();
+        fold_accounts_for_every_record(&records, outcome.cid_len);
+    }
+}
+
+#[test]
+fn shuffled_times_never_panic() {
+    let outcome = lab_capture(7);
+    let mut rng = TestRng::from_name("observer_ingest_shuffled_times");
+    let mut times: Vec<SimTime> = outcome.tap_records.iter().map(|r| r.time).collect();
+    for _ in 0..ROUNDS {
+        // Fisher–Yates over the capture's times: the packets keep their
+        // order and bytes, the clock runs backwards and forwards.
+        for i in (1..times.len()).rev() {
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+            times.swap(i, j);
+        }
+        let records: Vec<TapRecord> = outcome
+            .tap_records
+            .iter()
+            .zip(&times)
+            .map(|(r, &time)| TapRecord {
+                time,
+                from: r.from,
+                datagram: r.datagram.clone(),
+            })
+            .collect();
+        fold_accounts_for_every_record(&records, outcome.cid_len);
+    }
+}
+
+#[test]
+fn extreme_times_never_panic() {
+    // Edges at 0 and u64::MAX µs: periods and sums saturate.
+    let outcome = lab_capture(9);
+    let records: Vec<TapRecord> = outcome
+        .tap_records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| TapRecord {
+            time: SimTime::from_nanos(if i % 2 == 0 { 0 } else { u64::MAX }),
+            from: r.from,
+            datagram: r.datagram.clone(),
+        })
+        .collect();
+    fold_accounts_for_every_record(&records, outcome.cid_len);
+}

@@ -7,7 +7,8 @@
 //! values, one-to-one. Every heuristic of the default policy must stay
 //! silent on such a path.
 
-use quicspin_observer::{FlowObserver, ObserverPolicy};
+use quicspin_core::{Direction, EdgePolicy};
+use quicspin_observer::FlowObserver;
 use quicspin_quic::{ConnectionLab, LabConfig, LabOutcome};
 
 fn clean_run(seed: u64, rtt_ms: f64, tap: f64) -> LabOutcome {
@@ -22,10 +23,21 @@ fn clean_run(seed: u64, rtt_ms: f64, tap: f64) -> LabOutcome {
     outcome
 }
 
-fn observer_over(outcome: &LabOutcome) -> FlowObserver {
-    let mut flow = FlowObserver::default();
-    flow.ingest_tap_records(&outcome.tap_records, outcome.cid_len);
-    flow
+/// Folds the tap capture under `policy`; returns the observer and its
+/// downstream sample stream.
+fn fold(outcome: &LabOutcome, policy: EdgePolicy) -> (FlowObserver, Vec<u64>) {
+    let mut flow = FlowObserver::new(policy);
+    let mut downstream = Vec::new();
+    flow.ingest_tap_records(&outcome.tap_records, outcome.cid_len, |dir, sample| {
+        if dir == Direction::Downstream {
+            downstream.push(sample);
+        }
+    });
+    (flow, downstream)
+}
+
+fn observer_over(outcome: &LabOutcome) -> (FlowObserver, Vec<u64>) {
+    fold(outcome, EdgePolicy::ON_PATH)
 }
 
 #[test]
@@ -35,12 +47,8 @@ fn clean_path_observer_matches_client_one_to_one() {
             for tap in [0.0, 0.3, 0.5, 0.8, 1.0] {
                 let outcome = clean_run(seed, rtt_ms, tap);
                 let client = outcome.observer_report().spin_samples_received_us;
-                let flow = observer_over(&outcome);
-                assert_eq!(
-                    flow.rtt_samples_us(),
-                    &client[..],
-                    "seed {seed} rtt {rtt_ms} tap {tap}"
-                );
+                let (flow, samples) = observer_over(&outcome);
+                assert_eq!(samples, client, "seed {seed} rtt {rtt_ms} tap {tap}");
                 let stats = flow.stats();
                 assert_eq!(stats.rejected_reorder, 0, "clean path, seed {seed}");
                 assert_eq!(stats.rejected_gap, 0, "clean path, seed {seed}");
@@ -53,15 +61,15 @@ fn clean_path_observer_matches_client_one_to_one() {
 
 #[test]
 fn observer_fold_is_deterministic() {
-    let a = observer_over(&clean_run(5, 40.0, 0.25)).stats();
-    let b = observer_over(&clean_run(5, 40.0, 0.25)).stats();
+    let a = observer_over(&clean_run(5, 40.0, 0.25)).0.stats();
+    let b = observer_over(&clean_run(5, 40.0, 0.25)).0.stats();
     assert_eq!(a, b);
 }
 
 #[test]
 fn long_headers_are_counted_but_never_parsed() {
     let outcome = clean_run(3, 40.0, 0.5);
-    let flow = observer_over(&outcome);
+    let (flow, _) = observer_over(&outcome);
     let stats = flow.stats();
     // The tap sits mid-path for the whole connection, so it crossed the
     // handshake flights too — those datagrams must all have been refused
@@ -76,7 +84,7 @@ fn long_headers_are_counted_but_never_parsed() {
 #[test]
 fn component_split_sums_to_the_full_rtt() {
     let outcome = clean_run(11, 60.0, 0.5);
-    let flow = observer_over(&outcome);
+    let (flow, _) = observer_over(&outcome);
     let stats = flow.stats();
     let (Some(server_us), Some(client_us), Some(mean_us)) = (
         stats.server_side_mean_us,
@@ -98,11 +106,9 @@ fn component_split_sums_to_the_full_rtt() {
 #[test]
 fn permissive_and_default_policies_agree_on_clean_paths() {
     let outcome = clean_run(17, 30.0, 0.4);
-    let mut strict = FlowObserver::default();
-    let mut raw = FlowObserver::new(ObserverPolicy::permissive());
-    strict.ingest_tap_records(&outcome.tap_records, outcome.cid_len);
-    raw.ingest_tap_records(&outcome.tap_records, outcome.cid_len);
-    assert_eq!(strict.rtt_samples_us(), raw.rtt_samples_us());
+    let (_, strict) = fold(&outcome, EdgePolicy::ON_PATH);
+    let (_, raw) = fold(&outcome, EdgePolicy::RAW);
+    assert_eq!(strict, raw);
 }
 
 proptest::proptest! {
@@ -117,7 +123,7 @@ proptest::proptest! {
         let tap = tap_percent as f64 / 100.0;
         let outcome = clean_run(seed, rtt_ms, tap);
         let client = outcome.observer_report().spin_samples_received_us;
-        let flow = observer_over(&outcome);
-        proptest::prop_assert_eq!(flow.rtt_samples_us(), &client[..]);
+        let (_, samples) = observer_over(&outcome);
+        proptest::prop_assert_eq!(samples, client);
     }
 }

@@ -19,6 +19,9 @@ use crate::trace::TraceLog;
 
 const MAGIC: &[u8; 4] = b"QSPN";
 const VERSION: u8 = 1;
+/// The smallest encoded event: a one-byte time varint and a tag with no
+/// fields (`HandshakeCompleted`).
+const MIN_EVENT_BYTES: usize = 2;
 
 /// Errors produced by the binary reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,8 +84,10 @@ fn push_string(out: &mut Vec<u8>, s: &str) {
 
 fn read_string(buf: &[u8], at: &mut usize) -> Result<String, BinaryError> {
     let len = read_varint(buf, at)? as usize;
-    let bytes = buf.get(*at..*at + len).ok_or(BinaryError::Truncated)?;
-    *at += len;
+    // The length is input-controlled: a huge one must not overflow `at`.
+    let end = at.checked_add(len).ok_or(BinaryError::Truncated)?;
+    let bytes = buf.get(*at..end).ok_or(BinaryError::Truncated)?;
+    *at = end;
     String::from_utf8(bytes.to_vec()).map_err(|_| BinaryError::BadString)
 }
 
@@ -203,7 +208,9 @@ pub fn decode_trace(bytes: &[u8]) -> Result<TraceLog, BinaryError> {
     let vantage_point = read_string(bytes, &mut at)?;
     let title = read_string(bytes, &mut at)?;
     let count = read_varint(bytes, &mut at)? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 20));
+    // The count is input-controlled: reserve no more events than the
+    // remaining bytes could encode.
+    let mut events = Vec::with_capacity(count.min((bytes.len() - at) / MIN_EVENT_BYTES));
     for _ in 0..count {
         let time_us = read_varint(bytes, &mut at)?;
         let tag = read_u8(bytes, &mut at)?;

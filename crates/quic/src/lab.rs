@@ -13,7 +13,7 @@
 
 use crate::config::TransportConfig;
 use crate::conn::{AppEvent, ConnCounters, Connection};
-use quicspin_core::{GreaseFilter, ObserverConfig, ObserverReport, PacketObservation};
+use quicspin_core::{GreaseFilter, ObserverReport, PacketObservation};
 use quicspin_netsim::{
     LinkConfig, PathStats, Side, SimDuration, SimEvent, SimScratch, SimTime, Simulator, TapRecord,
 };
@@ -208,7 +208,6 @@ impl LabOutcome {
         ObserverReport::build(
             &self.client_observations(),
             self.client_stack_samples_us.clone(),
-            ObserverConfig::default(),
             GreaseFilter::paper(),
         )
     }

@@ -11,7 +11,7 @@ use crate::batch::RecordBatch;
 use crate::flight::{FlightConfig, FlightRecording, FlightShard};
 use crate::probe::{probe_connection_scratch, NetworkConditions, ProbeScratch};
 use crate::record::{ConnectionRecord, ScanOutcome};
-use quicspin_core::{GreaseFilter, ObserverConfig};
+use quicspin_core::GreaseFilter;
 use quicspin_h3::MAX_REDIRECTS;
 use quicspin_telemetry::{
     ConfigEntry, GaugeId, Metric, ProfilerRegistry, ProgressSnapshot, Registry, RunManifest,
@@ -40,8 +40,6 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Path conditions.
     pub conditions: NetworkConditions,
-    /// Observer configuration used for the per-connection reports.
-    pub observer: ObserverConfig,
     /// Grease filter applied during classification.
     pub grease: GreaseFilter,
     /// Retain the full client qlog trace on every established record
@@ -87,7 +85,6 @@ impl Default for CampaignConfig {
             version: IpVersion::V4,
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             conditions: NetworkConditions::default(),
-            observer: ObserverConfig::default(),
             grease: GreaseFilter::paper(),
             keep_qlogs: false,
             telemetry: Arc::new(Registry::disabled()),
@@ -299,7 +296,6 @@ impl<'p> Scanner<'p> {
                 config.version,
                 depth,
                 &config.conditions,
-                config.observer,
                 config.grease,
                 config.keep_qlogs,
                 scratch,

@@ -2,7 +2,7 @@
 //! connection plan and distill a [`ConnectionRecord`].
 
 use crate::record::{ConnectionRecord, ScanOutcome};
-use quicspin_core::{GreaseFilter, ObserverConfig, ObserverReport};
+use quicspin_core::{GreaseFilter, ObserverReport};
 use quicspin_h3::{Request, Response};
 use quicspin_netsim::{Rng, SimDuration};
 use quicspin_quic::{
@@ -185,7 +185,6 @@ pub fn probe_connection(
     version: IpVersion,
     redirect_depth: u32,
     conditions: &NetworkConditions,
-    observer: ObserverConfig,
     grease: GreaseFilter,
 ) -> (ConnectionRecord, Option<Response>) {
     probe_connection_with_qlog(
@@ -195,7 +194,6 @@ pub fn probe_connection(
         version,
         redirect_depth,
         conditions,
-        observer,
         grease,
         false,
     )
@@ -211,7 +209,6 @@ pub fn probe_connection_with_qlog(
     version: IpVersion,
     redirect_depth: u32,
     conditions: &NetworkConditions,
-    observer: ObserverConfig,
     grease: GreaseFilter,
     keep_qlog: bool,
 ) -> (ConnectionRecord, Option<Response>) {
@@ -222,7 +219,6 @@ pub fn probe_connection_with_qlog(
         version,
         redirect_depth,
         conditions,
-        observer,
         grease,
         keep_qlog,
         &mut ProbeScratch::default(),
@@ -239,7 +235,6 @@ pub fn probe_connection_scratch(
     version: IpVersion,
     redirect_depth: u32,
     conditions: &NetworkConditions,
-    observer: ObserverConfig,
     grease: GreaseFilter,
     keep_qlog: bool,
     scratch: &mut ProbeScratch,
@@ -374,7 +369,6 @@ pub fn probe_connection_scratch(
     let report = ObserverReport::build(
         &observations,
         std::mem::take(&mut outcome.client_stack_samples_us),
-        observer,
         grease,
     );
     let t = scratch.telemetry.lap(ScopeId::Classify, t);
@@ -384,7 +378,7 @@ pub fn probe_connection_scratch(
     // next to the client's own report.
     let observer_view = scratch.tap_position.map(|position| {
         let mut flow = quicspin_observer::FlowObserver::default();
-        flow.ingest_tap_records(&outcome.tap_records, outcome.cid_len);
+        flow.ingest_tap_records(&outcome.tap_records, outcome.cid_len, |_, _| {});
         let stats = flow.stats();
         scratch
             .telemetry
@@ -489,7 +483,6 @@ mod tests {
             IpVersion::V4,
             0,
             &NetworkConditions::clean(),
-            ObserverConfig::default(),
             GreaseFilter::paper(),
         );
         assert_eq!(record.outcome, ScanOutcome::Ok);
@@ -517,7 +510,6 @@ mod tests {
             IpVersion::V4,
             0,
             &NetworkConditions::clean(),
-            ObserverConfig::default(),
             GreaseFilter::paper(),
         );
         assert_eq!(record.outcome, ScanOutcome::Ok);
@@ -552,7 +544,6 @@ mod tests {
                 IpVersion::V4,
                 0,
                 &NetworkConditions::clean(),
-                ObserverConfig::default(),
                 GreaseFilter::paper(),
             );
             let report = record.report.unwrap();
@@ -591,7 +582,6 @@ mod tests {
                 IpVersion::V4,
                 0,
                 &NetworkConditions::clean(),
-                ObserverConfig::default(),
                 GreaseFilter::paper(),
             );
             assert_eq!(
@@ -617,7 +607,6 @@ mod tests {
                     IpVersion::V4,
                     0,
                     &NetworkConditions::default(),
-                    ObserverConfig::default(),
                     GreaseFilter::paper(),
                     true,
                     scratch,
@@ -650,7 +639,6 @@ mod tests {
                 IpVersion::V4,
                 0,
                 &NetworkConditions::clean(),
-                ObserverConfig::default(),
                 GreaseFilter::paper(),
                 false,
                 &mut scratch,
@@ -692,7 +680,6 @@ mod tests {
                 IpVersion::V4,
                 0,
                 &NetworkConditions::clean(),
-                ObserverConfig::default(),
                 GreaseFilter::paper(),
                 true,
                 &mut scratch,
@@ -731,7 +718,6 @@ mod tests {
             IpVersion::V4,
             0,
             &NetworkConditions::clean(),
-            ObserverConfig::default(),
             GreaseFilter::paper(),
             false,
             &mut off,
@@ -759,7 +745,6 @@ mod tests {
                 IpVersion::V4,
                 0,
                 &NetworkConditions::default(),
-                ObserverConfig::default(),
                 GreaseFilter::paper(),
             )
             .0

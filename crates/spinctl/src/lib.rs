@@ -43,7 +43,7 @@ pub mod report;
 
 use quicspin_analysis::Histogram;
 use quicspin_core::reorder::ReorderComparison;
-use quicspin_core::{ObserverConfig, PacketObservation};
+use quicspin_core::PacketObservation;
 use quicspin_qlog::render_timeline;
 use quicspin_scanner::{
     chrome_trace_export, parse_scenario, profile_folded_stacks, read_anomaly_index,
@@ -958,7 +958,7 @@ fn cmd_trace(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         .iter()
         .map(|&(time_us, pn, spin)| PacketObservation::qlog(time_us, pn, spin))
         .collect();
-    let comparison = ReorderComparison::run(&observations, ObserverConfig::default());
+    let comparison = ReorderComparison::run(&observations);
     let spin = &comparison.samples_sorted_us;
     let stack = trace.rtt_samples_us();
     writeln!(out, "\nRTT samples (µs), spin estimator vs stack:").map_err(|e| e.to_string())?;

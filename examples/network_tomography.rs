@@ -5,16 +5,19 @@
 //! An in-network observer that sees both directions of a flow can split
 //! the RTT into a client-side and a server-side component at its own
 //! position. This example places taps at several points along the same
-//! path, demultiplexes flows by connection ID, and shows the component
+//! path, folds each capture through the on-path `FlowObserver` (one
+//! spin-edge machine per direction plus the RFC 9312 §4.2.1 component
+//! split), demultiplexes flows by connection ID, and shows the component
 //! split moving with the tap — plus a pcap round-trip, since a real
 //! observer would work from captures.
 //!
 //! Run with: `cargo run --release --example network_tomography`
 
-use quicspin::core::{Direction, DualDirectionObserver, FlowMap, ObserverConfig};
+use quicspin::core::{EdgePolicy, FlowMap};
 use quicspin::netsim::{read_pcap, write_pcap, Side};
 use quicspin::prelude::*;
 use quicspin::wire::Header;
+use quicspin_observer::FlowObserver;
 
 fn main() {
     println!("tap position | client-side | server-side | reconstructed RTT");
@@ -31,30 +34,30 @@ fn main() {
         let pcap = write_pcap(&out.tap_records);
         let records = read_pcap(&pcap).expect("own capture parses");
 
-        let mut observer = DualDirectionObserver::new();
-        let mut flows: FlowMap<Vec<u8>> = FlowMap::new(ObserverConfig::default());
-        for record in &records {
+        let mut observer = FlowObserver::default();
+        observer.ingest_tap_records(&records, 8, |_, _| {});
+        // Per-flow single-direction observation keyed by DCID.
+        let mut flows: FlowMap<Vec<u8>> = FlowMap::new(EdgePolicy::RAW);
+        for record in records.iter().filter(|r| r.from == Side::Server) {
             let Some(header) = Header::peek_observable(&record.datagram, 8) else {
                 continue;
             };
             let obs = quicspin::core::PacketObservation::wire(record.time.as_micros(), header.spin);
-            let direction = match record.from {
-                Side::Client => Direction::Upstream,
-                Side::Server => Direction::Downstream,
-            };
-            observer.observe(direction, &obs);
-            // Per-flow single-direction observation keyed by DCID.
-            if record.from == Side::Server {
-                flows.observe(header.dcid.as_slice().to_vec(), &obs);
-            }
+            flows.observe(header.dcid.as_slice().to_vec(), &obs);
         }
 
+        let stats = observer.stats();
+        let ms = |us: Option<u64>| us.map_or(f64::NAN, |us| us as f64 / 1000.0);
+        let full = stats
+            .client_side_mean_us
+            .zip(stats.server_side_mean_us)
+            .map(|(c, s)| c + s);
         println!(
             "        {:.1}  | {:>8.1} ms | {:>8.1} ms | {:>8.1} ms  ({} flow(s), {} measurable)",
             tap_position,
-            observer.client_side_mean_ms().unwrap_or(f64::NAN),
-            observer.server_side_mean_ms().unwrap_or(f64::NAN),
-            observer.full_rtt_mean_ms().unwrap_or(f64::NAN),
+            ms(stats.client_side_mean_us),
+            ms(stats.server_side_mean_us),
+            ms(full),
             flows.len(),
             flows.measurable_flows(),
         );

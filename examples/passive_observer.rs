@@ -3,27 +3,24 @@
 //! A network operator's view: no qlog, no packet numbers — only the spin
 //! bit (and optionally the Valid Edge Counter) on short-header packets
 //! crossing a tap. Demonstrates the Fig. 1b reordering failure mode, the
-//! RFC 9312 filters that mitigate it, and the VEC alternative that never
-//! made it into RFC 9000.
+//! RFC 9312 heuristics of the on-path edge policy that mitigate it, and
+//! the VEC alternative that never made it into RFC 9000.
 //!
 //! Run with: `cargo run --release --example passive_observer`
 
-use quicspin::core::{ObserverConfig, RttFilter, SpinObserver};
+use quicspin::core::{EdgeMachine, EdgePolicy};
 use quicspin::netsim::Side;
 use quicspin::prelude::*;
 
 fn observe(
     observations: &[quicspin::core::PacketObservation],
-    config: ObserverConfig,
-) -> (usize, Option<f64>, usize) {
-    let mut observer = SpinObserver::with_config(config);
-    for obs in observations {
-        observer.observe(obs);
-    }
+    policy: EdgePolicy,
+) -> (u64, Option<f64>, u64) {
+    let (machine, _) = EdgeMachine::fold(observations, &policy);
     (
-        observer.rtt_samples_us().len(),
-        observer.mean_rtt_ms(),
-        observer.filtered_out(),
+        machine.samples().count(),
+        machine.samples().mean_ms(),
+        machine.rejected_reorder() + machine.rejected_gap(),
     )
 }
 
@@ -44,30 +41,17 @@ fn main() {
     let tap = outcome.tap_observations(Side::Server);
     println!("tap captured {} server→client 1-RTT packets\n", tap.len());
 
-    let configs: [(&str, ObserverConfig); 4] = [
-        ("baseline (no filter)", ObserverConfig::default()),
+    let policies: [(&str, EdgePolicy); 3] = [
+        ("baseline (raw edges)", EdgePolicy::RAW),
         (
-            "static floor 5 ms",
-            ObserverConfig {
-                filter: RttFilter::StaticFloor { min_us: 5_000 },
-                ..ObserverConfig::default()
-            },
-        ),
-        (
-            "dynamic range [0.3x, 3x] of running median",
-            ObserverConfig {
-                filter: RttFilter::DynamicRange {
-                    lower: 0.3,
-                    upper: 3.0,
-                },
-                ..ObserverConfig::default()
-            },
+            "on-path: [0.25x, 4x] of 16-period median",
+            EdgePolicy::ON_PATH,
         ),
         (
             "VEC: saturated edges only",
-            ObserverConfig {
+            EdgePolicy {
                 require_valid_edge: true,
-                ..ObserverConfig::default()
+                ..EdgePolicy::RAW
             },
         ),
     ];
@@ -76,8 +60,8 @@ fn main() {
         "{:<44} {:>8} {:>12} {:>9}",
         "observer", "samples", "mean RTT", "rejected"
     );
-    for (name, config) in configs {
-        let (n, mean, rejected) = observe(&tap, config);
+    for (name, policy) in policies {
+        let (n, mean, rejected) = observe(&tap, policy);
         println!(
             "{:<44} {:>8} {:>9.1} ms {:>9}",
             name,

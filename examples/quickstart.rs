@@ -68,13 +68,10 @@ fn main() {
     // An on-path tap sees the same square wave without packet numbers.
     let tap = outcome.tap_observations(Side::Server);
     println!("\ntap saw {} server→client 1-RTT packets", tap.len());
-    let mut observer = SpinObserver::new();
-    for obs in &tap {
-        observer.observe(obs);
-    }
+    let (observer, _) = EdgeMachine::fold(&tap, &EdgePolicy::RAW);
     println!(
         "tap spin RTT mean   : {:.1} ms ({} edges)",
-        observer.mean_rtt_ms().unwrap_or(0.0),
-        observer.edges().len()
+        observer.samples().mean_ms().unwrap_or(0.0),
+        observer.edges()
     );
 }

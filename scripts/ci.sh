@@ -97,8 +97,8 @@ for f in observer.json anomalies.json trace.json timeseries.json profile.json tr
 done
 
 # Matrix smoke: the committed loss×vantage scenario (a 2×2 grid) runs
-# twice, at --threads 1 and --threads 4; report.md and report.json must
-# come out byte-identical. A malformed scenario must fail the exit-code
+# twice, at --threads 1 and --threads 4; report.md, report.json and each
+# cell's observer.json and anomalies.json must come out byte-identical. A malformed scenario must fail the exit-code
 # contract (exit 1 with a one-line `scenario error:` diagnostic).
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
   matrix examples/scenarios/loss_vantage.toml --out "$SPINCTL_DIR/mx1" --threads 1
@@ -106,6 +106,14 @@ cargo run --release -p quicspin-spinctl --bin spinctl -- \
   matrix examples/scenarios/loss_vantage.toml --out "$SPINCTL_DIR/mx4" --threads 4
 cmp "$SPINCTL_DIR/mx1/report.md" "$SPINCTL_DIR/mx4/report.md"
 cmp "$SPINCTL_DIR/mx1/report.json" "$SPINCTL_DIR/mx4/report.json"
+# Every cell's observer and anomaly documents must match too: the lossy
+# cells are where the observer's reorder rejections fire, which the
+# report digests alone would not show. An empty cells/ fails the cmp.
+for cell in "$SPINCTL_DIR"/mx1/cells/*; do
+  for f in observer.json anomalies.json; do
+    cmp "$cell/$f" "$SPINCTL_DIR/mx4/cells/$(basename "$cell")/$f"
+  done
+done
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
   report --dir "$SPINCTL_DIR/mx1"
 cmp "$SPINCTL_DIR/mx1/report.md" "$SPINCTL_DIR/mx4/report.md"

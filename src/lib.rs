@@ -4,7 +4,8 @@
 //! Spin Bit”** (Kunze, Sander, Wehrle — ACM IMC 2023) as a Rust workspace:
 //! a from-scratch QUIC wire codec and endpoint with full RFC 9000 §17.4
 //! spin-bit semantics, a deterministic discrete-event network simulator, a
-//! passive spin-bit observer with RFC 9312 heuristics and the VEC, a
+//! passive spin-bit observer (one fixed-size spin-edge machine per
+//! direction) with RFC 9312 heuristics and the VEC, a
 //! synthetic web population calibrated from the paper’s published
 //! aggregates, a zgrab2-style scanning harness, and the analysis code that
 //! regenerates every table and figure of the paper.
@@ -48,8 +49,8 @@ pub mod prelude {
         SpinConfigTable,
     };
     pub use quicspin_core::{
-        AccuracySample, FlowClassification, GreaseFilter, ObserverReport, PacketObservation,
-        SpinObserver, VecObserver,
+        AccuracySample, EdgeMachine, EdgePolicy, FlowClassification, GreaseFilter, ObserverReport,
+        PacketObservation, VecObserver,
     };
     pub use quicspin_netsim::{LinkConfig, SimDuration, SimTime, Simulator};
     pub use quicspin_quic::{ConnectionLab, LabConfig, SpinPolicy, TransportConfig};

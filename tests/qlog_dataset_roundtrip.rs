@@ -47,13 +47,11 @@ fn observer_report_rebuilds_identically_from_serialized_observations() {
     let report_a = ObserverReport::build(
         &observations,
         out.client_stack_samples_us.clone(),
-        Default::default(),
         GreaseFilter::paper(),
     );
     let report_b = ObserverReport::build(
         &back,
         out.client_stack_samples_us.clone(),
-        Default::default(),
         GreaseFilter::paper(),
     );
     assert_eq!(report_a, report_b);

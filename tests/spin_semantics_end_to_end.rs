@@ -2,7 +2,7 @@
 //! end-to-end through the wire format, the endpoints, the simulated path
 //! and both observation channels (client qlog and on-path tap).
 
-use quicspin::core::{FlowClassification, SpinObserver};
+use quicspin::core::{EdgeMachine, EdgePolicy, FlowClassification};
 use quicspin::netsim::{Side, SimDuration};
 use quicspin::prelude::*;
 use quicspin::quic::ServerProfile;
@@ -33,21 +33,16 @@ fn qlog_and_tap_observers_agree_on_edge_count() {
     let out = lab(LabConfig::default());
     // qlog-based (client received packets) and tap-based (server→client
     // direction at mid-path) must see the same spin signal.
-    let mut qlog_observer = SpinObserver::new();
-    for obs in out.client_observations() {
-        qlog_observer.observe(&obs);
-    }
-    let mut tap_observer = SpinObserver::new();
-    for obs in out.tap_observations(Side::Server) {
-        tap_observer.observe(&obs);
-    }
+    let (qlog_observer, _) = EdgeMachine::fold(&out.client_observations(), &EdgePolicy::RAW);
+    let (tap_observer, _) =
+        EdgeMachine::fold(&out.tap_observations(Side::Server), &EdgePolicy::RAW);
     assert_eq!(
-        qlog_observer.edges().len(),
-        tap_observer.edges().len(),
+        qlog_observer.edges(),
+        tap_observer.edges(),
         "same flips on the same flow"
     );
-    let qlog_mean = qlog_observer.mean_rtt_ms().unwrap();
-    let tap_mean = tap_observer.mean_rtt_ms().unwrap();
+    let qlog_mean = qlog_observer.samples().mean_ms().unwrap();
+    let tap_mean = tap_observer.samples().mean_ms().unwrap();
     assert!(
         (qlog_mean - tap_mean).abs() < 1.0,
         "qlog {qlog_mean} ms vs tap {tap_mean} ms"
@@ -166,15 +161,13 @@ fn vec_rides_reserved_bits_end_to_end() {
         "a saturated VEC must appear on a clean exchange"
     );
     // VEC-validated observation still measures the RTT.
-    let mut observer = SpinObserver::with_config(quicspin::core::ObserverConfig {
+    let vec_policy = EdgePolicy {
         require_valid_edge: true,
-        ..Default::default()
-    });
-    for obs in &tap {
-        observer.observe(obs);
-    }
+        ..EdgePolicy::RAW
+    };
+    let (observer, _) = EdgeMachine::fold(&tap, &vec_policy);
     assert!(
-        observer.mean_rtt_ms().is_some(),
+        observer.samples().mean_ms().is_some(),
         "VEC-validated samples exist"
     );
 }
