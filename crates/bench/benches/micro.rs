@@ -5,31 +5,36 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use quicspin_core::{EdgeMachine, EdgePolicy, PacketObservation};
 use quicspin_netsim::{LinkConfig, Side, SimDuration, Simulator};
 use quicspin_quic::{ConnectionLab, LabConfig};
-use quicspin_wire::{ConnectionId, Frame, Header, Packet, PacketNumber, ShortHeader};
+use quicspin_wire::{ConnectionId, Frame, Header, Packet, PacketNumber, PacketWriter, ShortHeader};
 
 fn wire_codec(c: &mut Criterion) {
-    let packet = Packet {
-        header: Header::Short(ShortHeader {
-            spin: true,
-            vec: 2,
-            dcid: ConnectionId::from_u64(42),
-            packet_number: PacketNumber::new(1234),
-        }),
-        frames: vec![Frame::Stream {
-            id: 0,
-            offset: 9000,
-            fin: false,
-            data: vec![0x42; 1200],
-        }],
+    let header = Header::Short(ShortHeader {
+        spin: true,
+        vec: 2,
+        dcid: ConnectionId::from_u64(42),
+        packet_number: PacketNumber::new(1234),
+    });
+    let data = vec![0x42; 1200];
+    let stream = Frame::Stream {
+        id: 0,
+        offset: 9000,
+        fin: false,
+        data: &data,
     };
-    let encoded = packet.encode();
+    let encode = || {
+        let mut packet = PacketWriter::new(std::hint::black_box(&header), Vec::new());
+        packet.push(std::hint::black_box(&stream));
+        packet.finish()
+    };
+    let encoded = encode();
     let mut group = c.benchmark_group("wire");
     group.throughput(Throughput::Bytes(encoded.len() as u64));
-    group.bench_function("encode_1200B_stream_packet", |b| {
-        b.iter(|| std::hint::black_box(&packet).encode())
-    });
+    group.bench_function("encode_1200B_stream_packet", |b| b.iter(encode));
     group.bench_function("decode_1200B_stream_packet", |b| {
-        b.iter(|| Packet::decode(std::hint::black_box(&encoded), 8).unwrap())
+        b.iter(|| {
+            let packet = Packet::decode(std::hint::black_box(&encoded), 8).unwrap();
+            packet.frames().count()
+        })
     });
     group.bench_function("peek_observable", |b| {
         b.iter(|| Header::peek_observable(std::hint::black_box(&encoded), 8).unwrap())

@@ -23,8 +23,8 @@ pub mod rng;
 pub mod sim;
 pub mod time;
 
-pub use event::{BinaryHeapEventQueue, EventQueue};
-pub use link::{Link, LinkConfig, Transit};
+pub use event::EventQueue;
+pub use link::{Deliveries, Link, LinkConfig, Transit};
 pub use payload::Payload;
 pub use pcap::{read_pcap, write_pcap, PcapError};
 pub use rng::Rng;

@@ -73,8 +73,36 @@ impl LinkConfig {
     }
 }
 
+/// Delivery times of one packet at the far end, held inline: none (lost),
+/// one, or two (duplicated). Dereferences to a slice of times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deliveries {
+    times: [SimTime; 2],
+    len: usize,
+}
+
+impl Deliveries {
+    const NONE: Deliveries = Deliveries {
+        times: [SimTime::ZERO; 2],
+        len: 0,
+    };
+
+    fn push(&mut self, at: SimTime) {
+        self.times[self.len] = at;
+        self.len += 1;
+    }
+}
+
+impl core::ops::Deref for Deliveries {
+    type Target = [SimTime];
+
+    fn deref(&self) -> &[SimTime] {
+        &self.times[..self.len]
+    }
+}
+
 /// What happened to a packet entering the link.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transit {
     /// When the packet passes an on-path tap at `position` (set by the
     /// simulator); this is the send time plus serialization plus a fraction
@@ -82,7 +110,7 @@ pub struct Transit {
     /// ones dropped later on the path.
     pub tap_time: SimTime,
     /// Delivery times at the far end; empty = lost, two entries = duplicated.
-    pub deliveries: Vec<SimTime>,
+    pub deliveries: Deliveries,
     /// Whether this packet was held back for reordering.
     pub reordered: bool,
     /// Whether this packet was dropped.
@@ -148,7 +176,7 @@ impl Link {
 
         // Loss.
         let lost = rng.chance(self.config.loss);
-        let mut deliveries = Vec::new();
+        let mut deliveries = Deliveries::NONE;
         if !lost {
             deliveries.push(arrival);
             if rng.chance(self.config.duplicate) {
@@ -178,7 +206,7 @@ mod tests {
         let mut link = Link::new(LinkConfig::ideal(ms(10)));
         let mut rng = Rng::new(1);
         let t = link.send(SimTime::ZERO, 1200, 0.5, &mut rng);
-        assert_eq!(t.deliveries, vec![SimTime::ZERO + ms(10)]);
+        assert_eq!(*t.deliveries, [SimTime::ZERO + ms(10)]);
         assert_eq!(t.tap_time, SimTime::ZERO + ms(5));
         assert!(!t.lost && !t.reordered);
     }
@@ -205,7 +233,7 @@ mod tests {
         let mut rng = Rng::new(3);
         let t = link.send(SimTime::ZERO, 100, 1.0, &mut rng);
         assert!(t.reordered);
-        assert_eq!(t.deliveries, vec![SimTime::ZERO + ms(15)]);
+        assert_eq!(*t.deliveries, [SimTime::ZERO + ms(15)]);
     }
 
     #[test]

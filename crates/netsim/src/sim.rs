@@ -63,9 +63,9 @@ pub struct PathStats {
     /// High-water mark of the event-queue depth (pending deliveries and
     /// timers); a proxy for how congested the simulated path ever got.
     pub queue_high_water: u64,
-    /// Events pushed onto the timing wheel (deliveries and timers).
+    /// Events pushed onto the event queue (deliveries and timers).
     pub queue_pushes: u64,
-    /// Events popped off the timing wheel.
+    /// Events popped off the event queue.
     pub queue_pops: u64,
     /// Datagrams the path actually delivered to an endpoint.
     pub delivered: u64,
@@ -296,7 +296,7 @@ impl Simulator {
 
         let to = from.other();
         self.stats.queue_pushes += transit.deliveries.len() as u64;
-        for at in transit.deliveries {
+        for &at in transit.deliveries.iter() {
             self.queue.push(
                 at,
                 Pending::Deliver {

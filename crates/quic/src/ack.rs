@@ -1,14 +1,68 @@
 //! Received-packet tracking and ACK generation (RFC 9000 §13.2).
 
 use quicspin_netsim::{SimDuration, SimTime};
-use quicspin_wire::{AckRange, Frame};
+use quicspin_wire::{AckRange, AckRanges, Frame};
+
+/// A set of `u64` values kept as ascending, disjoint, non-adjacent
+/// inclusive ranges — received packet numbers, or received stream byte
+/// offsets.
+///
+/// Insertion works in place: a binary search finds the ranges the new one
+/// touches, and they merge into one slot. No per-insert allocation once
+/// the range list has grown to its working size.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RangeSet {
+    ranges: Vec<AckRange>,
+}
+
+impl RangeSet {
+    /// Whether `v` is in the set.
+    pub fn contains(&self, v: u64) -> bool {
+        let i = self.ranges.partition_point(|r| r.end < v);
+        self.ranges.get(i).is_some_and(|r| r.start <= v)
+    }
+
+    /// Adds `start..=end`, merging it with every range it overlaps or
+    /// touches.
+    pub fn insert(&mut self, start: u64, end: u64) {
+        debug_assert!(start <= end);
+        // First range that reaches `start` (overlapping or adjacent) and
+        // first range wholly above `end` (not even adjacent).
+        let lo = self
+            .ranges
+            .partition_point(|r| r.end.saturating_add(1) < start);
+        let hi = self
+            .ranges
+            .partition_point(|r| r.start <= end.saturating_add(1));
+        if lo == hi {
+            self.ranges.insert(lo, AckRange { start, end });
+            return;
+        }
+        let merged = AckRange {
+            start: start.min(self.ranges[lo].start),
+            end: end.max(self.ranges[hi - 1].end),
+        };
+        self.ranges[lo] = merged;
+        self.ranges.drain(lo + 1..hi);
+    }
+
+    /// The ranges, ascending.
+    pub fn as_slice(&self) -> &[AckRange] {
+        &self.ranges
+    }
+
+    /// Empties the set, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.ranges.clear();
+    }
+}
 
 /// Tracks received packet numbers in one packet-number space and decides
 /// when to send ACKs.
 #[derive(Debug, Clone)]
 pub struct RecvTracker {
-    /// Received pn ranges, ascending, disjoint, merged.
-    ranges: Vec<(u64, u64)>,
+    /// Received packet numbers.
+    received: RangeSet,
     largest: Option<u64>,
     largest_recv_time: SimTime,
     /// Ack-eliciting packets received since the last ACK we sent.
@@ -29,7 +83,7 @@ impl RecvTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         RecvTracker {
-            ranges: Vec::new(),
+            received: RangeSet::default(),
             largest: None,
             largest_recv_time: SimTime::ZERO,
             eliciting_since_ack: 0,
@@ -38,11 +92,19 @@ impl RecvTracker {
         }
     }
 
+    /// Resets to a fresh tracker, keeping the range list's capacity.
+    pub fn clear(&mut self) {
+        let mut received = std::mem::take(&mut self.received);
+        received.clear();
+        *self = RecvTracker {
+            received,
+            ..RecvTracker::new()
+        };
+    }
+
     /// Whether `pn` was already received (duplicate detection).
     pub fn contains(&self, pn: u64) -> bool {
-        self.ranges
-            .iter()
-            .any(|&(start, end)| pn >= start && pn <= end)
+        self.received.contains(pn)
     }
 
     /// Records a received packet. Returns `false` for duplicates.
@@ -64,7 +126,7 @@ impl RecvTracker {
             return false;
         }
         let out_of_order = self.largest.is_some_and(|l| pn < l);
-        self.insert(pn);
+        self.received.insert(pn, pn);
         if self.largest.is_none_or(|l| pn >= l) {
             self.largest = Some(pn);
             self.largest_recv_time = now;
@@ -81,22 +143,6 @@ impl RecvTracker {
             }
         }
         true
-    }
-
-    fn insert(&mut self, pn: u64) {
-        let pos = self.ranges.partition_point(|&(start, _)| start <= pn);
-        self.ranges.insert(pos, (pn, pn));
-        // Merge adjacent/overlapping ranges.
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ranges.len());
-        for &(start, end) in self.ranges.iter() {
-            match merged.last_mut() {
-                Some(last) if start <= last.1.saturating_add(1) => {
-                    last.1 = last.1.max(end);
-                }
-                _ => merged.push((start, end)),
-            }
-        }
-        self.ranges = merged;
     }
 
     /// Fires the delayed-ACK timer if expired.
@@ -130,24 +176,19 @@ impl RecvTracker {
     }
 
     /// Builds an ACK frame covering everything received, resetting the
-    /// delayed-ACK machinery. Returns `None` if nothing was received.
-    pub fn make_ack(&mut self, now: SimTime) -> Option<Frame> {
+    /// delayed-ACK machinery. Returns `None` if nothing was received. The
+    /// frame's ranges borrow the tracker's own range list, so encoding it
+    /// writes them straight into the packet.
+    pub fn make_ack(&mut self, now: SimTime) -> Option<Frame<'_>> {
         let largest = self.largest?;
         let delay = now.saturating_since(self.largest_recv_time);
-        // Descending ranges, first contains `largest`.
-        let ranges: Vec<AckRange> = self
-            .ranges
-            .iter()
-            .rev()
-            .map(|&(start, end)| AckRange::new(start, end))
-            .collect();
         self.ack_now = false;
         self.ack_timer = None;
         self.eliciting_since_ack = 0;
         Some(Frame::Ack {
             largest,
             delay_us: delay.as_micros(),
-            ranges,
+            ranges: AckRanges::from_ascending(self.received.as_slice()),
         })
     }
 }
@@ -229,7 +270,7 @@ mod tests {
             } => {
                 assert_eq!(largest, 9);
                 assert_eq!(
-                    ranges,
+                    ranges.collect::<Vec<_>>(),
                     vec![
                         AckRange::new(9, 9),
                         AckRange::new(5, 6),
@@ -279,8 +320,77 @@ mod tests {
         }
         let ack = t.make_ack(at(5)).unwrap();
         match ack {
-            Frame::Ack { ranges, .. } => assert_eq!(ranges, vec![AckRange::new(0, 2)]),
+            Frame::Ack { ranges, .. } => {
+                assert_eq!(ranges.collect::<Vec<_>>(), vec![AckRange::new(0, 2)])
+            }
             _ => unreachable!(),
+        }
+    }
+
+    /// The merge `RecvTracker` used before its in-place insert: insert a
+    /// one-packet range at its sorted position, then rebuild the whole
+    /// list merging neighbours. Kept as the differential reference.
+    fn rebuild_and_merge(ranges: &mut Vec<(u64, u64)>, pn: u64) {
+        let pos = ranges.partition_point(|&(start, _)| start <= pn);
+        ranges.insert(pos, (pn, pn));
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
+        for &(start, end) in ranges.iter() {
+            match merged.last_mut() {
+                Some(last) if start <= last.1.saturating_add(1) => {
+                    last.1 = last.1.max(end);
+                }
+                _ => merged.push((start, end)),
+            }
+        }
+        *ranges = merged;
+    }
+
+    #[test]
+    fn in_place_insert_matches_rebuild_and_merge() {
+        let mut rng = quicspin_netsim::Rng::new(0x5eed);
+        for trial in 0..400u64 {
+            // Shuffled packet numbers with duplicates: draw from a window
+            // smaller than the draw count, so repeats are common.
+            let span = 8 + trial % 120;
+            let mut tracker = RecvTracker::new();
+            let mut reference: Vec<(u64, u64)> = Vec::new();
+            for i in 0..2 * span {
+                let pn = rng.next_below(span);
+                let fresh = tracker.on_packet(pn, true, at(i), 2, ms(25));
+                let was_new = !reference.iter().any(|&(s, e)| (s..=e).contains(&pn));
+                assert_eq!(fresh, was_new, "trial {trial} pn {pn}");
+                if was_new {
+                    rebuild_and_merge(&mut reference, pn);
+                }
+                let ours: Vec<(u64, u64)> = tracker
+                    .received
+                    .as_slice()
+                    .iter()
+                    .map(|r| (r.start, r.end))
+                    .collect();
+                assert_eq!(ours, reference, "trial {trial} after pn {pn}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_set_merges_spans_like_a_bitmap() {
+        let mut rng = quicspin_netsim::Rng::new(7);
+        for _ in 0..300 {
+            let mut set = RangeSet::default();
+            let mut bits = [false; 96];
+            for _ in 0..12 {
+                let start = rng.next_below(90);
+                let end = start + rng.next_below(6);
+                set.insert(start, end);
+                bits[start as usize..=end as usize].fill(true);
+            }
+            for (v, &bit) in bits.iter().enumerate() {
+                assert_eq!(set.contains(v as u64), bit, "value {v}");
+            }
+            for w in set.as_slice().windows(2) {
+                assert!(w[0].end + 1 < w[1].start, "ranges stay disjoint and merged");
+            }
         }
     }
 
@@ -296,6 +406,7 @@ mod tests {
             }
             let ack = t.make_ack(at(1000)).unwrap();
             if let Frame::Ack { largest, ranges, .. } = ack {
+                let ranges: Vec<AckRange> = ranges.collect();
                 proptest::prop_assert_eq!(largest, *pns.iter().max().unwrap());
                 let covered: u64 = ranges.iter().map(AckRange::len).sum();
                 proptest::prop_assert_eq!(covered, pns.len() as u64);

@@ -9,14 +9,15 @@
 
 use crate::ack::RecvTracker;
 use crate::config::TransportConfig;
-use crate::recovery::SentLedger;
+use crate::recovery::{Lost, SentFrame, SentLedger};
 use crate::rtt::RttEstimator;
 use crate::spin::{SpinGenerator, SpinRole};
-use crate::streams::StreamSet;
+use crate::streams::{RecvStream, StreamSet};
 use quicspin_netsim::{Rng, SimDuration, SimTime};
 use quicspin_qlog::{EventData, PacketSpace, TraceLog};
 use quicspin_wire::{
-    ConnectionId, Frame, Header, LongHeader, LongType, Packet, PacketNumber, ShortHeader, Version,
+    ConnectionId, Frame, Header, LongHeader, LongType, Packet, PacketNumber, PacketWriter,
+    ShortHeader, Version,
 };
 use std::collections::VecDeque;
 
@@ -34,12 +35,11 @@ pub enum Role {
 pub enum AppEvent {
     /// The handshake completed; streams may be used.
     HandshakeCompleted,
-    /// Ordered stream data arrived.
+    /// New in-order bytes (or the FIN) became readable on a stream; read
+    /// them with [`Connection::read_stream`].
     StreamData {
         /// Stream ID.
         id: u64,
-        /// Newly assembled bytes.
-        data: Vec<u8>,
         /// Whether the stream ended.
         fin: bool,
     },
@@ -103,32 +103,76 @@ fn space_index(s: PacketSpace) -> usize {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Space {
     pn_next: u64,
     recv: RecvTracker,
     sent: SentLedger,
-    /// CRYPTO bytes queued for sending (sequential).
+    /// Every CRYPTO byte queued for sending; crypto offset = index, so
+    /// retransmissions re-read their bytes from here.
     crypto_out: Vec<u8>,
-    crypto_out_offset: u64,
-    /// CRYPTO reassembly (offset-keyed, reusing the stream machinery on a
-    /// dedicated pseudo-stream).
-    crypto_in: StreamSet,
-    /// Frames queued for retransmission after loss/PTO.
-    retransmit: Vec<Frame>,
+    /// Bytes of `crypto_out` already sent once.
+    crypto_sent: usize,
+    /// CRYPTO reassembly, on the stream receive machinery.
+    crypto_in: RecvStream,
+    /// Frames queued for retransmission after loss/PTO (CRYPTO, PING,
+    /// HANDSHAKE_DONE; lost STREAM frames go back to their stream).
+    retransmit: Vec<SentFrame>,
 }
 
 impl Space {
-    fn new() -> Self {
-        Space {
-            pn_next: 0,
-            recv: RecvTracker::new(),
-            sent: SentLedger::new(),
-            crypto_out: Vec::new(),
-            crypto_out_offset: 0,
-            crypto_in: StreamSet::new(),
-            retransmit: Vec::new(),
-        }
+    /// Empties the space, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        let Space {
+            pn_next,
+            recv,
+            sent,
+            crypto_out,
+            crypto_sent,
+            crypto_in,
+            retransmit,
+        } = self;
+        *pn_next = 0;
+        recv.clear();
+        sent.clear();
+        crypto_out.clear();
+        *crypto_sent = 0;
+        crypto_in.clear();
+        retransmit.clear();
+    }
+}
+
+/// The heap storage of a connection, emptied, for the next connection to
+/// reuse (see [`Connection::into_storage`]). `Default` is fresh storage.
+#[derive(Debug, Default)]
+pub(crate) struct ConnStorage {
+    spaces: [Space; 3],
+    streams: StreamSet,
+    events: VecDeque<AppEvent>,
+    rtt_samples: Vec<u64>,
+    datagram_pool: Vec<Vec<u8>>,
+    lost: Lost,
+    send_frames: Vec<SentFrame>,
+}
+
+impl ConnStorage {
+    fn clear(&mut self) {
+        let ConnStorage {
+            spaces,
+            streams,
+            events,
+            rtt_samples,
+            datagram_pool,
+            lost,
+            send_frames,
+        } = self;
+        spaces.iter_mut().for_each(Space::clear);
+        streams.clear();
+        events.clear();
+        rtt_samples.clear();
+        datagram_pool.clear();
+        lost.clear();
+        send_frames.clear();
     }
 }
 
@@ -209,6 +253,11 @@ pub struct Connection {
     ssthresh: u64,
     ca_credit: u64,
     counters: ConnCounters,
+    /// Loss-detection output, reused for every ACK.
+    lost: Lost,
+    /// The retransmittable frames of the packet being built, reused for
+    /// every packet.
+    send_frames: Vec<SentFrame>,
 }
 
 impl Connection {
@@ -216,65 +265,91 @@ impl Connection {
     /// [`poll_transmit`](Connection::poll_transmit) yields the Initial
     /// flight.
     pub fn new_client(cfg: TransportConfig, seed: u64, now: SimTime) -> Self {
-        let mut rng = Rng::new(seed);
-        let scid = ConnectionId::from_u64(rng.next_u64());
-        let dcid = ConnectionId::from_u64(rng.next_u64());
-        let spin = SpinGenerator::new(SpinRole::Client, cfg.spin_policy, cfg.vec_enabled, &mut rng);
-        let mut conn = Connection {
-            role: Role::Client,
-            version: cfg.version,
-            state: State::Handshaking,
-            crypto_state: CryptoState::SentClientHello,
-            scid,
-            dcid,
-            spaces: [Space::new(), Space::new(), Space::new()],
-            rtt: RttEstimator::new(cfg.initial_rtt),
-            spin,
-            streams: StreamSet::new(),
-            events: VecDeque::new(),
-            qlog: TraceLog::new("client"),
-            rng,
-            start: now,
-            last_activity: now,
-            pto_count: 0,
-            handshake_done_to_send: false,
-            close_to_send: None,
-            close_sent: false,
-            error: None,
-            last_send_latency: SimDuration::ZERO,
-            datagram_pool: Vec::new(),
-            prestocked: 0,
-            cwnd: cfg.initial_cwnd_packets,
-            ssthresh: u64::MAX,
-            ca_credit: 0,
-            counters: ConnCounters::default(),
-            cfg,
-        };
+        Connection::new_client_in(cfg, seed, now, ConnStorage::default())
+    }
+
+    /// [`new_client`](Connection::new_client) on the heap storage of a
+    /// finished connection (see [`Connection::into_storage`]).
+    pub(crate) fn new_client_in(
+        cfg: TransportConfig,
+        seed: u64,
+        now: SimTime,
+        storage: ConnStorage,
+    ) -> Self {
+        let mut conn = Connection::build(Role::Client, cfg, seed, now, storage);
         // ClientHello: tag + offered version code.
-        let mut ch = b"CH".to_vec();
-        ch.extend_from_slice(&conn.version.code().to_be_bytes());
-        conn.queue_crypto(PacketSpace::Initial, &ch);
+        let code = conn.version.code().to_be_bytes();
+        conn.queue_crypto(PacketSpace::Initial, b"CH");
+        conn.queue_crypto(PacketSpace::Initial, &code);
         conn
     }
 
     /// Creates a server connection awaiting a client Initial.
     pub fn new_server(cfg: TransportConfig, seed: u64, now: SimTime) -> Self {
+        Connection::new_server_in(cfg, seed, now, ConnStorage::default())
+    }
+
+    /// [`new_server`](Connection::new_server) on the heap storage of a
+    /// finished connection (see [`Connection::into_storage`]).
+    pub(crate) fn new_server_in(
+        cfg: TransportConfig,
+        seed: u64,
+        now: SimTime,
+        storage: ConnStorage,
+    ) -> Self {
+        Connection::build(Role::Server, cfg, seed, now, storage)
+    }
+
+    fn build(
+        role: Role,
+        cfg: TransportConfig,
+        seed: u64,
+        now: SimTime,
+        storage: ConnStorage,
+    ) -> Self {
+        // The client picks both CIDs; the server learns its peer's from
+        // the first Initial.
         let mut rng = Rng::new(seed);
         let scid = ConnectionId::from_u64(rng.next_u64());
-        let spin = SpinGenerator::new(SpinRole::Server, cfg.spin_policy, cfg.vec_enabled, &mut rng);
+        let (dcid, spin_role, crypto_state, name) = match role {
+            Role::Client => (
+                ConnectionId::from_u64(rng.next_u64()),
+                SpinRole::Client,
+                CryptoState::SentClientHello,
+                "client",
+            ),
+            Role::Server => (
+                ConnectionId::EMPTY,
+                SpinRole::Server,
+                CryptoState::AwaitClientHello,
+                "server",
+            ),
+        };
+        let spin = SpinGenerator::new(spin_role, cfg.spin_policy, cfg.vec_enabled, &mut rng);
+        let ConnStorage {
+            spaces,
+            streams,
+            events,
+            rtt_samples,
+            datagram_pool,
+            lost,
+            send_frames,
+        } = storage;
+        let mut rtt = RttEstimator::new(cfg.initial_rtt);
+        rtt.reuse_samples(rtt_samples);
         Connection {
-            role: Role::Server,
+            role,
             version: cfg.version,
             state: State::Handshaking,
-            crypto_state: CryptoState::AwaitClientHello,
+            crypto_state,
             scid,
-            dcid: ConnectionId::EMPTY,
-            spaces: [Space::new(), Space::new(), Space::new()],
-            rtt: RttEstimator::new(cfg.initial_rtt),
+            dcid,
+            spaces,
+            rtt,
             spin,
-            streams: StreamSet::new(),
-            events: VecDeque::new(),
-            qlog: TraceLog::new("server"),
+            streams,
+            events,
+            qlog: TraceLog::new(name),
             rng,
             start: now,
             last_activity: now,
@@ -284,14 +359,41 @@ impl Connection {
             close_sent: false,
             error: None,
             last_send_latency: SimDuration::ZERO,
-            datagram_pool: Vec::new(),
+            datagram_pool,
             prestocked: 0,
             cwnd: cfg.initial_cwnd_packets,
             ssthresh: u64::MAX,
             ca_credit: 0,
             counters: ConnCounters::default(),
+            lost,
+            send_frames,
             cfg,
         }
+    }
+
+    /// Tears the connection down into its heap storage, emptied: the
+    /// packet-number ledgers, range lists, stream and crypto buffers,
+    /// event queue and datagram-pool vector keep their capacity for the
+    /// next connection built with [`new_client_in`] or [`new_server_in`],
+    /// which behaves exactly like a fresh one. (The qlog event buffer has
+    /// its own path, [`Connection::reuse_qlog_events`].)
+    ///
+    /// [`new_client_in`]: Connection::new_client_in
+    /// [`new_server_in`]: Connection::new_server_in
+    pub(crate) fn into_storage(self) -> ConnStorage {
+        let mut storage = ConnStorage {
+            spaces: self.spaces,
+            streams: self.streams,
+            events: self.events,
+            rtt_samples: self.rtt.into_samples(),
+            // Only the vector: pooled buffers would turn the next run's
+            // misses into hits and change its counters.
+            datagram_pool: self.datagram_pool,
+            lost: self.lost,
+            send_frames: self.send_frames,
+        };
+        storage.clear();
+        storage
     }
 
     fn queue_crypto(&mut self, space: PacketSpace, data: &[u8]) {
@@ -395,6 +497,12 @@ impl Connection {
         self.events.pop_front()
     }
 
+    /// Appends the in-order bytes received on stream `id` since the last
+    /// read to `out`; returns how many there were.
+    pub fn read_stream(&mut self, id: u64, out: &mut Vec<u8>) -> usize {
+        self.streams.read_into(id, out)
+    }
+
     /// Queues stream data (only meaningful once established).
     pub fn send_stream(&mut self, id: u64, data: &[u8], fin: bool) {
         self.streams.write(id, data, fin);
@@ -477,19 +585,23 @@ impl Connection {
             return; // duplicate: already processed
         }
 
-        for frame in packet.frames {
+        for frame in packet.frames() {
             self.handle_frame(now, space, frame);
         }
     }
 
-    fn handle_frame(&mut self, now: SimTime, space: PacketSpace, frame: Frame) {
+    fn handle_frame(&mut self, now: SimTime, space: PacketSpace, frame: Frame<'_>) {
         match frame {
             Frame::Ack {
                 delay_us, ranges, ..
             } => {
-                let outcome = self.spaces[space_index(space)]
-                    .sent
-                    .on_ack(&ranges, self.cfg.packet_threshold);
+                let mut lost = std::mem::take(&mut self.lost);
+                lost.clear();
+                let outcome = self.spaces[space_index(space)].sent.on_ack(
+                    ranges,
+                    self.cfg.packet_threshold,
+                    &mut lost,
+                );
                 if let Some(sent_time) = outcome.rtt_sample_from {
                     let raw = now.saturating_since(sent_time);
                     // Cap the peer-reported delay at our max_ack_delay for
@@ -519,35 +631,33 @@ impl Connection {
                     let base = self.rtt.smoothed().max(self.rtt.latest());
                     base + base / 8
                 };
-                let timed_out = self.spaces[space_index(space)]
+                self.spaces[space_index(space)]
                     .sent
-                    .detect_time_lost(now, loss_delay);
-                let mut outcome = outcome;
-                outcome.lost_pns.extend(timed_out.lost_pns);
-                outcome.lost_frames.extend(timed_out.lost_frames);
+                    .detect_time_lost(now, loss_delay, &mut lost);
                 if space == PacketSpace::Application {
-                    self.on_congestion_ack(outcome.newly_acked.len() as u64);
-                    if !outcome.lost_pns.is_empty() {
+                    self.on_congestion_ack(outcome.newly_acked);
+                    if !lost.pns.is_empty() {
                         self.on_congestion_loss();
                     }
                 }
-                self.counters.packets_lost += outcome.lost_pns.len() as u64;
-                for pn in &outcome.lost_pns {
+                self.counters.packets_lost += lost.pns.len() as u64;
+                for &pn in &lost.pns {
                     self.qlog.push(
                         self.rel_us(now),
                         EventData::PacketLost {
                             space,
-                            packet_number: *pn,
+                            packet_number: pn,
                         },
                     );
                 }
-                self.requeue_lost(space, outcome.lost_frames);
+                self.requeue_lost(space, &lost.frames);
+                self.lost = lost;
             }
             Frame::Crypto { offset, data } => {
                 self.counters.frames_reassembled += 1;
                 self.spaces[space_index(space)]
                     .crypto_in
-                    .on_frame(0, offset, data, false);
+                    .on_frame(offset, data, false);
                 self.drive_handshake(now, space);
             }
             Frame::Stream {
@@ -557,15 +667,8 @@ impl Connection {
                 data,
             } => {
                 self.counters.frames_reassembled += 1;
-                self.streams.on_frame(id, offset, data, fin);
-                for readable in self.streams.readable() {
-                    if let Some((data, fin)) = self.streams.read(readable) {
-                        self.events.push_back(AppEvent::StreamData {
-                            id: readable,
-                            data,
-                            fin,
-                        });
-                    }
+                if let Some(fin) = self.streams.on_frame(id, offset, data, fin) {
+                    self.events.push_back(AppEvent::StreamData { id, fin });
                 }
             }
             Frame::HandshakeDone => {
@@ -573,6 +676,7 @@ impl Connection {
                 // happened when the crypto flight finished.
             }
             Frame::ConnectionClose { reason, .. } => {
+                let reason = String::from_utf8_lossy(reason).into_owned();
                 self.state = State::Closed;
                 self.events.push_back(AppEvent::Closed {
                     reason: reason.clone(),
@@ -584,48 +688,47 @@ impl Connection {
         }
     }
 
-    fn requeue_lost(&mut self, space: PacketSpace, frames: Vec<Frame>) {
+    fn requeue_lost(&mut self, space: PacketSpace, frames: &[SentFrame]) {
         self.counters.frames_retransmitted += frames.len() as u64;
-        for frame in frames {
+        for &frame in frames {
             match frame {
-                Frame::Stream {
+                SentFrame::Stream {
                     id,
                     offset,
+                    len,
                     fin,
-                    data,
-                } => self.streams.requeue(id, offset, data, fin),
-                Frame::Crypto { offset, data } => {
-                    // Re-queue crypto bytes at their offset: handled by the
-                    // simple sequential model (offsets re-sent verbatim).
-                    let s = &mut self.spaces[space_index(space)];
-                    s.retransmit.push(Frame::Crypto { offset, data });
-                }
+                } => self.streams.requeue(id, offset, len, fin),
+                // CRYPTO, PING, HANDSHAKE_DONE: resent from their space;
+                // CRYPTO bytes are re-read from the crypto send buffer.
                 other => self.spaces[space_index(space)].retransmit.push(other),
             }
         }
     }
 
-    fn crypto_received(&mut self, space: PacketSpace) -> Option<Vec<u8>> {
-        let s = &mut self.spaces[space_index(space)];
-        s.crypto_in.read(0).map(|(data, _)| data)
-    }
-
     fn drive_handshake(&mut self, now: SimTime, space: PacketSpace) {
-        let Some(data) = self.crypto_received(space) else {
+        // The handshake messages are tags of at most six bytes: copy the
+        // head of what arrived (and its length) out of the buffer.
+        let Some((head, len)) = self.spaces[space_index(space)].crypto_in.consume(|data| {
+            let mut head = [0u8; 6];
+            let n = data.len().min(head.len());
+            head[..n].copy_from_slice(&data[..n]);
+            (head, data.len())
+        }) else {
             return;
         };
+        let data = &head[..len.min(head.len())];
         match (self.role, self.crypto_state, space) {
             // Server receives ClientHello.
             (Role::Server, CryptoState::AwaitClientHello, PacketSpace::Initial)
-                if data.len() >= 6 && &data[..2] == b"CH" =>
+                if len >= 6 && &data[..2] == b"CH" =>
             {
                 let code = u32::from_be_bytes([data[2], data[3], data[4], data[5]]);
                 if let Ok(v) = Version::from_code(code) {
                     self.version = v;
                 }
-                let mut sh = b"SH".to_vec();
-                sh.extend_from_slice(&self.version.code().to_be_bytes());
-                self.queue_crypto(PacketSpace::Initial, &sh);
+                let code = self.version.code().to_be_bytes();
+                self.queue_crypto(PacketSpace::Initial, b"SH");
+                self.queue_crypto(PacketSpace::Initial, &code);
                 // Server flight: certificate-equivalent + finished.
                 self.queue_crypto(PacketSpace::Handshake, b"SFIN");
                 self.crypto_state = CryptoState::SentServerFlight;
@@ -653,7 +756,7 @@ impl Connection {
                     .push(self.rel_us(now), EventData::HandshakeCompleted);
             }
             // ServerHello on the client only confirms the version.
-            (Role::Client, _, PacketSpace::Initial) if data.len() >= 6 && &data[..2] == b"SH" => {
+            (Role::Client, _, PacketSpace::Initial) if len >= 6 && &data[..2] == b"SH" => {
                 let code = u32::from_be_bytes([data[2], data[3], data[4], data[5]]);
                 if let Ok(v) = Version::from_code(code) {
                     self.version = v;
@@ -677,11 +780,9 @@ impl Connection {
         // Pending CONNECTION_CLOSE goes out in the highest usable space.
         if let Some(reason) = self.close_to_send.clone() {
             if !self.close_sent {
-                let frame = Frame::ConnectionClose {
-                    error_code: 0,
-                    reason: reason.clone(),
-                };
-                let datagram = self.build_packet(now, PacketSpace::Application, vec![frame]);
+                self.send_frames.clear();
+                let datagram =
+                    self.build_packet(now, PacketSpace::Application, false, Some(&reason));
                 self.close_sent = true;
                 self.state = State::Closed;
                 self.events.push_back(AppEvent::Closed {
@@ -702,44 +803,32 @@ impl Connection {
         None
     }
 
+    /// Picks what the next packet of `space` carries into `send_frames`
+    /// and builds it, or returns `None` when the space has nothing to say.
     fn poll_space(&mut self, now: SimTime, space: PacketSpace) -> Option<Vec<u8>> {
         let idx = space_index(space);
-        let mut frames: Vec<Frame> = Vec::new();
+        let frames = &mut self.send_frames;
+        frames.clear();
 
-        // 1. ACK if due. The reported delay covers both the intentional
-        // hold time and the processing latency the packet is about to
-        // incur, so the peer can subtract the full end-host share.
-        if self.spaces[idx].recv.wants_ack() {
-            if let Some(mut ack) = self.spaces[idx].recv.make_ack(now) {
-                if let Frame::Ack {
-                    ref mut delay_us, ..
-                } = ack
-                {
-                    *delay_us += self.cfg.ack_processing_latency.as_micros();
-                }
-                frames.push(ack);
-            }
+        // 1. Retransmissions.
+        frames.append(&mut self.spaces[idx].retransmit);
+
+        // 2. Fresh CRYPTO data.
+        let s = &mut self.spaces[idx];
+        let unsent = s.crypto_out.len() - s.crypto_sent;
+        if unsent > 0 {
+            let len = unsent.min(self.cfg.max_payload);
+            frames.push(SentFrame::Crypto {
+                offset: s.crypto_sent as u64,
+                len,
+            });
+            s.crypto_sent += len;
         }
 
-        // 2. Retransmissions.
-        if !self.spaces[idx].retransmit.is_empty() {
-            frames.append(&mut self.spaces[idx].retransmit);
-        }
-
-        // 3. Fresh CRYPTO data.
-        if !self.spaces[idx].crypto_out.is_empty() {
-            let s = &mut self.spaces[idx];
-            let take = s.crypto_out.len().min(self.cfg.max_payload);
-            let data: Vec<u8> = s.crypto_out.drain(..take).collect();
-            let offset = s.crypto_out_offset;
-            s.crypto_out_offset += take as u64;
-            frames.push(Frame::Crypto { offset, data });
-        }
-
-        // 4. Application data (1-RTT only, once established).
+        // 3. Application data (1-RTT only, once established).
         if space == PacketSpace::Application && self.state == State::Established {
             if self.handshake_done_to_send {
-                frames.push(Frame::HandshakeDone);
+                frames.push(SentFrame::HandshakeDone);
                 self.handshake_done_to_send = false;
             }
             let in_flight = self.spaces[idx].sent.eliciting_in_flight();
@@ -750,29 +839,29 @@ impl Connection {
             }
         }
 
-        if frames.is_empty() {
+        // An ACK leads the packet when one is due. Any other packet
+        // carries the current ACK state too (opportunistic bundling, RFC
+        // 9000 §13.2.2). This matters for the study: the request's ACK
+        // rides the first response packet, so fast servers do not leave a
+        // 25 ms delayed-ACK sample in the client's estimator.
+        let recv = &self.spaces[idx].recv;
+        let ack = (recv.wants_ack() || !frames.is_empty()) && recv.has_received();
+        if !ack && frames.is_empty() {
             return None;
         }
-        // Opportunistic ACK bundling (RFC 9000 §13.2.2): any outgoing
-        // packet carries the current ACK state. This matters for the
-        // study: the request's ACK rides the first response packet, so
-        // fast servers do not leave a 25 ms delayed-ACK sample in the
-        // client's estimator.
-        if !frames.iter().any(|f| matches!(f, Frame::Ack { .. })) {
-            if let Some(mut ack) = self.spaces[idx].recv.make_ack(now) {
-                if let Frame::Ack {
-                    ref mut delay_us, ..
-                } = ack
-                {
-                    *delay_us += self.cfg.ack_processing_latency.as_micros();
-                }
-                frames.insert(0, ack);
-            }
-        }
-        Some(self.build_packet(now, space, frames))
+        Some(self.build_packet(now, space, ack, None))
     }
 
-    fn build_packet(&mut self, now: SimTime, space: PacketSpace, frames: Vec<Frame>) -> Vec<u8> {
+    /// Builds one packet: an optional ACK, the frames in `send_frames`
+    /// (bytes read from their send buffers), an optional CONNECTION_CLOSE,
+    /// and the client-Initial padding.
+    fn build_packet(
+        &mut self,
+        now: SimTime,
+        space: PacketSpace,
+        ack: bool,
+        close: Option<&str>,
+    ) -> Vec<u8> {
         let idx = space_index(space);
         let pn = self.spaces[idx].pn_next;
         self.spaces[idx].pn_next += 1;
@@ -800,23 +889,6 @@ impl Connection {
             }
         };
 
-        let mut packet = Packet { header, frames };
-        // Client Initials are padded to at least 1200 bytes (RFC 9000
-        // §14.1, anti-amplification).
-        if self.role == Role::Client && space == PacketSpace::Initial {
-            let current = packet.encoded_len();
-            if current < 1200 {
-                packet.frames.push(Frame::Padding {
-                    len: 1200 - current,
-                });
-            }
-        }
-        let ack_eliciting = packet.is_ack_eliciting();
-        self.last_send_latency = if ack_eliciting {
-            self.cfg.processing_latency
-        } else {
-            self.cfg.ack_processing_latency
-        };
         let buf = match self.datagram_pool.pop() {
             Some(buf) => {
                 if self.datagram_pool.len() < self.prestocked {
@@ -835,18 +907,74 @@ impl Connection {
                 Vec::new()
             }
         };
-        let datagram = packet.encode_into(buf);
+        let mut packet = PacketWriter::new(&header, buf);
+        if ack {
+            // The reported delay covers both the intentional hold time and
+            // the processing latency the packet is about to incur, so the
+            // peer can subtract the full end-host share.
+            let extra = self.cfg.ack_processing_latency.as_micros();
+            if let Some(mut frame) = self.spaces[idx].recv.make_ack(now) {
+                if let Frame::Ack {
+                    ref mut delay_us, ..
+                } = frame
+                {
+                    *delay_us += extra;
+                }
+                packet.push(&frame);
+            }
+        }
+        let space_state = &self.spaces[idx];
+        for &frame in &self.send_frames {
+            packet.push(&match frame {
+                SentFrame::Ping => Frame::Ping,
+                SentFrame::HandshakeDone => Frame::HandshakeDone,
+                SentFrame::Crypto { offset, len } => Frame::Crypto {
+                    offset,
+                    data: &space_state.crypto_out[offset as usize..offset as usize + len],
+                },
+                SentFrame::Stream {
+                    id,
+                    offset,
+                    len,
+                    fin,
+                } => Frame::Stream {
+                    id,
+                    offset,
+                    fin,
+                    data: self.streams.send_data(id, offset, len),
+                },
+            });
+        }
+        if let Some(reason) = close {
+            packet.push(&Frame::ConnectionClose {
+                error_code: 0,
+                reason: reason.as_bytes(),
+            });
+        }
+        // Client Initials are padded to at least 1200 bytes (RFC 9000
+        // §14.1, anti-amplification).
+        if self.role == Role::Client && space == PacketSpace::Initial {
+            packet.pad_to(1200);
+        }
+        // Exactly the retransmittable frames elicit an ACK.
+        let ack_eliciting = !self.send_frames.is_empty();
+        self.last_send_latency = if ack_eliciting {
+            self.cfg.processing_latency
+        } else {
+            self.cfg.ack_processing_latency
+        };
+        let datagram = packet.finish();
         self.counters.packets_sent += 1;
 
         self.spaces[idx]
             .sent
-            .on_sent(pn, now, ack_eliciting, packet.frames);
+            .on_sent(pn, now, ack_eliciting, &self.send_frames);
         self.qlog.push(
             self.rel_us(now),
             EventData::PacketSent {
                 space,
                 packet_number: pn,
-                spin: packet.header.spin(),
+                spin: header.spin(),
                 size: datagram.len(),
                 ack_eliciting,
             },
@@ -958,15 +1086,13 @@ impl Connection {
 
         // PTO.
         let pto = self.pto_interval();
-        let expired: Vec<usize> = (0..3)
-            .filter(|&i| {
-                self.spaces[i]
-                    .sent
-                    .pto_deadline(pto)
-                    .is_some_and(|d| now >= d)
-            })
-            .collect();
-        if !expired.is_empty() {
+        let expired = [0, 1, 2].map(|i| {
+            self.spaces[i]
+                .sent
+                .pto_deadline(pto)
+                .is_some_and(|d| now >= d)
+        });
+        if expired.contains(&true) {
             self.pto_count += 1;
             self.counters.ptos_fired += 1;
             if self.pto_count > MAX_PTO_COUNT {
@@ -983,16 +1109,18 @@ impl Connection {
                 );
                 return;
             }
-            for i in expired {
-                let frames = self.spaces[i].sent.drain_for_retransmit();
+            let mut frames = std::mem::take(&mut self.lost.frames);
+            for i in (0..3).filter(|&i| expired[i]) {
+                frames.clear();
+                self.spaces[i].sent.drain_for_retransmit(&mut frames);
                 if frames.is_empty() {
                     // Nothing retransmittable: probe with a PING.
-                    self.spaces[i].retransmit.push(Frame::Ping);
+                    self.spaces[i].retransmit.push(SentFrame::Ping);
                 } else {
-                    let space = SPACES[i];
-                    self.requeue_lost(space, frames);
+                    self.requeue_lost(SPACES[i], &frames);
                 }
             }
+            self.lost.frames = frames;
         }
     }
 }
@@ -1161,7 +1289,9 @@ mod tests {
         pump(&mut client, &mut server, at(1));
         let mut got = None;
         while let Some(ev) = server.poll_event() {
-            if let AppEvent::StreamData { id, data, fin } = ev {
+            if let AppEvent::StreamData { id, fin } = ev {
+                let mut data = Vec::new();
+                server.read_stream(id, &mut data);
                 got = Some((id, data, fin));
             }
         }
@@ -1284,10 +1414,10 @@ mod tests {
         let retrans = client.poll_transmit(deadline);
         assert!(retrans.is_some(), "PTO must produce a retransmission");
         // The retransmission still contains the ClientHello crypto data.
-        let packet = Packet::decode(&retrans.unwrap(), 8).unwrap();
+        let retrans = retrans.unwrap();
+        let packet = Packet::decode(&retrans, 8).unwrap();
         assert!(packet
-            .frames
-            .iter()
+            .frames()
             .any(|f| matches!(f, Frame::Crypto { .. } | Frame::Ping)));
         let _ = first;
     }
@@ -1353,7 +1483,7 @@ mod tests {
         let mut c = Connection::new_client(TransportConfig::default(), 9, SimTime::ZERO);
         while let Some(d) = server.poll_transmit(at(3)) {
             let p = Packet::decode(&d, 8).unwrap();
-            for f in &p.frames {
+            for f in p.frames() {
                 if let Frame::Crypto { data, .. } = f {
                     if data.starts_with(b"SH") {
                         hellos += 1;

@@ -198,7 +198,9 @@ mod tests {
         let mut payloads = Vec::new();
         for (handle, conn) in endpoint.iter_mut() {
             while let Some(ev) = conn.poll_event() {
-                if let AppEvent::StreamData { data, .. } = ev {
+                if let AppEvent::StreamData { id, .. } = ev {
+                    let mut data = Vec::new();
+                    conn.read_stream(id, &mut data);
                     payloads.push((handle, data));
                 }
             }
@@ -214,16 +216,15 @@ mod tests {
     fn short_header_to_unknown_cid_is_dropped() {
         let mut endpoint = Endpoint::new(TransportConfig::default(), 7);
         // A 1-RTT packet for a connection that was never opened.
-        let stray = quicspin_wire::Packet {
-            header: quicspin_wire::Header::Short(quicspin_wire::ShortHeader {
-                spin: true,
-                vec: 0,
-                dcid: ConnectionId::from_u64(0xdead),
-                packet_number: quicspin_wire::PacketNumber::new(0),
-            }),
-            frames: vec![quicspin_wire::Frame::Ping],
-        };
-        assert_eq!(endpoint.handle_datagram(at(0), &stray.encode()), None);
+        let header = quicspin_wire::Header::Short(quicspin_wire::ShortHeader {
+            spin: true,
+            vec: 0,
+            dcid: ConnectionId::from_u64(0xdead),
+            packet_number: quicspin_wire::PacketNumber::new(0),
+        });
+        let mut stray = quicspin_wire::PacketWriter::new(&header, Vec::new());
+        stray.push(&quicspin_wire::Frame::Ping);
+        assert_eq!(endpoint.handle_datagram(at(0), &stray.finish()), None);
         assert!(endpoint.is_empty());
     }
 

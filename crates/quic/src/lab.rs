@@ -12,7 +12,7 @@
 //! estimate stays anchored to the network path.
 
 use crate::config::TransportConfig;
-use crate::conn::{AppEvent, ConnCounters, Connection};
+use crate::conn::{AppEvent, ConnCounters, ConnStorage, Connection};
 use quicspin_core::{GreaseFilter, ObserverReport, PacketObservation};
 use quicspin_netsim::{
     LinkConfig, PathStats, Side, SimDuration, SimEvent, SimScratch, SimTime, Simulator, TapRecord,
@@ -215,31 +215,36 @@ impl LabOutcome {
 
 /// Reusable per-lab-run storage.
 ///
-/// One connection lab run allocates a simulator event queue, two qlog
-/// event buffers, the response byte buffer and a chunk staging buffer. A
-/// scan loop performs millions of runs; keeping one `LabScratch` per
-/// worker thread and passing it to
+/// One connection lab run allocates a simulator event queue, two
+/// connections' ledgers and buffers, two qlog event buffers, the response
+/// byte buffer and a chunk staging buffer. A scan loop performs millions
+/// of runs; keeping one `LabScratch` per worker thread and passing it to
 /// [`run_with_scratch`](ConnectionLab::run_with_scratch) (then recovering
-/// the outcome's buffers via [`reclaim`](LabScratch::reclaim)) makes the
-/// steady state nearly allocation-free. Results are identical to
+/// the outcome's buffers via [`reclaim`](LabScratch::reclaim)) leaves a
+/// run with about one allocation per packet: the shared `Payload` handle
+/// each datagram travels in. Results are identical to
 /// [`run`](ConnectionLab::run).
 #[derive(Debug, Default)]
 pub struct LabScratch {
     sim: SimScratch,
+    /// The previous run's client and server storage.
+    conns: [ConnStorage; 2],
     client_events: Vec<LoggedEvent>,
     server_events: Vec<LoggedEvent>,
     response_data: Vec<u8>,
     body: Vec<u8>,
-    /// Datagram buffers harvested from a finished tapped run's capture.
-    /// With a tap armed the capture pins every delivered buffer until the
-    /// run ends, so the mid-run sole-handle recycling in the event loop
-    /// never fires; these pre-stock the next run's connections instead.
-    datagram_pool: Vec<Vec<u8>>,
+    /// Datagram buffers harvested from a finished tapped run's capture,
+    /// by the side that sent them. With a tap armed the capture pins
+    /// every delivered buffer until the run ends, so the mid-run
+    /// sole-handle recycling in the event loop never fires; these
+    /// pre-stock the next run's connections instead, each side with the
+    /// buffers it sent.
+    datagram_pools: [Vec<Vec<u8>>; 2],
 }
 
-/// Upper bound on [`LabScratch::datagram_pool`]: two connections' worth
-/// of pre-stock (the per-connection pool caps at 64).
-const SCRATCH_DATAGRAM_POOL_CAP: usize = 128;
+/// Upper bound on each side's harvested datagram buffers: the
+/// per-connection pool caps at 64.
+const SCRATCH_DATAGRAM_POOL_CAP: usize = 64;
 
 impl LabScratch {
     /// Recovers the reusable buffers from a finished outcome. Call once
@@ -252,12 +257,13 @@ impl LabScratch {
         self.server_events = outcome.server_qlog.events;
         let mut records = outcome.tap_records;
         for record in records.drain(..) {
-            if self.datagram_pool.len() >= SCRATCH_DATAGRAM_POOL_CAP {
-                break;
+            let pool = &mut self.datagram_pools[side_index(record.from)];
+            if pool.len() >= SCRATCH_DATAGRAM_POOL_CAP {
+                continue;
             }
             // Sole handle by now (deliveries dropped theirs mid-run).
             if let Some(buf) = record.datagram.into_vec() {
-                self.datagram_pool.push(buf);
+                pool.push(buf);
             }
         }
         self.sim.restock_tap_records(records);
@@ -319,24 +325,30 @@ impl ConnectionLab {
         if let Some(position) = cfg.tap_position {
             sim = sim.with_tap(position);
         }
-        let mut client =
-            Connection::new_client(cfg.client.clone(), cfg.seed.wrapping_mul(2) + 1, sim.now());
-        let mut server =
-            Connection::new_server(cfg.server.clone(), cfg.seed.wrapping_mul(2) + 2, sim.now());
+        let [client_storage, server_storage] = std::mem::take(&mut scratch.conns);
+        let mut client = Connection::new_client_in(
+            cfg.client.clone(),
+            cfg.seed.wrapping_mul(2) + 1,
+            sim.now(),
+            client_storage,
+        );
+        let mut server = Connection::new_server_in(
+            cfg.server.clone(),
+            cfg.seed.wrapping_mul(2) + 2,
+            sim.now(),
+            server_storage,
+        );
         client.reuse_qlog_events(std::mem::take(&mut scratch.client_events));
         server.reuse_qlog_events(std::mem::take(&mut scratch.server_events));
         // Tapped runs cannot recycle delivered buffers mid-run (the
         // capture holds a handle until the run ends); hand each endpoint
-        // the buffers harvested from the previous run's capture instead.
+        // the buffers it sent in the previous run's capture instead.
         if cfg.tap_position.is_some() {
-            let mut to_client = false;
-            for buf in scratch.datagram_pool.drain(..) {
-                to_client = !to_client;
-                if to_client {
-                    client.prestock_datagram(buf);
-                } else {
-                    server.prestock_datagram(buf);
-                }
+            for buf in scratch.datagram_pools[0].drain(..) {
+                client.prestock_datagram(buf);
+            }
+            for buf in scratch.datagram_pools[1].drain(..) {
+                server.prestock_datagram(buf);
             }
         }
 
@@ -430,9 +442,8 @@ impl ConnectionLab {
                     AppEvent::HandshakeCompleted => {
                         client.send_stream(0, &cfg.request, true);
                     }
-                    AppEvent::StreamData { id: 0, data, fin } => {
-                        response_bytes += data.len();
-                        response_data.extend_from_slice(&data);
+                    AppEvent::StreamData { id: 0, fin } => {
+                        response_bytes += client.read_stream(0, &mut response_data);
                         if fin {
                             client_done = true;
                             client.close("request complete");
@@ -490,7 +501,7 @@ impl ConnectionLab {
             },
         };
         scratch.sim = sim.into_scratch();
-        LabOutcome {
+        let outcome = LabOutcome {
             handshake_completed: client.is_established()
                 || client.is_closed() && client.qlog().handshake_completed(),
             response_bytes,
@@ -503,7 +514,9 @@ impl ConnectionLab {
             cid_len: cfg.client.cid_len,
             finished_at,
             stats,
-        }
+        };
+        scratch.conns = [client.into_storage(), server.into_storage()];
+        outcome
     }
 }
 

@@ -104,6 +104,18 @@ impl RttEstimator {
         !self.samples_us.is_empty()
     }
 
+    /// Adopts `samples` (emptied) as the sample buffer, reusing its
+    /// allocation. Call before the first sample.
+    pub(crate) fn reuse_samples(&mut self, mut samples: Vec<u64>) {
+        samples.clear();
+        self.samples_us = samples;
+    }
+
+    /// Takes the sample buffer out of the estimator.
+    pub(crate) fn into_samples(self) -> Vec<u64> {
+        self.samples_us
+    }
+
     /// All adjusted samples in µs.
     pub fn samples_us(&self) -> &[u64] {
         &self.samples_us

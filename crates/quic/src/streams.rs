@@ -1,49 +1,141 @@
 //! Minimal stream machinery: ordered byte streams with FIN, enough for an
 //! HTTP/3-style request/response exchange (plus retransmission support).
+//!
+//! Send buffers keep every byte the application wrote, so a lost STREAM
+//! frame is resent from its recorded offset and length instead of from a
+//! copy. Receive buffers assemble frames in place by offset. Streams sit
+//! in small id-sorted vectors — a connection carries a handful at most.
 
-use quicspin_wire::Frame;
-use std::collections::BTreeMap;
+use crate::ack::RangeSet;
+use crate::recovery::SentFrame;
+
+/// Largest stream offset a receiver accepts beyond what the application
+/// has read: a flow-control window. Data past it is dropped, which bounds
+/// the reassembly buffer for any input.
+const RECV_WINDOW: u64 = 16 << 20;
 
 /// Sending half of one stream.
 #[derive(Debug, Clone, Default)]
 struct SendStream {
-    /// Bytes queued for sending. Consumed via `cursor` instead of
-    /// front-drains, which would memmove the unsent remainder on every
-    /// packetized frame.
-    pending: Vec<u8>,
-    /// Bytes of `pending` already packetized.
-    cursor: usize,
-    /// Stream offset of `pending[cursor]`.
-    base_offset: u64,
+    /// Every byte written so far; stream offset = index.
+    data: Vec<u8>,
+    /// Bytes of `data` already packetized once.
+    sent: usize,
     /// FIN requested by the application.
     fin_queued: bool,
     /// FIN has been packetized.
     fin_sent: bool,
-    /// Lost frames awaiting retransmission: (offset, data, fin). Served
-    /// before fresh data.
-    retransmit: Vec<(u64, Vec<u8>, bool)>,
+    /// Lost frames awaiting retransmission, as (offset, len, fin). Served
+    /// before fresh data, most recently lost first.
+    retransmit: Vec<(u64, usize, bool)>,
 }
 
-/// Receiving half of one stream.
+/// Receiving half of one stream (also the crypto stream of a packet
+/// number space).
 #[derive(Debug, Clone, Default)]
-struct RecvStream {
-    /// Out-of-order segments by offset.
-    segments: BTreeMap<u64, Vec<u8>>,
-    /// Contiguously assembled prefix not yet delivered to the app.
-    assembled: Vec<u8>,
-    /// Next offset expected into `assembled`.
-    next_offset: u64,
+pub(crate) struct RecvStream {
+    /// Received bytes from stream offset `read` on, with zeroes where
+    /// data is still missing (`received` says which bytes are real).
+    buf: Vec<u8>,
+    /// Stream offset of `buf[0]`: everything before it was read.
+    read: u64,
+    /// Byte offsets received so far.
+    received: RangeSet,
+    /// Contiguous end already announced to the application.
+    announced: u64,
     /// Total stream length once FIN is known.
     fin_at: Option<u64>,
-    /// FIN already delivered to the app.
-    fin_delivered: bool,
+    /// FIN already announced to the application.
+    fin_announced: bool,
+}
+
+impl RecvStream {
+    /// Resets to a fresh stream, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        let (mut buf, mut received) = (
+            std::mem::take(&mut self.buf),
+            std::mem::take(&mut self.received),
+        );
+        buf.clear();
+        received.clear();
+        *self = RecvStream {
+            buf,
+            received,
+            ..RecvStream::default()
+        };
+    }
+
+    /// End of the contiguously received prefix.
+    fn contiguous_end(&self) -> u64 {
+        match self.received.as_slice().first() {
+            Some(r) if r.start == 0 => r.end + 1,
+            _ => 0,
+        }
+    }
+
+    /// Ingests one frame's bytes at `offset`.
+    pub fn on_frame(&mut self, offset: u64, data: &[u8], fin: bool) {
+        let end = offset.saturating_add(data.len() as u64);
+        if fin {
+            self.fin_at = Some(end);
+        }
+        let from = offset.max(self.contiguous_end());
+        if from >= end || end > self.read + RECV_WINDOW {
+            return; // duplicate, or beyond the window
+        }
+        let (lo, hi) = ((from - self.read) as usize, (end - self.read) as usize);
+        if self.buf.len() < hi {
+            self.buf.resize(hi, 0);
+        }
+        self.buf[lo..hi].copy_from_slice(&data[(from - offset) as usize..]);
+        self.received.insert(from, end - 1);
+    }
+
+    /// Marks what arrived since the last call as announced. Returns
+    /// `Some(fin_reached)` when new in-order bytes or the FIN became
+    /// readable, `None` when nothing new did.
+    pub fn announce(&mut self) -> Option<bool> {
+        let end = self.contiguous_end();
+        let fin_now = self.fin_at == Some(end) && !self.fin_announced;
+        if end == self.announced && !fin_now {
+            return None;
+        }
+        self.announced = end;
+        self.fin_announced |= fin_now;
+        Some(fin_now)
+    }
+
+    /// Hands the readable in-order bytes to `f` and consumes them.
+    /// Returns `None` (without calling `f`) when there are none.
+    pub fn consume<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let n = (self.contiguous_end().saturating_sub(self.read)) as usize;
+        if n == 0 {
+            return None;
+        }
+        let out = f(&self.buf[..n]);
+        self.buf.drain(..n);
+        self.read += n as u64;
+        Some(out)
+    }
 }
 
 /// All streams of a connection.
 #[derive(Debug, Clone, Default)]
 pub struct StreamSet {
-    send: BTreeMap<u64, SendStream>,
-    recv: BTreeMap<u64, RecvStream>,
+    send: Vec<(u64, SendStream)>,
+    recv: Vec<(u64, RecvStream)>,
+}
+
+/// The entry for `id` in an id-sorted list, created on first use.
+fn entry<S: Default>(list: &mut Vec<(u64, S)>, id: u64) -> &mut S {
+    let i = match list.binary_search_by_key(&id, |&(k, _)| k) {
+        Ok(i) => i,
+        Err(i) => {
+            list.insert(i, (id, S::default()));
+            i
+        }
+    };
+    &mut list[i].1
 }
 
 impl StreamSet {
@@ -52,11 +144,32 @@ impl StreamSet {
         StreamSet::default()
     }
 
+    /// Resets every stream to its fresh state, keeping the buffers (and
+    /// the stream entries, which a fresh stream behaves the same as).
+    pub fn clear(&mut self) {
+        for (_, s) in &mut self.send {
+            let (mut data, mut retransmit) = (
+                std::mem::take(&mut s.data),
+                std::mem::take(&mut s.retransmit),
+            );
+            data.clear();
+            retransmit.clear();
+            *s = SendStream {
+                data,
+                retransmit,
+                ..SendStream::default()
+            };
+        }
+        for (_, r) in &mut self.recv {
+            r.clear();
+        }
+    }
+
     /// Queues application data (and optionally FIN) on a stream.
     pub fn write(&mut self, id: u64, data: &[u8], fin: bool) {
-        let s = self.send.entry(id).or_default();
+        let s = entry(&mut self.send, id);
         assert!(!s.fin_queued, "write after FIN on stream {id}");
-        s.pending.extend_from_slice(data);
+        s.data.extend_from_slice(data);
         if fin {
             s.fin_queued = true;
         }
@@ -64,135 +177,105 @@ impl StreamSet {
 
     /// Whether any stream has data or FIN waiting to be packetized.
     pub fn has_pending(&self) -> bool {
-        self.send.values().any(|s| {
-            s.pending.len() > s.cursor || !s.retransmit.is_empty() || (s.fin_queued && !s.fin_sent)
+        self.send.iter().any(|(_, s)| {
+            s.data.len() > s.sent || !s.retransmit.is_empty() || (s.fin_queued && !s.fin_sent)
         })
     }
 
-    /// Produces the next STREAM frame, up to `max_len` payload bytes.
-    /// Retransmissions are served before fresh data.
-    pub fn next_frame(&mut self, max_len: usize) -> Option<Frame> {
-        for (&id, s) in self.send.iter_mut() {
+    /// Picks the next STREAM frame, up to `max_len` payload bytes, and
+    /// returns where its bytes sit ([`StreamSet::send_data`] reads them).
+    /// Retransmissions are served before fresh data, lowest stream first.
+    pub fn next_frame(&mut self, max_len: usize) -> Option<SentFrame> {
+        for (id, s) in self.send.iter_mut() {
+            let id = *id;
             // Retransmissions first: resend the lost frame verbatim
             // (splitting if it exceeds max_len).
-            if let Some((offset, mut data, fin)) = s.retransmit.pop() {
-                if data.len() > max_len {
-                    let rest = data.split_off(max_len);
-                    s.retransmit.push((offset + max_len as u64, rest, fin));
-                    return Some(Frame::Stream {
+            if let Some((offset, len, fin)) = s.retransmit.pop() {
+                if len > max_len {
+                    s.retransmit
+                        .push((offset + max_len as u64, len - max_len, fin));
+                    return Some(SentFrame::Stream {
                         id,
                         offset,
+                        len: max_len,
                         fin: false,
-                        data,
                     });
                 }
-                return Some(Frame::Stream {
+                return Some(SentFrame::Stream {
                     id,
                     offset,
+                    len,
                     fin,
-                    data,
                 });
             }
-            let unsent = s.pending.len() - s.cursor;
+            let unsent = s.data.len() - s.sent;
             if unsent == 0 && (!s.fin_queued || s.fin_sent) {
                 continue;
             }
-            let take = unsent.min(max_len);
-            let data = s.pending[s.cursor..s.cursor + take].to_vec();
-            s.cursor += take;
-            let offset = s.base_offset;
-            s.base_offset += take as u64;
-            let fin = s.fin_queued && s.cursor == s.pending.len();
-            if s.cursor == s.pending.len() {
-                s.pending.clear();
-                s.cursor = 0;
-            }
+            let len = unsent.min(max_len);
+            let offset = s.sent as u64;
+            s.sent += len;
+            let fin = s.fin_queued && s.sent == s.data.len();
             if fin {
                 s.fin_sent = true;
             }
-            return Some(Frame::Stream {
+            return Some(SentFrame::Stream {
                 id,
                 offset,
+                len,
                 fin,
-                data,
             });
         }
         None
     }
 
+    /// The bytes of a frame [`StreamSet::next_frame`] picked.
+    pub fn send_data(&self, id: u64, offset: u64, len: usize) -> &[u8] {
+        let i = self
+            .send
+            .binary_search_by_key(&id, |&(k, _)| k)
+            .expect("frame of a known stream");
+        let offset = offset as usize;
+        &self.send[i].1.data[offset..offset + len]
+    }
+
     /// Re-queues a lost STREAM frame for retransmission at its original
     /// offset.
-    pub fn requeue(&mut self, id: u64, offset: u64, data: Vec<u8>, fin: bool) {
-        let s = self.send.entry(id).or_default();
-        if !data.is_empty() || fin {
-            s.retransmit.push((offset, data, fin));
+    pub fn requeue(&mut self, id: u64, offset: u64, len: usize, fin: bool) {
+        let s = entry(&mut self.send, id);
+        if len > 0 || fin {
+            s.retransmit.push((offset, len, fin));
         }
     }
 
-    /// Ingests a received STREAM frame. Takes the frame's payload by
-    /// value: in-order data lands in the segment map without a copy.
-    pub fn on_frame(&mut self, id: u64, offset: u64, data: Vec<u8>, fin: bool) {
-        let s = self.recv.entry(id).or_default();
-        if fin {
-            s.fin_at = Some(offset + data.len() as u64);
-        }
-        // In-order fast path (the common case by far): adopt the frame's
-        // allocation as the assembled buffer — no segment-map node, no
-        // byte copy.
-        if !data.is_empty()
-            && offset == s.next_offset
-            && s.assembled.is_empty()
-            && s.segments.is_empty()
-        {
-            s.next_offset += data.len() as u64;
-            s.assembled = data;
-            return;
-        }
-        if !data.is_empty() && offset + (data.len() as u64) > s.next_offset {
-            s.segments.insert(offset, data);
-        }
-        // Assemble the contiguous prefix.
-        while let Some((&seg_offset, _)) = s.segments.range(..=s.next_offset).next_back() {
-            let seg = s.segments.remove(&seg_offset).expect("segment exists");
-            let seg_end = seg_offset + seg.len() as u64;
-            if seg_end <= s.next_offset {
-                continue; // fully duplicate
-            }
-            let skip = (s.next_offset - seg_offset) as usize;
-            s.assembled.extend_from_slice(&seg[skip..]);
-            s.next_offset = seg_end;
-        }
+    /// Ingests a received STREAM frame. Returns `Some(fin_reached)` when
+    /// it made new in-order bytes (or the FIN) readable.
+    pub fn on_frame(&mut self, id: u64, offset: u64, data: &[u8], fin: bool) -> Option<bool> {
+        let s = entry(&mut self.recv, id);
+        s.on_frame(offset, data, fin);
+        s.announce()
     }
 
-    /// Reads newly assembled data; returns `(data, fin_reached)`.
-    /// Returns `None` when nothing new is available.
-    pub fn read(&mut self, id: u64) -> Option<(Vec<u8>, bool)> {
-        let s = self.recv.get_mut(&id)?;
-        let fin_now = s.fin_at == Some(s.next_offset) && !s.fin_delivered;
-        if s.assembled.is_empty() && !fin_now {
-            return None;
-        }
-        let data = std::mem::take(&mut s.assembled);
-        if fin_now {
-            s.fin_delivered = true;
-        }
-        Some((data, fin_now))
-    }
-
-    /// Stream IDs with data or FIN available to read.
-    pub fn readable(&self) -> Vec<u64> {
-        self.recv
-            .iter()
-            .filter(|(_, s)| {
-                !s.assembled.is_empty() || (s.fin_at == Some(s.next_offset) && !s.fin_delivered)
+    /// Appends the readable in-order bytes of stream `id` to `out` and
+    /// returns how many there were.
+    pub fn read_into(&mut self, id: u64, out: &mut Vec<u8>) -> usize {
+        let Ok(i) = self.recv.binary_search_by_key(&id, |&(k, _)| k) else {
+            return 0;
+        };
+        self.recv[i]
+            .1
+            .consume(|bytes| {
+                out.extend_from_slice(bytes);
+                bytes.len()
             })
-            .map(|(&id, _)| id)
-            .collect()
+            .unwrap_or(0)
     }
 
     /// Total bytes received in order on a stream.
     pub fn bytes_received(&self, id: u64) -> u64 {
-        self.recv.get(&id).map_or(0, |s| s.next_offset)
+        self.recv
+            .binary_search_by_key(&id, |&(k, _)| k)
+            .map_or(0, |i| self.recv[i].1.contiguous_end())
     }
 }
 
@@ -200,31 +283,32 @@ impl StreamSet {
 mod tests {
     use super::*;
 
+    /// The next frame and its bytes.
+    fn next(s: &mut StreamSet, max_len: usize) -> Option<(u64, u64, Vec<u8>, bool)> {
+        match s.next_frame(max_len)? {
+            SentFrame::Stream {
+                id,
+                offset,
+                len,
+                fin,
+            } => Some((id, offset, s.send_data(id, offset, len).to_vec(), fin)),
+            other => panic!("not a stream frame: {other:?}"),
+        }
+    }
+
+    fn read(s: &mut StreamSet, id: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.read_into(id, &mut out);
+        out
+    }
+
     #[test]
     fn write_then_packetize() {
         let mut s = StreamSet::new();
         s.write(0, b"hello world", true);
         assert!(s.has_pending());
-        let f = s.next_frame(5).unwrap();
-        assert_eq!(
-            f,
-            Frame::Stream {
-                id: 0,
-                offset: 0,
-                fin: false,
-                data: b"hello".to_vec()
-            }
-        );
-        let f = s.next_frame(100).unwrap();
-        assert_eq!(
-            f,
-            Frame::Stream {
-                id: 0,
-                offset: 5,
-                fin: true,
-                data: b" world".to_vec()
-            }
-        );
+        assert_eq!(next(&mut s, 5), Some((0, 0, b"hello".to_vec(), false)));
+        assert_eq!(next(&mut s, 100), Some((0, 5, b" world".to_vec(), true)));
         assert!(!s.has_pending());
         assert!(s.next_frame(100).is_none());
     }
@@ -233,116 +317,96 @@ mod tests {
     fn fin_only_frame() {
         let mut s = StreamSet::new();
         s.write(4, b"", true);
-        let f = s.next_frame(100).unwrap();
-        assert_eq!(
-            f,
-            Frame::Stream {
-                id: 4,
-                offset: 0,
-                fin: true,
-                data: vec![]
-            }
-        );
+        assert_eq!(next(&mut s, 100), Some((4, 0, vec![], true)));
     }
 
     #[test]
     fn in_order_receive_and_read() {
         let mut s = StreamSet::new();
-        s.on_frame(0, 0, b"abc".to_vec(), false);
-        s.on_frame(0, 3, b"def".to_vec(), true);
-        assert_eq!(s.readable(), vec![0]);
-        let (data, fin) = s.read(0).unwrap();
-        assert_eq!(data, b"abcdef");
-        assert!(fin);
-        assert!(s.read(0).is_none());
+        assert_eq!(s.on_frame(0, 0, b"abc", false), Some(false));
+        assert_eq!(s.on_frame(0, 3, b"def", true), Some(true));
+        assert_eq!(read(&mut s, 0), b"abcdef");
+        assert!(read(&mut s, 0).is_empty());
         assert_eq!(s.bytes_received(0), 6);
     }
 
     #[test]
     fn out_of_order_reassembly() {
         let mut s = StreamSet::new();
-        s.on_frame(0, 3, b"def".to_vec(), true);
-        assert!(s.read(0).is_none(), "gap: nothing readable yet");
-        s.on_frame(0, 0, b"abc".to_vec(), false);
-        let (data, fin) = s.read(0).unwrap();
-        assert_eq!(data, b"abcdef");
-        assert!(fin);
+        assert_eq!(
+            s.on_frame(0, 3, b"def", true),
+            None,
+            "gap: nothing readable"
+        );
+        assert!(read(&mut s, 0).is_empty());
+        assert_eq!(s.on_frame(0, 0, b"abc", false), Some(true));
+        assert_eq!(read(&mut s, 0), b"abcdef");
     }
 
     #[test]
     fn duplicate_and_overlapping_segments() {
         let mut s = StreamSet::new();
-        s.on_frame(0, 0, b"abcd".to_vec(), false);
-        s.on_frame(0, 0, b"abcd".to_vec(), false); // full duplicate
-        s.on_frame(0, 2, b"cdef".to_vec(), true); // overlap
-        let (data, fin) = s.read(0).unwrap();
-        assert_eq!(data, b"abcdef");
-        assert!(fin);
+        assert_eq!(s.on_frame(0, 0, b"abcd", false), Some(false));
+        assert_eq!(s.on_frame(0, 0, b"abcd", false), None, "full duplicate");
+        assert_eq!(s.on_frame(0, 2, b"cdef", true), Some(true), "overlap");
+        assert_eq!(read(&mut s, 0), b"abcdef");
     }
 
     #[test]
-    fn fin_without_data_read() {
+    fn reads_between_frames_see_each_new_prefix() {
         let mut s = StreamSet::new();
-        s.on_frame(2, 0, b"".to_vec(), true);
-        let (data, fin) = s.read(2).unwrap();
-        assert!(data.is_empty());
-        assert!(fin);
-        assert!(s.read(2).is_none(), "fin delivered once");
+        s.on_frame(0, 0, b"ab", false);
+        assert_eq!(read(&mut s, 0), b"ab");
+        s.on_frame(0, 4, b"ef", true);
+        s.on_frame(0, 2, b"cd", false);
+        assert_eq!(read(&mut s, 0), b"cdef");
+        assert_eq!(s.bytes_received(0), 6);
+    }
+
+    #[test]
+    fn fin_without_data_announced_once() {
+        let mut s = StreamSet::new();
+        assert_eq!(s.on_frame(2, 0, b"", true), Some(true));
+        assert!(read(&mut s, 2).is_empty());
+        assert_eq!(s.on_frame(2, 0, b"", true), None, "fin announced once");
+    }
+
+    #[test]
+    fn data_beyond_the_window_is_dropped() {
+        let mut s = StreamSet::new();
+        assert_eq!(s.on_frame(0, RECV_WINDOW, b"x", false), None);
+        assert_eq!(s.on_frame(0, 0, b"a", false), Some(false));
+        assert_eq!(read(&mut s, 0), b"a");
     }
 
     #[test]
     fn requeue_retransmits_lost_frame() {
         let mut s = StreamSet::new();
         s.write(0, b"abcdef", true);
-        let f1 = s.next_frame(3).unwrap(); // "abc"
-        let _f2 = s.next_frame(3).unwrap(); // "def" + fin
-                                            // f1 is lost → requeue.
-        if let Frame::Stream {
-            id,
-            offset,
-            fin,
-            data,
-        } = f1
-        {
-            s.requeue(id, offset, data, fin);
-        }
-        let f = s.next_frame(100).unwrap();
-        assert_eq!(
-            f,
-            Frame::Stream {
-                id: 0,
-                offset: 0,
-                fin: false,
-                data: b"abc".to_vec()
-            }
-        );
+        let (id, offset, data, fin) = next(&mut s, 3).unwrap(); // "abc"
+        let _ = next(&mut s, 3).unwrap(); // "def" + fin
+        s.requeue(id, offset, data.len(), fin); // "abc" is lost
+        assert_eq!(next(&mut s, 100), Some((0, 0, b"abc".to_vec(), false)));
     }
 
     #[test]
     fn requeue_fin_restores_fin() {
         let mut s = StreamSet::new();
         s.write(0, b"xy", true);
-        let f = s.next_frame(100).unwrap();
-        if let Frame::Stream {
-            id,
-            offset,
-            fin,
-            data,
-        } = f
-        {
-            assert!(fin);
-            s.requeue(id, offset, data, fin);
-        }
-        let f2 = s.next_frame(100).unwrap();
-        assert_eq!(
-            f2,
-            Frame::Stream {
-                id: 0,
-                offset: 0,
-                fin: true,
-                data: b"xy".to_vec()
-            }
-        );
+        let (id, offset, data, fin) = next(&mut s, 100).unwrap();
+        assert!(fin);
+        s.requeue(id, offset, data.len(), fin);
+        assert_eq!(next(&mut s, 100), Some((0, 0, b"xy".to_vec(), true)));
+    }
+
+    #[test]
+    fn oversized_retransmission_splits_and_keeps_fin_on_the_tail() {
+        let mut s = StreamSet::new();
+        s.write(0, b"abcdefgh", true);
+        let _ = next(&mut s, 100);
+        s.requeue(0, 0, 8, true);
+        assert_eq!(next(&mut s, 5), Some((0, 0, b"abcde".to_vec(), false)));
+        assert_eq!(next(&mut s, 5), Some((0, 5, b"fgh".to_vec(), true)));
     }
 
     #[test]
@@ -350,11 +414,7 @@ mod tests {
         let mut s = StreamSet::new();
         s.write(4, b"b", false);
         s.write(0, b"a", false);
-        let f = s.next_frame(100).unwrap();
-        match f {
-            Frame::Stream { id, .. } => assert_eq!(id, 0, "lowest id first"),
-            _ => unreachable!(),
-        }
+        assert_eq!(next(&mut s, 100).unwrap().0, 0, "lowest id first");
     }
 
     #[test]
@@ -379,7 +439,6 @@ mod tests {
                 reference.extend_from_slice(c);
                 offset += c.len() as u64;
             }
-            let last = pieces.len() - 1;
             // Shuffle deterministically.
             let mut state = perm_seed.wrapping_add(1);
             for i in (1..pieces.len()).rev() {
@@ -389,14 +448,17 @@ mod tests {
             }
             let mut s = StreamSet::new();
             let total = reference.len() as u64;
-            for (i, (off, data)) in pieces.iter().enumerate() {
+            let mut fin_seen = false;
+            let mut got = Vec::new();
+            for (off, data) in &pieces {
                 let is_last_piece = *off + data.len() as u64 == total;
-                s.on_frame(0, *off, data.clone(), is_last_piece);
-                let _ = (i, last);
+                if let Some(fin) = s.on_frame(0, *off, data, is_last_piece) {
+                    fin_seen |= fin;
+                    s.read_into(0, &mut got);
+                }
             }
-            let (data, fin) = s.read(0).unwrap();
-            proptest::prop_assert_eq!(data, reference);
-            proptest::prop_assert!(fin);
+            proptest::prop_assert_eq!(got, reference);
+            proptest::prop_assert!(fin_seen);
         }
     }
 }

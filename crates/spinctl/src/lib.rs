@@ -749,7 +749,7 @@ fn cmd_summary(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     );
     let _ = writeln!(
         text,
-        "  {:<28} {:>14}  (netsim timing-wheel high water)",
+        "  {:<28} {:>14}  (netsim event-queue high water)",
         "netsim_queue_high_water",
         manifest.counter("netsim_queue_high_water"),
     );

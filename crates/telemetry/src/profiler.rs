@@ -72,9 +72,12 @@ pub enum ScopeId {
     LabHandshake,
     /// Lab wall time from handshake to close.
     LabTransfer,
-    /// Netsim timing-wheel pushes (count-only; fed from `PathStats`).
+    /// Netsim event-queue pushes (count-only; fed from `PathStats`). The
+    /// scope keeps the `wheel_push` name from when the scheduler was a
+    /// timing wheel: `profile.json` bytes fix it.
     WheelPush,
-    /// Netsim timing-wheel pops (count-only; fed from `PathStats`).
+    /// Netsim event-queue pops (count-only; fed from `PathStats`); named
+    /// `wheel_pop` for the same reason.
     WheelPop,
     /// Datagrams the simulated link delivered (count-only).
     LinkDelivery,

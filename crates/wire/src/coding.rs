@@ -69,6 +69,11 @@ impl<'a> Reader<'a> {
         s
     }
 
+    /// The unconsumed rest of the buffer, without consuming it.
+    pub fn peek_rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// Peeks at the next byte without consuming it.
     pub fn peek_u8(&self) -> Option<u8> {
         self.buf.get(self.pos).copied()

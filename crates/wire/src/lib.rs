@@ -36,8 +36,10 @@ pub mod version;
 pub use cid::ConnectionId;
 pub use coding::{Reader, Writer};
 pub use error::WireError;
-pub use frame::{AckRange, Frame};
+pub use frame::{AckRange, AckRanges, Frame, Frames};
 pub use header::{Header, LongHeader, LongType, ObservableShortHeader, ShortHeader};
-pub use packet::{expand_packet_number, truncate_packet_number, Packet, PacketNumber};
+pub use packet::{
+    expand_packet_number, truncate_packet_number, Packet, PacketNumber, PacketWriter,
+};
 pub use varint::VarInt;
 pub use version::Version;

@@ -2,7 +2,7 @@
 
 use crate::coding::{Reader, Writer};
 use crate::error::WireError;
-use crate::frame::Frame;
+use crate::frame::{Frame, Frames};
 use crate::header::Header;
 
 /// A full, untruncated QUIC packet number (62-bit space).
@@ -63,67 +63,109 @@ pub fn expand_packet_number(truncated: u64, bytes: usize, largest: Option<u64>) 
     }
 }
 
-/// A decoded QUIC packet: header plus its frames.
+/// A decoded QUIC packet: its header plus a validated view of the
+/// payload, borrowed from the datagram.
+///
+/// [`Packet::decode`] walks every frame once, so a datagram with any
+/// malformed frame is rejected whole; [`Packet::frames`] then re-reads the
+/// same bytes lazily and cannot fail. Nothing is copied or allocated.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
+pub struct Packet<'a> {
     /// Packet header (long or short).
     pub header: Header,
-    /// The frames carried in the payload.
-    pub frames: Vec<Frame>,
+    payload: &'a [u8],
+    ack_eliciting: bool,
 }
 
-impl Packet {
-    /// Encodes the packet into a datagram.
+impl<'a> Packet<'a> {
+    /// Decodes a datagram produced by [`PacketWriter`].
     ///
-    /// A 2-byte big-endian payload length is written between header and
-    /// frames so that decoding is self-delimiting without real AEAD
-    /// framing. Real QUIC carries an explicit Length field in long headers
-    /// and uses the UDP datagram boundary for short headers; the simulator
-    /// transports exactly one packet per datagram, so this is equivalent.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_into(Vec::new())
-    }
-
-    /// Encodes the packet into `buf` (cleared first), reusing its
-    /// allocation — senders can recycle delivered datagram buffers
-    /// instead of allocating per packet.
-    pub fn encode_into(&self, buf: Vec<u8>) -> Vec<u8> {
-        // Single pass into one MTU-sized buffer: header, a length
-        // placeholder, then the frames, back-patching the length. Avoids
-        // the staging buffer (and its growth reallocations) a
-        // payload-first encode would need.
-        let mut w = Writer::from_vec(buf, 1500);
-        self.header.encode(&mut w);
-        let len_at = w.len();
-        w.write_u16(0);
-        let payload_start = w.len();
-        for frame in &self.frames {
-            frame.encode(&mut w);
-        }
-        let payload_len = w.len() - payload_start;
-        assert!(payload_len <= usize::from(u16::MAX), "payload too large");
-        w.patch_u16(len_at, payload_len as u16);
-        w.into_bytes()
-    }
-
-    /// Decodes a datagram produced by [`Packet::encode`].
-    pub fn decode(datagram: &[u8], cid_len: usize) -> Result<Self, WireError> {
+    /// A 2-byte big-endian payload length sits between header and frames
+    /// so that decoding is self-delimiting without real AEAD framing. Real
+    /// QUIC carries an explicit Length field in long headers and uses the
+    /// UDP datagram boundary for short headers; the simulator transports
+    /// exactly one packet per datagram, so this is equivalent.
+    pub fn decode(datagram: &'a [u8], cid_len: usize) -> Result<Self, WireError> {
         let mut r = Reader::new(datagram);
         let header = Header::decode(&mut r, cid_len)?;
         let len = usize::from(r.read_u16("payload length")?);
         let payload = r.read_bytes(len, "payload")?;
-        let frames = Frame::decode_all(payload)?;
-        Ok(Packet { header, frames })
+        let mut ack_eliciting = false;
+        for frame in Frames::new(payload) {
+            ack_eliciting |= frame?.is_ack_eliciting();
+        }
+        Ok(Packet {
+            header,
+            payload,
+            ack_eliciting,
+        })
+    }
+
+    /// The frames, in payload order.
+    pub fn frames(&self) -> impl Iterator<Item = Frame<'a>> {
+        // Validated by `decode`: every item is `Ok`.
+        Frames::new(self.payload).map_while(Result::ok)
     }
 
     /// Whether any frame is ack-eliciting.
     pub fn is_ack_eliciting(&self) -> bool {
-        self.frames.iter().any(Frame::is_ack_eliciting)
+        self.ack_eliciting
+    }
+}
+
+/// Encodes one packet into one datagram buffer, frame by frame: header,
+/// a length placeholder, the frames, then the back-patched length.
+///
+/// Frames are written as they are pushed, so their bytes go straight from
+/// wherever the borrowed [`Frame`] points (a send buffer, a receiver's
+/// range list) into the datagram, with no staging buffer or frame list.
+#[derive(Debug)]
+pub struct PacketWriter {
+    w: Writer,
+    len_at: usize,
+}
+
+impl PacketWriter {
+    /// Starts a packet in `buf` (cleared first), reusing its allocation —
+    /// senders recycle delivered datagram buffers instead of allocating
+    /// per packet.
+    pub fn new(header: &Header, buf: Vec<u8>) -> Self {
+        let mut w = Writer::from_vec(buf, 1500);
+        header.encode(&mut w);
+        let len_at = w.len();
+        w.write_u16(0);
+        PacketWriter { w, len_at }
     }
 
-    /// Total encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+    /// Appends one frame.
+    pub fn push(&mut self, frame: &Frame<'_>) {
+        frame.encode(&mut self.w);
+    }
+
+    /// Datagram bytes written so far.
+    pub fn len(&self) -> usize {
+        self.w.len()
+    }
+
+    /// Whether nothing has been written (never true: the header is).
+    pub fn is_empty(&self) -> bool {
+        self.w.is_empty()
+    }
+
+    /// Appends PADDING until the datagram is `total` bytes long (no-op
+    /// when it already is).
+    pub fn pad_to(&mut self, total: usize) {
+        if let Some(len) = total.checked_sub(self.len()).filter(|&n| n > 0) {
+            self.push(&Frame::Padding { len });
+        }
+    }
+
+    /// Back-patches the payload length and returns the datagram.
+    pub fn finish(mut self) -> Vec<u8> {
+        let payload_len = self.w.len() - self.len_at - 2;
+        assert!(payload_len <= usize::from(u16::MAX), "payload too large");
+        self.w.patch_u16(self.len_at, payload_len as u16);
+        self.w.into_bytes()
     }
 }
 
@@ -169,72 +211,96 @@ mod tests {
         assert_eq!(expand_packet_number(0xff, 1, Some(0x100)), 0xff);
     }
 
+    fn encode(header: &Header, frames: &[Frame<'_>]) -> Vec<u8> {
+        let mut pw = PacketWriter::new(header, Vec::new());
+        for f in frames {
+            pw.push(f);
+        }
+        pw.finish()
+    }
+
+    fn short(pn: u64) -> Header {
+        Header::Short(ShortHeader {
+            spin: true,
+            vec: 0,
+            dcid: ConnectionId::from_u64(99),
+            packet_number: PacketNumber::new(pn),
+        })
+    }
+
     #[test]
     fn packet_roundtrip_short() {
-        let p = Packet {
-            header: Header::Short(ShortHeader {
-                spin: true,
-                vec: 0,
-                dcid: ConnectionId::from_u64(99),
-                packet_number: PacketNumber::new(12),
-            }),
-            frames: vec![Frame::Ping, Frame::Padding { len: 4 }],
-        };
-        let bytes = p.encode();
+        let header = short(12);
+        let frames = [Frame::Ping, Frame::Padding { len: 4 }];
+        let bytes = encode(&header, &frames);
         let back = Packet::decode(&bytes, 8).unwrap();
-        assert_eq!(back, p);
-        assert_eq!(p.encoded_len(), bytes.len());
+        assert_eq!(back.header, header);
+        assert_eq!(back.frames().collect::<Vec<_>>(), frames);
+        assert!(back.is_ack_eliciting());
     }
 
     #[test]
     fn packet_roundtrip_long() {
-        let p = Packet {
-            header: Header::Long(LongHeader {
-                ty: LongType::Initial,
-                version: Version::V1,
-                dcid: ConnectionId::from_u64(1),
-                scid: ConnectionId::from_u64(2),
-                packet_number: Some(PacketNumber::new(0)),
-            }),
-            frames: vec![Frame::Crypto {
-                offset: 0,
-                data: b"hello".to_vec(),
-            }],
-        };
-        let back = Packet::decode(&p.encode(), 8).unwrap();
-        assert_eq!(back, p);
+        let header = Header::Long(LongHeader {
+            ty: LongType::Initial,
+            version: Version::V1,
+            dcid: ConnectionId::from_u64(1),
+            scid: ConnectionId::from_u64(2),
+            packet_number: Some(PacketNumber::new(0)),
+        });
+        let frames = [Frame::Crypto {
+            offset: 0,
+            data: b"hello",
+        }];
+        let bytes = encode(&header, &frames);
+        let back = Packet::decode(&bytes, 8).unwrap();
+        assert_eq!(back.header, header);
+        assert_eq!(back.frames().collect::<Vec<_>>(), frames);
+    }
+
+    #[test]
+    fn pad_to_fills_the_datagram_exactly() {
+        let mut pw = PacketWriter::new(&short(0), Vec::new());
+        pw.push(&Frame::Ping);
+        pw.pad_to(1200);
+        pw.pad_to(1000);
+        let bytes = pw.finish();
+        assert_eq!(bytes.len(), 1200);
+        let back = Packet::decode(&bytes, 8).unwrap();
+        assert_eq!(
+            back.frames().collect::<Vec<_>>(),
+            // Header 13 bytes, length 2, PING 1: the rest is padding.
+            vec![Frame::Ping, Frame::Padding { len: 1200 - 16 }]
+        );
     }
 
     #[test]
     fn ack_eliciting_propagates_from_frames() {
-        let mut p = Packet {
-            header: Header::Short(ShortHeader {
-                spin: false,
-                vec: 0,
-                dcid: ConnectionId::EMPTY,
-                packet_number: PacketNumber::new(0),
-            }),
-            frames: vec![Frame::Padding { len: 2 }],
-        };
-        assert!(!p.is_ack_eliciting());
-        p.frames.push(Frame::Ping);
-        assert!(p.is_ack_eliciting());
+        let padding_only = encode(&short(0), &[Frame::Padding { len: 2 }]);
+        assert!(!Packet::decode(&padding_only, 8).unwrap().is_ack_eliciting());
+        let with_ping = encode(&short(0), &[Frame::Padding { len: 2 }, Frame::Ping]);
+        assert!(Packet::decode(&with_ping, 8).unwrap().is_ack_eliciting());
     }
 
     #[test]
     fn decode_rejects_truncated_datagram() {
-        let p = Packet {
-            header: Header::Short(ShortHeader {
-                spin: false,
-                vec: 0,
-                dcid: ConnectionId::from_u64(7),
-                packet_number: PacketNumber::new(3),
-            }),
-            frames: vec![Frame::Ping],
-        };
-        let mut bytes = p.encode();
+        let mut bytes = encode(&short(3), &[Frame::Ping]);
         bytes.truncate(bytes.len() - 1);
         assert!(Packet::decode(&bytes, 8).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_packet_with_any_malformed_frame() {
+        let mut pw = PacketWriter::new(&short(3), Vec::new());
+        pw.push(&Frame::Ping);
+        pw.push(&Frame::Padding { len: 1 });
+        let mut bytes = pw.finish();
+        // Turn the padding byte into an unknown frame type.
+        *bytes.last_mut().unwrap() = 0x21;
+        assert_eq!(
+            Packet::decode(&bytes, 8),
+            Err(WireError::UnknownFrameType(0x21))
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 # `--scale` additionally runs the zone-scale smoke: the event-queue
 # scheduler microbenchmark gated against the committed baseline
 # (BENCH_EVENT_QUEUE.json), the profiler benches against theirs
-# (BENCH_PROFILE.json), and a 100k-domain streamed sweep that must
-# stay inside its resident-record-byte budget.
+# (BENCH_PROFILE.json), the per-layer microbenches against
+# BENCH_LAYERS.json, and a 100k-domain streamed sweep that must stay
+# inside its resident-record-byte budget.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -158,11 +159,11 @@ if [ "$OVERHEAD_OK" != 1 ]; then
 fi
 
 if [ "$SCALE" = 1 ]; then
-  # Scheduler gate: re-time the event-queue microbench (capped at 10^6
-  # events to keep the gate short; the committed baseline covers 10^7
-  # too) and compare means against the baseline. The band is wide to
-  # absorb machine-to-machine variance — it exists to catch the wheel
-  # degenerating back to heap-like scaling, not single-digit drift.
+  # Scheduler gate: re-time the event-queue microbench — the replayed
+  # lossy-lab trace and the 10^3–10^6 churn — and compare means against
+  # the baseline. The band is wide to absorb machine-to-machine
+  # variance — it exists to catch the heap losing its O(log n) scaling
+  # or a probe-sized trace getting slower, not single-digit drift.
   EVENT_QUEUE_MAX_N=1000000 BENCH_JSON="$SPINCTL_DIR/event_queue.json" \
     cargo bench -p quicspin-bench --bench event_queue
   cargo run --release -p quicspin-spinctl --bin spinctl -- \
@@ -177,6 +178,16 @@ if [ "$SCALE" = 1 ]; then
     cargo bench -p quicspin-bench --bench profiler
   cargo run --release -p quicspin-spinctl --bin spinctl -- \
     compare --bench BENCH_PROFILE.json "$SPINCTL_DIR/profiler.json" \
+    --bench-band 3.0
+
+  # Layer ledger gate: re-time the per-layer microbenches (wire codec,
+  # peek_observable, the full lab exchange, the netsim event rate, the
+  # observer fold) and compare against the committed baseline, with the
+  # same wide band as the two ledgers above.
+  BENCH_JSON="$SPINCTL_DIR/layers.json" \
+    cargo bench -p quicspin-bench --bench micro
+  cargo run --release -p quicspin-spinctl --bin spinctl -- \
+    compare --bench BENCH_LAYERS.json "$SPINCTL_DIR/layers.json" \
     --bench-band 3.0
 
   # Zone-scale streamed sweep: 100k domains under a 32 MiB resident
