@@ -14,68 +14,93 @@ pub fn fig4_edges() -> Vec<f64> {
     vec![-3.0, -2.0, -1.25, 0.0, 1.25, 2.0, 3.0]
 }
 
-/// One series of Fig. 4.
+/// One series of Fig. 4: a histogram of mapped ratios plus the counts
+/// behind its shares, each a count over [`connections`](Self::connections).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RatioSeries {
     /// Histogram of mapped ratios.
     pub histogram: Histogram,
-    /// Number of contributing connections.
-    pub connections: u64,
-    /// Share within ±25 % (ratio in (0, 1.25]) — the paper's accuracy bar.
-    pub within_25pct_share: f64,
-    /// Share within a factor of two (ratio in (0, 2]).
-    pub within_factor2_share: f64,
-    /// Share overestimating by more than 3× (ratio > 3).
-    pub over_3x_share: f64,
-    /// Share underestimating (ratio < 0).
-    pub underestimate_share: f64,
-    /// Share underestimating by at most a factor 2 (ratio in [-2, 0)),
-    /// relevant for the paper's Grease discussion.
-    pub under_within_factor2_share: f64,
+    /// Connections within ±25 % (ratio in (0, 1.25]) — the paper's
+    /// accuracy bar.
+    pub within_25pct: u64,
+    /// Connections within a factor of two (ratio in (0, 2]).
+    pub within_factor2: u64,
+    /// Connections overestimating by more than 3× (ratio > 3).
+    pub over_3x: u64,
+    /// Connections underestimating (ratio < 0).
+    pub underestimates: u64,
+    /// Connections underestimating by at most a factor 2 (ratio in
+    /// [-2, 0)), relevant for the paper's Grease discussion.
+    pub under_within_factor2: u64,
 }
 
-impl RatioSeries {
-    /// Builds a series from mapped ratios, in record order.
-    pub fn from_ratios(ratios: &[f64]) -> Self {
-        let mut histogram = Histogram::new(fig4_edges());
-        let mut within25 = 0u64;
-        let mut within2 = 0u64;
-        let mut over3 = 0u64;
-        let mut under = 0u64;
-        let mut under2 = 0u64;
-        for &r in ratios {
-            histogram.add(r);
-            if r > 0.0 && r <= 1.25 {
-                within25 += 1;
-            }
-            if r > 0.0 && r <= 2.0 {
-                within2 += 1;
-            }
-            if r > 3.0 {
-                over3 += 1;
-            }
-            if r < 0.0 {
-                under += 1;
-                if r >= -2.0 {
-                    under2 += 1;
-                }
-            }
-        }
-        let n = ratios.len().max(1) as f64;
+impl Default for RatioSeries {
+    fn default() -> Self {
         RatioSeries {
-            histogram,
-            connections: ratios.len() as u64,
-            within_25pct_share: within25 as f64 / n,
-            within_factor2_share: within2 as f64 / n,
-            over_3x_share: over3 as f64 / n,
-            underestimate_share: under as f64 / n,
-            under_within_factor2_share: under2 as f64 / n,
+            histogram: Histogram::new(fig4_edges()),
+            within_25pct: 0,
+            within_factor2: 0,
+            over_3x: 0,
+            underestimates: 0,
+            under_within_factor2: 0,
         }
     }
 }
 
+impl RatioSeries {
+    /// Adds one connection's mapped ratio.
+    pub fn add(&mut self, ratio: f64) {
+        self.histogram.add(ratio);
+        self.within_25pct += u64::from(ratio > 0.0 && ratio <= 1.25);
+        self.within_factor2 += u64::from(ratio > 0.0 && ratio <= 2.0);
+        self.over_3x += u64::from(ratio > 3.0);
+        self.underestimates += u64::from(ratio < 0.0);
+        self.under_within_factor2 += u64::from((-2.0..0.0).contains(&ratio));
+    }
+
+    /// Adds a series accumulated over other connections.
+    pub fn merge(&mut self, other: RatioSeries) {
+        self.histogram.merge(other.histogram);
+        self.within_25pct += other.within_25pct;
+        self.within_factor2 += other.within_factor2;
+        self.over_3x += other.over_3x;
+        self.underestimates += other.underestimates;
+        self.under_within_factor2 += other.under_within_factor2;
+    }
+
+    /// Number of contributing connections.
+    pub fn connections(&self) -> u64 {
+        self.histogram.total()
+    }
+
+    /// Share within ±25 %.
+    pub fn within_25pct_share(&self) -> f64 {
+        self.histogram.share_of(self.within_25pct)
+    }
+
+    /// Share within a factor of two.
+    pub fn within_factor2_share(&self) -> f64 {
+        self.histogram.share_of(self.within_factor2)
+    }
+
+    /// Share overestimating by more than 3×.
+    pub fn over_3x_share(&self) -> f64 {
+        self.histogram.share_of(self.over_3x)
+    }
+
+    /// Share underestimating.
+    pub fn underestimate_share(&self) -> f64 {
+        self.histogram.share_of(self.underestimates)
+    }
+
+    /// Share underestimating by at most a factor 2.
+    pub fn under_within_factor2_share(&self) -> f64 {
+        self.histogram.share_of(self.under_within_factor2)
+    }
+}
+
 /// Fig. 4: all four series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RatioAccuracyFigure {
     /// Spinning connections, received order.
     pub spin_received: RatioSeries,
@@ -87,45 +112,39 @@ pub struct RatioAccuracyFigure {
     pub grease_sorted: RatioSeries,
 }
 
-/// Extracts `(received_ratio, sorted_ratio)` per qualifying record.
-pub fn ratios_for<'a>(
-    records: impl Iterator<Item = &'a ConnectionRecord>,
-    class: FlowClassification,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut received = Vec::new();
-    let mut sorted = Vec::new();
-    for r in records {
-        let Some(report) = &r.report else { continue };
-        if report.classification != class {
-            continue;
-        }
-        if let Some(acc) = report.accuracy_received() {
-            let ratio = acc.mapped_ratio();
-            if ratio.is_finite() {
-                received.push(ratio);
-            }
-        }
-        if let Some(acc) = report.accuracy_sorted() {
-            let ratio = acc.mapped_ratio();
-            if ratio.is_finite() {
-                sorted.push(ratio);
+impl RatioAccuracyFigure {
+    /// Computes Fig. 4 from connection records.
+    pub fn from_records<'a>(records: impl Iterator<Item = &'a ConnectionRecord>) -> Self {
+        let mut fig = Self::default();
+        records.for_each(|r| fig.add(r));
+        fig
+    }
+
+    /// Adds one record: a spinning or greased connection contributes its
+    /// finite received- and sorted-order ratios; any other record nothing.
+    pub fn add(&mut self, record: &ConnectionRecord) {
+        let Some(report) = &record.report else { return };
+        let (received, sorted) = match report.classification {
+            FlowClassification::Spinning => (&mut self.spin_received, &mut self.spin_sorted),
+            FlowClassification::Greased => (&mut self.grease_received, &mut self.grease_sorted),
+            _ => return,
+        };
+        for (series, acc) in [
+            (received, report.accuracy_received()),
+            (sorted, report.accuracy_sorted()),
+        ] {
+            if let Some(ratio) = acc.map(|a| a.mapped_ratio()).filter(|r| r.is_finite()) {
+                series.add(ratio);
             }
         }
     }
-    (received, sorted)
-}
 
-impl RatioAccuracyFigure {
-    /// Computes Fig. 4 from established connection records.
-    pub fn from_records<'a>(records: impl Iterator<Item = &'a ConnectionRecord> + Clone) -> Self {
-        let (spin_r, spin_s) = ratios_for(records.clone(), FlowClassification::Spinning);
-        let (grease_r, grease_s) = ratios_for(records, FlowClassification::Greased);
-        RatioAccuracyFigure {
-            spin_received: RatioSeries::from_ratios(&spin_r),
-            spin_sorted: RatioSeries::from_ratios(&spin_s),
-            grease_received: RatioSeries::from_ratios(&grease_r),
-            grease_sorted: RatioSeries::from_ratios(&grease_s),
-        }
+    /// Adds a figure accumulated over other records.
+    pub fn merge(&mut self, other: RatioAccuracyFigure) {
+        self.spin_received.merge(other.spin_received);
+        self.spin_sorted.merge(other.spin_sorted);
+        self.grease_received.merge(other.grease_received);
+        self.grease_sorted.merge(other.grease_sorted);
     }
 }
 
@@ -165,12 +184,12 @@ mod tests {
         ];
         let fig = RatioAccuracyFigure::from_records(records.iter());
         let s = &fig.spin_received;
-        assert_eq!(s.connections, 4);
-        assert!((s.within_25pct_share - 0.25).abs() < 1e-12);
-        assert!((s.within_factor2_share - 0.5).abs() < 1e-12);
-        assert!((s.over_3x_share - 0.25).abs() < 1e-12);
-        assert!((s.underestimate_share - 0.25).abs() < 1e-12);
-        assert!((s.under_within_factor2_share - 0.25).abs() < 1e-12);
+        assert_eq!(s.connections(), 4);
+        assert!((s.within_25pct_share() - 0.25).abs() < 1e-12);
+        assert!((s.within_factor2_share() - 0.5).abs() < 1e-12);
+        assert!((s.over_3x_share() - 0.25).abs() < 1e-12);
+        assert!((s.underestimate_share() - 0.25).abs() < 1e-12);
+        assert!((s.under_within_factor2_share() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -181,7 +200,7 @@ mod tests {
             record(FlowClassification::Spinning, 40_000, 40_000), // exactly 1.0
         ];
         let fig = RatioAccuracyFigure::from_records(records.iter());
-        assert_eq!(fig.spin_received.within_25pct_share, 1.0);
+        assert_eq!(fig.spin_received.within_25pct_share(), 1.0);
     }
 
     #[test]
@@ -191,9 +210,9 @@ mod tests {
             record(FlowClassification::Spinning, 45_000, 40_000),
         ];
         let fig = RatioAccuracyFigure::from_records(records.iter());
-        assert_eq!(fig.grease_received.connections, 1);
-        assert_eq!(fig.spin_received.connections, 1);
-        assert!(fig.grease_received.underestimate_share > 0.99);
+        assert_eq!(fig.grease_received.connections(), 1);
+        assert_eq!(fig.spin_received.connections(), 1);
+        assert!(fig.grease_received.underestimate_share() > 0.99);
     }
 
     #[test]

@@ -35,15 +35,27 @@ impl Histogram {
         self.counts[idx] += 1;
     }
 
+    /// Adds the counts of a histogram over the same edges.
+    pub fn merge(&mut self, other: Histogram) {
+        assert_eq!(self.edges, other.edges, "histograms must share edges");
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
+        }
+    }
+
     /// Total number of values.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
+    /// `count` as a share of all values (zero for an empty histogram).
+    pub fn share_of(&self, count: u64) -> f64 {
+        count as f64 / self.total().max(1) as f64
+    }
+
     /// Relative frequencies per bin.
     pub fn shares(&self) -> Vec<f64> {
-        let total = self.total().max(1) as f64;
-        self.counts.iter().map(|&c| c as f64 / total).collect()
+        self.counts.iter().map(|&c| self.share_of(c)).collect()
     }
 
     /// Share of values strictly below `threshold` (must be an edge).
@@ -53,8 +65,7 @@ impl Histogram {
             .iter()
             .position(|&e| e == threshold)
             .expect("threshold must be an edge");
-        let below: u64 = self.counts[..=idx].iter().sum();
-        below as f64 / self.total().max(1) as f64
+        self.share_of(self.counts[..=idx].iter().sum())
     }
 
     /// Share of values at or above `threshold` (must be an edge).
@@ -108,6 +119,26 @@ mod tests {
         }
         assert!((h.share_below(25.0) - 3.0 / 5.0).abs() < 1e-12);
         assert!((h.share_at_or_above(200.0) - 1.0 / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merge_adds_counts_in_any_order() {
+        let mut a = Histogram::new(vec![0.0, 10.0]);
+        let mut b = a.clone();
+        a.add(-1.0);
+        b.add(5.0);
+        b.add(15.0);
+        let mut ab = a.clone();
+        ab.merge(b.clone());
+        b.merge(a);
+        assert_eq!(ab, b);
+        assert_eq!(ab.counts, vec![1, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "share edges")]
+    fn merge_rejects_other_edges() {
+        Histogram::new(vec![0.0]).merge(Histogram::new(vec![1.0]));
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //! | [`vantage`] | on-path observer accuracy across tap positions and path conditions |
 //! | [`webserver`] | §4.2 — web-server attribution of spin support |
 //! | [`render`] | ASCII tables / bar charts and CSV export |
-//! | [`parallel`] | [`Dataset`] — every artefact at once, optionally sharded |
+//! | [`dataset`] | [`DomainClass`], the per-list domain tally and [`Dataset`] — every artefact as one fold |
+//!
+//! Each artefact has one builder: an integer accumulator with
+//! `add`/`fold_domain` and `merge`, whose `from_campaign`/`from_records`
+//! folds only that artefact. [`Dataset`] bundles them for one pass, and
+//! [`Scanner::run_campaign_fold`](quicspin_scanner::Scanner::run_campaign_fold)
+//! drives it without materializing the records.
 
 pub mod dataset;
 pub mod fig2;
@@ -24,50 +30,22 @@ pub mod fig4;
 pub mod histogram;
 pub mod orgs;
 pub mod overview;
-pub mod parallel;
 pub mod render;
 pub mod reordering;
 pub mod spin_config;
 pub mod stats;
-pub mod streaming;
 pub mod vantage;
 pub mod webserver;
 
-pub use dataset::{CampaignSummary, DomainClass};
+pub use dataset::{Dataset, DomainClass};
 pub use fig2::LongitudinalFigure;
 pub use fig3::AbsoluteAccuracyFigure;
 pub use fig4::RatioAccuracyFigure;
 pub use histogram::Histogram;
 pub use orgs::OrgTable;
 pub use overview::OverviewTable;
-pub use parallel::Dataset;
 pub use reordering::ReorderingImpact;
 pub use spin_config::SpinConfigTable;
 pub use stats::Summary;
-pub use streaming::{aggregate_campaign, CampaignAggregates};
 pub use vantage::{VantageCell, VantageFigure};
 pub use webserver::WebServerShares;
-
-/// Bundled accuracy figures (Figs. 3 + 4 + §5.2) from one dataset.
-#[derive(Debug, Clone)]
-pub struct AccuracyFigures {
-    /// Fig. 3.
-    pub fig3: AbsoluteAccuracyFigure,
-    /// Fig. 4.
-    pub fig4: RatioAccuracyFigure,
-    /// §5.2 reordering statistics.
-    pub reordering: ReorderingImpact,
-}
-
-impl AccuracyFigures {
-    /// Computes all accuracy artefacts from established records.
-    pub fn from_records<'a>(
-        records: impl Iterator<Item = &'a quicspin_scanner::ConnectionRecord> + Clone,
-    ) -> AccuracyFigures {
-        AccuracyFigures {
-            fig3: AbsoluteAccuracyFigure::from_records(records.clone()),
-            fig4: RatioAccuracyFigure::from_records(records.clone()),
-            reordering: ReorderingImpact::from_records(records),
-        }
-    }
-}

@@ -40,50 +40,52 @@ pub struct OrgTable {
     pub rows: Vec<OrgRow>,
 }
 
+/// Established com/net/org connections and their spinning subset per
+/// organization: the fold behind Table 2, indexed by [`Org::index`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OrgCounts {
+    totals: [u64; ALL_ORGS.len()],
+    spins: [u64; ALL_ORGS.len()],
+}
+
+impl OrgCounts {
+    /// Adds one record: an established com/net/org connection counts for
+    /// its organization, as in the paper.
+    pub fn add(&mut self, record: &ConnectionRecord) {
+        if record.outcome != ScanOutcome::Ok || record.list != ListKind::ZoneComNetOrg {
+            return;
+        }
+        let idx = record.org.index();
+        self.totals[idx] += 1;
+        self.spins[idx] += u64::from(record.has_spin_activity());
+    }
+
+    /// Adds counts accumulated over another, disjoint record set.
+    pub fn merge(&mut self, other: OrgCounts) {
+        for i in 0..ALL_ORGS.len() {
+            self.totals[i] += other.totals[i];
+            self.spins[i] += other.spins[i];
+        }
+    }
+}
+
 impl OrgTable {
     /// Computes the table from a campaign, restricted to com/net/org
     /// connections as in the paper.
     pub fn from_campaign(campaign: &Campaign) -> Self {
-        Self::from_campaign_filtered(campaign, |l| l == ListKind::ZoneComNetOrg)
+        let mut counts = OrgCounts::default();
+        campaign.records.iter().for_each(|r| counts.add(r));
+        Self::ranked(&counts)
     }
 
-    /// Computes the table over an arbitrary list selection.
-    pub fn from_campaign_filtered(campaign: &Campaign, filter: impl Fn(ListKind) -> bool) -> Self {
-        let mut totals = [0u64; 9];
-        let mut spins = [0u64; 9];
-        Self::count_into(&campaign.records, filter, &mut totals, &mut spins);
-        Self::from_counts(totals, spins)
-    }
-
-    /// Accumulates per-org connection/spin counts over a record slice —
-    /// the shard-level half of the table build. Counts are plain sums,
-    /// so shard partials merge by element-wise addition.
-    pub fn count_into(
-        records: &[ConnectionRecord],
-        filter: impl Fn(ListKind) -> bool,
-        totals: &mut [u64; 9],
-        spins: &mut [u64; 9],
-    ) {
-        for r in records {
-            if r.outcome != ScanOutcome::Ok || !filter(r.list) {
-                continue;
-            }
-            let idx = r.org.index();
-            totals[idx] += 1;
-            if r.has_spin_activity() {
-                spins[idx] += 1;
-            }
-        }
-    }
-
-    /// Assembles the ranked table from (possibly shard-merged) counts.
-    pub fn from_counts(totals: [u64; 9], spins: [u64; 9]) -> Self {
+    /// Ranks the organizations by their counts.
+    pub(crate) fn ranked(counts: &OrgCounts) -> Self {
         let mut rows: Vec<OrgRow> = ALL_ORGS
             .iter()
             .map(|&org| OrgRow {
                 org,
-                total_connections: totals[org.index()],
-                spin_connections: spins[org.index()],
+                total_connections: counts.totals[org.index()],
+                spin_connections: counts.spins[org.index()],
                 total_rank: None,
                 spin_rank: None,
             })
@@ -222,18 +224,21 @@ mod tests {
     }
 
     #[test]
-    fn filter_restricts_to_list() {
-        let pop = Population::generate(PopulationConfig {
-            seed: 6,
-            toplist_domains: 1_000,
-            zone_domains: 1_000,
-        });
-        let campaign = Scanner::new(&pop).run_campaign(&CampaignConfig {
-            conditions: NetworkConditions::clean(),
-            ..CampaignConfig::default()
-        });
-        let top_only = OrgTable::from_campaign_filtered(&campaign, |l| l == ListKind::Toplist);
-        let all = OrgTable::from_campaign_filtered(&campaign, |_| true);
-        assert!(top_only.total_connections() < all.total_connections());
+    fn only_established_com_net_org_connections_count() {
+        use quicspin_webpop::IpVersion;
+        let record = |list, outcome| {
+            ConnectionRecord::failed(0, list, Org::Hostinger, 0, IpVersion::V4, outcome)
+        };
+        let mut counts = OrgCounts::default();
+        counts.add(&record(ListKind::ZoneComNetOrg, ScanOutcome::Ok));
+        counts.add(&record(ListKind::Toplist, ScanOutcome::Ok));
+        counts.add(&record(ListKind::ZoneOther, ScanOutcome::Ok));
+        counts.add(&record(ListKind::ZoneComNetOrg, ScanOutcome::NoQuic));
+        let mut merged = OrgCounts::default();
+        merged.merge(counts);
+        let table = OrgTable::ranked(&merged);
+        assert_eq!(table.total_connections(), 1);
+        assert_eq!(table.row(Org::Hostinger).total_connections, 1);
+        assert_eq!(table.row(Org::Hostinger).total_rank, Some(1));
     }
 }

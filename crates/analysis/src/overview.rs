@@ -1,6 +1,6 @@
 //! Tables 1 and 4: deployment overview per target list.
 
-use crate::dataset::{CampaignSummary, DomainClass};
+use crate::dataset::{DomainClass, ListTally};
 use quicspin_scanner::Campaign;
 use quicspin_webpop::ListKind;
 use serde::{Deserialize, Serialize};
@@ -75,44 +75,30 @@ pub struct OverviewTable {
 impl OverviewTable {
     /// Computes the table from one campaign.
     pub fn from_campaign(campaign: &Campaign) -> Self {
-        Self::from_summary(&CampaignSummary::build(campaign))
+        Self::from_tally(&ListTally::from_campaign(campaign))
     }
 
-    /// Computes the table from a prebuilt (possibly shard-merged)
-    /// summary.
-    pub fn from_summary(summary: &CampaignSummary) -> Self {
+    /// Computes the table from a (possibly merged) tally.
+    pub(crate) fn from_tally(tally: &ListTally) -> Self {
         OverviewTable {
-            toplists: Self::row(summary, |l| l == ListKind::Toplist),
-            czds: Self::row(summary, ListKind::is_czds),
-            com_net_org: Self::row(summary, |l| l == ListKind::ZoneComNetOrg),
+            toplists: Self::row(tally, |l| l == ListKind::Toplist),
+            czds: Self::row(tally, ListKind::is_czds),
+            com_net_org: Self::row(tally, |l| l == ListKind::ZoneComNetOrg),
         }
     }
 
-    fn row(summary: &CampaignSummary, filter: impl Fn(ListKind) -> bool + Copy) -> OverviewRow {
-        let mut row = OverviewRow {
-            total_domains: 0,
-            resolved_domains: 0,
-            quic_domains: 0,
-            spin_domains: 0,
-            quic_ips: 0,
-            spin_ips: 0,
-        };
-        for d in summary.domains_in(filter) {
-            row.total_domains += 1;
-            if d.resolved {
-                row.resolved_domains += 1;
-            }
-            if d.quic {
-                row.quic_domains += 1;
-            }
-            if d.class == DomainClass::Spin {
-                row.spin_domains += 1;
-            }
+    fn row(tally: &ListTally, filter: impl Fn(ListKind) -> bool + Copy) -> OverviewRow {
+        let classes = tally.classes(filter);
+        let total_domains: u64 = classes.iter().sum();
+        let (quic_ips, spin_ips) = tally.hosts(filter);
+        OverviewRow {
+            total_domains,
+            resolved_domains: tally.resolved(filter),
+            quic_domains: total_domains - classes[DomainClass::NoQuic as usize],
+            spin_domains: classes[DomainClass::Spin as usize],
+            quic_ips,
+            spin_ips,
         }
-        let hosts = summary.hosts_in(filter);
-        row.quic_ips = hosts.len() as u64;
-        row.spin_ips = hosts.values().filter(|&&spin| spin).count() as u64;
-        row
     }
 
     /// The row for a named selection.

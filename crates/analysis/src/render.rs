@@ -145,10 +145,10 @@ pub fn render_fig3(fig: &AbsoluteAccuracyFigure) -> String {
     ] {
         out.push_str(&format!(
             "{name}: n={} overestimate={:.1}% within±25ms={:.1}% >200ms={:.1}%\n",
-            fmt_count(series.connections),
-            series.overestimate_share * 100.0,
-            series.within_25ms_share * 100.0,
-            series.over_200ms_share * 100.0
+            fmt_count(series.connections()),
+            series.overestimate_share() * 100.0,
+            series.within_25ms_share() * 100.0,
+            series.over_200ms_share() * 100.0
         ));
         out.push_str(&render_histogram_bars(&series.histogram, 50));
     }
@@ -166,11 +166,11 @@ pub fn render_fig4(fig: &RatioAccuracyFigure) -> String {
     ] {
         out.push_str(&format!(
             "{name}: n={} within25%={:.1}% within2x={:.1}% >3x={:.1}% under={:.1}%\n",
-            fmt_count(series.connections),
-            series.within_25pct_share * 100.0,
-            series.within_factor2_share * 100.0,
-            series.over_3x_share * 100.0,
-            series.underestimate_share * 100.0
+            fmt_count(series.connections()),
+            series.within_25pct_share() * 100.0,
+            series.within_factor2_share() * 100.0,
+            series.over_3x_share() * 100.0,
+            series.underestimate_share() * 100.0
         ));
         out.push_str(&render_histogram_bars(&series.histogram, 50));
     }

@@ -20,40 +20,38 @@ pub struct ReorderingImpact {
 }
 
 impl ReorderingImpact {
-    /// Computes the statistics from established records with spin
-    /// activity (Spin + Grease classes, as both have samples).
+    /// Computes the statistics from records with spin activity (Spin +
+    /// Grease classes, as both have samples).
     pub fn from_records<'a>(records: impl Iterator<Item = &'a ConnectionRecord>) -> Self {
-        let mut out = ReorderingImpact {
-            connections: 0,
-            differing: 0,
-            small_delta: 0,
-            improved: 0,
+        let mut out = ReorderingImpact::default();
+        records.for_each(|r| out.add(r));
+        out
+    }
+
+    /// Adds one record; records without spin activity count nothing.
+    pub fn add(&mut self, record: &ConnectionRecord) {
+        let Some(report) = &record.report else { return };
+        if !report.classification.has_activity() {
+            return;
+        }
+        self.connections += 1;
+        if !report.reordering_changed_result() {
+            return;
+        }
+        self.differing += 1;
+        let (Some(mean_r), Some(mean_s)) =
+            (report.spin_rtt_mean_ms(), report.spin_rtt_mean_sorted_ms())
+        else {
+            return;
         };
-        for r in records {
-            let Some(report) = &r.report else { continue };
-            if !report.classification.has_activity() {
-                continue;
-            }
-            out.connections += 1;
-            if !report.reordering_changed_result() {
-                continue;
-            }
-            out.differing += 1;
-            let (Some(mean_r), Some(mean_s)) =
-                (report.spin_rtt_mean_ms(), report.spin_rtt_mean_sorted_ms())
-            else {
-                continue;
-            };
-            if (mean_r - mean_s).abs() < 1.0 {
-                out.small_delta += 1;
-            }
-            if let Some(stack) = report.stack_rtt_mean_ms() {
-                if (mean_s - stack).abs() < (mean_r - stack).abs() {
-                    out.improved += 1;
-                }
+        if (mean_r - mean_s).abs() < 1.0 {
+            self.small_delta += 1;
+        }
+        if let Some(stack) = report.stack_rtt_mean_ms() {
+            if (mean_s - stack).abs() < (mean_r - stack).abs() {
+                self.improved += 1;
             }
         }
-        out
     }
 
     /// Merges counters accumulated over a disjoint record set. All

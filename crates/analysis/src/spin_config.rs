@@ -1,7 +1,7 @@
 //! Table 3: how QUIC domains set the spin bit (all-zero / all-one /
 //! spinning / greased).
 
-use crate::dataset::{CampaignSummary, DomainClass};
+use crate::dataset::{DomainClass, ListTally};
 use quicspin_scanner::Campaign;
 use quicspin_webpop::ListKind;
 use serde::{Deserialize, Serialize};
@@ -65,49 +65,28 @@ pub struct SpinConfigTable {
 impl SpinConfigTable {
     /// Computes the table from one campaign.
     pub fn from_campaign(campaign: &Campaign) -> Self {
-        Self::from_summary(&CampaignSummary::build(campaign))
+        Self::from_tally(&ListTally::from_campaign(campaign))
     }
 
-    /// Computes the table from a prebuilt (possibly shard-merged)
-    /// summary.
-    pub fn from_summary(summary: &CampaignSummary) -> Self {
+    /// Computes the table from a (possibly merged) tally.
+    pub(crate) fn from_tally(tally: &ListTally) -> Self {
         SpinConfigTable {
-            toplists: Self::row(summary, |l| l == ListKind::Toplist),
-            czds: Self::row(summary, ListKind::is_czds),
-            com_net_org: Self::row(summary, |l| l == ListKind::ZoneComNetOrg),
+            toplists: Self::row(tally, |l| l == ListKind::Toplist),
+            czds: Self::row(tally, ListKind::is_czds),
+            com_net_org: Self::row(tally, |l| l == ListKind::ZoneComNetOrg),
         }
     }
 
-    fn row(summary: &CampaignSummary, filter: impl Fn(ListKind) -> bool + Copy) -> SpinConfigRow {
-        let mut row = SpinConfigRow {
-            quic_domains: 0,
-            all_zero: 0,
-            all_one: 0,
-            spin: 0,
-            grease: 0,
-        };
-        for d in summary.domains_in(filter) {
-            match d.class {
-                DomainClass::NoQuic => {}
-                DomainClass::AllZero => {
-                    row.quic_domains += 1;
-                    row.all_zero += 1;
-                }
-                DomainClass::AllOne => {
-                    row.quic_domains += 1;
-                    row.all_one += 1;
-                }
-                DomainClass::Spin => {
-                    row.quic_domains += 1;
-                    row.spin += 1;
-                }
-                DomainClass::Grease => {
-                    row.quic_domains += 1;
-                    row.grease += 1;
-                }
-            }
+    fn row(tally: &ListTally, filter: impl Fn(ListKind) -> bool) -> SpinConfigRow {
+        let classes = tally.classes(filter);
+        let quic_domains = classes.iter().sum::<u64>() - classes[DomainClass::NoQuic as usize];
+        SpinConfigRow {
+            quic_domains,
+            all_zero: classes[DomainClass::AllZero as usize],
+            all_one: classes[DomainClass::AllOne as usize],
+            spin: classes[DomainClass::Spin as usize],
+            grease: classes[DomainClass::Grease as usize],
         }
-        row
     }
 
     /// Named rows.

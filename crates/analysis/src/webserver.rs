@@ -6,8 +6,9 @@ use quicspin_webpop::WebServer;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Connection shares per web-server software.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Connection counts per web-server software, from which the shares
+/// follow. Counts over disjoint record sets merge by per-key addition.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WebServerShares {
     /// All established connections per software.
     pub all: BTreeMap<String, u64>,
@@ -15,32 +16,42 @@ pub struct WebServerShares {
     pub spinning: BTreeMap<String, u64>,
 }
 
+/// Counts one connection for `name`, allocating the key only once.
+fn bump(counts: &mut BTreeMap<String, u64>, name: &str) {
+    match counts.get_mut(name) {
+        Some(n) => *n += 1,
+        None => {
+            counts.insert(name.to_string(), 1);
+        }
+    }
+}
+
 impl WebServerShares {
     /// Computes the shares from one campaign.
     pub fn from_campaign(campaign: &Campaign) -> Self {
-        let mut all: BTreeMap<String, u64> = BTreeMap::new();
-        let mut spinning: BTreeMap<String, u64> = BTreeMap::new();
-        Self::count_into(&campaign.records, &mut all, &mut spinning);
-        WebServerShares { all, spinning }
+        let mut shares = WebServerShares::default();
+        campaign.records.iter().for_each(|r| shares.add(r));
+        shares
     }
 
-    /// Accumulates per-server counts over a record slice. Counts from
-    /// disjoint shards merge by per-key addition.
-    pub fn count_into(
-        records: &[ConnectionRecord],
-        all: &mut BTreeMap<String, u64>,
-        spinning: &mut BTreeMap<String, u64>,
-    ) {
-        for r in records {
-            if r.outcome != ScanOutcome::Ok {
-                continue;
-            }
-            let Some(ws) = r.webserver else { continue };
-            let name = label(ws).to_string();
-            *all.entry(name.clone()).or_default() += 1;
-            if r.has_spin_activity() {
-                *spinning.entry(name).or_default() += 1;
-            }
+    /// Adds one record: an established connection counts for its server.
+    pub fn add(&mut self, record: &ConnectionRecord) {
+        let (ScanOutcome::Ok, Some(ws)) = (record.outcome, record.webserver) else {
+            return;
+        };
+        bump(&mut self.all, label(ws));
+        if record.has_spin_activity() {
+            bump(&mut self.spinning, label(ws));
+        }
+    }
+
+    /// Adds counts accumulated over another, disjoint record set.
+    pub fn merge(&mut self, other: WebServerShares) {
+        for (name, n) in other.all {
+            *self.all.entry(name).or_default() += n;
+        }
+        for (name, n) in other.spinning {
+            *self.spinning.entry(name).or_default() += n;
         }
     }
 

@@ -168,6 +168,11 @@ impl Campaign {
         self.records.iter().filter(|r| r.outcome == ScanOutcome::Ok)
     }
 
+    /// Each domain's records (every redirect hop), in domain order.
+    pub fn domains(&self) -> impl Iterator<Item = &[ConnectionRecord]> {
+        self.records.chunk_by(|a, b| a.domain_id == b.domain_id)
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()

@@ -49,5 +49,7 @@ pub use observe::{
 pub use probe::{probe_connection, probe_connection_scratch, NetworkConditions, ProbeScratch};
 pub use quicspin_telemetry::{ProgressSnapshot, Registry, RunManifest, TimeSeriesDoc};
 pub use record::{ConnectionRecord, ScanOutcome};
-pub use scenario::{parse_scenario, ScenarioAxis, ScenarioCell, ScenarioMatrix, SWEEP_AXES};
+pub use scenario::{
+    parse_scenario, ScenarioAxis, ScenarioCell, ScenarioMatrix, MAX_CELLS, SWEEP_AXES,
+};
 pub use timeseries::{build_timeseries, chrome_trace_export, TimeSeriesBuilder};

@@ -5,7 +5,6 @@ use crate::campaign::{CampaignConfig, Scanner};
 use crate::record::ScanOutcome;
 use quicspin_webpop::{IpVersion, Population};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Longitudinal study parameters.
 #[derive(Debug, Clone)]
@@ -75,50 +74,58 @@ impl LongitudinalResult {
 
 /// Runs the longitudinal study. Scans all domains every selected week and
 /// aggregates spin activity per domain, mirroring §4.3's methodology.
+/// The campaign engine folds each week into the ids of the domains that
+/// were reachable or spun, so no week's records are ever held.
 pub fn run_longitudinal(
     population: &Population,
     config: &LongitudinalConfig,
 ) -> LongitudinalResult {
     let scanner = Scanner::new(population);
-    let n_weeks = config.weeks.len() as u32;
-    let mut per_domain: BTreeMap<u32, (u32, u32)> = BTreeMap::new(); // id -> (reachable, spun)
-
+    let n = population.len() as u32;
+    // Per domain id: (weeks reachable, weeks with spin activity).
+    let mut weeks = vec![(0u32, 0u32); n as usize];
     for &week in &config.weeks {
         let cfg = CampaignConfig {
             week,
             version: IpVersion::V4,
             ..config.base.clone()
         };
-        let campaign = scanner.run_campaign(&cfg);
-        // Per domain: reachable this week? spun this week?
-        let mut week_state: BTreeMap<u32, (bool, bool)> = BTreeMap::new();
-        for r in &campaign.records {
-            let entry = week_state.entry(r.domain_id).or_insert((false, false));
-            entry.0 |= r.outcome == ScanOutcome::Ok;
-            entry.1 |= r.has_spin_activity();
-        }
-        for (id, (reachable, spun)) in week_state {
-            let entry = per_domain.entry(id).or_insert((0, 0));
-            if reachable {
-                entry.0 += 1;
-            }
-            if spun {
-                entry.1 += 1;
-            }
+        // (domain id, reachable, spun) for every domain that was either.
+        let seen = scanner.run_campaign_fold(
+            &cfg,
+            0..n,
+            Vec::new,
+            |acc: &mut Vec<(u32, bool, bool)>, records| {
+                let reachable = records.iter().any(|r| r.outcome == ScanOutcome::Ok);
+                let spun = records.iter().any(|r| r.has_spin_activity());
+                if reachable || spun {
+                    acc.push((records[0].domain_id, reachable, spun));
+                }
+            },
+            |acc, mut batch| acc.append(&mut batch),
+        );
+        for (id, reachable, spun) in seen {
+            let entry = &mut weeks[id as usize];
+            entry.0 += u32::from(reachable);
+            entry.1 += u32::from(spun);
         }
     }
 
-    let ever_spun = per_domain
+    let ever_spun = weeks
         .into_iter()
-        .filter(|&(_, (_, spun))| spun > 0)
-        .map(|(domain_id, (reachable_weeks, spin_weeks))| DomainWeeks {
+        .zip(0..)
+        .filter(|&((_, spun), _)| spun > 0)
+        .map(|((reachable_weeks, spin_weeks), domain_id)| DomainWeeks {
             domain_id,
             reachable_weeks,
             spin_weeks,
         })
         .collect();
 
-    LongitudinalResult { n_weeks, ever_spun }
+    LongitudinalResult {
+        n_weeks: config.weeks.len() as u32,
+        ever_spun,
+    }
 }
 
 #[cfg(test)]

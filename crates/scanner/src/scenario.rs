@@ -30,6 +30,10 @@ use std::sync::Arc;
 /// the order keys appear in the `[sweep]` section.
 pub const SWEEP_AXES: &[&str] = &["loss", "reorder", "jitter_frac", "vantage", "seed", "week"];
 
+/// The most cells a scenario may expand to. Every cell is a full
+/// campaign; the committed grids have at most 32.
+pub const MAX_CELLS: usize = 4096;
+
 /// One expanded grid cell: a deterministic id plus everything needed to
 /// run it.
 #[derive(Debug, Clone)]
@@ -229,6 +233,16 @@ fn expect_u64(section: &str, key: &str, value: &TomlValue) -> Result<u64, String
     }
 }
 
+fn expect_u32(section: &str, key: &str, value: &TomlValue) -> Result<u32, String> {
+    let n = expect_u64(section, key, value)?;
+    u32::try_from(n).map_err(|_| {
+        format!(
+            "scenario error: key \"{key}\" in [{section}] value {n} exceeds {}",
+            u32::MAX
+        )
+    })
+}
+
 fn expect_fraction(
     section: &str,
     key: &str,
@@ -331,6 +345,12 @@ fn parse_axis_values(axis: &str, value: &TomlValue) -> Result<Vec<AxisValue>, St
                 AxisValue::Millionths((f * 1_000_000.0).round() as u32)
             }
             None => match item {
+                TomlValue::Integer(n) if axis == "week" && *n > i64::from(u32::MAX) => {
+                    return Err(format!(
+                        "scenario error: sweep axis \"{axis}\" value {n} exceeds {}",
+                        u32::MAX
+                    ))
+                }
                 TomlValue::Integer(n) if *n >= 0 => AxisValue::Integer(*n as u64),
                 _ => {
                     return Err(format!(
@@ -387,7 +407,9 @@ impl Default for BaseParams {
 /// offending identifier; malformed or out-of-range sweep axes name the
 /// axis and value; a scenario whose `[sweep]` section is missing or
 /// defines no axes is an *empty matrix* error; an axis repeating a
-/// value is a *duplicate cell id* error.
+/// value is a *duplicate cell id* error; a grid of more than
+/// [`MAX_CELLS`] cells is rejected before any cell is built; a count or
+/// week above `u32::MAX` names its key.
 pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
     let pairs = parse_toml(text)?;
 
@@ -415,10 +437,8 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
             },
             "population" => match key.as_str() {
                 "seed" => population.seed = expect_u64(section, key, value)?,
-                "toplist_domains" => {
-                    population.toplist_domains = expect_u64(section, key, value)? as u32
-                }
-                "zone_domains" => population.zone_domains = expect_u64(section, key, value)? as u32,
+                "toplist_domains" => population.toplist_domains = expect_u32(section, key, value)?,
+                "zone_domains" => population.zone_domains = expect_u32(section, key, value)?,
                 _ => {
                     return Err(format!(
                         "scenario error: unknown key \"{key}\" in [population]"
@@ -426,7 +446,7 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
                 }
             },
             "campaign" => match key.as_str() {
-                "week" => base.week = expect_u64(section, key, value)? as u32,
+                "week" => base.week = expect_u32(section, key, value)?,
                 "seed" => base.seed = expect_u64(section, key, value)?,
                 "threads" => base.threads = expect_u64(section, key, value)?.max(1) as usize,
                 "record_budget_bytes" => {
@@ -495,7 +515,11 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioMatrix, String> {
 
     // Cartesian expansion, lexicographic in axis order: the last axis
     // varies fastest.
-    let total: usize = sweep.iter().map(|(_, v)| v.len()).product();
+    let total = sweep
+        .iter()
+        .try_fold(1usize, |n, (_, v)| n.checked_mul(v.len()))
+        .filter(|&n| n <= MAX_CELLS)
+        .ok_or_else(|| format!("scenario error: matrix expands to more than {MAX_CELLS} cells"))?;
     let mut cells: Vec<ScenarioCell> = Vec::with_capacity(total);
     let mut indices = vec![0usize; sweep.len()];
     loop {
@@ -553,7 +577,9 @@ fn build_cell(base: &BaseParams, picks: &[(&str, AxisValue)], id: String) -> Sce
             ("jitter_frac", AxisValue::Millionths(m)) => jitter_frac = f64::from(m) / 1_000_000.0,
             ("vantage", AxisValue::Millionths(m)) => vantage = Some(f64::from(m) / 1_000_000.0),
             ("seed", AxisValue::Integer(n)) => seed = n,
-            ("week", AxisValue::Integer(n)) => week = n as u32,
+            ("week", AxisValue::Integer(n)) => {
+                week = u32::try_from(n).expect("week axis values are checked to fit u32")
+            }
             _ => unreachable!("axis/value mismatch for {axis}"),
         }
     }
@@ -824,5 +850,72 @@ loss = [0.0, 0.05]
             .unwrap();
         assert_eq!(cell.config.flight.seed, 29);
         assert_eq!(cell.config.week, 3);
+    }
+
+    #[test]
+    fn values_above_u32_are_rejected_not_truncated() {
+        // 2^32 + 1 used to wrap to a one-domain population.
+        let text = SCENARIO.replace("zone_domains = 60", "zone_domains = 4294967297");
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: key \"zone_domains\" in [population] value 4294967297 \
+             exceeds 4294967295"
+        );
+        let text = SCENARIO.replace("toplist_domains = 20", "toplist_domains = 4294967296");
+        assert!(parse_scenario(&text)
+            .unwrap_err()
+            .contains("\"toplist_domains\" in [population]"));
+        let text = SCENARIO.replace("week = 0", "week = 4294967296");
+        assert!(parse_scenario(&text)
+            .unwrap_err()
+            .contains("\"week\" in [campaign]"));
+        let text = SCENARIO.replace("loss = [0.0, 0.05]", "week = [0, 4294967296]");
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: sweep axis \"week\" value 4294967296 exceeds 4294967295"
+        );
+        let text = SCENARIO.replace("zone_domains = 60", "zone_domains = 4294967295");
+        assert_eq!(
+            parse_scenario(&text).unwrap().population.zone_domains,
+            u32::MAX
+        );
+    }
+
+    #[test]
+    fn oversized_matrix_is_an_error_before_allocating() {
+        // Six axes of 300 values: 300^6 cells, whose allocation used to
+        // abort the process.
+        let values = |scale: f64| {
+            (0..300)
+                .map(|i| format!("{}", f64::from(i) * scale))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let ints = (0..300)
+            .map(|i| i.to_string())
+            .collect::<Vec<_>>()
+            .join(", ");
+        let sweep = format!(
+            "[sweep]\nloss = [{}]\nreorder = [{}]\njitter_frac = [{}]\nvantage = [{}]\n\
+             seed = [{ints}]\nweek = [{ints}]\n",
+            values(0.003),
+            values(0.003),
+            values(0.003),
+            values(1.0 / 300.0),
+        );
+        let head = &SCENARIO[..SCENARIO.find("[sweep]").unwrap()];
+        let text = format!("{head}{sweep}");
+        assert_eq!(
+            parse_scenario(&text).unwrap_err(),
+            "scenario error: matrix expands to more than 4096 cells"
+        );
+        // The limit itself still parses.
+        let text = format!("{head}[sweep]\nseed = [{}]\n", {
+            (0..MAX_CELLS)
+                .map(|i| i.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        });
+        assert_eq!(parse_scenario(&text).unwrap().cells.len(), MAX_CELLS);
     }
 }

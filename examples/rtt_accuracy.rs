@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release --example rtt_accuracy [zone_domains]`
 
-use quicspin::analysis::{render, AccuracyFigures, Summary};
+use quicspin::analysis::{render, Dataset, Summary};
 use quicspin::core::FlowClassification;
 use quicspin::scanner::{CampaignConfig, Scanner};
 use quicspin::webpop::{Population, PopulationConfig};
@@ -28,10 +28,10 @@ fn main() {
     let campaign = Scanner::new(&population).run_campaign(&CampaignConfig::default());
     eprintln!("{} records", campaign.len());
 
-    let figures = AccuracyFigures::from_records(campaign.established());
+    let dataset = Dataset::from_campaign(&campaign);
 
-    println!("{}", render::render_fig3(&figures.fig3));
-    println!("{}", render::render_fig4(&figures.fig4));
+    println!("{}", render::render_fig3(&dataset.fig3));
+    println!("{}", render::render_fig4(&dataset.fig4));
 
     // Distribution summaries of the two estimators over spinning conns.
     let spin_means: Vec<f64> = campaign
@@ -59,7 +59,7 @@ fn main() {
         println!();
     }
 
-    let re = &figures.reordering;
+    let re = &dataset.reordering;
     println!("Reordering impact (§5.2):");
     println!("  connections with spin activity : {}", re.connections);
     println!(

@@ -99,8 +99,9 @@ done
 
 # Matrix smoke: the committed loss×vantage scenario (a 2×2 grid) runs
 # twice, at --threads 1 and --threads 4; report.md, report.json and each
-# cell's observer.json and anomalies.json must come out byte-identical. A malformed scenario must fail the exit-code
-# contract (exit 1 with a one-line `scenario error:` diagnostic).
+# cell's observer.json and anomalies.json must come out byte-identical.
+# A malformed scenario must fail the exit-code contract (exit 1 with a
+# one-line `scenario error:` diagnostic).
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
   matrix examples/scenarios/loss_vantage.toml --out "$SPINCTL_DIR/mx1" --threads 1
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
@@ -122,6 +123,27 @@ printf '[scenario]\nname = "broken"\n[sweep]\n' > "$SPINCTL_DIR/broken.toml"
 if cargo run --release -p quicspin-spinctl --bin spinctl -- \
   matrix "$SPINCTL_DIR/broken.toml" --out "$SPINCTL_DIR/broken" 2>/dev/null; then
   echo "ERROR: matrix did not fail on a malformed scenario" >&2
+  exit 1
+fi
+# A grid too large to expand (six axes of 300 values) must also exit 1
+# with a one-line diagnostic, not abort on the cell allocation.
+{
+  printf '[scenario]\nname = "oversized"\n[sweep]\n'
+  for axis in loss reorder jitter_frac vantage; do
+    printf '%s = [%s]\n' "$axis" "$(seq -s ', ' 0.001 0.001 0.3)"
+  done
+  for axis in seed week; do
+    printf '%s = [%s]\n' "$axis" "$(seq -s ', ' 1 300)"
+  done
+} > "$SPINCTL_DIR/oversized.toml"
+status=0
+cargo run -q --release -p quicspin-spinctl --bin spinctl -- \
+  matrix "$SPINCTL_DIR/oversized.toml" --out "$SPINCTL_DIR/oversized" \
+  2> "$SPINCTL_DIR/oversized.err" || status=$?
+if [ "$status" -ne 1 ] || [ "$(wc -l < "$SPINCTL_DIR/oversized.err")" -ne 1 ] ||
+  ! grep -q '^scenario error: ' "$SPINCTL_DIR/oversized.err"; then
+  echo "ERROR: oversized matrix exited $status, not 1 with one scenario error line:" >&2
+  cat "$SPINCTL_DIR/oversized.err" >&2
   exit 1
 fi
 

@@ -45,8 +45,7 @@ pub use quicspin_wire as wire;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use quicspin_analysis::{
-        AccuracyFigures, CampaignSummary, LongitudinalFigure, OrgTable, OverviewTable,
-        SpinConfigTable,
+        Dataset, LongitudinalFigure, OrgTable, OverviewTable, SpinConfigTable,
     };
     pub use quicspin_core::{
         AccuracySample, EdgeMachine, EdgePolicy, FlowClassification, GreaseFilter, ObserverReport,

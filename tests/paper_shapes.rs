@@ -6,9 +6,7 @@
 //! here we assert the *shapes* with tolerances wide enough to be stable
 //! across this smaller population.
 
-use quicspin::analysis::{
-    AccuracyFigures, OrgTable, OverviewTable, SpinConfigTable, WebServerShares,
-};
+use quicspin::analysis::{Dataset, OrgTable, OverviewTable, SpinConfigTable, WebServerShares};
 use quicspin::scanner::{CampaignConfig, Scanner};
 use quicspin::webpop::{IpVersion, Org, Population, PopulationConfig, WebServer};
 
@@ -88,30 +86,35 @@ fn full_pipeline_reproduces_the_papers_shapes() {
     assert_eq!(servers.spin_share(WebServer::CloudflareFrontend), 0.0);
 
     // ---- Figures 3/4 shapes ----------------------------------------------
-    let figures = AccuracyFigures::from_records(v4.established());
-    let spin = &figures.fig4.spin_received;
-    assert!(spin.connections > 100, "enough spinning connections");
+    let dataset = Dataset::from_campaign(&v4);
+    let spin = &dataset.fig4.spin_received;
+    assert!(spin.connections() > 100, "enough spinning connections");
     assert!(
-        figures.fig3.spin_received.overestimate_share > 0.9,
+        dataset.fig3.spin_received.overestimate_share() > 0.9,
         "the spin bit almost always overestimates: {:.2}",
-        figures.fig3.spin_received.overestimate_share
+        dataset.fig3.spin_received.overestimate_share()
     );
     assert!(
-        (0.15..=0.45).contains(&spin.within_25pct_share),
+        (0.15..=0.45).contains(&spin.within_25pct_share()),
         "≈30 % accurate within 25 %: {:.2}",
-        spin.within_25pct_share
+        spin.within_25pct_share()
     );
     assert!(
-        (0.35..=0.75).contains(&spin.over_3x_share),
+        (0.35..=0.75).contains(&spin.over_3x_share()),
         "≈half overestimate >3×: {:.2}",
-        spin.over_3x_share
+        spin.over_3x_share()
     );
     // §5.2: reordering impact is marginal.
     assert!(
-        figures.reordering.differing_share() < 0.02,
+        dataset.reordering.differing_share() < 0.02,
         "R vs S differ rarely: {:.4}",
-        figures.reordering.differing_share()
+        dataset.reordering.differing_share()
     );
+    // The bundle finishes into the same tables as their own builders.
+    assert_eq!(dataset.overview(), t1);
+    assert_eq!(dataset.org_table(), t2);
+    assert_eq!(dataset.spin_config(), t3);
+    assert_eq!(dataset.webserver, servers);
 
     // ---- Table 4 shapes (IPv6) -------------------------------------------
     let v6 = scanner.run_campaign(&CampaignConfig {
