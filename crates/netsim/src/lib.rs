@@ -6,8 +6,8 @@
 //! path with per-direction propagation delay, jitter, loss, reordering
 //! (hold-back so later packets overtake), duplication, and token-bucket
 //! rate limiting — plus an **on-path tap** at a configurable position that
-//! records every crossing datagram, which is where the passive spin-bit
-//! observer of `quicspin-core` attaches.
+//! keeps a header snap of every crossing datagram, which is where the
+//! passive spin-bit observer of `quicspin-core` attaches.
 //!
 //! Design rules (per the repository's networking guides):
 //!
@@ -17,7 +17,6 @@
 
 pub mod event;
 pub mod link;
-pub mod payload;
 pub mod pcap;
 pub mod rng;
 pub mod sim;
@@ -25,8 +24,7 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use link::{Deliveries, Link, LinkConfig, Transit};
-pub use payload::Payload;
 pub use pcap::{read_pcap, write_pcap, PcapError};
 pub use rng::Rng;
-pub use sim::{PathStats, Side, SimEvent, SimScratch, Simulator, TapRecord};
+pub use sim::{PathStats, Side, SimEvent, SimScratch, Simulator, TapRecord, TAP_SNAP_LEN};
 pub use time::{SimDuration, SimTime};

@@ -6,9 +6,16 @@
 //! tooling can be exercised against byte-identical artefacts of a run.
 //!
 //! Encapsulation: `LINKTYPE_USER0` (147) with a one-byte direction
-//! prefix (0 = client→server, 1 = server→client) followed by the raw
+//! prefix (0 = client→server, 1 = server→client) followed by the
 //! datagram — the simulator has no Ethernet/IP framing, and inventing
 //! fake headers would only obscure the payload under test.
+//!
+//! A tap keeps only a [`TAP_SNAP_LEN`]-byte snap of each datagram, so a
+//! capture is snapped the way `tcpdump -s` snaps one: the global snaplen
+//! is the snap plus the direction byte, each record's captured length is
+//! its snap plus one, and its original length is the datagram's length
+//! plus one. [`read_pcap`] reads foreign captures with longer snaps too,
+//! keeping at most [`TAP_SNAP_LEN`] bytes of each record.
 //!
 //! The tap's vantage position (where on the path the capture was taken)
 //! rides in the global header's `sigfigs` field, which every real-world
@@ -18,7 +25,7 @@
 //! Standard tools ignore the field; [`read_pcap_with_vantage`] recovers
 //! it.
 
-use crate::sim::{Side, TapRecord};
+use crate::sim::{Side, TapRecord, TAP_SNAP_LEN};
 use crate::time::SimTime;
 
 /// pcap magic (microsecond timestamps, native byte order written as LE).
@@ -58,20 +65,20 @@ pub fn write_pcap_at(records: &[TapRecord], vantage: Option<f64>) -> Vec<u8> {
     push_u16(&mut out, 4); // version minor
     push_u32(&mut out, 0); // thiszone
     push_u32(&mut out, sigfigs); // vantage (millionths + 1), 0 = unset
-    push_u32(&mut out, 65_535); // snaplen
+    push_u32(&mut out, TAP_SNAP_LEN as u32 + 1); // snaplen
     push_u32(&mut out, LINKTYPE_USER0);
     for record in records {
         let us = record.time.as_micros();
         push_u32(&mut out, (us / 1_000_000) as u32);
         push_u32(&mut out, (us % 1_000_000) as u32);
-        let len = record.datagram.len() as u32 + 1;
-        push_u32(&mut out, len); // captured length
-        push_u32(&mut out, len); // original length
+        let snap = record.snap();
+        push_u32(&mut out, snap.len() as u32 + 1); // captured length
+        push_u32(&mut out, (record.datagram_len() as u32).saturating_add(1)); // original length
         out.push(match record.from {
             Side::Client => DIR_CLIENT_TO_SERVER,
             Side::Server => DIR_SERVER_TO_CLIENT,
         });
-        out.extend_from_slice(&record.datagram);
+        out.extend_from_slice(snap);
     }
     out
 }
@@ -87,6 +94,8 @@ pub enum PcapError {
     WrongLinkType(u32),
     /// A packet had a zero-length body (no direction byte).
     EmptyPacket,
+    /// A record captured more bytes than its packet had.
+    CaptureExceedsPacket,
 }
 
 impl core::fmt::Display for PcapError {
@@ -96,6 +105,9 @@ impl core::fmt::Display for PcapError {
             PcapError::Truncated => f.write_str("truncated pcap record"),
             PcapError::WrongLinkType(lt) => write!(f, "unexpected link type {lt}"),
             PcapError::EmptyPacket => f.write_str("pcap record without direction byte"),
+            PcapError::CaptureExceedsPacket => {
+                f.write_str("pcap record captured more bytes than its packet had")
+            }
         }
     }
 }
@@ -108,7 +120,8 @@ fn read_u32(buf: &[u8], at: usize) -> Option<u32> {
 }
 
 /// Parses a pcap byte stream produced by [`write_pcap`] back into tap
-/// records.
+/// records. Each record keeps at most [`TAP_SNAP_LEN`] bytes and takes
+/// the datagram's length from the original-length field.
 pub fn read_pcap(bytes: &[u8]) -> Result<Vec<TapRecord>, PcapError> {
     read_pcap_with_vantage(bytes).map(|(records, _)| records)
 }
@@ -134,19 +147,24 @@ pub fn read_pcap_with_vantage(bytes: &[u8]) -> Result<(Vec<TapRecord>, Option<f6
         let secs = read_u32(bytes, at).ok_or(PcapError::Truncated)?;
         let micros = read_u32(bytes, at + 4).ok_or(PcapError::Truncated)?;
         let caplen = read_u32(bytes, at + 8).ok_or(PcapError::Truncated)? as usize;
+        let origlen = read_u32(bytes, at + 12).ok_or(PcapError::Truncated)? as usize;
+        if caplen > origlen {
+            return Err(PcapError::CaptureExceedsPacket);
+        }
         at += 16;
-        let body = bytes.get(at..at + caplen).ok_or(PcapError::Truncated)?;
+        let body = at
+            .checked_add(caplen)
+            .and_then(|end| bytes.get(at..end))
+            .ok_or(PcapError::Truncated)?;
         at += caplen;
-        let (&dir, datagram) = body.split_first().ok_or(PcapError::EmptyPacket)?;
-        records.push(TapRecord {
-            time: SimTime::from_nanos((u64::from(secs) * 1_000_000 + u64::from(micros)) * 1_000),
-            from: if dir == DIR_CLIENT_TO_SERVER {
-                Side::Client
-            } else {
-                Side::Server
-            },
-            datagram: datagram.into(),
-        });
+        let (&dir, snap) = body.split_first().ok_or(PcapError::EmptyPacket)?;
+        let from = if dir == DIR_CLIENT_TO_SERVER {
+            Side::Client
+        } else {
+            Side::Server
+        };
+        let time = SimTime::from_nanos((u64::from(secs) * 1_000_000 + u64::from(micros)) * 1_000);
+        records.push(TapRecord::from_snap(time, from, snap, origlen - 1));
     }
     Ok((records, vantage))
 }
@@ -157,11 +175,7 @@ mod tests {
     use crate::time::SimDuration;
 
     fn record(ms: u64, from: Side, payload: &[u8]) -> TapRecord {
-        TapRecord {
-            time: SimTime::ZERO + SimDuration::from_millis(ms),
-            from,
-            datagram: payload.into(),
-        }
+        TapRecord::capture(SimTime::ZERO + SimDuration::from_millis(ms), from, payload)
     }
 
     #[test]
@@ -182,7 +196,49 @@ mod tests {
         let bytes = write_pcap(&[]);
         assert_eq!(bytes.len(), 24);
         assert_eq!(&bytes[..4], &0xa1b2_c3d4u32.to_le_bytes());
+        assert_eq!(read_u32(&bytes, 16), Some(TAP_SNAP_LEN as u32 + 1));
         assert_eq!(read_pcap(&bytes).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn records_carry_the_snap_and_the_original_length() {
+        let datagram: Vec<u8> = (0..100).collect();
+        let records = vec![record(3, Side::Client, &datagram)];
+        let bytes = write_pcap(&records);
+        assert_eq!(bytes.len(), 24 + 16 + 1 + TAP_SNAP_LEN);
+        assert_eq!(read_u32(&bytes, 24 + 8), Some(TAP_SNAP_LEN as u32 + 1));
+        assert_eq!(read_u32(&bytes, 24 + 12), Some(101));
+        let back = read_pcap(&bytes).unwrap();
+        assert_eq!(back, records);
+        assert_eq!(back[0].snap(), &datagram[..TAP_SNAP_LEN]);
+        assert_eq!(back[0].datagram_len(), 100);
+    }
+
+    #[test]
+    fn foreign_full_captures_are_snapped_on_read() {
+        // A whole-datagram record, as a capture without a snaplen has it.
+        let mut bytes = write_pcap(&[]);
+        push_u32(&mut bytes, 0);
+        push_u32(&mut bytes, 0);
+        push_u32(&mut bytes, 41);
+        push_u32(&mut bytes, 41);
+        bytes.push(DIR_SERVER_TO_CLIENT);
+        bytes.extend(0..40u8);
+        let back = read_pcap(&bytes).unwrap();
+        assert_eq!(
+            back[0].snap(),
+            &(0..TAP_SNAP_LEN as u8).collect::<Vec<_>>()[..]
+        );
+        assert_eq!(back[0].datagram_len(), 40);
+        assert_eq!(back[0].from, Side::Server);
+    }
+
+    #[test]
+    fn capture_longer_than_packet_rejected() {
+        let mut bytes = write_pcap(&[record(1, Side::Client, &[1, 2, 3])]);
+        // Original length 4 -> 2, below the captured 4.
+        bytes[24 + 12..24 + 16].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(read_pcap(&bytes), Err(PcapError::CaptureExceedsPacket));
     }
 
     #[test]
@@ -214,11 +270,11 @@ mod tests {
 
     #[test]
     fn timestamps_preserve_microseconds() {
-        let records = vec![TapRecord {
-            time: SimTime::from_nanos(1_234_567_000),
-            from: Side::Server,
-            datagram: vec![1].into(),
-        }];
+        let records = vec![TapRecord::capture(
+            SimTime::from_nanos(1_234_567_000),
+            Side::Server,
+            &[1],
+        )];
         let back = read_pcap(&write_pcap(&records)).unwrap();
         assert_eq!(back[0].time.as_micros(), 1_234_567);
     }

@@ -3,7 +3,6 @@
 
 use crate::event::EventQueue;
 use crate::link::{Link, LinkConfig};
-use crate::payload::Payload;
 use crate::rng::Rng;
 use crate::time::SimTime;
 
@@ -35,16 +34,59 @@ impl core::fmt::Display for Side {
     }
 }
 
-/// A datagram crossing the tap position, as seen by a passive observer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Bytes of each datagram the tap keeps: the first byte plus the longest
+/// destination connection ID QUIC allows (20 bytes, RFC 9000 §17.2).
+/// That is everything a short header leaves in the clear, so the capture
+/// itself is the privacy boundary: the packet number and the payload
+/// never reach a [`TapRecord`]. An on-path switch cuts the same snap.
+pub const TAP_SNAP_LEN: usize = 21;
+
+/// A datagram crossing the tap position, as seen by a passive observer:
+/// its first [`TAP_SNAP_LEN`] bytes and its length on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapRecord {
     /// When the packet passed the tap.
     pub time: SimTime,
     /// Which side sent it.
     pub from: Side,
-    /// The raw datagram bytes (the observer parses what it legally can);
-    /// shared with the in-flight copy, not duplicated.
-    pub datagram: Payload,
+    len: u32,
+    snap_len: u8,
+    snap: [u8; TAP_SNAP_LEN],
+}
+
+impl TapRecord {
+    /// Captures `datagram` crossing the tap: keeps its first
+    /// [`TAP_SNAP_LEN`] bytes and its length.
+    pub fn capture(time: SimTime, from: Side, datagram: &[u8]) -> Self {
+        TapRecord::from_snap(time, from, datagram, datagram.len())
+    }
+
+    /// A record of a datagram of `len` bytes of which `snap` was
+    /// captured (a pcap record, say). Keeps at most [`TAP_SNAP_LEN`]
+    /// bytes of `snap`; the length is never less than what is kept.
+    pub fn from_snap(time: SimTime, from: Side, snap: &[u8], len: usize) -> Self {
+        let kept = &snap[..snap.len().min(TAP_SNAP_LEN)];
+        let mut bytes = [0u8; TAP_SNAP_LEN];
+        bytes[..kept.len()].copy_from_slice(kept);
+        TapRecord {
+            time,
+            from,
+            len: u32::try_from(len.max(kept.len())).unwrap_or(u32::MAX),
+            snap_len: kept.len() as u8,
+            snap: bytes,
+        }
+    }
+
+    /// The captured prefix of the datagram (at most [`TAP_SNAP_LEN`]
+    /// bytes).
+    pub fn snap(&self) -> &[u8] {
+        &self.snap[..usize::from(self.snap_len)]
+    }
+
+    /// The datagram's length on the wire.
+    pub fn datagram_len(&self) -> usize {
+        self.len as usize
+    }
 }
 
 /// Aggregate per-path statistics.
@@ -97,8 +139,8 @@ pub enum SimEvent {
     Datagram {
         /// Receiving side.
         to: Side,
-        /// The datagram bytes.
-        datagram: Payload,
+        /// The datagram bytes, owned by the receiver now.
+        datagram: Vec<u8>,
     },
     /// A timer set via [`Simulator::set_timer`] fired for `side`.
     Timer {
@@ -111,7 +153,7 @@ pub enum SimEvent {
 
 #[derive(Debug)]
 enum Pending {
-    Deliver { to: Side, datagram: Payload },
+    Deliver { to: Side, datagram: Vec<u8> },
     Timer { side: Side, token: u64 },
 }
 
@@ -240,7 +282,7 @@ impl Simulator {
     }
 
     /// Injects a datagram sent by `from` at the current time.
-    pub fn send(&mut self, from: Side, datagram: impl Into<Payload>) {
+    pub fn send(&mut self, from: Side, datagram: Vec<u8>) {
         self.send_after(from, crate::time::SimDuration::ZERO, datagram);
     }
 
@@ -248,13 +290,7 @@ impl Simulator {
     /// processing latency: the time between the triggering event and the
     /// packet hitting the wire — the end-host delay the paper holds
     /// responsible for spin-bit overestimation).
-    pub fn send_after(
-        &mut self,
-        from: Side,
-        delay: crate::time::SimDuration,
-        datagram: impl Into<Payload>,
-    ) {
-        let datagram: Payload = datagram.into();
+    pub fn send_after(&mut self, from: Side, delay: crate::time::SimDuration, datagram: Vec<u8>) {
         let dir = PathStats::dir(from);
         self.stats.sent[dir] += 1;
         self.stats.bytes[dir] += datagram.len() as u64;
@@ -283,27 +319,29 @@ impl Simulator {
             self.stats.duplicated[dir] += 1;
         }
 
-        // Tap capture and each delivery only clone the shared handle; the
-        // bytes themselves are never copied, and with no tap installed the
-        // capture costs nothing at all.
+        // The tap keeps only a snap of the header; the delivery owns the
+        // buffer, and only a duplicate costs a copy.
         if self.tap_position.is_some() {
-            self.tap_records.push(TapRecord {
-                time: transit.tap_time,
-                from,
-                datagram: datagram.clone(),
-            });
+            self.tap_records
+                .push(TapRecord::capture(transit.tap_time, from, &datagram));
         }
 
         let to = from.other();
         self.stats.queue_pushes += transit.deliveries.len() as u64;
-        for &at in transit.deliveries.iter() {
-            self.queue.push(
-                at,
-                Pending::Deliver {
-                    to,
-                    datagram: datagram.clone(),
-                },
-            );
+        match *transit.deliveries {
+            [at] => self.queue.push(at, Pending::Deliver { to, datagram }),
+            [first, second] => {
+                self.queue.push(
+                    first,
+                    Pending::Deliver {
+                        to,
+                        datagram: datagram.clone(),
+                    },
+                );
+                self.queue.push(second, Pending::Deliver { to, datagram });
+            }
+            // Lost: the buffer is dropped with the packet.
+            _ => {}
         }
         self.note_queue_depth();
     }
@@ -368,7 +406,7 @@ mod tests {
             ev,
             SimEvent::Datagram {
                 to: Side::Server,
-                datagram: vec![1, 2, 3].into()
+                datagram: vec![1, 2, 3]
             }
         );
         assert_eq!(sim.now(), at);
@@ -535,7 +573,7 @@ mod tests {
             }
             sim.sort_tap_records();
             let records = sim.tap_records();
-            assert_eq!(records[0].datagram, vec![2], "overtaker crosses tap first");
+            assert_eq!(records[0].snap(), [2], "overtaker crosses tap first");
             assert!(records[0].time <= records[1].time);
             return;
         }
@@ -543,17 +581,46 @@ mod tests {
     }
 
     #[test]
-    fn tap_record_shares_delivered_allocation() {
+    fn tap_keeps_a_snap_and_delivery_owns_the_datagram() {
         let mut sim = Simulator::symmetric(LinkConfig::ideal(ms(10)), 1).with_tap(0.5);
-        sim.send(Side::Client, vec![1, 2, 3]);
-        let tapped = sim.tap_records()[0].datagram.clone();
-        let Some((_, SimEvent::Datagram { datagram, .. })) = sim.step() else {
+        let datagram: Vec<u8> = (0..64).collect();
+        sim.send(Side::Client, datagram.clone());
+        let tapped = sim.tap_records()[0];
+        assert_eq!(tapped.snap(), &datagram[..TAP_SNAP_LEN]);
+        assert_eq!(tapped.datagram_len(), 64);
+        let Some((_, SimEvent::Datagram { datagram: got, .. })) = sim.step() else {
             panic!("expected delivery");
         };
-        assert!(
-            crate::payload::Payload::ptr_eq(&tapped, &datagram),
-            "tap and delivery must share one allocation"
-        );
+        assert_eq!(got, datagram);
+    }
+
+    #[test]
+    fn short_datagrams_are_captured_whole() {
+        let record = TapRecord::capture(SimTime::ZERO, Side::Server, &[7, 8, 9]);
+        assert_eq!(record.snap(), [7, 8, 9]);
+        assert_eq!(record.datagram_len(), 3);
+        // A snap never claims more bytes than the datagram had.
+        let cut = TapRecord::from_snap(SimTime::ZERO, Side::Client, &[1; 40], 5);
+        assert_eq!(cut.snap().len(), TAP_SNAP_LEN);
+        assert_eq!(cut.datagram_len(), TAP_SNAP_LEN);
+    }
+
+    #[test]
+    fn duplicated_datagrams_deliver_two_equal_copies() {
+        let cfg = LinkConfig {
+            duplicate: 1.0,
+            ..LinkConfig::ideal(ms(10))
+        };
+        let mut sim = Simulator::symmetric(cfg, 1);
+        sim.send(Side::Client, vec![4, 5, 6]);
+        let mut copies = Vec::new();
+        while let Some((_, event)) = sim.step() {
+            if let SimEvent::Datagram { datagram, .. } = event {
+                copies.push(datagram);
+            }
+        }
+        assert_eq!(copies, [vec![4, 5, 6], vec![4, 5, 6]]);
+        assert_eq!(sim.stats().duplicated, [1, 0]);
     }
 
     #[test]

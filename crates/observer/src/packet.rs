@@ -7,13 +7,16 @@
 //! (handshake) packets carry plaintext CRYPTO data the observer must
 //! never see.
 //!
-//! The boundary is compile-visible: the fields of [`ObservedPacket`] are
-//! private, the only constructors run
-//! [`Header::peek_observable`] over the datagram and return `None` for
-//! anything that is not a well-formed short header, and no accessor
-//! hands back datagram bytes beyond the destination CID. Code behind the
-//! constructor cannot recover payload bytes — they are never copied out
-//! of the tap record in the first place.
+//! The boundary starts at the point of capture: a simulator
+//! [`TapRecord`] keeps only the first [`TAP_SNAP_LEN`] bytes of a
+//! datagram — the first byte plus the longest destination CID — so
+//! payload bytes never reach the observer at all. It is also
+//! compile-visible: the fields of [`ObservedPacket`] are private, the
+//! only constructors run [`Header::peek_observable`] over the snap and
+//! return `None` for anything that is not a well-formed short header,
+//! and no accessor hands back bytes beyond the destination CID.
+//!
+//! [`TAP_SNAP_LEN`]: quicspin_netsim::TAP_SNAP_LEN
 
 use quicspin_core::{Direction, PacketObservation};
 use quicspin_netsim::{Side, TapRecord};
@@ -41,7 +44,7 @@ impl ObservedPacket {
                 Side::Client => Direction::Upstream,
                 Side::Server => Direction::Downstream,
             },
-            &record.datagram,
+            record.snap(),
             cid_len,
         )
     }
@@ -191,16 +194,42 @@ mod tests {
 
     #[test]
     fn tap_record_conversion_maps_sides() {
-        let record = TapRecord {
-            time: SimTime::from_nanos(5_000),
-            from: Side::Client,
-            datagram: short_datagram(false, 0).into(),
-        };
+        let record = TapRecord::capture(
+            SimTime::from_nanos(5_000),
+            Side::Client,
+            &short_datagram(false, 0),
+        );
         let p = ObservedPacket::from_tap(&record, CID_LEN).unwrap();
         assert_eq!(p.direction(), Direction::Upstream);
         assert_eq!(p.time_us(), 5);
         let obs = p.to_observation();
         assert_eq!(obs.packet_number, None);
         assert_eq!(obs.time_us, 5);
+    }
+
+    #[test]
+    fn the_snap_holds_the_longest_observable_header() {
+        assert_eq!(
+            quicspin_netsim::TAP_SNAP_LEN,
+            1 + quicspin_wire::cid::MAX_CID_LEN
+        );
+        // With the longest CID the snap still carries the whole view.
+        let h = quicspin_wire::ShortHeader {
+            spin: true,
+            vec: 2,
+            dcid: ConnectionId::new(&[9; quicspin_wire::cid::MAX_CID_LEN]).unwrap(),
+            packet_number: PacketNumber::new(3),
+        };
+        let mut w = Writer::new();
+        h.encode(&mut w);
+        let mut datagram = w.into_bytes();
+        datagram.extend_from_slice(&[0xEE; 48]);
+        let record = TapRecord::capture(SimTime::from_nanos(1_000), Side::Server, &datagram);
+        let len = quicspin_wire::cid::MAX_CID_LEN;
+        assert_eq!(
+            ObservedPacket::from_tap(&record, len),
+            ObservedPacket::from_datagram(1, Direction::Downstream, &datagram, len)
+        );
+        assert!(ObservedPacket::from_tap(&record, len).is_some());
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! An on-path observer sees whatever crosses the wire: truncated
 //! datagrams, corrupted bytes, and (from a badly merged capture) times
-//! that run backwards. Seeded mutations of real lab tap datagrams must
-//! never panic the fold, and every record must be accounted for — either
-//! observed or counted as unobservable.
+//! that run backwards. Seeded truncations and mutations of the header
+//! snaps a lab tap captured must never panic the fold, and every record
+//! must be accounted for — either observed or counted as unobservable.
 
 use proptest::TestRng;
-use quicspin_netsim::{Payload, SimTime, TapRecord};
+use quicspin_netsim::{SimTime, TapRecord};
 use quicspin_observer::FlowObserver;
 use quicspin_quic::{ConnectionLab, LabConfig, LabOutcome};
 
@@ -35,12 +35,14 @@ fn fold_accounts_for_every_record(records: &[TapRecord], cid_len: usize) {
     assert_eq!(samples, stats.samples + stats.samples_upstream);
 }
 
-fn with_datagram(record: &TapRecord, bytes: Vec<u8>) -> TapRecord {
-    TapRecord {
-        time: record.time,
-        from: record.from,
-        datagram: Payload::from(bytes),
-    }
+fn with_snap(record: &TapRecord, snap: &[u8]) -> TapRecord {
+    TapRecord::from_snap(record.time, record.from, snap, record.datagram_len())
+}
+
+fn at_time(record: &TapRecord, time: SimTime) -> TapRecord {
+    let mut moved = *record;
+    moved.time = time;
+    moved
 }
 
 #[test]
@@ -53,8 +55,8 @@ fn truncated_datagrams_never_panic() {
             .tap_records
             .iter()
             .map(|r| {
-                let keep = (rng.next_u64() % (r.datagram.len() as u64 + 1)) as usize;
-                with_datagram(r, r.datagram[..keep].to_vec())
+                let keep = (rng.next_u64() % (r.snap().len() as u64 + 1)) as usize;
+                with_snap(r, &r.snap()[..keep])
             })
             .collect();
         fold_accounts_for_every_record(&records, outcome.cid_len);
@@ -70,15 +72,12 @@ fn one_byte_mutations_never_panic() {
             .tap_records
             .iter()
             .map(|r| {
-                let mut bytes = r.datagram.to_vec();
+                let mut bytes = r.snap().to_vec();
                 if !bytes.is_empty() {
-                    // Bias toward the first bytes: the header is all an
-                    // observer parses.
-                    let span = bytes.len().min(24) as u64;
-                    let at = (rng.next_u64() % span) as usize;
+                    let at = (rng.next_u64() % bytes.len() as u64) as usize;
                     bytes[at] = rng.next_u64() as u8;
                 }
-                with_datagram(r, bytes)
+                with_snap(r, &bytes)
             })
             .collect();
         fold_accounts_for_every_record(&records, outcome.cid_len);
@@ -101,11 +100,7 @@ fn shuffled_times_never_panic() {
             .tap_records
             .iter()
             .zip(&times)
-            .map(|(r, &time)| TapRecord {
-                time,
-                from: r.from,
-                datagram: r.datagram.clone(),
-            })
+            .map(|(r, &time)| at_time(r, time))
             .collect();
         fold_accounts_for_every_record(&records, outcome.cid_len);
     }
@@ -119,10 +114,11 @@ fn extreme_times_never_panic() {
         .tap_records
         .iter()
         .enumerate()
-        .map(|(i, r)| TapRecord {
-            time: SimTime::from_nanos(if i % 2 == 0 { 0 } else { u64::MAX }),
-            from: r.from,
-            datagram: r.datagram.clone(),
+        .map(|(i, r)| {
+            at_time(
+                r,
+                SimTime::from_nanos(if i % 2 == 0 { 0 } else { u64::MAX }),
+            )
         })
         .collect();
     fold_accounts_for_every_record(&records, outcome.cid_len);

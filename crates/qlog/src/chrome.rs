@@ -13,7 +13,8 @@
 //! anomaly marks and writes the merged array as `trace.json` next to the
 //! other campaign artifacts.
 
-use crate::render::timeline;
+use crate::events::EventData;
+use crate::render::SpinEdges;
 use crate::trace::TraceLog;
 use serde::{Deserialize, Serialize};
 
@@ -157,30 +158,36 @@ pub fn chrome_trace_events(trace: &TraceLog, pid: u32, tid: u32) -> Vec<ChromeEv
             ));
         }
     }
-    for row in timeline(trace) {
-        if row.edge {
-            events.push(
-                ChromeEvent::instant("spin-edge", row.time_us, pid, tid, "spin").with_args(
+    let mut edges = SpinEdges::default();
+    for e in &trace.events {
+        match e.data {
+            EventData::PacketReceived {
+                space,
+                packet_number,
+                spin,
+                ..
+            } if edges.received(space, spin) => events.push(
+                ChromeEvent::instant("spin-edge", e.time_us, pid, tid, "spin").with_args(
                     ChromeArgs {
-                        packet_number: row.packet_number,
-                        spin: row.spin,
+                        packet_number: Some(packet_number),
+                        spin,
                         ..ChromeArgs::default()
                     },
                 ),
-            );
-        } else if row.kind == "LOST" {
-            events.push(
-                ChromeEvent::instant("packet-lost", row.time_us, pid, tid, "loss").with_args(
+            ),
+            EventData::PacketLost { packet_number, .. } => events.push(
+                ChromeEvent::instant("packet-lost", e.time_us, pid, tid, "loss").with_args(
                     ChromeArgs {
-                        packet_number: row.packet_number,
+                        packet_number: Some(packet_number),
                         ..ChromeArgs::default()
                     },
                 ),
-            );
+            ),
+            _ => {}
         }
     }
     for e in &trace.events {
-        if let crate::events::EventData::RttUpdated { latest_us, .. } = e.data {
+        if let EventData::RttUpdated { latest_us, .. } = e.data {
             events.push(ChromeEvent::counter(
                 "rtt_us",
                 e.time_us,

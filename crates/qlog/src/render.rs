@@ -44,11 +44,31 @@ impl TimelineRow {
     }
 }
 
+/// The spin-edge rule of the timeline and the Chrome export: a received
+/// 1-RTT packet is an edge when its spin value differs from the
+/// previously observed one (the first observation is not an edge).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SpinEdges {
+    last: Option<bool>,
+}
+
+impl SpinEdges {
+    /// Feeds one received packet; returns whether it flipped the spin.
+    pub(crate) fn received(&mut self, space: PacketSpace, spin: Option<bool>) -> bool {
+        let (true, Some(spin)) = (space.has_spin(), spin) else {
+            return false;
+        };
+        let edge = self.last.is_some_and(|prev| prev != spin);
+        self.last = Some(spin);
+        edge
+    }
+}
+
 /// Builds the timeline rows for a trace, in emission order. Edge markers
 /// are set on received 1-RTT packets whose spin value differs from the
 /// previously observed one (the first observation is not an edge).
 pub fn timeline(trace: &TraceLog) -> Vec<TimelineRow> {
-    let mut last_spin: Option<bool> = None;
+    let mut edges = SpinEdges::default();
     let mut rows = Vec::with_capacity(trace.len());
     for e in &trace.events {
         let row = match &e.data {
@@ -79,24 +99,15 @@ pub fn timeline(trace: &TraceLog) -> Vec<TimelineRow> {
                 packet_number,
                 spin,
                 size,
-            } => {
-                let mut edge = false;
-                if space.has_spin() {
-                    if let Some(s) = spin {
-                        edge = last_spin.is_some_and(|prev| prev != *s);
-                        last_spin = Some(*s);
-                    }
-                }
-                TimelineRow {
-                    time_us: e.time_us,
-                    kind: "RX",
-                    space: Some(*space),
-                    packet_number: Some(*packet_number),
-                    spin: *spin,
-                    edge,
-                    note: format!("{size} B"),
-                }
-            }
+            } => TimelineRow {
+                time_us: e.time_us,
+                kind: "RX",
+                space: Some(*space),
+                packet_number: Some(*packet_number),
+                spin: *spin,
+                edge: edges.received(*space, *spin),
+                note: format!("{size} B"),
+            },
             EventData::RttUpdated {
                 latest_us,
                 smoothed_us,

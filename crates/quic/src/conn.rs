@@ -170,11 +170,21 @@ impl ConnStorage {
         streams.clear();
         events.clear();
         rtt_samples.clear();
-        datagram_pool.clear();
+        // Pooled datagram buffers are kept: they pre-stock the next
+        // connection (see `Connection::prestocked`).
+        datagram_pool.truncate(STORED_DATAGRAM_POOL_CAP);
         lost.clear();
         send_frames.clear();
     }
 }
+
+/// Most datagram buffers a connection's pool holds from its own
+/// deliveries.
+const DATAGRAM_POOL_CAP: usize = 64;
+
+/// Most pooled datagram buffers a finished connection hands to the next
+/// one through its [`ConnStorage`].
+const STORED_DATAGRAM_POOL_CAP: usize = 32;
 
 /// Maximum consecutive PTOs before the connection gives up.
 const MAX_PTO_COUNT: u32 = 6;
@@ -240,12 +250,13 @@ pub struct Connection {
     /// Recycled datagram buffers for outgoing packets (fed back via
     /// [`Connection::recycle_datagram`]).
     datagram_pool: Vec<Vec<u8>>,
-    /// How many buffers at the bottom of `datagram_pool` were seeded by
-    /// [`Connection::prestock_datagram`] rather than recycled from this
-    /// connection's own deliveries. Pops served from that stock are not
-    /// pool *hits* — the hit/miss counters track in-run recycling only,
-    /// which keeps them independent of cross-run driver state (and so
-    /// byte-identical in thread-count-invariant campaign manifests).
+    /// How many buffers at the bottom of `datagram_pool` a previous
+    /// connection left in the storage this one was built on, rather than
+    /// recycled from this connection's own deliveries. Pops served from
+    /// that stock are not pool *hits* — the hit/miss counters track
+    /// in-run recycling only, which keeps them independent of which
+    /// connection used the storage before (and so byte-identical in
+    /// thread-count-invariant campaign manifests).
     prestocked: usize,
     /// Congestion window in packets (NewReno-style slow start +
     /// congestion avoidance). Gates fresh 1-RTT stream data.
@@ -359,8 +370,8 @@ impl Connection {
             close_sent: false,
             error: None,
             last_send_latency: SimDuration::ZERO,
+            prestocked: datagram_pool.len(),
             datagram_pool,
-            prestocked: 0,
             cwnd: cfg.initial_cwnd_packets,
             ssthresh: u64::MAX,
             ca_credit: 0,
@@ -372,11 +383,14 @@ impl Connection {
     }
 
     /// Tears the connection down into its heap storage, emptied: the
-    /// packet-number ledgers, range lists, stream and crypto buffers,
-    /// event queue and datagram-pool vector keep their capacity for the
-    /// next connection built with [`new_client_in`] or [`new_server_in`],
-    /// which behaves exactly like a fresh one. (The qlog event buffer has
-    /// its own path, [`Connection::reuse_qlog_events`].)
+    /// packet-number ledgers, range lists, stream and crypto buffers and
+    /// event queue keep their capacity for the next connection built
+    /// with [`new_client_in`] or [`new_server_in`], which behaves exactly
+    /// like a fresh one. Up to 32 pooled datagram buffers stay in the
+    /// storage and pre-stock that connection's pool; sends they serve
+    /// count as pool misses, so its counters match a fresh one's too.
+    /// (The qlog event buffer has its own path,
+    /// [`Connection::reuse_qlog_events`].)
     ///
     /// [`new_client_in`]: Connection::new_client_in
     /// [`new_server_in`]: Connection::new_server_in
@@ -386,8 +400,6 @@ impl Connection {
             streams: self.streams,
             events: self.events,
             rtt_samples: self.rtt.into_samples(),
-            // Only the vector: pooled buffers would turn the next run's
-            // misses into hits and change its counters.
             datagram_pool: self.datagram_pool,
             lost: self.lost,
             send_frames: self.send_frames,
@@ -433,27 +445,14 @@ impl Connection {
     }
 
     /// Hands a spent datagram buffer back for reuse by future
-    /// [`Connection::poll_transmit`] calls. Drivers that unwrap delivered
-    /// payloads can keep the packet path allocation-free in steady state.
+    /// [`Connection::poll_transmit`] calls. An event loop that recycles every
+    /// delivered datagram keeps the packet path allocation-free in
+    /// steady state.
     pub fn recycle_datagram(&mut self, buf: Vec<u8>) {
-        // Large enough that a tapped lab run's pre-stocked buffers (see
-        // `LabScratch`) cover a whole flow's sends; an untapped driver's
-        // delivery ping-pong keeps the pool at one or two entries anyway.
-        if self.datagram_pool.len() < 64 {
+        // The cap counts this connection's own recycling only, so a
+        // pre-stocked pool never turns a recycled buffer away.
+        if self.datagram_pool.len() - self.prestocked < DATAGRAM_POOL_CAP {
             self.datagram_pool.push(buf);
-        }
-    }
-
-    /// Seeds the datagram pool with a buffer from *outside* this
-    /// connection's own delivery loop (e.g. a previous run's tap
-    /// capture). Unlike [`Connection::recycle_datagram`] reuse, sends
-    /// served from this stock count as pool misses: the hit counter
-    /// tracks in-run recycling only, so campaign manifests stay
-    /// independent of which worker ran the previous probe.
-    pub fn prestock_datagram(&mut self, buf: Vec<u8>) {
-        if self.datagram_pool.len() < 64 {
-            self.datagram_pool.push(buf);
-            self.prestocked = self.prestocked.max(self.datagram_pool.len());
         }
     }
 
@@ -1223,26 +1222,51 @@ mod tests {
 
     #[test]
     fn prestocked_buffers_are_reused_but_never_counted_as_hits() {
-        let (mut client, mut server) = pair();
-        pump(&mut client, &mut server, at(0));
-        let base = client.counters();
-        client.prestock_datagram(Vec::with_capacity(1500));
-        client.send_stream(0, b"ping", true);
-        pump(&mut client, &mut server, at(5));
-        let after = client.counters();
+        let mut storage = ConnStorage::default();
+        storage.datagram_pool.push(Vec::with_capacity(1500));
+        let mut client =
+            Connection::new_client_in(TransportConfig::default(), 1, SimTime::ZERO, storage);
+        let mut server = Connection::new_server(TransportConfig::default(), 2, SimTime::ZERO);
+        let initial = client.poll_transmit(at(0)).unwrap();
+        assert!(client.datagram_pool.is_empty(), "the stocked buffer served");
+        let counters = client.counters();
         assert_eq!(
-            after.datagram_pool_hits, base.datagram_pool_hits,
+            (counters.datagram_pool_hits, counters.datagram_pool_misses),
+            (0, 1),
             "pre-stock reuse must not count as an in-run recycling hit"
         );
-        assert!(after.datagram_pool_misses > base.datagram_pool_misses);
+        server.handle_datagram(at(0), &initial);
+        pump(&mut client, &mut server, at(0));
         // Once the pre-stock is consumed, genuine recycling counts again.
+        let base = client.counters();
         client.recycle_datagram(Vec::with_capacity(1500));
-        client.send_stream(4, b"ping again", true);
-        pump(&mut client, &mut server, at(10));
+        client.send_stream(0, b"ping", true);
+        pump(&mut client, &mut server, at(5));
         assert_eq!(
             client.counters().datagram_pool_hits,
             base.datagram_pool_hits + 1
         );
+    }
+
+    #[test]
+    fn storage_carries_pooled_buffers_but_not_counters() {
+        let (mut client, mut server) = pair();
+        for _ in 0..80 {
+            client.recycle_datagram(Vec::with_capacity(64));
+        }
+        pump(&mut client, &mut server, at(0));
+        let storage = client.into_storage();
+        assert_eq!(storage.datagram_pool.len(), STORED_DATAGRAM_POOL_CAP);
+        let mut next =
+            Connection::new_client_in(TransportConfig::default(), 1, SimTime::ZERO, storage);
+        let mut fresh = Connection::new_client(TransportConfig::default(), 1, SimTime::ZERO);
+        // A full pre-stock never turns this connection's own recycling
+        // away, so both see the same hits.
+        for conn in [&mut next, &mut fresh] {
+            conn.recycle_datagram(Vec::with_capacity(64));
+            while conn.poll_transmit(at(0)).is_some() {}
+        }
+        assert_eq!(next.counters(), fresh.counters());
     }
 
     #[test]

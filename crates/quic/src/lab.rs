@@ -125,8 +125,9 @@ impl Default for LabConfig {
 }
 
 /// Operational statistics of one lab run: both endpoints' transport
-/// counters, the simulated path's stats, payload-pool behaviour, and
-/// (when [`LabConfig::time_stages`] is set) real wall time per phase.
+/// counters (datagram-pool behaviour included), the simulated path's
+/// stats, and (when [`LabConfig::time_stages`] is set) real wall time
+/// per phase.
 ///
 /// Plain data — the transport stack carries no telemetry dependency; the
 /// scanner maps these into its campaign registry.
@@ -138,10 +139,6 @@ pub struct LabStats {
     pub server: ConnCounters,
     /// Simulated-path statistics (drops, reorders, queue high-water).
     pub path: PathStats,
-    /// Delivered payload buffers reclaimed for reuse (sole handle).
-    pub payload_reclaimed: u64,
-    /// Delivered payloads still shared at delivery (a tap held a handle).
-    pub payload_shared: u64,
     /// Host wall time from lab start to handshake completion (0 when
     /// stage timing is off or the handshake never completed).
     pub handshake_wall_ns: u64,
@@ -165,7 +162,8 @@ pub struct LabOutcome {
     pub client_qlog: TraceLog,
     /// Server qlog trace.
     pub server_qlog: TraceLog,
-    /// Tap records (time-sorted), both directions.
+    /// Tap records (time-sorted), both directions: each datagram's
+    /// header snap and length.
     pub tap_records: Vec<TapRecord>,
     /// Connection-ID length, needed to parse tap records.
     pub cid_len: usize,
@@ -196,7 +194,7 @@ impl LabOutcome {
             .iter()
             .filter(|r| r.from == from)
             .filter_map(|r| {
-                Header::peek_observable(&r.datagram, self.cid_len)
+                Header::peek_observable(r.snap(), self.cid_len)
                     .map(|h| PacketObservation::wire(r.time.as_micros(), h.spin).with_vec(h.vec))
             })
             .collect()
@@ -221,9 +219,10 @@ impl LabOutcome {
 /// of runs; keeping one `LabScratch` per worker thread and passing it to
 /// [`run_with_scratch`](ConnectionLab::run_with_scratch) (then recovering
 /// the outcome's buffers via [`reclaim`](LabScratch::reclaim)) leaves a
-/// run with about one allocation per packet: the shared `Payload` handle
-/// each datagram travels in. Results are identical to
-/// [`run`](ConnectionLab::run).
+/// run with well under one allocation per packet: every delivered
+/// datagram buffer is recycled into the receiver's pool, and each
+/// connection's pooled buffers pre-stock the next run's. Results are
+/// identical to [`run`](ConnectionLab::run).
 #[derive(Debug, Default)]
 pub struct LabScratch {
     sim: SimScratch,
@@ -233,18 +232,7 @@ pub struct LabScratch {
     server_events: Vec<LoggedEvent>,
     response_data: Vec<u8>,
     body: Vec<u8>,
-    /// Datagram buffers harvested from a finished tapped run's capture,
-    /// by the side that sent them. With a tap armed the capture pins
-    /// every delivered buffer until the run ends, so the mid-run
-    /// sole-handle recycling in the event loop never fires; these
-    /// pre-stock the next run's connections instead, each side with the
-    /// buffers it sent.
-    datagram_pools: [Vec<Vec<u8>>; 2],
 }
-
-/// Upper bound on each side's harvested datagram buffers: the
-/// per-connection pool caps at 64.
-const SCRATCH_DATAGRAM_POOL_CAP: usize = 64;
 
 impl LabScratch {
     /// Recovers the reusable buffers from a finished outcome. Call once
@@ -255,18 +243,7 @@ impl LabScratch {
         self.response_data = outcome.response_data;
         self.client_events = outcome.client_qlog.events;
         self.server_events = outcome.server_qlog.events;
-        let mut records = outcome.tap_records;
-        for record in records.drain(..) {
-            let pool = &mut self.datagram_pools[side_index(record.from)];
-            if pool.len() >= SCRATCH_DATAGRAM_POOL_CAP {
-                continue;
-            }
-            // Sole handle by now (deliveries dropped theirs mid-run).
-            if let Some(buf) = record.datagram.into_vec() {
-                pool.push(buf);
-            }
-        }
-        self.sim.restock_tap_records(records);
+        self.sim.restock_tap_records(outcome.tap_records);
     }
 
     /// Returns a client qlog event buffer that was taken *out* of an
@@ -340,17 +317,6 @@ impl ConnectionLab {
         );
         client.reuse_qlog_events(std::mem::take(&mut scratch.client_events));
         server.reuse_qlog_events(std::mem::take(&mut scratch.server_events));
-        // Tapped runs cannot recycle delivered buffers mid-run (the
-        // capture holds a handle until the run ends); hand each endpoint
-        // the buffers it sent in the previous run's capture instead.
-        if cfg.tap_position.is_some() {
-            for buf in scratch.datagram_pools[0].drain(..) {
-                client.prestock_datagram(buf);
-            }
-            for buf in scratch.datagram_pools[1].drain(..) {
-                server.prestock_datagram(buf);
-            }
-        }
 
         // Server app state: request assembly + scheduled response chunks.
         let mut request_done = false;
@@ -362,8 +328,6 @@ impl ConnectionLab {
         response_data.clear();
         let mut client_done = false;
         let deadline = SimTime::ZERO + cfg.max_duration;
-        let mut payload_reclaimed = 0u64;
-        let mut payload_shared = 0u64;
         // Host wall-time stage split (handshake vs. everything after).
         // Gated so an un-instrumented run never reads the clock.
         let started_at = cfg.time_stages.then(std::time::Instant::now);
@@ -389,15 +353,9 @@ impl ConnectionLab {
                         Side::Server => &mut server,
                     };
                     conn.handle_datagram(now, &datagram);
-                    // Recycle the delivered buffer (sole handle unless a
-                    // tap kept one) so the receiver's own sends reuse it.
-                    match datagram.into_vec() {
-                        Some(buf) => {
-                            payload_reclaimed += 1;
-                            conn.recycle_datagram(buf);
-                        }
-                        None => payload_shared += 1,
-                    }
+                    // The delivery owns its buffer (the tap kept only a
+                    // snap), so the receiver's own sends reuse it.
+                    conn.recycle_datagram(datagram);
                 }
                 SimEvent::Timer { side, token } => {
                     if token >= TOKEN_APP_BASE {
@@ -492,8 +450,6 @@ impl ConnectionLab {
             client: client.counters(),
             server: server.counters(),
             path: *sim.stats(),
-            payload_reclaimed,
-            payload_shared,
             handshake_wall_ns,
             transfer_wall_ns: match started_at {
                 Some(start) if established_seen => elapsed_ns(start) - handshake_wall_ns,
@@ -576,11 +532,14 @@ mod tests {
         assert_eq!(fresh.response_data, reused.response_data);
         assert_eq!(fresh.client_qlog, reused.client_qlog);
         assert_eq!(fresh.server_qlog, reused.server_qlog);
-        assert_eq!(fresh.tap_records.len(), reused.tap_records.len());
+        assert_eq!(fresh.tap_records, reused.tap_records);
         assert_eq!(
             fresh.client_stack_samples_us,
             reused.client_stack_samples_us
         );
+        // Pre-stocked pool buffers count as misses, so even the pool
+        // counters do not see the warm-up run.
+        assert_eq!(fresh.stats, reused.stats);
     }
 
     #[test]
@@ -609,20 +568,21 @@ mod tests {
         );
         assert!(s.client.spin_edges > 0, "spinning exchange has edges");
         assert!(s.path.queue_high_water > 0);
-        // Default lab has a tap, so delivered payloads stay shared.
-        assert!(s.payload_shared > 0);
+        // The tap keeps only snaps, so delivered buffers recycle.
+        assert!(s.client.datagram_pool_hits + s.server.datagram_pool_hits > 0);
         // Stage timing off by default.
         assert_eq!((s.handshake_wall_ns, s.transfer_wall_ns), (0, 0));
 
-        // Untapped + timed run: payloads reclaim, wall times appear.
+        // Untapped + timed run: the same pool counters, and wall times
+        // appear.
         let timed = ConnectionLab::new(LabConfig {
             tap_position: None,
             time_stages: true,
             ..LabConfig::default()
         })
         .run();
-        assert!(timed.stats.payload_reclaimed > 0);
-        assert_eq!(timed.stats.payload_shared, 0);
+        assert_eq!(timed.stats.client, s.client);
+        assert_eq!(timed.stats.server, s.server);
         assert!(timed.stats.handshake_wall_ns > 0);
         assert!(timed.stats.transfer_wall_ns > 0);
     }

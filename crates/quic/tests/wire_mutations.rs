@@ -1,7 +1,8 @@
 //! Mutation harness for the wire decoders that see untrusted bytes.
 //!
-//! Real lab datagrams (long and short headers; ACKs with gaps, CRYPTO,
-//! STREAM, HANDSHAKE_DONE, CONNECTION_CLOSE and PADDING frames) are
+//! Real datagrams of simulated exchanges (long and short headers; ACKs
+//! with gaps, CRYPTO, STREAM, HANDSHAKE_DONE, CONNECTION_CLOSE and
+//! PADDING frames) are
 //! truncated and mutated byte- and bit-wise under a seeded `netsim` RNG,
 //! then fed to the packet decoder — walking every frame and every ACK
 //! range — and to `Header::peek_observable`, the view an on-path observer
@@ -11,32 +12,86 @@
 mod counting;
 
 use counting::allocations;
-use quicspin_netsim::Rng;
-use quicspin_quic::{ConnectionLab, LabConfig, ServerProfile};
+use quicspin_netsim::{LinkConfig, Rng, Side, SimDuration, SimEvent, SimTime, Simulator};
+use quicspin_quic::{AppEvent, Connection, TransportConfig};
 use quicspin_wire::{Frame, Header, Packet};
 
 /// Mutated inputs per run; the harness must apply at least 20 000.
 const MUTATIONS: usize = 24_000;
 
-/// Every datagram of a clean, a lossy and a large-response lab, as the
-/// tap captured them.
+/// Every datagram of one request/response exchange of `response` bytes
+/// over `link`, copied as each endpoint sends it. The tap keeps only
+/// header snaps, so the corpus is taken at the senders.
+fn exchange(link: LinkConfig, seed: u64, response: usize) -> Vec<Vec<u8>> {
+    let mut sim = Simulator::symmetric(link, seed);
+    let mut conns = [
+        Connection::new_client(TransportConfig::default(), seed * 2 + 1, sim.now()),
+        Connection::new_server(TransportConfig::default(), seed * 2 + 2, sim.now()),
+    ];
+    let sides = [Side::Client, Side::Server];
+    let deadline = SimTime::ZERO + SimDuration::from_secs(60);
+    let mut armed: [Option<SimTime>; 2] = [None, None];
+    let mut sent = Vec::new();
+    loop {
+        for (i, conn) in conns.iter_mut().enumerate() {
+            while let Some(datagram) = conn.poll_transmit(sim.now()) {
+                sent.push(datagram.clone());
+                sim.send(sides[i], datagram);
+            }
+            // One pending wakeup per side, as the lab arms them.
+            if let Some(at) = conn.next_timeout() {
+                if armed[i].is_none_or(|pending| at < pending) {
+                    armed[i] = Some(at);
+                    sim.set_timer(sides[i], at, 0);
+                }
+            }
+        }
+        if conns.iter().all(Connection::is_closed) {
+            return sent;
+        }
+        let Some((now, event)) = sim.step() else {
+            return sent;
+        };
+        assert!(now <= deadline, "the exchange must finish");
+        match event {
+            SimEvent::Datagram { to, datagram } => {
+                conns[usize::from(to == Side::Server)].handle_datagram(now, &datagram);
+            }
+            SimEvent::Timer { side, .. } => {
+                let i = usize::from(side == Side::Server);
+                armed[i] = None;
+                conns[i].on_timeout(now);
+            }
+        }
+        let [client, server] = &mut conns;
+        while let Some(event) = client.poll_event() {
+            match event {
+                AppEvent::HandshakeCompleted => client.send_stream(0, b"GET /", true),
+                AppEvent::StreamData { id: 0, fin: true } => client.close("done"),
+                _ => {}
+            }
+        }
+        while let Some(event) = server.poll_event() {
+            if let AppEvent::StreamData { id: 0, fin: true } = event {
+                server.send_stream(0, &vec![0x42; response], true);
+            }
+        }
+    }
+}
+
+/// Every datagram of a clean, a lossy and a large-response exchange.
 fn lab_datagrams() -> Vec<Vec<u8>> {
-    let lossy = LabConfig {
-        loss: 0.05,
-        reorder: 0.02,
-        jitter_ms: 2.0,
-        seed: 7,
-        ..LabConfig::default()
+    let ideal = LinkConfig::ideal(SimDuration::from_millis(20));
+    let lossy = LinkConfig {
+        jitter: SimDuration::from_millis(2),
+        ..ideal.clone().with_loss(0.05).with_reorder(0.02)
     };
-    let large = LabConfig {
-        server_profile: ServerProfile::instant(120_000),
-        ..lossy.clone()
-    };
-    [LabConfig::default(), lossy, large]
-        .into_iter()
-        .flat_map(|cfg| ConnectionLab::new(cfg).run().tap_records)
-        .map(|record| record.datagram.to_vec())
-        .collect()
+    [
+        exchange(ideal, 1, 36_000),
+        exchange(lossy.clone(), 7, 36_000),
+        exchange(lossy, 7, 120_000),
+    ]
+    .concat()
 }
 
 /// Decodes `bytes` every way an untrusted datagram is decoded, touching
@@ -69,6 +124,44 @@ fn decode_every_way(bytes: &[u8], cid_len: usize) -> (bool, u64) {
         digest += u64::from(observed.spin) + u64::from(observed.vec);
     }
     (ok, digest)
+}
+
+/// Fails unless the corpus has long and short headers, an ACK with a gap
+/// and every frame kind the decoder walks.
+fn assert_covers_every_frame_kind(corpus: &[Vec<u8>]) {
+    let mut kinds = std::collections::BTreeSet::new();
+    for datagram in corpus {
+        let packet = Packet::decode(datagram, 8).expect("real datagrams decode");
+        kinds.insert(match packet.header {
+            Header::Long(_) => "long",
+            Header::Short(_) => "short",
+        });
+        for frame in packet.frames() {
+            kinds.insert(match frame {
+                Frame::Padding { .. } => "padding",
+                Frame::Ack { ranges, .. } if ranges.count_remaining() > 1 => "ack-gap",
+                Frame::Ack { .. } => "ack",
+                Frame::Crypto { .. } => "crypto",
+                Frame::Stream { .. } => "stream",
+                Frame::HandshakeDone => "handshake-done",
+                Frame::ConnectionClose { .. } => "close",
+                Frame::Ping | Frame::NewConnectionId { .. } => "other",
+            });
+        }
+    }
+    for kind in [
+        "long",
+        "short",
+        "padding",
+        "ack-gap",
+        "ack",
+        "crypto",
+        "stream",
+        "handshake-done",
+        "close",
+    ] {
+        assert!(kinds.contains(kind), "corpus lacks {kind}: {kinds:?}");
+    }
 }
 
 /// Decodes `bytes` and demands that doing so allocated nothing.
@@ -108,6 +201,7 @@ fn mutated_lab_datagrams_never_panic_or_allocate() {
     for datagram in &corpus {
         assert!(check(datagram, 8), "every real datagram decodes");
     }
+    assert_covers_every_frame_kind(&corpus);
 
     let mut rng = Rng::new(0x6d75_7461_7465);
     let mut buf = Vec::with_capacity(2048);

@@ -218,14 +218,30 @@ impl<'p> Scanner<'p> {
         scratch: &mut ProbeScratch,
         out: &mut Vec<ConnectionRecord>,
     ) {
+        self.scan_domain_timed(domain_id, config, scratch, out, None);
+    }
+
+    /// [`scan_domain_into`](Scanner::scan_domain_into) on the engine's
+    /// per-domain lap chain started at `t`: closes the [`Stage::Probe`]
+    /// timer once the hops are scanned and, on flight-recorded campaigns,
+    /// the `flight_inspect` scope once the recorder is done. Returns the
+    /// last boundary.
+    fn scan_domain_timed(
+        &self,
+        domain_id: u32,
+        config: &CampaignConfig,
+        scratch: &mut ProbeScratch,
+        out: &mut Vec<ConnectionRecord>,
+        t: Option<Instant>,
+    ) -> Option<Instant> {
         scratch.flight_inspect = config.flight.enabled;
         scratch.tap_position = config.tap;
-        if !config.flight.enabled {
-            self.scan_domain_hops(domain_id, config, scratch, out);
-            return;
-        }
         let start = out.len();
         self.scan_domain_hops(domain_id, config, scratch, out);
+        let t = scratch.telemetry.lap_probe(t);
+        if !config.flight.enabled {
+            return t;
+        }
         let flagged = scratch.flight.inspect_domain(&config.flight, &out[start..]);
         if flagged > 0 {
             scratch.telemetry.add(Metric::AnomaliesFlagged, flagged);
@@ -240,6 +256,7 @@ impl<'p> Scanner<'p> {
                 }
             }
         }
+        scratch.telemetry.lap(ScopeId::FlightInspect, t)
     }
 
     /// The redirect-following probe loop shared by flight and plain scans.
@@ -540,8 +557,8 @@ impl<'p> Scanner<'p> {
                         warm = true;
                     }
                     let t = scratch.telemetry.begin();
-                    self.scan_domain_into(id, config, &mut scratch, &mut domain_records);
-                    let t = scratch.telemetry.lap_probe(t);
+                    let t =
+                        self.scan_domain_timed(id, config, &mut scratch, &mut domain_records, t);
                     note_domain_records(reg, &domain_records);
                     fold(&mut acc, &mut domain_records);
                     scratch.telemetry.end(ScopeId::RecordIntern, t);

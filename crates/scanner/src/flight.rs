@@ -16,11 +16,14 @@
 //! telemetry `WorkerShard`) whose trace buffer is evicted to the budget
 //! with a *priority-prefix rule*: traces sort by (severity desc,
 //! domain, hop) and only the longest prefix whose cumulative size fits
-//! the budget survives. Because a probe's cumulative-priority size in any
-//! worker's subset never exceeds its size in the full flagged set, a
-//! worker can only ever evict traces the final global pass would evict
-//! too — so the merged, finalized retained set is independent of how
-//! domains were distributed across workers. Metadata for every flagged
+//! the budget survives. The buffer is a heap with the lowest-priority
+//! trace on top, and eviction pops until the rest fits: prefix sums only
+//! grow, so that is the same prefix, at O(log n) per flagged probe.
+//! Because a probe's cumulative-priority size in any worker's subset
+//! never exceeds its size in the full flagged set, a worker can only
+//! ever evict traces the final global pass would evict too — so the
+//! merged, finalized retained set is independent of how domains were
+//! distributed across workers. Metadata for every flagged
 //! probe (a few dozen bytes) is kept unconditionally, which lets the
 //! final pass compute the global keep-set exactly.
 
@@ -29,8 +32,8 @@ use quicspin_core::FlowClassification;
 use quicspin_qlog::{decode_trace, encode_trace, TraceLog};
 use quicspin_telemetry::{ConfigEntry, HistogramShard};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::HashSet;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 use std::str::FromStr;
 
@@ -286,6 +289,37 @@ fn priority_key(severity: u64, probe: ProbeId) -> (Reverse<u64>, u32, u32) {
     (Reverse(severity), probe.domain_id, probe.hop)
 }
 
+/// A retained trace ordered by [`priority_key`]: the greatest is the one
+/// eviction drops first, so a max-heap keeps it on top.
+#[derive(Debug)]
+struct ByPriority(RetainedTrace);
+
+impl ByPriority {
+    fn key(&self) -> (Reverse<u64>, u32, u32) {
+        priority_key(self.0.severity, self.0.probe)
+    }
+}
+
+impl Ord for ByPriority {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl PartialOrd for ByPriority {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ByPriority {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for ByPriority {}
+
 /// splitmix64 — the deterministic baseline-sampling hash.
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -337,7 +371,8 @@ fn invalid_spin_edges(
 pub struct FlightShard {
     anomalies: Vec<Anomaly>,
     flagged: Vec<TraceMeta>,
-    traces: Vec<RetainedTrace>,
+    /// Retained traces, the next to evict on top.
+    traces: BinaryHeap<ByPriority>,
     retained_bytes: u64,
     handshake_us: HistogramShard,
     total_us: HistogramShard,
@@ -510,43 +545,43 @@ impl FlightShard {
             }
             if let Some(trace) = &rec.qlog {
                 let severity: u64 = found.iter().map(|a| u64::from(a.severity)).sum();
-                let bytes = encode_trace(trace);
-                self.flagged.push(TraceMeta {
-                    probe,
-                    severity,
-                    len: bytes.len() as u64,
-                });
-                self.retained_bytes += bytes.len() as u64;
-                self.traces.push(RetainedTrace {
-                    probe,
-                    severity,
-                    bytes,
-                });
-                if self.retained_bytes > cfg.retention_budget_bytes {
-                    self.evict_to_budget(cfg.retention_budget_bytes);
-                }
+                self.retain(
+                    RetainedTrace {
+                        probe,
+                        severity,
+                        bytes: encode_trace(trace),
+                    },
+                    cfg.retention_budget_bytes,
+                );
             }
             self.anomalies.extend(found);
         }
         (self.anomalies.len() - before) as u64
     }
 
+    /// Flags `trace` for retention, then evicts to `budget`.
+    fn retain(&mut self, trace: RetainedTrace, budget: u64) {
+        let len = trace.bytes.len() as u64;
+        self.flagged.push(TraceMeta {
+            probe: trace.probe,
+            severity: trace.severity,
+            len,
+        });
+        self.retained_bytes += len;
+        self.traces.push(ByPriority(trace));
+        self.evict_to_budget(budget);
+    }
+
     /// Priority-prefix eviction: keep the longest (severity desc, domain,
-    /// hop)-ordered prefix of the local trace buffer that fits `budget`.
+    /// hop)-ordered prefix of the local trace buffer that fits `budget`,
+    /// by dropping the lowest-priority trace until the rest fits.
     fn evict_to_budget(&mut self, budget: u64) {
-        self.traces
-            .sort_by_key(|t| priority_key(t.severity, t.probe));
-        let mut cum = 0u64;
-        let mut keep = self.traces.len();
-        for (i, t) in self.traces.iter().enumerate() {
-            cum += t.bytes.len() as u64;
-            if cum > budget {
-                keep = i;
+        while self.retained_bytes > budget {
+            let Some(ByPriority(evicted)) = self.traces.pop() else {
                 break;
-            }
+            };
+            self.retained_bytes -= evicted.bytes.len() as u64;
         }
-        self.traces.truncate(keep);
-        self.retained_bytes = self.traces.iter().map(|t| t.bytes.len() as u64).sum();
     }
 
     /// Absorbs another worker's shard (order-insensitive; finalization
@@ -710,6 +745,7 @@ impl FlightRecording {
         let mut traces: Vec<RetainedTrace> = shard
             .traces
             .into_iter()
+            .map(|ByPriority(t)| t)
             .filter(|t| kept.contains(&t.probe))
             .collect();
         traces.sort_by_key(|t| priority_key(t.severity, t.probe));
@@ -927,37 +963,100 @@ mod tests {
         assert_eq!((cfg.handshake_outlier_us, cfg.total_outlier_us), before);
     }
 
-    fn meta_trace(probe: ProbeId, severity: u64, len: usize) -> (TraceMeta, RetainedTrace) {
-        (
-            TraceMeta {
-                probe,
-                severity,
-                len: len as u64,
-            },
-            RetainedTrace {
-                probe,
-                severity,
-                bytes: vec![0u8; len],
-            },
-        )
+    fn retained_trace(probe: ProbeId, severity: u64, len: usize) -> RetainedTrace {
+        RetainedTrace {
+            probe,
+            severity,
+            bytes: vec![0u8; len],
+        }
     }
 
     fn shard_with(items: &[(ProbeId, u64, usize)], budget: u64) -> FlightShard {
-        let cfg = FlightConfig {
-            retention_budget_bytes: budget,
-            ..FlightConfig::default()
-        };
         let mut shard = FlightShard::default();
         for &(probe, sev, len) in items {
-            let (meta, trace) = meta_trace(probe, sev, len);
-            shard.flagged.push(meta);
-            shard.retained_bytes += meta.len;
-            shard.traces.push(trace);
-            if shard.retained_bytes > cfg.retention_budget_bytes {
-                shard.evict_to_budget(cfg.retention_budget_bytes);
-            }
+            shard.retain(retained_trace(probe, sev, len), budget);
         }
         shard
+    }
+
+    /// The sort-and-truncate retention the heap replaced: after each
+    /// insert past the budget, sort by priority and keep the longest
+    /// prefix that fits.
+    #[derive(Default)]
+    struct SortPrefixReference {
+        traces: Vec<RetainedTrace>,
+        retained_bytes: u64,
+    }
+
+    impl SortPrefixReference {
+        fn retain(&mut self, trace: RetainedTrace, budget: u64) {
+            self.retained_bytes += trace.bytes.len() as u64;
+            self.traces.push(trace);
+            if self.retained_bytes > budget {
+                self.evict_to_budget(budget);
+            }
+        }
+
+        fn evict_to_budget(&mut self, budget: u64) {
+            self.traces
+                .sort_by_key(|t| priority_key(t.severity, t.probe));
+            let mut cum = 0u64;
+            let mut keep = self.traces.len();
+            for (i, t) in self.traces.iter().enumerate() {
+                cum += t.bytes.len() as u64;
+                if cum > budget {
+                    keep = i;
+                    break;
+                }
+            }
+            self.traces.truncate(keep);
+            self.retained_bytes = self.traces.iter().map(|t| t.bytes.len() as u64).sum();
+        }
+    }
+
+    #[test]
+    fn heap_retention_matches_sort_prefix() {
+        let mut rng = quicspin_netsim::Rng::new(0x7e7a_1e47);
+        for trial in 0..400 {
+            let n = 1 + rng.index(60);
+            // Few severity levels, so equal severities are common and the
+            // (domain, hop) tie-break decides.
+            let levels = 1 + rng.next_below(6);
+            let items: Vec<(ProbeId, u64, usize)> = (0..n)
+                .map(|i| {
+                    let probe = ProbeId::new(rng.next_below(40) as u32, i as u32);
+                    (probe, rng.next_below(levels) * 50, rng.index(400))
+                })
+                .collect();
+            let total: u64 = items.iter().map(|&(_, _, len)| len as u64).sum();
+            // From nothing fits to everything fits.
+            let budget = match trial % 4 {
+                0 => 0,
+                1 => total + 1 + rng.next_below(100),
+                _ => rng.next_below(total + 1),
+            };
+            let mut heap = FlightShard::default();
+            let mut reference = SortPrefixReference::default();
+            for (step, &(probe, severity, len)) in items.iter().enumerate() {
+                heap.retain(retained_trace(probe, severity, len), budget);
+                reference.retain(retained_trace(probe, severity, len), budget);
+                let kept = |probes: &mut dyn Iterator<Item = ProbeId>| {
+                    let mut v: Vec<ProbeId> = probes.collect();
+                    v.sort_by_key(|p| (p.domain_id, p.hop));
+                    v
+                };
+                assert_eq!(
+                    kept(&mut heap.traces.iter().map(|t| t.0.probe)),
+                    kept(&mut reference.traces.iter().map(|t| t.probe)),
+                    "trial {trial} step {step}: kept sets differ"
+                );
+                assert_eq!(
+                    heap.retained_bytes, reference.retained_bytes,
+                    "trial {trial} step {step}: retained bytes differ"
+                );
+                assert!(heap.retained_bytes <= budget);
+            }
+        }
     }
 
     #[test]

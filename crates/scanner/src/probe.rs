@@ -124,9 +124,6 @@ fn note_lab(shard: &mut WorkerShard, stats: &LabStats, established: bool) {
     shard.enter_n(ScopeId::WheelPop, path.queue_pops);
     shard.add_queue_ops(ScopeId::WheelPop, path.queue_pops);
     shard.enter_n(ScopeId::LinkDelivery, path.delivered);
-    // Payload-pool hit rate.
-    shard.add(Metric::PayloadReclaimed, stats.payload_reclaimed);
-    shard.add(Metric::PayloadShared, stats.payload_shared);
     // Every lab run attempts a handshake; only established connections
     // reach the transfer phase. Both facts are worker-count invariant.
     // The handshake stopwatch stops only on establishment, so a failed

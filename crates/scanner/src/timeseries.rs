@@ -21,7 +21,7 @@ use crate::campaign::{Campaign, CampaignConfig};
 use crate::flight::FlightRecording;
 use crate::record::ScanOutcome;
 use quicspin_core::FlowClassification;
-use quicspin_qlog::{chrome_trace_events, ChromeArgs, ChromeEvent};
+use quicspin_qlog::{chrome_trace_events, decode_trace, ChromeArgs, ChromeEvent};
 use quicspin_telemetry::{
     CounterSnapshot, HistogramShard, SeriesClock, TimePoint, TimeSeries, TimeSeriesDoc,
 };
@@ -195,14 +195,19 @@ pub fn build_timeseries(
 /// anomaly of a retained probe becomes an instant mark named after its
 /// kind. The output is deterministic (priority order, virtual time).
 pub fn chrome_trace_export(recording: &FlightRecording) -> Vec<ChromeEvent> {
+    let anomalies = recording.anomalies();
     let mut events = Vec::new();
     for retained in recording.retained() {
         let probe = retained.probe;
-        let Some(trace) = recording.trace(probe) else {
+        let Ok(trace) = decode_trace(&retained.bytes) else {
             continue;
         };
         events.extend(chrome_trace_events(&trace, probe.domain_id, probe.hop));
-        for anomaly in recording.anomalies().iter().filter(|a| a.probe == probe) {
+        // Anomalies are sorted by (domain, hop, kind): the probe's own
+        // are one contiguous run.
+        let key = (probe.domain_id, probe.hop);
+        let first = anomalies.partition_point(|a| (a.probe.domain_id, a.probe.hop) < key);
+        for anomaly in anomalies[first..].iter().take_while(|a| a.probe == probe) {
             events.push(
                 ChromeEvent::instant(
                     anomaly.kind.name(),

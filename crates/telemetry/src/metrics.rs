@@ -145,10 +145,6 @@ metric_enum! {
         DatagramPoolHits => "datagram_pool_hits",
         /// Outgoing datagrams that needed a fresh allocation.
         DatagramPoolMisses => "datagram_pool_misses",
-        /// Delivered payload buffers reclaimed for reuse (sole handle).
-        PayloadReclaimed => "payload_reclaimed",
-        /// Delivered payloads still shared (e.g. a tap kept a handle).
-        PayloadShared => "payload_shared",
         /// Qlog traces retained on records (`keep_qlogs` campaigns).
         QlogTracesRetained => "qlog_traces_retained",
         /// Bytes produced by compact binary qlog encoding. No campaign
@@ -217,7 +213,8 @@ metric_enum! {
         /// One domain, timed by the campaign engine around its scan: the
         /// population lookup (a fast-fail domain that never reaches the
         /// lab records here too), every connection probed, and any
-        /// redirect hop.
+        /// redirect hop. The flight recorder's inspection that follows
+        /// is its own `flight_inspect` scope.
         Probe => "probe",
         /// QUIC connection establishment (lab wall time until established;
         /// a failed handshake records no sample).

@@ -24,7 +24,9 @@
 //!    eight reads per established probe (probe start, then the end of
 //!    `plan`, `lab`, `spin_extraction`, `classify`, `observer_fold` and
 //!    `qlog_encode`, plus the probe's own end), each read shared by the
-//!    scope it closes and the one it opens. The inner netsim/quic scopes
+//!    scope it closes and the one it opens. A flight-recorded campaign
+//!    adds one read per domain, closing the top-level `flight_inspect`
+//!    scope on the engine's per-domain chain. The inner netsim/quic scopes
 //!    are fed *post hoc* from the plain counters those crates already
 //!    export, costing integer adds. [`MAX_SCOPE_DEPTH`] bounds the tree
 //!    so per-scope work stays O(1).
@@ -99,6 +101,10 @@ pub enum ScopeId {
     ObserverSamples,
     /// Qlog trace retention/encoding on `keep_qlogs` campaigns.
     QlogEncode,
+    /// The flight recorder inspecting one scanned domain's records:
+    /// anomaly checks, trace encoding and retention. Enters count the
+    /// domains inspected.
+    FlightInspect,
     /// Folding finished domain records into the shared accumulators.
     RecordIntern,
     /// A worker publishing a finished batch to the campaign engine's
@@ -244,6 +250,7 @@ const SCOPES: [ScopeInfo; ScopeId::COUNT] = [
         true,
         Some(Stage::QlogEncode),
     ),
+    scope("flight_inspect", "flight_inspect", None, true, None),
     scope("record_intern", "record_intern", None, true, None),
     scope("batch_mailbox", "batch_mailbox", None, false, None),
 ];
@@ -268,6 +275,7 @@ impl ScopeId {
         ScopeId::ObserverFold,
         ScopeId::ObserverSamples,
         ScopeId::QlogEncode,
+        ScopeId::FlightInspect,
         ScopeId::RecordIntern,
         ScopeId::BatchMailbox,
     ];

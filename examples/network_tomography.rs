@@ -39,7 +39,7 @@ fn main() {
         // Per-flow single-direction observation keyed by DCID.
         let mut flows: FlowMap<Vec<u8>> = FlowMap::new(EdgePolicy::RAW);
         for record in records.iter().filter(|r| r.from == Side::Server) {
-            let Some(header) = Header::peek_observable(&record.datagram, 8) else {
+            let Some(header) = Header::peek_observable(record.snap(), 8) else {
                 continue;
             };
             let obs = quicspin::core::PacketObservation::wire(record.time.as_micros(), header.spin);
