@@ -1,7 +1,9 @@
 //! Campaign engine throughput: domains/sec for a clean-path sweep at
 //! 1/4/8 worker threads, plus the single-thread probe loop (the unit of
 //! work the scheduler distributes). Guards the work-stealing scheduler
-//! and scratch-reuse optimizations against regressions.
+//! and scratch-reuse optimizations against regressions. The `matrix`
+//! group times a whole `spinctl matrix` grid of short campaigns, where
+//! per-cell fixed costs (monitor shutdown, artifact export) weigh most.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use quicspin_bench::bench_population;
@@ -121,9 +123,53 @@ fn telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 32-cell grid of spinbench's `matrix_grid` workload: loss ×
+/// reorder × jitter × vantage over one population of 4 000 domains.
+const MATRIX_GRID: &str = r#"
+[scenario]
+name = "grid"
+[population]
+seed = 1
+toplist_domains = 500
+zone_domains = 3500
+[campaign]
+seed = 1
+profile = false
+[sweep]
+loss = [0.0, 0.01, 0.03, 0.05]
+reorder = [0.0, 0.01]
+jitter_frac = [0.0, 0.05]
+vantage = [0.25, 0.75]
+"#;
+
+/// `spinctl matrix` end to end over the 32-cell grid at two campaign
+/// threads: campaigns, every cell's artifacts, and the report.
+fn matrix_grid(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("quicspin-bench-matrix-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("bench scratch dir");
+    let scenario = dir.join("grid.toml");
+    std::fs::write(&scenario, MATRIX_GRID).expect("scenario file");
+    let args = [
+        "matrix".to_string(),
+        scenario.display().to_string(),
+        "--out".to_string(),
+        dir.join("out").display().to_string(),
+        "--threads".to_string(),
+        "2".to_string(),
+    ];
+    let mut group = c.benchmark_group("matrix");
+    group.throughput(Throughput::Elements(32 * 4_000));
+    group.sample_size(10);
+    group.bench_function("grid_32_cells_4k_domains/2_threads", |b| {
+        b.iter(|| quicspin_spinctl::run(&args, &mut std::io::sink()).expect("matrix runs"))
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = sweep_threads, probe_loop, telemetry_overhead
+    targets = sweep_threads, probe_loop, telemetry_overhead, matrix_grid
 }
 criterion_main!(benches);

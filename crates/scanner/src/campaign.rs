@@ -19,8 +19,8 @@ use quicspin_telemetry::{
 };
 use quicspin_webpop::{IpVersion, Population};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of domain ids a worker claims per cursor fetch. Small enough to
@@ -710,38 +710,27 @@ impl<'p> Scanner<'p> {
         let progress_every = progress_every.max(Duration::from_millis(1));
 
         let started = Instant::now();
-        let stop = AtomicBool::new(false);
         let (result, live) = std::thread::scope(|scope| {
-            let monitor_reg = Arc::clone(&reg);
-            let stop_flag = &stop;
+            // Dropping `hang_up` — when the campaign returns or unwinds —
+            // wakes the monitor at once.
+            let (hang_up, stopped) = mpsc::channel();
+            let monitor_reg = &*reg;
             let sink_ref = &mut sink;
-            let monitor = scope.spawn(move || {
-                // The live series samples the registry on each tick: wall
-                // clock, so display-only — the persisted timeseries.json is
-                // rebuilt deterministically from the record stream instead
-                // (see `crate::timeseries::build_timeseries`).
-                let mut live = TimeSeries::new(DEFAULT_TIMESERIES_CAPACITY);
-                let poll = Duration::from_millis(10).min(progress_every);
-                loop {
-                    // Sleep in small slices so shutdown is prompt.
-                    let wake = Instant::now() + progress_every;
-                    while Instant::now() < wake {
-                        if stop_flag.load(Ordering::Relaxed) {
-                            return live;
-                        }
-                        std::thread::sleep(poll);
-                    }
-                    if stop_flag.load(Ordering::Relaxed) {
-                        return live;
-                    }
-                    let snap = monitor_reg.progress(total, elapsed_ns(started));
-                    live.push(live_point(&monitor_reg, &snap));
-                    sink_ref(&snap.render());
-                }
+            let ticker = scope.spawn(move || {
+                monitor(
+                    monitor_reg,
+                    total,
+                    started,
+                    progress_every,
+                    &stopped,
+                    sink_ref,
+                )
             });
             let result = run(self, &config);
-            stop.store(true, Ordering::Relaxed);
-            let live = monitor.join().expect("progress monitor panicked");
+            drop(hang_up);
+            let live = ticker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             (result, live)
         });
 
@@ -865,6 +854,31 @@ impl<A> Drop for PanicAlarm<'_, A> {
             self.0.fail();
         }
     }
+}
+
+/// The progress monitor: every `every` it samples `reg` into the live
+/// series and hands `sink` one status line. It blocks on `stopped`, not
+/// on a sleep, so it returns the moment the campaign hangs up (drops the
+/// sender) and a campaign that ends before the first tick emits none.
+fn monitor(
+    reg: &Registry,
+    total: u64,
+    started: Instant,
+    every: Duration,
+    stopped: &mpsc::Receiver<()>,
+    mut sink: impl FnMut(&str),
+) -> TimeSeries {
+    // The live series samples the registry on each tick: wall clock, so
+    // display-only — the persisted timeseries.json is rebuilt
+    // deterministically from the record stream instead (see
+    // `crate::timeseries::build_timeseries`).
+    let mut live = TimeSeries::new(DEFAULT_TIMESERIES_CAPACITY);
+    while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(every) {
+        let snap = reg.progress(total, elapsed_ns(started));
+        live.push(live_point(reg, &snap));
+        sink(&snap.render());
+    }
+    live
 }
 
 /// Samples the registry into one live (wall-clock) time-series point.
@@ -1048,33 +1062,128 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("campaign run manifest")));
     }
 
+    /// Runs `f` on its own thread and returns its value, failing the test
+    /// if it has not returned within a minute: a monitor that never joins
+    /// shows up as a failure, not a hung test run.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = done.send(f());
+        });
+        match result.recv_timeout(Duration::from_secs(60)) {
+            Ok(value) => value,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("campaign did not join within 60 s"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("the thread sends before it returns"),
+            },
+        }
+    }
+
+    /// A materialized or a streamed flight campaign over `pop` with
+    /// progress every `every`: its progress-sink lines and its wall clock.
+    fn progress_lines(
+        streamed: bool,
+        pop: PopulationConfig,
+        every: Duration,
+    ) -> (Vec<String>, Duration) {
+        within_a_minute(move || {
+            let pop = Population::generate(pop);
+            let scanner = Scanner::new(&pop);
+            let mut lines = Vec::new();
+            let sink = |line: &str| lines.push(line.to_string());
+            let started = Instant::now();
+            if streamed {
+                scanner.run_campaign_streamed_flight_with_progress(
+                    &clean_config(),
+                    4096,
+                    every,
+                    sink,
+                    |_| {},
+                );
+            } else {
+                scanner.run_campaign_with_progress(&clean_config(), every, sink);
+            }
+            (lines, started.elapsed())
+        })
+    }
+
+    fn progress_counts(lines: &[String]) -> Vec<u64> {
+        lines
+            .iter()
+            .filter_map(|l| l.strip_prefix("progress "))
+            .filter_map(|rest| rest.split('/').next()?.parse().ok())
+            .collect()
+    }
+
     #[test]
     fn monitor_ticks_report_monotonic_progress() {
         // Each progress line is a registry snapshot taken by the monitor
         // thread; completions only ever increase, so the reported counts
         // must be non-decreasing and end on the full population (the final
-        // snapshot is emitted after the sweep joins).
-        let pop = tiny_pop();
-        let scanner = Scanner::new(&pop);
-        let mut lines: Vec<String> = Vec::new();
-        scanner.run_campaign_with_progress(&clean_config(), Duration::from_millis(1), |line| {
-            lines.push(line.to_string())
+        // snapshot is emitted after the sweep joins). With 1 ms ticks the
+        // campaign ends inside an interval, and the monitor must join.
+        for (streamed, seed) in [(false, 42), (true, 42), (true, 43), (true, 44)] {
+            let pop = PopulationConfig {
+                seed,
+                toplist_domains: 100,
+                zone_domains: 900,
+            };
+            let (lines, _) = progress_lines(streamed, pop, Duration::from_millis(1));
+            let counts = progress_counts(&lines);
+            for pair in counts.windows(2) {
+                assert!(pair[0] <= pair[1], "monitor ticks regressed: {pair:?}");
+            }
+            assert_eq!(counts.last(), Some(&1000), "lines: {lines:?}");
+        }
+    }
+
+    #[test]
+    fn campaign_ending_before_the_first_tick_emits_no_tick() {
+        let every = Duration::from_secs(3600);
+        let pop = PopulationConfig {
+            seed: 42,
+            toplist_domains: 10,
+            zone_domains: 30,
+        };
+        let (lines, wall) = progress_lines(true, pop, every);
+        // Only the final line, written after the join, reports progress.
+        assert_eq!(progress_counts(&lines), [40], "lines: {lines:?}");
+        assert!(wall < every / 60, "join waited on the interval: {wall:?}");
+    }
+
+    #[test]
+    fn live_points_never_decrease_beside_a_streamed_flight_campaign() {
+        // The monitor samples the registry while workers update it; every
+        // counter a live point reads must come out non-decreasing.
+        let points = within_a_minute(|| {
+            let pop = tiny_pop();
+            let reg = Arc::new(Registry::new());
+            let mut config = clean_config();
+            config.telemetry = Arc::clone(&reg);
+            config.flight.enabled = true;
+            let (hang_up, stopped) = mpsc::channel();
+            let started = Instant::now();
+            let live = std::thread::scope(|scope| {
+                let (reg, total) = (&*reg, pop.len() as u64);
+                let every = Duration::from_millis(1);
+                let ticker =
+                    scope.spawn(move || monitor(reg, total, started, every, &stopped, |_| {}));
+                Scanner::new(&pop).run_campaign_streamed(&config, 4096, |_| {});
+                drop(hang_up);
+                ticker.join().expect("monitor thread")
+            });
+            live.points().to_vec()
         });
-        let counts: Vec<u64> = lines
-            .iter()
-            .filter_map(|l| l.strip_prefix("progress "))
-            .filter_map(|rest| rest.split('/').next()?.parse().ok())
-            .collect();
-        assert!(!counts.is_empty());
-        for pair in counts.windows(2) {
+        assert!(!points.is_empty(), "no tick during the campaign");
+        for pair in points.windows(2) {
+            let key = |p: &TimePoint| (p.probes, p.records, p.errors, p.redirects, p.elapsed_us);
+            let (a, b) = (key(&pair[0]), key(&pair[1]));
             assert!(
-                pair[0] <= pair[1],
-                "monitor ticks regressed: {} then {}",
-                pair[0],
-                pair[1]
+                a.0 <= b.0 && a.1 <= b.1 && a.2 <= b.2 && a.3 <= b.3 && a.4 <= b.4,
+                "live point regressed: {a:?} then {b:?}"
             );
         }
-        assert_eq!(*counts.last().unwrap(), pop.len() as u64);
     }
 
     #[test]

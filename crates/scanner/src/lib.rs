@@ -52,4 +52,4 @@ pub use record::{ConnectionRecord, ScanOutcome};
 pub use scenario::{
     parse_scenario, ScenarioAxis, ScenarioCell, ScenarioMatrix, MAX_CELLS, SWEEP_AXES,
 };
-pub use timeseries::{build_timeseries, chrome_trace_export, TimeSeriesBuilder};
+pub use timeseries::{build_timeseries, chrome_trace_export, ChromeTrace, TimeSeriesBuilder};

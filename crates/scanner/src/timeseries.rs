@@ -18,13 +18,16 @@
 
 use crate::batch::{RecordBatch, RecordRow};
 use crate::campaign::{Campaign, CampaignConfig};
-use crate::flight::FlightRecording;
+use crate::flight::{Anomaly, FlightRecording, RetainedTrace};
 use crate::record::ScanOutcome;
 use quicspin_core::FlowClassification;
 use quicspin_qlog::{chrome_trace_events, decode_trace, ChromeArgs, ChromeEvent};
 use quicspin_telemetry::{
     CounterSnapshot, HistogramShard, SeriesClock, TimePoint, TimeSeries, TimeSeriesDoc,
 };
+use serde::{Serialize, Serializer};
+use std::cell::Cell;
+use std::io::{self, Write};
 
 /// The classification mix tracked per sample, in stable order.
 const MIX_CLASSES: [FlowClassification; 5] = [
@@ -194,37 +197,88 @@ pub fn build_timeseries(
 /// counter series on a `(domain, hop)` process/thread row, and every
 /// anomaly of a retained probe becomes an instant mark named after its
 /// kind. The output is deterministic (priority order, virtual time).
+/// [`ChromeTrace`] writes the same array without collecting it.
 pub fn chrome_trace_export(recording: &FlightRecording) -> Vec<ChromeEvent> {
     let anomalies = recording.anomalies();
-    let mut events = Vec::new();
-    for retained in recording.retained() {
-        let probe = retained.probe;
-        let Ok(trace) = decode_trace(&retained.bytes) else {
-            continue;
-        };
-        events.extend(chrome_trace_events(&trace, probe.domain_id, probe.hop));
-        // Anomalies are sorted by (domain, hop, kind): the probe's own
-        // are one contiguous run.
-        let key = (probe.domain_id, probe.hop);
-        let first = anomalies.partition_point(|a| (a.probe.domain_id, a.probe.hop) < key);
-        for anomaly in anomalies[first..].iter().take_while(|a| a.probe == probe) {
-            events.push(
-                ChromeEvent::instant(
-                    anomaly.kind.name(),
-                    trace.duration_us(),
-                    probe.domain_id,
-                    probe.hop,
-                    "anomaly",
-                )
-                .with_args(ChromeArgs {
-                    severity: Some(u64::from(anomaly.severity)),
-                    detail: Some(anomaly.detail.clone()),
-                    ..ChromeArgs::default()
-                }),
-            );
-        }
+    recording
+        .retained()
+        .iter()
+        .flat_map(|retained| probe_chrome_events(retained, anomalies))
+        .collect()
+}
+
+/// The Chrome trace events of one retained probe: its trace's events,
+/// then one instant per anomaly of the probe. Empty if the trace does
+/// not decode.
+fn probe_chrome_events(retained: &RetainedTrace, anomalies: &[Anomaly]) -> Vec<ChromeEvent> {
+    let probe = retained.probe;
+    let Ok(trace) = decode_trace(&retained.bytes) else {
+        return Vec::new();
+    };
+    let mut events = chrome_trace_events(&trace, probe.domain_id, probe.hop);
+    // Anomalies are sorted by (domain, hop, kind): the probe's own are
+    // one contiguous run.
+    let key = (probe.domain_id, probe.hop);
+    let first = anomalies.partition_point(|a| (a.probe.domain_id, a.probe.hop) < key);
+    for anomaly in anomalies[first..].iter().take_while(|a| a.probe == probe) {
+        events.push(
+            ChromeEvent::instant(
+                anomaly.kind.name(),
+                trace.duration_us(),
+                probe.domain_id,
+                probe.hop,
+                "anomaly",
+            )
+            .with_args(ChromeArgs {
+                severity: Some(u64::from(anomaly.severity)),
+                detail: Some(anomaly.detail.clone()),
+                ..ChromeArgs::default()
+            }),
+        );
     }
     events
+}
+
+/// A flight recording's Chrome trace as a serializable value: the event
+/// array [`chrome_trace_export`] returns, serialized to the same bytes,
+/// but built one retained probe at a time, so writing it never holds
+/// every event at once. Write it with
+/// [`write_json`](crate::artifacts::write_json) under
+/// [`CHROME_TRACE_FILE_NAME`](crate::artifacts::CHROME_TRACE_FILE_NAME).
+pub struct ChromeTrace<'a> {
+    recording: &'a FlightRecording,
+    written: Cell<usize>,
+}
+
+impl<'a> ChromeTrace<'a> {
+    /// The trace of `recording`, not yet serialized.
+    pub fn new(recording: &'a FlightRecording) -> Self {
+        ChromeTrace {
+            recording,
+            written: Cell::new(0),
+        }
+    }
+
+    /// Events the last serialization wrote.
+    pub fn events_written(&self) -> usize {
+        self.written.get()
+    }
+}
+
+impl Serialize for ChromeTrace<'_> {
+    fn serialize<W: Write>(&self, s: &mut Serializer<W>) -> io::Result<()> {
+        let anomalies = self.recording.anomalies();
+        let mut array = s.begin_array()?;
+        let mut written = 0;
+        for retained in self.recording.retained() {
+            for event in probe_chrome_events(retained, anomalies) {
+                s.element(&mut array, &event)?;
+                written += 1;
+            }
+        }
+        self.written.set(written);
+        s.end_array(array)
+    }
 }
 
 #[cfg(test)]
@@ -358,5 +412,41 @@ mod tests {
         let args = mark.args.as_ref().unwrap();
         assert!(args.severity.is_some());
         assert!(args.detail.is_some());
+    }
+
+    #[test]
+    fn streamed_chrome_trace_matches_the_collected_events() {
+        let pop = pop();
+        let mut cfg = config();
+        cfg.conditions = NetworkConditions::default();
+        cfg.flight.baseline_sample_every = 16;
+        let (_campaign, recording) = Scanner::new(&pop).run_campaign_flight(&cfg);
+        let events = chrome_trace_export(&recording);
+        let trace = ChromeTrace::new(&recording);
+        for pretty in [false, true] {
+            let (streamed, collected) = if pretty {
+                (
+                    serde_json::to_string_pretty(&trace).unwrap(),
+                    serde_json::to_string_pretty(&events).unwrap(),
+                )
+            } else {
+                (
+                    serde_json::to_string(&trace).unwrap(),
+                    serde_json::to_string(&events).unwrap(),
+                )
+            };
+            assert!(streamed == collected, "pretty={pretty}: bytes differ");
+            assert_eq!(trace.events_written(), events.len());
+        }
+        // No retained trace: the empty array, no events.
+        let empty = FlightRecording::new(
+            Default::default(),
+            &cfg.flight,
+            "empty".to_string(),
+            Vec::new(),
+        );
+        let trace = ChromeTrace::new(&empty);
+        assert_eq!(serde_json::to_string_pretty(&trace).unwrap(), "[]");
+        assert_eq!(trace.events_written(), 0);
     }
 }

@@ -46,12 +46,14 @@ use quicspin_core::reorder::ReorderComparison;
 use quicspin_core::PacketObservation;
 use quicspin_qlog::render_timeline;
 use quicspin_scanner::{
-    chrome_trace_export, parse_scenario, profile_folded_stacks, read_anomaly_index,
-    read_flagged_trace, read_json, read_observer, read_profile, read_profile_folded,
-    read_run_manifest, read_timeseries, write_chrome_trace, write_flight_recording, write_observer,
-    write_profile, write_profile_folded, write_run_manifest, write_timeseries, AnomalyIndex,
-    AnomalyKind, CampaignConfig, FlightConfig, FlightRecording, ObserverDocBuilder, ProbeId,
-    RunManifest, Scanner, TimeSeriesBuilder, TimeSeriesDoc, OBSERVER_FILE_NAME,
+    parse_scenario, profile_folded_stacks, read_anomaly_index, read_flagged_trace, read_json,
+    read_observer, read_profile, read_profile_folded, read_run_manifest, read_timeseries,
+    write_flight_recording, write_json, write_observer, write_profile, write_profile_folded,
+    write_run_manifest, write_timeseries, AnomalyIndex, AnomalyKind, CampaignConfig, ChromeTrace,
+    FlightConfig, FlightRecording, ObserverDocBuilder, ProbeId, RunManifest, Scanner,
+    TimeSeriesBuilder, TimeSeriesDoc, ANOMALY_INDEX_FILE_NAME, CHROME_TRACE_FILE_NAME,
+    MANIFEST_FILE_NAME, OBSERVER_FILE_NAME, PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME,
+    TIMESERIES_FILE_NAME, TRACE_STORE_FILE_NAME,
 };
 use quicspin_telemetry::{ProfileDoc, ProfilerRegistry, ScopeId, DEFAULT_TIMESERIES_CAPACITY};
 use quicspin_webpop::{Population, PopulationConfig};
@@ -331,38 +333,43 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             Some(p)
         }
     };
-    stream_campaign(
-        &population,
-        &config,
-        record_budget,
-        Duration::from_secs(2),
-        &dir,
-        out,
-    )?;
-    Ok(())
+    let run = stream_campaign(&population, &config, record_budget, Duration::from_secs(2));
+    for line in &run.log {
+        writeln!(out, "{line}").map_err(|e| e.to_string())?;
+    }
+    export_campaign(run, &dir, out)
+}
+
+/// One finished streamed campaign, owned and not yet written: what
+/// [`stream_campaign`] hands to [`export_campaign`]. Owning everything
+/// lets `spinctl matrix` write one cell's artifacts on another thread
+/// while the next cell runs.
+struct CampaignRun {
+    /// Progress lines and the campaign summary, in log order.
+    log: Vec<String>,
+    series: TimeSeriesBuilder,
+    observer: Option<ObserverDocBuilder>,
+    rows: u64,
+    recording: FlightRecording,
+    manifest: RunManifest,
+    profiler: Arc<ProfilerRegistry>,
 }
 
 /// Runs the streamed, flight-recorded campaign that `spinctl run` and
-/// every `spinctl matrix` cell share, and writes all of its artifacts
-/// into `dir`: manifest, flight recording, time series, Chrome trace and,
-/// when enabled, the observer document and the profile. Logs the
-/// progress lines, a summary and one `wrote` line per artifact to `log`.
-/// Returns the number of records streamed and the flight recording.
+/// every `spinctl matrix` cell share, and keeps what its artifacts are
+/// written from. Nothing touches the disk until [`export_campaign`].
 fn stream_campaign(
     population: &Population,
     config: &CampaignConfig,
     record_budget: usize,
     progress_every: Duration,
-    dir: &Path,
-    log: &mut dyn Write,
-) -> Result<(u64, FlightRecording), String> {
-    // The progress sink must be Send, so collect the monitor lines and
-    // replay them onto `log` once the sweep has joined. The batch sink
-    // runs on this thread: record batches fold into the time series, the
-    // observer document and a row count the moment workers publish them
-    // — no record vector.
-    let mut progress: Vec<String> = Vec::new();
-    let mut builder = TimeSeriesBuilder::new(DEFAULT_TIMESERIES_CAPACITY);
+) -> CampaignRun {
+    // The progress sink must be Send, so collect the monitor lines for
+    // the log. The batch sink runs on this thread: record batches fold
+    // into the time series, the observer document and a row count the
+    // moment workers publish them — no record vector.
+    let mut log: Vec<String> = Vec::new();
+    let mut series = TimeSeriesBuilder::new(DEFAULT_TIMESERIES_CAPACITY);
     let mut observer = config
         .tap
         .map(|p| ObserverDocBuilder::new(&config.campaign_id(), p));
@@ -372,7 +379,7 @@ fn stream_campaign(
             config,
             record_budget,
             progress_every,
-            |line| progress.push(line.to_string()),
+            |line| log.push(line.to_string()),
             |batch| {
                 rows += batch.len() as u64;
                 if let Some(observer) = observer.as_mut() {
@@ -380,40 +387,63 @@ fn stream_campaign(
                         observer.note_row(&batch.row(i));
                     }
                 }
-                builder.push_batch(batch);
+                series.push_batch(batch);
             },
         );
-    let mut w = |s: String| writeln!(log, "{s}").map_err(|e| e.to_string());
-    for line in progress {
-        w(line)?;
-    }
-    w(format!(
+    log.push(format!(
         "campaign {}: {} domains, {} records, {} anomalies on {} probes",
         recording.campaign_id(),
         population.len(),
         rows,
         recording.anomalies().len(),
         recording.flagged_traces(),
-    ))?;
-    w(format!(
+    ));
+    log.push(format!(
         "retained {} traces ({} B of {} B budget), evicted {}",
         recording.retained().len(),
         recording.retained_bytes(),
         config.flight.retention_budget_bytes,
         recording.evicted_traces(),
-    ))?;
-    w(format!(
+    ));
+    log.push(format!(
         "peak resident record bytes {} (budget {}, 0 = unbounded)",
         manifest.counter("peak_record_bytes"),
         record_budget,
-    ))?;
-    let manifest_path = write_run_manifest(dir, &manifest).map_err(|e| e.to_string())?;
-    let (index_path, store_path) =
-        write_flight_recording(dir, &recording).map_err(|e| e.to_string())?;
-    let series = builder.finish(config.campaign_id());
-    let series_path = write_timeseries(dir, &series).map_err(|e| e.to_string())?;
-    let events = chrome_trace_export(&recording);
-    let trace_path = write_chrome_trace(dir, &events).map_err(|e| e.to_string())?;
+    ));
+    CampaignRun {
+        log,
+        series,
+        observer,
+        rows,
+        recording,
+        manifest,
+        profiler: Arc::clone(&config.profiler),
+    }
+}
+
+/// Writes every artifact of `run` into `dir`: manifest, flight
+/// recording, time series, Chrome trace and, when enabled, the observer
+/// document and the profile. Logs one `wrote` line per artifact to
+/// `log`. A failed write names the artifact and `dir`, on one line.
+fn export_campaign(run: CampaignRun, dir: &Path, log: &mut dyn Write) -> Result<(), String> {
+    let failed = |artifact: &str, e: std::io::Error| {
+        format!("cannot write {artifact} in {}: {e}", dir.display())
+    };
+    let mut w = |s: String| writeln!(log, "{s}").map_err(|e| e.to_string());
+    let manifest_path =
+        write_run_manifest(dir, &run.manifest).map_err(|e| failed(MANIFEST_FILE_NAME, e))?;
+    let (index_path, store_path) = write_flight_recording(dir, &run.recording).map_err(|e| {
+        failed(
+            &format!("{ANOMALY_INDEX_FILE_NAME} or {TRACE_STORE_FILE_NAME}"),
+            e,
+        )
+    })?;
+    let series = run.series.finish(run.recording.campaign_id().to_string());
+    let series_path =
+        write_timeseries(dir, &series).map_err(|e| failed(TIMESERIES_FILE_NAME, e))?;
+    let trace = ChromeTrace::new(&run.recording);
+    let trace_path = write_json(dir, CHROME_TRACE_FILE_NAME, &trace)
+        .map_err(|e| failed(CHROME_TRACE_FILE_NAME, e))?;
     w(format!("wrote {}", manifest_path.display()))?;
     w(format!("wrote {}", index_path.display()))?;
     w(format!("wrote {}", store_path.display()))?;
@@ -426,11 +456,11 @@ fn stream_campaign(
     w(format!(
         "wrote {} ({} trace events; load in Perfetto)",
         trace_path.display(),
-        events.len(),
+        trace.events_written(),
     ))?;
-    if let Some(observer) = observer {
+    if let Some(observer) = run.observer {
         let doc = observer.finish();
-        let observer_path = write_observer(dir, &doc).map_err(|e| e.to_string())?;
+        let observer_path = write_observer(dir, &doc).map_err(|e| failed(OBSERVER_FILE_NAME, e))?;
         w(format!(
             "wrote {} ({} observed flows, tap at {:.3} of the path)",
             observer_path.display(),
@@ -438,12 +468,13 @@ fn stream_campaign(
             doc.vantage(),
         ))?;
     }
-    if config.profiler.is_enabled() {
-        let snapshot = config.profiler.snapshot();
+    if run.profiler.is_enabled() {
+        let snapshot = run.profiler.snapshot();
         let doc = snapshot.doc();
-        let profile_path = write_profile(dir, &doc).map_err(|e| e.to_string())?;
+        let profile_path = write_profile(dir, &doc).map_err(|e| failed(PROFILE_FILE_NAME, e))?;
         let stacks = profile_folded_stacks(&snapshot);
-        let folded_path = write_profile_folded(dir, &stacks).map_err(|e| e.to_string())?;
+        let folded_path =
+            write_profile_folded(dir, &stacks).map_err(|e| failed(PROFILE_FOLDED_FILE_NAME, e))?;
         w(format!(
             "wrote {} ({} deterministic scopes)",
             profile_path.display(),
@@ -455,7 +486,46 @@ fn stream_campaign(
             stacks.len(),
         ))?;
     }
-    Ok((rows, recording))
+    Ok(())
+}
+
+/// Runs `campaign` for each cell in order and hands its result to
+/// `export`, which writes cell *i* on a scoped thread while cell *i+1*'s
+/// campaign runs. At most one export is in flight. Exports are joined in
+/// cell order and each one's output reaches `done` on this thread, so
+/// whatever `done` prints keeps cell order. The last cell exports
+/// inline. The first failed export ends the run with its error; a
+/// panicking export is passed on unchanged.
+fn pipeline<C, R, O>(
+    cells: &[C],
+    mut campaign: impl FnMut(&C) -> R,
+    export: impl Fn(&C, R) -> Result<O, String> + Sync,
+    mut done: impl FnMut(O) -> Result<(), String>,
+) -> Result<(), String>
+where
+    C: Sync,
+    R: Send,
+    O: Send,
+{
+    std::thread::scope(|scope| {
+        let export = &export;
+        let mut in_flight: Option<std::thread::ScopedJoinHandle<Result<O, String>>> = None;
+        for (i, cell) in cells.iter().enumerate() {
+            let run = campaign(cell);
+            if let Some(handle) = in_flight.take() {
+                let exported = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                done(exported?)?;
+            }
+            if i + 1 == cells.len() {
+                done(export(cell, run)?)?;
+            } else {
+                in_flight = Some(scope.spawn(move || export(cell, run)));
+            }
+        }
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -499,33 +569,38 @@ fn cmd_matrix(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
 
     let population = Population::generate(matrix.population.clone());
-    for cell in &matrix.cells {
-        let cell_dir = out_dir.join("cells").join(&cell.id);
-        let mut config = cell.config.clone();
-        if let Some(t) = threads {
-            config.threads = t.max(1);
-        }
-        if cell.profile {
-            config.profiler = Arc::new(ProfilerRegistry::new());
-        }
-        let (rows, recording) = stream_campaign(
-            &population,
-            &config,
-            cell.record_budget,
-            Duration::from_secs(3600),
-            &cell_dir,
-            &mut std::io::sink(),
-        )?;
-        writeln!(
-            out,
-            "cell {}: {} records, {} anomalies -> {}",
-            cell.id,
-            rows,
-            recording.anomalies().len(),
-            cell_dir.display(),
-        )
-        .map_err(|e| e.to_string())?;
-    }
+    pipeline(
+        &matrix.cells,
+        |cell| {
+            let mut config = cell.config.clone();
+            if let Some(t) = threads {
+                config.threads = t.max(1);
+            }
+            if cell.profile {
+                config.profiler = Arc::new(ProfilerRegistry::new());
+            }
+            stream_campaign(
+                &population,
+                &config,
+                cell.record_budget,
+                Duration::from_secs(3600),
+            )
+        },
+        |cell, run| {
+            let cell_dir = out_dir.join("cells").join(&cell.id);
+            let line = format!(
+                "cell {}: {} records, {} anomalies -> {}",
+                cell.id,
+                run.rows,
+                run.recording.anomalies().len(),
+                cell_dir.display(),
+            );
+            export_campaign(run, &cell_dir, &mut std::io::sink())
+                .map_err(|e| format!("cell {}: {e}", cell.id))?;
+            Ok(line)
+        },
+        |line| writeln!(out, "{line}").map_err(|e| e.to_string()),
+    )?;
 
     let layout = report::MatrixLayout::from_matrix(&matrix);
     let layout_path = report::write_matrix_layout(&out_dir, &layout)?;
@@ -2128,6 +2203,181 @@ vantage = [0.5]
         }
 
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A 2×2 grid, so one export is in flight while a campaign runs.
+    const PIPELINE_SCENARIO: &str = r#"
+[scenario]
+name = "pipeline"
+
+[population]
+seed = 9
+toplist_domains = 12
+zone_domains = 78
+
+[campaign]
+seed = 9
+sample_every = 16
+profile = true
+
+[sweep]
+loss = [0.0, 0.05]
+vantage = [0.25, 0.75]
+"#;
+
+    #[test]
+    fn matrix_cell_lines_keep_scenario_order() {
+        let base = temp_dir("matrix-order");
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let scenario = base.join("pipeline.toml");
+        std::fs::write(&scenario, PIPELINE_SCENARIO).unwrap();
+        let out_dir = base.join("out");
+        let ran = run_str(&[
+            "matrix",
+            scenario.to_str().unwrap(),
+            "--out",
+            out_dir.to_str().unwrap(),
+            "--threads",
+            "2",
+        ])
+        .unwrap();
+        let printed: Vec<&str> = ran
+            .lines()
+            .filter_map(|l| l.strip_prefix("cell ")?.split(':').next())
+            .collect();
+        let matrix = parse_scenario(PIPELINE_SCENARIO).unwrap();
+        let ids: Vec<&str> = matrix.cells.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(printed, ids, "out: {ran}");
+        for id in ids {
+            assert!(out_dir.join("cells").join(id).join("trace.json").is_file());
+        }
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn failed_cell_export_is_one_line_naming_cell_and_artifact() {
+        let base = temp_dir("matrix-export-err");
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let scenario = base.join("pipeline.toml");
+        std::fs::write(&scenario, PIPELINE_SCENARIO).unwrap();
+        let matrix = parse_scenario(PIPELINE_SCENARIO).unwrap();
+        // The first cell exports on the pipeline's thread, the last inline.
+        for cell in [&matrix.cells[0], &matrix.cells[matrix.cells.len() - 1]] {
+            let out_dir = base.join(&cell.id);
+            std::fs::create_dir_all(out_dir.join("cells")).unwrap();
+            std::fs::write(out_dir.join("cells").join(&cell.id), "not a directory").unwrap();
+            let err = run_str(&[
+                "matrix",
+                scenario.to_str().unwrap(),
+                "--out",
+                out_dir.to_str().unwrap(),
+            ])
+            .unwrap_err();
+            let prefix = format!("cell {}: cannot write metrics.json in ", cell.id);
+            assert!(err.starts_with(&prefix), "err: {err}");
+            assert!(!err.trim().contains('\n'), "err spans lines: {err}");
+            assert!(!out_dir.join(report::REPORT_MD_FILE_NAME).exists());
+        }
+        // `spinctl run` names the artifact the same way.
+        let not_dir = base.join("pipeline.toml");
+        let err =
+            run_str(&["run", "--dir", not_dir.to_str().unwrap(), "--domains", "20"]).unwrap_err();
+        assert!(
+            err.starts_with("cannot write metrics.json in "),
+            "err: {err}"
+        );
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn pipeline_overlaps_one_export_with_the_next_campaign() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        let events = Mutex::new(Vec::new());
+        let note = |e: String| events.lock().unwrap().push(e);
+        let (exporting, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mut done = Vec::new();
+        pipeline(
+            &[0u64, 1, 2, 3, 4],
+            |&i| {
+                note(format!("campaign {i}"));
+                i
+            },
+            |&i, run| {
+                let now = exporting.fetch_add(1, Ordering::SeqCst) + 1;
+                most.fetch_max(now, Ordering::SeqCst);
+                // Early cells export slowest, so a join out of cell order
+                // would show in `done`.
+                std::thread::sleep(Duration::from_millis(5 * (4 - i)));
+                exporting.fetch_sub(1, Ordering::SeqCst);
+                Ok(run * 10)
+            },
+            |out| {
+                note(format!("done {}", out / 10));
+                done.push(out);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(done, [0, 10, 20, 30, 40]);
+        assert_eq!(most.load(Ordering::SeqCst), 1, "one export in flight");
+        let events = events.into_inner().unwrap();
+        let at = |e: &str| events.iter().position(|x| x == e).unwrap();
+        for i in 0..4 {
+            assert!(
+                at(&format!("campaign {}", i + 1)) < at(&format!("done {i}")),
+                "cell {i} was joined before the next campaign ran: {events:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pipeline_stops_on_the_first_failed_export() {
+        let mut done = Vec::new();
+        let err = pipeline(
+            &[0, 1, 2, 3],
+            |&i| i,
+            |_, i| {
+                if i == 1 {
+                    Err(format!("cell {i}: boom"))
+                } else {
+                    Ok(i)
+                }
+            },
+            |i| {
+                done.push(i);
+                Ok(())
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, "cell 1: boom");
+        assert_eq!(done, [0]);
+    }
+
+    #[test]
+    fn pipeline_passes_an_export_panic_on_unchanged() {
+        #[derive(Debug, PartialEq)]
+        struct ExportPanic(usize);
+        // Cell 1 exports on the pipeline's thread, cell 2 inline.
+        for failing in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                pipeline(
+                    &[0, 1, 2],
+                    |&i| i,
+                    |_, i| {
+                        if i == failing {
+                            std::panic::panic_any(ExportPanic(i));
+                        }
+                        Ok(i)
+                    },
+                    |_| Ok(()),
+                )
+            })
+            .expect_err("the export panic must reach the caller");
+            assert_eq!(caught.downcast_ref(), Some(&ExportPanic(failing)));
+        }
     }
 
     #[test]

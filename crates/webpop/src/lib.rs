@@ -38,5 +38,5 @@ pub use delay::{RttProfile, ServiceClass};
 pub use domain::{DomainRecord, HostAddr, IpVersion, ListKind};
 pub use lists::{ZoneRegistry, DEDUPLICATED_TOPLIST_SIZE, TOPLIST_SOURCES, ZONE_COUNT};
 pub use org::{Org, OrgProfile, WebServer, ALL_ORGS, ORG_PROFILES};
-pub use population::{ConnectionPlan, HostGroup, HostRollup, Population};
+pub use population::{ConnectionPlan, Population};
 pub use symbols::SymbolTable;

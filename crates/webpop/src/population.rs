@@ -8,8 +8,6 @@ use crate::lists::{sample_source_membership, ZoneRegistry};
 use crate::org::{Org, OrgProfile, WebServer, ALL_ORGS, ORG_PROFILES};
 use quicspin_netsim::Rng;
 use quicspin_quic::{ServerProfile, SpinPolicy};
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 /// P(a resolved toplist domain also has an AAAA record) — Table 4.
 pub const V6_DNS_RATE_TOPLIST: f64 = 0.125;
@@ -38,68 +36,6 @@ pub struct ConnectionPlan {
     pub seed: u64,
 }
 
-/// The stack attributes and member domains of one IPv4 host.
-#[derive(Debug, Clone)]
-pub struct HostGroup {
-    /// Ids of the QUIC domains served from this host, ascending.
-    pub domains: Vec<u32>,
-    /// Whether the host's stack spins (shared by every member domain).
-    pub host_spin: bool,
-    /// Web-server software on the host.
-    pub webserver: WebServer,
-    /// Service class index (0 = fast, 1 = medium, 2 = slow).
-    pub service_class: u8,
-}
-
-/// QUIC domains grouped by their IPv4 host, with per-host stack
-/// attributes. Built once per population (lazily, on first use) so
-/// campaign-long consumers — pooling statistics, AS/IP aggregation
-/// checks — stop rebuilding the same `HashMap` on every call.
-#[derive(Debug, Clone, Default)]
-pub struct HostRollup {
-    hosts: BTreeMap<HostAddr, HostGroup>,
-}
-
-impl HostRollup {
-    fn build(domains: &[DomainRecord]) -> Self {
-        let mut hosts: BTreeMap<HostAddr, HostGroup> = BTreeMap::new();
-        for d in domains.iter().filter(|d| d.quic) {
-            let Some(host) = d.ipv4 else { continue };
-            hosts
-                .entry(host)
-                .or_insert_with(|| HostGroup {
-                    domains: Vec::new(),
-                    host_spin: d.host_spin,
-                    webserver: d.webserver,
-                    service_class: d.service_class,
-                })
-                .domains
-                .push(d.id);
-        }
-        HostRollup { hosts }
-    }
-
-    /// Number of distinct hosts.
-    pub fn len(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Whether no host serves any QUIC domain.
-    pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-
-    /// The group for one host, if it serves any QUIC domain.
-    pub fn get(&self, host: &HostAddr) -> Option<&HostGroup> {
-        self.hosts.get(host)
-    }
-
-    /// All hosts with their groups, in `HostAddr` order.
-    pub fn iter(&self) -> impl Iterator<Item = (&HostAddr, &HostGroup)> {
-        self.hosts.iter()
-    }
-}
-
 /// The generated population.
 #[derive(Debug)]
 pub struct Population {
@@ -107,7 +43,6 @@ pub struct Population {
     domains: Vec<DomainRecord>,
     churn: ChurnModel,
     zones: ZoneRegistry,
-    host_rollup: OnceLock<HostRollup>,
 }
 
 fn org_profile(org: Org) -> &'static OrgProfile {
@@ -287,15 +222,7 @@ impl Population {
             domains,
             churn: ChurnModel::default(),
             zones,
-            host_rollup: OnceLock::new(),
         }
-    }
-
-    /// The per-host rollup, built on first use and cached for the
-    /// lifetime of the population.
-    pub fn host_rollup(&self) -> &HostRollup {
-        self.host_rollup
-            .get_or_init(|| HostRollup::build(&self.domains))
     }
 
     /// The zone registry backing this population.
@@ -504,6 +431,18 @@ mod tests {
         }
     }
 
+    /// QUIC domain ids grouped by their IPv4 host.
+    fn domains_by_host(p: &Population) -> std::collections::BTreeMap<HostAddr, Vec<u32>> {
+        let mut hosts = std::collections::BTreeMap::<HostAddr, Vec<u32>>::new();
+        for d in p.domains().iter().filter(|d| d.quic) {
+            hosts
+                .entry(d.ipv4.expect("QUIC domains resolve"))
+                .or_default()
+                .push(d.id);
+        }
+        hosts
+    }
+
     #[test]
     fn shared_hosting_pools_domains_onto_ips() {
         let p = Population::generate(PopulationConfig {
@@ -511,21 +450,17 @@ mod tests {
             toplist_domains: 0,
             zone_domains: 200_000,
         });
-        let rollup = p.host_rollup();
         let mut cf_domains = 0usize;
         let mut hosts = 0usize;
-        for (host, group) in rollup.iter() {
+        for (host, domains) in domains_by_host(&p) {
             if host.org == Org::Cloudflare {
                 hosts += 1;
-                cf_domains += group.domains.len();
+                cf_domains += domains.len();
             }
         }
         assert!(cf_domains > 1_000, "enough Cloudflare sample: {cf_domains}");
         let avg = cf_domains as f64 / hosts as f64;
         assert!(avg > 100.0, "Cloudflare pooling avg {avg} (hosts {hosts})");
-        // The rollup is built once and cached: repeat calls return the
-        // same instance.
-        assert!(std::ptr::eq(rollup, p.host_rollup()));
     }
 
     #[test]
@@ -535,22 +470,18 @@ mod tests {
             toplist_domains: 0,
             zone_domains: 100_000,
         });
-        let rollup = p.host_rollup();
-        assert!(!rollup.is_empty());
-        let mut grouped = 0usize;
-        for (host, group) in rollup.iter() {
-            for &id in &group.domains {
+        let hosts = domains_by_host(&p);
+        assert!(!hosts.is_empty());
+        for (host, domains) in &hosts {
+            let attrs = |id: u32| {
                 let d = p.domain(id);
-                assert_eq!(d.ipv4, Some(*host));
-                let attrs = (d.host_spin, d.webserver, d.service_class);
-                let expect = (group.host_spin, group.webserver, group.service_class);
-                assert_eq!(attrs, expect, "host {host:?} attribute mismatch");
-                grouped += 1;
+                (d.host_spin, d.webserver, d.service_class)
+            };
+            let expect = attrs(domains[0]);
+            for &id in domains {
+                assert_eq!(attrs(id), expect, "host {host:?} attribute mismatch");
             }
-            assert_eq!(rollup.get(host).unwrap().domains.len(), group.domains.len());
         }
-        // Every QUIC domain appears in exactly one group.
-        assert_eq!(grouped, p.domains().iter().filter(|d| d.quic).count());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 # scheduler microbenchmark gated against the committed baseline
 # (BENCH_EVENT_QUEUE.json), the profiler benches against theirs
 # (BENCH_PROFILE.json), the per-layer microbenches against
-# BENCH_LAYERS.json, and a 100k-domain streamed sweep that must stay
-# inside its resident-record-byte budget.
+# BENCH_LAYERS.json, the campaign rows against BENCH_CAMPAIGN.json, and
+# a 100k-domain streamed sweep that must stay inside its
+# resident-record-byte budget.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,8 +99,8 @@ for f in observer.json anomalies.json trace.json timeseries.json profile.json tr
 done
 
 # Matrix smoke: the committed loss×vantage scenario (a 2×2 grid) runs
-# twice, at --threads 1 and --threads 4; report.md, report.json and each
-# cell's observer.json and anomalies.json must come out byte-identical.
+# twice, at --threads 1 and --threads 4; report.md, report.json and every
+# deterministic artifact of each cell must come out byte-identical.
 # A malformed scenario must fail the exit-code contract (exit 1 with a
 # one-line `scenario error:` diagnostic).
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
@@ -108,11 +109,12 @@ cargo run --release -p quicspin-spinctl --bin spinctl -- \
   matrix examples/scenarios/loss_vantage.toml --out "$SPINCTL_DIR/mx4" --threads 4
 cmp "$SPINCTL_DIR/mx1/report.md" "$SPINCTL_DIR/mx4/report.md"
 cmp "$SPINCTL_DIR/mx1/report.json" "$SPINCTL_DIR/mx4/report.json"
-# Every cell's observer and anomaly documents must match too: the lossy
-# cells are where the observer's reorder rejections fire, which the
-# report digests alone would not show. An empty cells/ fails the cmp.
+# Every cell's deterministic artifacts must match too: the lossy cells
+# are where the observer's reorder rejections fire, which the report
+# digests alone would not show, and cells are written on a second
+# thread while the next cell runs. An empty cells/ fails the cmp.
 for cell in "$SPINCTL_DIR"/mx1/cells/*; do
-  for f in observer.json anomalies.json; do
+  for f in observer.json anomalies.json traces.bin trace.json timeseries.json profile.json; do
     cmp "$cell/$f" "$SPINCTL_DIR/mx4/cells/$(basename "$cell")/$f"
   done
 done
@@ -210,6 +212,16 @@ if [ "$SCALE" = 1 ]; then
     cargo bench -p quicspin-bench --bench micro
   cargo run --release -p quicspin-spinctl --bin spinctl -- \
     compare --bench BENCH_LAYERS.json "$SPINCTL_DIR/layers.json" \
+    --bench-band 3.0
+
+  # Campaign ledger gate: re-time the probe loop, the 10k-domain sweep
+  # at 1 and 4 threads and the 32-cell `spinctl matrix` grid, and compare
+  # against the committed baseline with the same wide band.
+  BENCH_JSON="$SPINCTL_DIR/campaign.json" \
+    cargo bench -p quicspin-bench --bench campaign_throughput -- \
+    probe_loop sweep_10k_domains/1_threads sweep_10k_domains/4_threads matrix/
+  cargo run --release -p quicspin-spinctl --bin spinctl -- \
+    compare --bench BENCH_CAMPAIGN.json "$SPINCTL_DIR/campaign.json" \
     --bench-band 3.0
 
   # Zone-scale streamed sweep: 100k domains under a 32 MiB resident
