@@ -3,7 +3,8 @@
 //! work the scheduler distributes). Guards the work-stealing scheduler
 //! and scratch-reuse optimizations against regressions. The `matrix`
 //! group times a whole `spinctl matrix` grid of short campaigns, where
-//! per-cell fixed costs (monitor shutdown, artifact export) weigh most.
+//! per-cell fixed costs (monitor shutdown, artifact export) weigh most,
+//! and `campaign/streamed_sweep_100k_domains` times a whole `spinctl run`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use quicspin_bench::bench_population;
@@ -167,9 +168,39 @@ fn matrix_grid(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `spinctl run` over 100 k domains at two threads: population
+/// generation, the streamed engine with its tap, flight recorder and
+/// sinks, and every artifact export — the sweep `ci.sh --scale` checks
+/// against its resident-record budget.
+fn streamed_sweep(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("quicspin-bench-sweep-{}", std::process::id()));
+    let args = [
+        "run",
+        "--dir",
+        &dir.display().to_string(),
+        "--domains",
+        "100000",
+        "--seed",
+        "11",
+        "--sample-every",
+        "64",
+        "--threads",
+        "2",
+    ]
+    .map(String::from);
+    let mut group = c.benchmark_group("campaign");
+    group.throughput(Throughput::Elements(100_000));
+    group.sample_size(10);
+    group.bench_function("streamed_sweep_100k_domains/2_threads", |b| {
+        b.iter(|| quicspin_spinctl::run(&args, &mut std::io::sink()).expect("sweep runs"))
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = sweep_threads, probe_loop, telemetry_overhead, matrix_grid
+    targets = sweep_threads, probe_loop, telemetry_overhead, matrix_grid, streamed_sweep
 }
 criterion_main!(benches);

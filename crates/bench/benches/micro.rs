@@ -1,10 +1,12 @@
 //! Microbenchmarks of the substrates: wire codec, spin observer,
-//! connection handshake, and simulator event throughput.
+//! connection handshake, simulator event throughput, and population
+//! generation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use quicspin_core::{EdgeMachine, EdgePolicy, PacketObservation};
-use quicspin_netsim::{LinkConfig, Side, SimDuration, Simulator};
-use quicspin_quic::{ConnectionLab, LabConfig};
+use quicspin_netsim::{LinkConfig, Side, SimDuration, SimTime, Simulator};
+use quicspin_quic::{Connection, ConnectionLab, LabConfig, TransportConfig};
+use quicspin_webpop::{Population, PopulationConfig};
 use quicspin_wire::{ConnectionId, Frame, Header, Packet, PacketNumber, PacketWriter, ShortHeader};
 
 fn wire_codec(c: &mut Criterion) {
@@ -38,6 +40,41 @@ fn wire_codec(c: &mut Criterion) {
     });
     group.bench_function("peek_observable", |b| {
         b.iter(|| Header::peek_observable(std::hint::black_box(&encoded), 8).unwrap())
+    });
+    group.finish();
+}
+
+/// The client's first datagram, as the lab sends it: one CRYPTO frame
+/// padded to 1 200 bytes, which the server decodes (and walks twice:
+/// validation, then its frames) once per probe.
+fn padded_initial(c: &mut Criterion) {
+    let cfg = TransportConfig::default();
+    let cid_len = cfg.cid_len;
+    let initial = Connection::new_client(cfg, 1, SimTime::ZERO)
+        .poll_transmit(SimTime::ZERO)
+        .expect("a client opens with an Initial");
+    let packet = Packet::decode(&initial, cid_len).expect("the Initial decodes");
+    let frames: Vec<Frame<'_>> = packet
+        .frames()
+        .filter(|f| !matches!(f, Frame::Padding { .. }))
+        .collect();
+    let encode = || {
+        let mut writer = PacketWriter::new(std::hint::black_box(&packet.header), Vec::new());
+        for frame in &frames {
+            writer.push(frame);
+        }
+        writer.pad_to(1200);
+        writer.finish()
+    };
+    assert_eq!(encode(), initial, "the bench re-encodes the lab's Initial");
+    let mut group = c.benchmark_group("wire");
+    group.throughput(Throughput::Bytes(initial.len() as u64));
+    group.bench_function("encode_padded_initial", |b| b.iter(encode));
+    group.bench_function("decode_padded_initial", |b| {
+        b.iter(|| {
+            let packet = Packet::decode(std::hint::black_box(&initial), cid_len).unwrap();
+            packet.frames().count()
+        })
     });
     group.finish();
 }
@@ -106,11 +143,31 @@ fn simulator_events(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Population::generate` in the shape `spinctl run --domains 200000`
+/// builds (⅞ zone domains), all of it before the first probe.
+fn population_generation(c: &mut Criterion) {
+    let domains = 200_000;
+    let config = PopulationConfig {
+        seed: 23,
+        toplist_domains: domains / 8 + 1,
+        zone_domains: domains - domains / 8 - 1,
+    };
+    let mut group = c.benchmark_group("webpop");
+    group.throughput(Throughput::Elements(u64::from(domains)));
+    group.sample_size(10);
+    group.bench_function("generate_200k_domains", |b| {
+        b.iter(|| Population::generate(std::hint::black_box(config.clone())).len())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     wire_codec,
+    padded_initial,
     observer_throughput,
     connection_exchange,
-    simulator_events
+    simulator_events,
+    population_generation
 );
 criterion_main!(benches);

@@ -25,6 +25,6 @@ pub mod time;
 pub use event::EventQueue;
 pub use link::{Deliveries, Link, LinkConfig, Transit};
 pub use pcap::{read_pcap, write_pcap, PcapError};
-pub use rng::Rng;
+pub use rng::{Rng, WeightTable};
 pub use sim::{PathStats, Side, SimEvent, SimScratch, Simulator, TapRecord, TAP_SNAP_LEN};
 pub use time::{SimDuration, SimTime};

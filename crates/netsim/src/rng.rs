@@ -6,6 +6,40 @@
 //! `Rng::fork` derives statistically independent child streams, which lets
 //! campaigns shard work across threads while staying reproducible.
 
+/// Sums `weights` in slice order and checks the total, as every weighted
+/// draw needs it.
+fn checked_total(weights: &[f64]) -> f64 {
+    let total: f64 = weights.iter().sum();
+    assert!(
+        total > 0.0 && total.is_finite(),
+        "weights must sum to a positive finite value"
+    );
+    total
+}
+
+/// A fixed weight set, checked and summed once.
+///
+/// [`Rng::weighted_index`] re-sums its slice on every draw, which costs
+/// O(n) per draw before the scan even starts. A table computes the same
+/// total once, by the same in-order sum, so every draw through
+/// [`Rng::weighted`] returns the index `weighted_index` would have and
+/// consumes the same generator output.
+#[derive(Debug, Clone)]
+pub struct WeightTable {
+    weights: Box<[f64]>,
+    total: f64,
+}
+
+impl WeightTable {
+    /// Builds a table. Panics, like [`Rng::weighted_index`], if the weights
+    /// are empty, all zero or not finite.
+    pub fn new(weights: impl IntoIterator<Item = f64>) -> Self {
+        let weights: Box<[f64]> = weights.into_iter().collect();
+        let total = checked_total(&weights);
+        WeightTable { weights, total }
+    }
+}
+
 /// Deterministic PRNG (xoshiro256**).
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -129,13 +163,24 @@ impl Rng {
     }
 
     /// Samples an index from a slice of non-negative weights.
-    /// Panics if the weights are empty or all zero.
+    /// Panics if the weights are empty, all zero or not finite.
+    ///
+    /// Sums and checks `weights` on every call; a weight set drawn from
+    /// many times belongs in a [`WeightTable`] and [`Rng::weighted`].
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "weights must sum to a positive finite value"
-        );
+        self.scan_weights(weights, checked_total(weights))
+    }
+
+    /// Samples an index from a prebuilt [`WeightTable`]. Returns exactly
+    /// what [`Rng::weighted_index`] returns for the table's weights at the
+    /// same generator state, and advances the generator identically.
+    pub fn weighted(&mut self, table: &WeightTable) -> usize {
+        self.scan_weights(&table.weights, table.total)
+    }
+
+    /// The one weighted draw: one uniform, scaled by `total`, walked down
+    /// the weights in order.
+    fn scan_weights(&mut self, weights: &[f64], total: f64) -> usize {
         let mut target = self.f64() * total;
         for (i, &w) in weights.iter().enumerate() {
             if target < w {
@@ -293,6 +338,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "weights must sum to a positive finite value")]
+    fn weight_table_rejects_empty_weights() {
+        WeightTable::new(Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must sum to a positive finite value")]
+    fn weight_table_rejects_all_zero_weights() {
+        WeightTable::new(vec![0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must sum to a positive finite value")]
+    fn weight_table_rejects_nan_weight() {
+        WeightTable::new(vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must sum to a positive finite value")]
+    fn weight_table_rejects_infinite_weight() {
+        WeightTable::new(vec![1.0, f64::INFINITY]);
+    }
+
+    #[test]
     fn shuffle_permutes() {
         let mut rng = Rng::new(29);
         let mut v: Vec<u32> = (0..100).collect();
@@ -310,6 +379,38 @@ mod tests {
             for _ in 0..16 {
                 proptest::prop_assert!(rng.next_below(bound) < bound);
             }
+        }
+
+        /// A table draw and a slice draw over the same weights return the
+        /// same index and leave the generator in the same state. The
+        /// weights span fifteen orders of magnitude and include zeros, so
+        /// the rounding of the sum depends on its order.
+        #[test]
+        fn prop_table_draw_matches_weighted_index(
+            seed: u64,
+            weights in proptest::collection::vec(0.0f64..1e6, 1..64),
+            zero_every in 0usize..8,
+            draws in 1usize..64,
+        ) {
+            let mut weights = weights;
+            for (i, w) in weights.iter_mut().enumerate() {
+                if zero_every > 0 && i % zero_every == 0 {
+                    *w = 0.0;
+                } else if i % 3 == 1 {
+                    *w *= 1e-9;
+                }
+            }
+            proptest::prop_assume!(weights.iter().sum::<f64>() > 0.0);
+            let table = WeightTable::new(weights.clone());
+            let mut by_slice = Rng::new(seed);
+            let mut by_table = Rng::new(seed);
+            for _ in 0..draws {
+                proptest::prop_assert_eq!(
+                    by_table.weighted(&table),
+                    by_slice.weighted_index(&weights)
+                );
+            }
+            proptest::prop_assert_eq!(by_table.next_u64(), by_slice.next_u64());
         }
 
         #[test]

@@ -337,17 +337,23 @@ impl ConnectionLab {
         // Kick off: client Initial flight.
         // Timer arming is deduplicated: re-arming the same deadline after
         // every event would flood the queue with duplicate wakeups.
-        let mut armed: [Option<SimTime>; 2] = [None, None];
+        let mut timers = Timers::default();
         flush(&mut sim, Side::Client, &mut client);
-        arm(&mut sim, Side::Client, &client, &mut armed);
-        arm(&mut sim, Side::Server, &server, &mut armed);
+        timers.arm(&mut sim, Side::Client, &client);
+        timers.arm(&mut sim, Side::Server, &server);
 
         while let Some((now, event)) = sim.step() {
             if now > deadline {
                 break;
             }
+            // Endpoints this iteration can have changed: the one the event
+            // reached and any the application drives below. Every other
+            // endpoint has nothing to send and the deadline it was last
+            // armed with, so flushing and re-arming it is skipped.
+            let mut touched = [false; 2];
             match event {
                 SimEvent::Datagram { to, datagram } => {
+                    touched[side_index(to)] = true;
                     let conn = match to {
                         Side::Client => &mut client,
                         Side::Server => &mut server,
@@ -371,6 +377,7 @@ impl ConnectionLab {
                             }
                             body.extend(std::iter::repeat_n(0x42u8, size));
                             server.send_stream(0, body, fin);
+                            touched[SERVER] = true;
                             chunks_sent += 1;
                             if fin {
                                 response_fin_sent = true;
@@ -381,7 +388,8 @@ impl ConnectionLab {
                             Side::Client => &mut client,
                             Side::Server => &mut server,
                         };
-                        armed[side_index(side)] = None;
+                        touched[side_index(side)] = true;
+                        timers.pending[side_index(side)] = None;
                         conn.on_timeout(now);
                     }
                 }
@@ -396,6 +404,7 @@ impl ConnectionLab {
 
             // Application logic driven by connection events.
             while let Some(ev) = client.poll_event() {
+                touched[CLIENT] = true;
                 match ev {
                     AppEvent::HandshakeCompleted => {
                         client.send_stream(0, &cfg.request, true);
@@ -411,6 +420,7 @@ impl ConnectionLab {
                 }
             }
             while let Some(ev) = server.poll_event() {
+                touched[SERVER] = true;
                 match ev {
                     AppEvent::StreamData {
                         id: 0, fin: true, ..
@@ -428,10 +438,20 @@ impl ConnectionLab {
                 }
             }
 
-            flush(&mut sim, Side::Client, &mut client);
-            flush(&mut sim, Side::Server, &mut server);
-            arm(&mut sim, Side::Client, &client, &mut armed);
-            arm(&mut sim, Side::Server, &server, &mut armed);
+            // Client flush, server flush, client arm, server arm: the
+            // simulator must see its pushes in this order, skipped or not.
+            for (side, conn) in [(Side::Client, &mut client), (Side::Server, &mut server)] {
+                if touched[side_index(side)] {
+                    flush(&mut sim, side, conn);
+                } else {
+                    timers.debug_assert_idle(&sim, side, conn);
+                }
+            }
+            for (side, conn) in [(Side::Client, &client), (Side::Server, &server)] {
+                if touched[side_index(side)] {
+                    timers.arm(&mut sim, side, conn);
+                }
+            }
 
             if client.is_closed() && server.is_closed() {
                 break;
@@ -487,25 +507,57 @@ fn flush(sim: &mut Simulator, side: Side, conn: &mut Connection) {
     }
 }
 
+const CLIENT: usize = 0;
+const SERVER: usize = 1;
+
 fn side_index(side: Side) -> usize {
     match side {
-        Side::Client => 0,
-        Side::Server => 1,
+        Side::Client => CLIENT,
+        Side::Server => SERVER,
     }
 }
 
-fn arm(sim: &mut Simulator, side: Side, conn: &Connection, armed: &mut [Option<SimTime>; 2]) {
-    let Some(at) = conn.next_timeout() else {
-        return;
-    };
-    let slot = &mut armed[side_index(side)];
-    // Skip if an earlier-or-equal wakeup is already pending; a stale later
-    // deadline is handled when that wakeup fires (on_timeout re-checks).
-    if slot.is_some_and(|pending| pending <= at) {
-        return;
+/// Per-side transport timer state.
+#[derive(Default)]
+struct Timers {
+    /// The earliest wakeup queued in the simulator and not yet fired.
+    pending: [Option<SimTime>; 2],
+    /// The connection's `next_timeout` when it was last armed.
+    deadline: [Option<SimTime>; 2],
+}
+
+impl Timers {
+    fn arm(&mut self, sim: &mut Simulator, side: Side, conn: &Connection) {
+        let i = side_index(side);
+        self.deadline[i] = conn.next_timeout();
+        let Some(at) = self.deadline[i] else {
+            return;
+        };
+        // Skip if an earlier-or-equal wakeup is already pending; a stale
+        // later deadline is handled when that wakeup fires (on_timeout
+        // re-checks).
+        if self.pending[i].is_some_and(|pending| pending <= at) {
+            return;
+        }
+        self.pending[i] = Some(at);
+        sim.set_timer(side, at, TOKEN_TRANSPORT);
     }
-    *slot = Some(at);
-    sim.set_timer(side, at, TOKEN_TRANSPORT);
+
+    /// Debug builds check the skip rule on every endpoint the loop skips:
+    /// it has nothing to send and the same deadline as when last armed.
+    /// A `None` poll changes no connection state, so release and debug
+    /// runs stay identical.
+    fn debug_assert_idle(&self, sim: &Simulator, side: Side, conn: &mut Connection) {
+        debug_assert!(
+            conn.poll_transmit(sim.now()).is_none(),
+            "untouched {side:?} endpoint had a datagram to send"
+        );
+        debug_assert_eq!(
+            conn.next_timeout(),
+            self.deadline[side_index(side)],
+            "untouched {side:?} endpoint moved its deadline"
+        );
+    }
 }
 
 #[cfg(test)]

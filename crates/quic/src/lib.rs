@@ -24,7 +24,6 @@
 pub mod ack;
 pub mod config;
 pub mod conn;
-pub mod endpoint;
 pub mod lab;
 pub mod recovery;
 pub mod rtt;
@@ -33,7 +32,6 @@ pub mod streams;
 
 pub use config::{SpinPolicy, TransportConfig};
 pub use conn::{AppEvent, ConnCounters, Connection, ConnectionError, Role};
-pub use endpoint::{ConnectionHandle, Endpoint};
 pub use lab::{ConnectionLab, LabConfig, LabOutcome, LabScratch, LabStats, ServerProfile};
 pub use rtt::RttEstimator;
 pub use spin::SpinGenerator;

@@ -9,7 +9,7 @@
 //! registry whose size distribution is `.com`-heavy with a Zipf long
 //! tail over the other gTLDs.
 
-use quicspin_netsim::Rng;
+use quicspin_netsim::{Rng, WeightTable};
 use serde::{Deserialize, Serialize};
 
 /// One toplist source (§3.1.1).
@@ -72,7 +72,8 @@ pub struct Zone {
 #[derive(Debug, Clone)]
 pub struct ZoneRegistry {
     zones: Vec<Zone>,
-    weights: Vec<f64>,
+    /// Zone weights as `f64`, summed once: every zone domain draws here.
+    weights: WeightTable,
     total_weight: u64,
 }
 
@@ -115,7 +116,7 @@ impl ZoneRegistry {
                 weight,
             });
         }
-        let weights: Vec<f64> = zones.iter().map(|z| z.weight as f64).collect();
+        let weights = WeightTable::new(zones.iter().map(|z| z.weight as f64));
         let total_weight = zones.iter().map(|z| z.weight).sum();
         ZoneRegistry {
             zones,
@@ -141,7 +142,7 @@ impl ZoneRegistry {
 
     /// Samples a zone index for a new domain, weighted by zone size.
     pub fn sample(&self, rng: &mut Rng) -> u16 {
-        rng.weighted_index(&self.weights) as u16
+        rng.weighted(&self.weights) as u16
     }
 
     /// Whether the zone index is one of `.com/.net/.org`.

@@ -6,7 +6,7 @@ use crate::delay::{RttProfile, ServiceClass};
 use crate::domain::{DomainRecord, HostAddr, IpVersion, ListKind};
 use crate::lists::{sample_source_membership, ZoneRegistry};
 use crate::org::{Org, OrgProfile, WebServer, ALL_ORGS, ORG_PROFILES};
-use quicspin_netsim::Rng;
+use quicspin_netsim::{Rng, WeightTable};
 use quicspin_quic::{ServerProfile, SpinPolicy};
 
 /// P(a resolved toplist domain also has an AAAA record) — Table 4.
@@ -63,8 +63,8 @@ impl Population {
         let total = config.total_domains() as usize;
         let mut domains = Vec::with_capacity(total);
 
-        let toplist_weights: Vec<f64> = ORG_PROFILES.iter().map(|p| p.toplist_share).collect();
-        let zone_weights: Vec<f64> = ORG_PROFILES.iter().map(|p| p.zone_share).collect();
+        let toplist_orgs = WeightTable::new(ORG_PROFILES.iter().map(|p| p.toplist_share));
+        let zone_orgs = WeightTable::new(ORG_PROFILES.iter().map(|p| p.zone_share));
 
         // Pass 1: list membership, org, resolution, QUIC support.
         for id in 0..total as u32 {
@@ -79,12 +79,12 @@ impl Population {
                 };
                 (list, zone_id, 0)
             };
-            let weights = if list == ListKind::Toplist {
-                &toplist_weights
+            let orgs = if list == ListKind::Toplist {
+                &toplist_orgs
             } else {
-                &zone_weights
+                &zone_orgs
             };
-            let org = ALL_ORGS[rng.weighted_index(weights)];
+            let org = ALL_ORGS[rng.weighted(orgs)];
             let profile = org_profile(org);
             let resolve_rate = if list == ListKind::Toplist {
                 TOPLIST_RESOLVE_RATE

@@ -74,9 +74,19 @@ impl<'a> Reader<'a> {
         &self.buf[self.pos..]
     }
 
-    /// Peeks at the next byte without consuming it.
-    pub fn peek_u8(&self) -> Option<u8> {
-        self.buf.get(self.pos).copied()
+    /// Consumes the run of zero bytes at the cursor, however long, with one
+    /// scan of the rest of the buffer, and returns its length. The scan
+    /// tests eight bytes at a time, then finds the first non-zero byte.
+    pub fn skip_zeros(&mut self) -> usize {
+        let rest = &self.buf[self.pos..];
+        let words = rest
+            .chunks_exact(8)
+            .take_while(|w| u64::from_ne_bytes((*w).try_into().expect("8-byte chunk")) == 0)
+            .count();
+        let tail = &rest[words * 8..];
+        let run = words * 8 + tail.iter().position(|&b| b != 0).unwrap_or(tail.len());
+        self.pos += run;
+        run
     }
 }
 
@@ -130,6 +140,11 @@ impl Writer {
     /// Appends a big-endian u32.
     pub fn write_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
+    }
+
+    /// Appends `n` zero bytes in one resize.
+    pub fn write_zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
     }
 
     /// Appends a byte slice verbatim.
@@ -192,13 +207,24 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
-        let r0 = Reader::new(&[7, 8]);
-        let mut r = r0.clone();
-        assert_eq!(r.peek_u8(), Some(7));
-        assert_eq!(r.position(), 0);
+    fn zero_runs_write_and_skip_in_bulk() {
+        let mut w = Writer::new();
+        w.write_u8(7);
+        w.write_zeros(1_150);
+        w.write_zeros(0);
+        w.write_u8(9);
+        w.write_zeros(3);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + 1_150 + 1 + 3);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.skip_zeros(), 0, "a non-zero byte ends the run at once");
         assert_eq!(r.read_u8("t").unwrap(), 7);
-        assert_eq!(r.peek_u8(), Some(8));
+        assert_eq!(r.skip_zeros(), 1_150);
+        assert_eq!(r.position(), 1 + 1_150);
+        assert_eq!(r.read_u8("t").unwrap(), 9);
+        assert_eq!(r.skip_zeros(), 3, "a run may end the buffer");
+        assert!(r.is_empty());
+        assert_eq!(r.skip_zeros(), 0);
     }
 
     #[test]

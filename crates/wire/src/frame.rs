@@ -198,11 +198,7 @@ impl<'a> Frame<'a> {
     /// Encodes the frame into `w`.
     pub fn encode(&self, w: &mut Writer) {
         match self {
-            Frame::Padding { len } => {
-                for _ in 0..*len {
-                    w.write_u8(0x00);
-                }
-            }
+            Frame::Padding { len } => w.write_zeros(*len),
             Frame::Ping => w.write_u8(0x01),
             Frame::Ack {
                 largest,
@@ -273,14 +269,9 @@ impl<'a> Frame<'a> {
     pub fn decode(r: &mut Reader<'a>) -> Result<Self, WireError> {
         let ty = varint::read(r, "frame type")?;
         match ty {
-            0x00 => {
-                let mut len = 1;
-                while r.peek_u8() == Some(0x00) {
-                    r.read_u8("padding")?;
-                    len += 1;
-                }
-                Ok(Frame::Padding { len })
-            }
+            0x00 => Ok(Frame::Padding {
+                len: 1 + r.skip_zeros(),
+            }),
             0x01 => Ok(Frame::Ping),
             0x02 | 0x03 => {
                 let largest = varint::read(r, "ack largest")?;
@@ -627,6 +618,33 @@ mod tests {
         let frames: Vec<_> = Frames::new(w.as_slice()).collect();
         assert_eq!(frames.len(), 4);
         assert_eq!(frames[3], Err(WireError::UnknownFrameType(0x21)));
+    }
+
+    #[test]
+    fn initial_sized_padding_roundtrips() {
+        let padding = Frame::Padding { len: 1_150 };
+        let bytes = encode(&padding);
+        assert_eq!(bytes, vec![0u8; 1_150]);
+        roundtrip(&padding);
+    }
+
+    #[test]
+    fn padding_run_ends_at_the_first_non_zero_byte() {
+        let mut w = Writer::new();
+        Frame::Padding { len: 5 }.encode(&mut w);
+        Frame::Ping.encode(&mut w);
+        Frame::Padding { len: 1_150 }.encode(&mut w);
+        Frame::HandshakeDone.encode(&mut w);
+        let frames: Vec<_> = Frames::new(w.as_slice()).collect();
+        assert_eq!(
+            frames,
+            vec![
+                Ok(Frame::Padding { len: 5 }),
+                Ok(Frame::Ping),
+                Ok(Frame::Padding { len: 1_150 }),
+                Ok(Frame::HandshakeDone)
+            ]
+        );
     }
 
     #[test]

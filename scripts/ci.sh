@@ -205,9 +205,10 @@ if [ "$SCALE" = 1 ]; then
     --bench-band 3.0
 
   # Layer ledger gate: re-time the per-layer microbenches (wire codec,
-  # peek_observable, the full lab exchange, the netsim event rate, the
-  # observer fold) and compare against the committed baseline, with the
-  # same wide band as the two ledgers above.
+  # the padded client Initial, peek_observable, the full lab exchange,
+  # the netsim event rate, the observer fold, population generation) and
+  # compare against the committed baseline, with the same wide band as
+  # the two ledgers above.
   BENCH_JSON="$SPINCTL_DIR/layers.json" \
     cargo bench -p quicspin-bench --bench micro
   cargo run --release -p quicspin-spinctl --bin spinctl -- \
@@ -215,11 +216,13 @@ if [ "$SCALE" = 1 ]; then
     --bench-band 3.0
 
   # Campaign ledger gate: re-time the probe loop, the 10k-domain sweep
-  # at 1 and 4 threads and the 32-cell `spinctl matrix` grid, and compare
-  # against the committed baseline with the same wide band.
+  # at 1 and 4 threads, the 32-cell `spinctl matrix` grid and the 100k
+  # streamed `spinctl run`, and compare against the committed baseline
+  # with the same wide band.
   BENCH_JSON="$SPINCTL_DIR/campaign.json" \
     cargo bench -p quicspin-bench --bench campaign_throughput -- \
-    probe_loop sweep_10k_domains/1_threads sweep_10k_domains/4_threads matrix/
+    probe_loop sweep_10k_domains/1_threads sweep_10k_domains/4_threads matrix/ \
+    streamed_sweep_100k_domains/
   cargo run --release -p quicspin-spinctl --bin spinctl -- \
     compare --bench BENCH_CAMPAIGN.json "$SPINCTL_DIR/campaign.json" \
     --bench-band 3.0
