@@ -178,16 +178,6 @@ impl VantageCell {
             self.measurable as f64 / self.flows as f64
         }
     }
-
-    /// Relative observer-vs-stack error, when both means exist.
-    pub fn observer_error(&self) -> Option<f64> {
-        let observer = self.observer_mean_ms()?;
-        let stack = self.stack_mean_ms()?;
-        if stack == 0.0 {
-            return None;
-        }
-        Some((observer - stack).abs() / stack)
-    }
 }
 
 fn ratio_ms(sum_us: u64, n: u64) -> Option<f64> {

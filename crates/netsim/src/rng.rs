@@ -143,11 +143,6 @@ impl Rng {
         (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal deviate with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Log-normal deviate: `exp(N(mu, sigma))`.
     ///
     /// Heavy-tailed — used for end-host processing delays, the mechanism

@@ -24,9 +24,10 @@ use std::collections::VecDeque;
 /// Endpoint role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
-    /// Connection initiator (the scanner).
+    /// Connection initiator (the scanner), the one endpoint that records
+    /// a qlog trace.
     Client,
-    /// Connection acceptor (the web server).
+    /// Connection acceptor (the web server). Records no qlog trace.
     Server,
 }
 
@@ -413,9 +414,15 @@ impl Connection {
         s.crypto_out.extend_from_slice(data);
     }
 
-    /// Microseconds since connection start.
-    fn rel_us(&self, now: SimTime) -> u64 {
-        now.saturating_since(self.start).as_micros()
+    /// Records `data` in the qlog trace, stamped in microseconds since
+    /// connection start. Only the client logs: the measurement is taken
+    /// from the scanning client's trace alone (§3.3), so a server
+    /// endpoint ends every exchange with an empty trace.
+    fn log(&mut self, now: SimTime, data: EventData) {
+        if self.role == Role::Client {
+            let time_us = now.saturating_since(self.start).as_micros();
+            self.qlog.push(time_us, data);
+        }
     }
 
     /// Whether the handshake has completed.
@@ -472,7 +479,8 @@ impl Connection {
         self.dcid
     }
 
-    /// The qlog trace accumulated so far.
+    /// The qlog trace accumulated so far (always empty on a server; see
+    /// [`Role`]).
     pub fn qlog(&self) -> &TraceLog {
         &self.qlog
     }
@@ -557,8 +565,8 @@ impl Connection {
             }
         };
 
-        self.qlog.push(
-            self.rel_us(now),
+        self.log(
+            now,
             EventData::PacketReceived {
                 space,
                 packet_number: pn,
@@ -613,8 +621,8 @@ impl Connection {
                         _ => reported,
                     };
                     self.rtt.update(raw, capped);
-                    self.qlog.push(
-                        self.rel_us(now),
+                    self.log(
+                        now,
                         EventData::RttUpdated {
                             latest_us: self.rtt.latest().as_micros(),
                             smoothed_us: self.rtt.smoothed().as_micros(),
@@ -641,8 +649,8 @@ impl Connection {
                 }
                 self.counters.packets_lost += lost.pns.len() as u64;
                 for &pn in &lost.pns {
-                    self.qlog.push(
-                        self.rel_us(now),
+                    self.log(
+                        now,
                         EventData::PacketLost {
                             space,
                             packet_number: pn,
@@ -680,8 +688,7 @@ impl Connection {
                 self.events.push_back(AppEvent::Closed {
                     reason: reason.clone(),
                 });
-                self.qlog
-                    .push(self.rel_us(now), EventData::ConnectionClosed { reason });
+                self.log(now, EventData::ConnectionClosed { reason });
             }
             Frame::Ping | Frame::Padding { .. } | Frame::NewConnectionId { .. } => {}
         }
@@ -740,8 +747,7 @@ impl Connection {
                 self.crypto_state = CryptoState::Done;
                 self.state = State::Established;
                 self.events.push_back(AppEvent::HandshakeCompleted);
-                self.qlog
-                    .push(self.rel_us(now), EventData::HandshakeCompleted);
+                self.log(now, EventData::HandshakeCompleted);
             }
             // Server receives the client Finished.
             (Role::Server, CryptoState::SentServerFlight, PacketSpace::Handshake)
@@ -751,8 +757,7 @@ impl Connection {
                 self.state = State::Established;
                 self.handshake_done_to_send = true;
                 self.events.push_back(AppEvent::HandshakeCompleted);
-                self.qlog
-                    .push(self.rel_us(now), EventData::HandshakeCompleted);
+                self.log(now, EventData::HandshakeCompleted);
             }
             // ServerHello on the client only confirms the version.
             (Role::Client, _, PacketSpace::Initial) if len >= 6 && &data[..2] == b"SH" => {
@@ -787,8 +792,7 @@ impl Connection {
                 self.events.push_back(AppEvent::Closed {
                     reason: reason.clone(),
                 });
-                self.qlog
-                    .push(self.rel_us(now), EventData::ConnectionClosed { reason });
+                self.log(now, EventData::ConnectionClosed { reason });
                 return Some(datagram);
             }
             return None;
@@ -968,8 +972,8 @@ impl Connection {
         self.spaces[idx]
             .sent
             .on_sent(pn, now, ack_eliciting, &self.send_frames);
-        self.qlog.push(
-            self.rel_us(now),
+        self.log(
+            now,
             EventData::PacketSent {
                 space,
                 packet_number: pn,
@@ -1069,8 +1073,8 @@ impl Connection {
             self.events.push_back(AppEvent::Closed {
                 reason: "idle timeout".into(),
             });
-            self.qlog.push(
-                self.rel_us(now),
+            self.log(
+                now,
                 EventData::ConnectionClosed {
                     reason: "idle timeout".into(),
                 },
@@ -1100,8 +1104,8 @@ impl Connection {
                 self.events.push_back(AppEvent::Closed {
                     reason: "pto exhausted".into(),
                 });
-                self.qlog.push(
-                    self.rel_us(now),
+                self.log(
+                    now,
                     EventData::ConnectionClosed {
                         reason: "pto exhausted".into(),
                     },
@@ -1491,18 +1495,12 @@ mod tests {
         let (mut client, mut server) = pair();
         let d = client.poll_transmit(at(0)).unwrap();
         server.handle_datagram(at(1), &d);
-        let events_before = server.qlog().len();
         server.handle_datagram(at(2), &d);
-        // The duplicate is logged as received but not re-processed: no
-        // second ServerHello is queued.
-        let received_count = server
-            .qlog()
-            .events
-            .iter()
-            .filter(|e| matches!(e.data, EventData::PacketReceived { .. }))
-            .count();
-        assert_eq!(received_count, 2);
-        assert!(server.qlog().len() >= events_before);
+        // The duplicate is counted as received and flagged, but not
+        // re-processed: no second ServerHello is queued.
+        let counters = server.counters();
+        assert_eq!(counters.packets_received, 2);
+        assert_eq!(counters.packets_duplicate, 1);
         let mut hellos = 0;
         let mut c = Connection::new_client(TransportConfig::default(), 9, SimTime::ZERO);
         while let Some(d) = server.poll_transmit(at(3)) {
@@ -1533,7 +1531,10 @@ mod tests {
         pump(&mut client, &mut server, at(0));
         client.send_stream(0, b"x", true);
         pump(&mut client, &mut server, at(1));
-        let has_sent_spin = server.qlog().events.iter().any(|e| {
+        server.send_stream(1, b"y", true);
+        pump(&mut client, &mut server, at(2));
+        let events = &client.qlog().events;
+        let has_sent_spin = events.iter().any(|e| {
             matches!(
                 e.data,
                 EventData::PacketSent {
@@ -1543,6 +1544,41 @@ mod tests {
                 }
             )
         });
-        assert!(has_sent_spin);
+        let has_received_spin = events.iter().any(|e| {
+            matches!(
+                e.data,
+                EventData::PacketReceived {
+                    space: PacketSpace::Application,
+                    spin: Some(_),
+                    ..
+                }
+            )
+        });
+        assert!(has_sent_spin, "client logs its 1-RTT sends with spin");
+        assert!(has_received_spin, "client logs 1-RTT receipts with spin");
+    }
+
+    #[test]
+    fn server_ends_a_full_exchange_with_an_empty_trace() {
+        let (mut client, mut server) = pair();
+        pump(&mut client, &mut server, at(0));
+        client.send_stream(0, b"request", true);
+        pump(&mut client, &mut server, at(1));
+        server.send_stream(1, b"response", true);
+        pump(&mut client, &mut server, at(2));
+        client.close("done");
+        pump(&mut client, &mut server, at(3));
+        assert!(client.is_closed() && server.is_closed());
+        assert!(server.counters().packets_sent > 0);
+        assert!(server.counters().packets_received > 0);
+        // Only the measuring client logs.
+        assert!(server.qlog().is_empty(), "server trace must stay empty");
+        assert!(client.qlog().handshake_completed());
+        let closed = client
+            .qlog()
+            .events
+            .iter()
+            .any(|e| matches!(e.data, EventData::ConnectionClosed { .. }));
+        assert!(closed, "client logs its close");
     }
 }

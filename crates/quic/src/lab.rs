@@ -158,10 +158,9 @@ pub struct LabOutcome {
     pub response_data: Vec<u8>,
     /// Whether the response stream finished (FIN seen).
     pub response_complete: bool,
-    /// Client qlog trace (the paper's §3.3 data source).
+    /// Client qlog trace (the paper's §3.3 data source; the server
+    /// endpoint logs nothing).
     pub client_qlog: TraceLog,
-    /// Server qlog trace.
-    pub server_qlog: TraceLog,
     /// Tap records (time-sorted), both directions: each datagram's
     /// header snap and length.
     pub tap_records: Vec<TapRecord>,
@@ -214,8 +213,9 @@ impl LabOutcome {
 /// Reusable per-lab-run storage.
 ///
 /// One connection lab run allocates a simulator event queue, two
-/// connections' ledgers and buffers, two qlog event buffers, the response
-/// byte buffer and a chunk staging buffer. A scan loop performs millions
+/// connections' ledgers and buffers, the client's qlog event buffer (the
+/// server logs nothing), the response byte buffer and a chunk staging
+/// buffer. A scan loop performs millions
 /// of runs; keeping one `LabScratch` per worker thread and passing it to
 /// [`run_with_scratch`](ConnectionLab::run_with_scratch) (then recovering
 /// the outcome's buffers via [`reclaim`](LabScratch::reclaim)) leaves a
@@ -229,7 +229,6 @@ pub struct LabScratch {
     /// The previous run's client and server storage.
     conns: [ConnStorage; 2],
     client_events: Vec<LoggedEvent>,
-    server_events: Vec<LoggedEvent>,
     response_data: Vec<u8>,
     body: Vec<u8>,
 }
@@ -242,7 +241,6 @@ impl LabScratch {
     pub fn reclaim(&mut self, outcome: LabOutcome) {
         self.response_data = outcome.response_data;
         self.client_events = outcome.client_qlog.events;
-        self.server_events = outcome.server_qlog.events;
         self.sim.restock_tap_records(outcome.tap_records);
     }
 
@@ -316,7 +314,6 @@ impl ConnectionLab {
             server_storage,
         );
         client.reuse_qlog_events(std::mem::take(&mut scratch.client_events));
-        server.reuse_qlog_events(std::mem::take(&mut scratch.server_events));
 
         // Server app state: request assembly + scheduled response chunks.
         let mut request_done = false;
@@ -485,7 +482,6 @@ impl ConnectionLab {
             response_complete: client_done,
             client_stack_samples_us: client.rtt().samples_us().to_vec(),
             client_qlog: client.take_qlog(),
-            server_qlog: server.take_qlog(),
             tap_records,
             cid_len: cfg.client.cid_len,
             finished_at,
@@ -583,7 +579,6 @@ mod tests {
         assert_eq!(fresh.handshake_completed, reused.handshake_completed);
         assert_eq!(fresh.response_data, reused.response_data);
         assert_eq!(fresh.client_qlog, reused.client_qlog);
-        assert_eq!(fresh.server_qlog, reused.server_qlog);
         assert_eq!(fresh.tap_records, reused.tap_records);
         assert_eq!(
             fresh.client_stack_samples_us,

@@ -14,8 +14,10 @@
 //!   keyed to the largest received packet number — plus every disabling
 //!   strategy the paper investigates (fixed zero/one, per-packet and
 //!   per-connection greasing) and the optional Valid Edge Counter;
-//! * qlog event emission for every packet, mirroring the paper's
-//!   instrumentation.
+//! * qlog event emission for every packet the client sends or receives,
+//!   mirroring the paper's instrumentation: the measurement is taken from
+//!   the scanning client's trace alone, so the server endpoint logs
+//!   nothing.
 //!
 //! [`ConnectionLab`] wires a client and a server connection through a
 //! `quicspin-netsim` path and drives the event loop — the unit of work the

@@ -9,7 +9,7 @@
 
 use crate::batch::RecordBatch;
 use crate::flight::{FlightConfig, FlightRecording, FlightShard};
-use crate::probe::{probe_connection_scratch, NetworkConditions, ProbeScratch};
+use crate::probe::{probe_connection, NetworkConditions, ProbeScratch};
 use crate::record::{ConnectionRecord, ScanOutcome};
 use quicspin_core::GreaseFilter;
 use quicspin_h3::MAX_REDIRECTS;
@@ -42,8 +42,9 @@ pub struct CampaignConfig {
     pub conditions: NetworkConditions,
     /// Grease filter applied during classification.
     pub grease: GreaseFilter,
-    /// Retain the full client qlog trace on every established record
-    /// (the paper's Appendix B artifact capture; memory-heavy).
+    /// Retain the full client qlog trace on every probed record, failed
+    /// handshakes included (the paper's Appendix B artifact capture;
+    /// memory-heavy).
     pub keep_qlogs: bool,
     /// Campaign telemetry registry. Defaults to a disabled (no-op)
     /// registry, so un-instrumented campaigns pay only a branch; pass an
@@ -222,10 +223,10 @@ impl<'p> Scanner<'p> {
     }
 
     /// [`scan_domain_into`](Scanner::scan_domain_into) on the engine's
-    /// per-domain lap chain started at `t`: closes the [`Stage::Probe`]
-    /// timer once the hops are scanned and, on flight-recorded campaigns,
-    /// the `flight_inspect` scope once the recorder is done. Returns the
-    /// last boundary.
+    /// per-domain lap chain started at `t`: follows the domain's
+    /// redirects, closes the [`Stage::Probe`] timer once the hops are
+    /// scanned and, on flight-recorded campaigns, the `flight_inspect`
+    /// scope once the recorder is done. Returns the last boundary.
     fn scan_domain_timed(
         &self,
         domain_id: u32,
@@ -234,10 +235,60 @@ impl<'p> Scanner<'p> {
         out: &mut Vec<ConnectionRecord>,
         t: Option<Instant>,
     ) -> Option<Instant> {
-        scratch.flight_inspect = config.flight.enabled;
-        scratch.tap_position = config.tap;
         let start = out.len();
-        self.scan_domain_hops(domain_id, config, scratch, out);
+        let d = self.population.domain(domain_id);
+        let resolved = match config.version {
+            IpVersion::V4 => d.resolved_v4,
+            IpVersion::V6 => d.resolved_v6,
+        };
+        let first_plan = if !resolved {
+            Err(ScanOutcome::NotResolved)
+        } else {
+            match self
+                .population
+                .plan_connection(domain_id, config.week, config.version, 0)
+            {
+                None => Err(ScanOutcome::NoQuic),
+                Some(_) if !self.population.is_reachable(domain_id, config.week) => {
+                    Err(ScanOutcome::Unreachable)
+                }
+                Some(plan) => Ok(plan),
+            }
+        };
+        match first_plan {
+            Err(outcome) => out.push(ConnectionRecord::failed(
+                d.id,
+                d.list,
+                d.org,
+                config.week,
+                config.version,
+                outcome,
+            )),
+            Ok(mut plan) => {
+                for depth in 0..=(MAX_REDIRECTS as u32) {
+                    let (record, response) = probe_connection(d, &plan, depth, config, scratch);
+                    let follow = record.outcome == ScanOutcome::Ok
+                        && response.as_ref().is_some_and(|r| r.status.is_redirect())
+                        && depth < MAX_REDIRECTS as u32;
+                    out.push(record);
+                    if !follow {
+                        break;
+                    }
+                    // The redirect target is the canonical page on the
+                    // same host (a fresh connection, as the paper counts
+                    // it).
+                    match self.population.plan_connection(
+                        domain_id,
+                        config.week,
+                        config.version,
+                        depth + 1,
+                    ) {
+                        Some(next) => plan = next,
+                        None => break,
+                    }
+                }
+            }
+        }
         let t = scratch.telemetry.lap_probe(t);
         if !config.flight.enabled {
             return t;
@@ -257,88 +308,6 @@ impl<'p> Scanner<'p> {
             }
         }
         scratch.telemetry.lap(ScopeId::FlightInspect, t)
-    }
-
-    /// The redirect-following probe loop shared by flight and plain scans.
-    fn scan_domain_hops(
-        &self,
-        domain_id: u32,
-        config: &CampaignConfig,
-        scratch: &mut ProbeScratch,
-        out: &mut Vec<ConnectionRecord>,
-    ) {
-        let d = self.population.domain(domain_id);
-        let resolved = match config.version {
-            IpVersion::V4 => d.resolved_v4,
-            IpVersion::V6 => d.resolved_v6,
-        };
-        if !resolved {
-            out.push(ConnectionRecord::failed(
-                d.id,
-                d.list,
-                d.org,
-                config.week,
-                config.version,
-                ScanOutcome::NotResolved,
-            ));
-            return;
-        }
-        let Some(first_plan) =
-            self.population
-                .plan_connection(domain_id, config.week, config.version, 0)
-        else {
-            out.push(ConnectionRecord::failed(
-                d.id,
-                d.list,
-                d.org,
-                config.week,
-                config.version,
-                ScanOutcome::NoQuic,
-            ));
-            return;
-        };
-        if !self.population.is_reachable(domain_id, config.week) {
-            out.push(ConnectionRecord::failed(
-                d.id,
-                d.list,
-                d.org,
-                config.week,
-                config.version,
-                ScanOutcome::Unreachable,
-            ));
-            return;
-        }
-
-        let mut plan = first_plan;
-        for depth in 0..=(MAX_REDIRECTS as u32) {
-            let (record, response) = probe_connection_scratch(
-                d,
-                &plan,
-                config.week,
-                config.version,
-                depth,
-                &config.conditions,
-                config.grease,
-                config.keep_qlogs,
-                scratch,
-            );
-            let follow = record.outcome == ScanOutcome::Ok
-                && response.as_ref().is_some_and(|r| r.status.is_redirect())
-                && depth < MAX_REDIRECTS as u32;
-            out.push(record);
-            if !follow {
-                break;
-            }
-            // The redirect target is the canonical page on the same host
-            // (a fresh connection, as the paper counts it).
-            match self
-                .population
-                .plan_connection(domain_id, config.week, config.version, depth + 1)
-            {
-                Some(next) => plan = next,
-                None => break,
-            }
-        }
     }
 
     /// Runs a full sweep over every domain.

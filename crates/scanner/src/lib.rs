@@ -46,7 +46,7 @@ pub use observe::{
     vantage_millionths, ObserverDoc, ObserverDocBuilder, ObserverFlowRow, ObserverSummary,
     ObserverView, OBSERVER_SCHEMA_VERSION,
 };
-pub use probe::{probe_connection, probe_connection_scratch, NetworkConditions, ProbeScratch};
+pub use probe::{probe_connection, NetworkConditions, ProbeScratch};
 pub use quicspin_telemetry::{ProgressSnapshot, Registry, RunManifest, TimeSeriesDoc};
 pub use record::{ConnectionRecord, ScanOutcome};
 pub use scenario::{

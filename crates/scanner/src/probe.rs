@@ -1,15 +1,17 @@
 //! Probing one target: run the full QUIC+HTTP/3 exchange for one
 //! connection plan and distill a [`ConnectionRecord`].
 
+use crate::campaign::CampaignConfig;
 use crate::record::{ConnectionRecord, ScanOutcome};
-use quicspin_core::{GreaseFilter, ObserverReport};
+use quicspin_core::ObserverReport;
 use quicspin_h3::{Request, Response};
 use quicspin_netsim::{Rng, SimDuration};
+use quicspin_qlog::TraceLog;
 use quicspin_quic::{
-    ConnectionLab, LabConfig, LabScratch, LabStats, ServerProfile, TransportConfig,
+    ConnectionLab, LabConfig, LabOutcome, LabScratch, LabStats, ServerProfile, TransportConfig,
 };
 use quicspin_telemetry::{GaugeId, Metric, ScopeId, WorkerShard};
-use quicspin_webpop::{ConnectionPlan, DomainRecord, IpVersion, WebServer};
+use quicspin_webpop::{ConnectionPlan, DomainRecord, WebServer};
 
 /// Reusable per-worker probe state.
 ///
@@ -30,19 +32,9 @@ pub struct ProbeScratch {
     lab: LabScratch,
     /// Worker-private instrumentation shard (see [`WorkerShard`]).
     pub telemetry: WorkerShard,
-    /// When set (by a flight-recorder campaign), probes capture the client
-    /// qlog trace on the record even if `keep_qlog` is off, so the
-    /// recorder can inspect it. The campaign engine strips and recycles
-    /// the trace again after inspection via [`ProbeScratch::restock_qlog`].
-    pub flight_inspect: bool,
     /// Worker-private flight-recorder state (anomalies + retained traces),
     /// merged at fold time like [`ProbeScratch::telemetry`].
     pub flight: crate::flight::FlightShard,
-    /// When set (by an observer campaign), probes arm the simulator's
-    /// passive tap at this path position and fold the capture through the
-    /// `quicspin-observer` privacy boundary into an
-    /// [`crate::observe::ObserverView`] on the record.
-    pub tap_position: Option<f64>,
     /// One-entry name cache: the `www.` query target of the domain
     /// currently being probed. A probe resolves the same name at several
     /// call sites (request host, redirect location, qlog titles) across
@@ -57,7 +49,7 @@ pub struct ProbeScratch {
 impl ProbeScratch {
     /// Returns a qlog trace captured only for flight-recorder inspection,
     /// recycling its event buffer for the next probe.
-    pub fn restock_qlog(&mut self, trace: quicspin_qlog::TraceLog) {
+    pub fn restock_qlog(&mut self, trace: TraceLog) {
         self.lab.restock_client_events(trace.events);
     }
 
@@ -172,68 +164,21 @@ impl NetworkConditions {
     }
 }
 
-/// Runs one planned connection; returns the record plus the parsed
-/// response (for redirect following).
-#[allow(clippy::too_many_arguments)]
+/// Runs one planned connection at redirect depth `redirect_depth`;
+/// returns the record plus the parsed response (for redirect following).
+///
+/// Everything else comes from the campaign `config`: the week and IP
+/// version stamped on the record, the path conditions, the grease filter,
+/// whether the client qlog trace stays on the record (`keep_qlogs`, the
+/// paper's Appendix B artifact capture, or `flight.enabled`, so the
+/// flight recorder can inspect it), and the observer tap position.
+/// `scratch` carries per-worker storage across probes; a fresh one and a
+/// reused one produce identical records.
 pub fn probe_connection(
     domain: &DomainRecord,
     plan: &ConnectionPlan,
-    week: u32,
-    version: IpVersion,
     redirect_depth: u32,
-    conditions: &NetworkConditions,
-    grease: GreaseFilter,
-) -> (ConnectionRecord, Option<Response>) {
-    probe_connection_with_qlog(
-        domain,
-        plan,
-        week,
-        version,
-        redirect_depth,
-        conditions,
-        grease,
-        false,
-    )
-}
-
-/// [`probe_connection`] with optional retention of the full client qlog
-/// trace on the record (Appendix B-style artifact capture).
-#[allow(clippy::too_many_arguments)]
-pub fn probe_connection_with_qlog(
-    domain: &DomainRecord,
-    plan: &ConnectionPlan,
-    week: u32,
-    version: IpVersion,
-    redirect_depth: u32,
-    conditions: &NetworkConditions,
-    grease: GreaseFilter,
-    keep_qlog: bool,
-) -> (ConnectionRecord, Option<Response>) {
-    probe_connection_scratch(
-        domain,
-        plan,
-        week,
-        version,
-        redirect_depth,
-        conditions,
-        grease,
-        keep_qlog,
-        &mut ProbeScratch::default(),
-    )
-}
-
-/// [`probe_connection_with_qlog`] reusing per-worker scratch storage
-/// across probes (the campaign engine's hot path).
-#[allow(clippy::too_many_arguments)]
-pub fn probe_connection_scratch(
-    domain: &DomainRecord,
-    plan: &ConnectionPlan,
-    week: u32,
-    version: IpVersion,
-    redirect_depth: u32,
-    conditions: &NetworkConditions,
-    grease: GreaseFilter,
-    keep_qlog: bool,
+    config: &CampaignConfig,
     scratch: &mut ProbeScratch,
 ) -> (ConnectionRecord, Option<Response>) {
     // One lap chain: one clock read per scope boundary, feeding the scope
@@ -290,9 +235,9 @@ pub fn probe_connection_scratch(
         .with_processing_latency(server_data, server_ack);
     let lab_cfg = LabConfig {
         path_rtt_ms: plan.rtt_ms,
-        jitter_ms: plan.rtt_ms * conditions.jitter_frac,
-        loss: conditions.loss,
-        reorder: conditions.reorder,
+        jitter_ms: plan.rtt_ms * config.conditions.jitter_frac,
+        loss: config.conditions.loss,
+        reorder: config.conditions.reorder,
         reorder_hold_ms: 2.0,
         seed: plan.seed,
         client: TransportConfig::default().with_processing_latency(client_data, client_ack),
@@ -302,7 +247,7 @@ pub fn probe_connection_scratch(
         // Off by default: the probe then only reads the client's own
         // qlog. An observer campaign arms the (purely passive) tap and
         // folds its capture below.
-        tap_position: scratch.tap_position,
+        tap_position: config.tap,
         request: request.encode(),
         response_prefix: response.encode_header(),
         max_duration: SimDuration::from_secs(60),
@@ -329,20 +274,13 @@ pub fn probe_connection_scratch(
 
     if !outcome.handshake_completed {
         scratch.telemetry.incr(Metric::HandshakesFailed);
-        let qlog = (keep_qlog || scratch.flight_inspect).then(|| {
-            let mut trace = std::mem::take(&mut outcome.client_qlog);
-            trace.title = scratch.www_target(domain).to_owned();
-            if scratch.flight_inspect {
-                scratch.telemetry.incr(Metric::FlightTracesInspected);
-            }
-            trace
-        });
+        let qlog = capture_trace(domain, config, scratch, &mut outcome);
         let record = ConnectionRecord {
             domain_id: domain.id,
             list: domain.list,
             org: domain.org,
-            week,
-            version,
+            week: config.week,
+            version: config.version,
             redirect_depth,
             outcome: ScanOutcome::HandshakeFailed,
             host: Some(plan.host),
@@ -366,14 +304,14 @@ pub fn probe_connection_scratch(
     let report = ObserverReport::build(
         &observations,
         std::mem::take(&mut outcome.client_stack_samples_us),
-        grease,
+        config.grease,
     );
     let t = scratch.telemetry.lap(ScopeId::Classify, t);
 
     // On-path observation: narrow the tap capture through the observer's
     // privacy boundary (short-header bytes only) and keep the flow view
     // next to the client's own report.
-    let observer_view = scratch.tap_position.map(|position| {
+    let observer_view = config.tap.map(|position| {
         let mut flow = quicspin_observer::FlowObserver::default();
         flow.ingest_tap_records(&outcome.tap_records, outcome.cid_len, |_, _| {});
         let stats = flow.stats();
@@ -405,24 +343,15 @@ pub fn probe_connection_scratch(
             .enter_n(ScopeId::ObserverSamples, stats.packets);
         crate::observe::ObserverView::new(position, stats, &report)
     });
-    let t = if scratch.tap_position.is_some() {
+    let t = if config.tap.is_some() {
         scratch.telemetry.lap(ScopeId::ObserverFold, t)
     } else {
         t
     };
 
-    let qlog = (keep_qlog || scratch.flight_inspect).then(|| {
-        let mut trace = std::mem::take(&mut outcome.client_qlog);
-        trace.title = scratch.www_target(domain).to_owned();
-        if keep_qlog {
-            scratch.telemetry.incr(Metric::QlogTracesRetained);
-        }
-        if scratch.flight_inspect {
-            scratch.telemetry.incr(Metric::FlightTracesInspected);
-        }
-        trace
-    });
-    if keep_qlog {
+    let qlog = capture_trace(domain, config, scratch, &mut outcome);
+    if config.keep_qlogs {
+        scratch.telemetry.incr(Metric::QlogTracesRetained);
         scratch.telemetry.end(ScopeId::QlogEncode, t);
     }
 
@@ -436,8 +365,8 @@ pub fn probe_connection_scratch(
         domain_id: domain.id,
         list: domain.list,
         org: domain.org,
-        week,
-        version,
+        week: config.week,
+        version: config.version,
         redirect_depth,
         outcome: ScanOutcome::Ok,
         host: Some(plan.host),
@@ -454,11 +383,33 @@ pub fn probe_connection_scratch(
     (record, parsed)
 }
 
+/// Takes the client qlog trace off `outcome`, titled with the probed
+/// name, when the campaign keeps traces or its flight recorder inspects
+/// them; `None` otherwise, leaving the trace for the lab scratch to
+/// recycle.
+fn capture_trace(
+    domain: &DomainRecord,
+    config: &CampaignConfig,
+    scratch: &mut ProbeScratch,
+    outcome: &mut LabOutcome,
+) -> Option<TraceLog> {
+    if !(config.keep_qlogs || config.flight.enabled) {
+        return None;
+    }
+    if config.flight.enabled {
+        scratch.telemetry.incr(Metric::FlightTracesInspected);
+    }
+    let mut trace = std::mem::take(&mut outcome.client_qlog);
+    trace.title = scratch.www_target(domain).to_owned();
+    Some(trace)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetworkConditions;
     use quicspin_core::FlowClassification;
-    use quicspin_webpop::{Population, PopulationConfig};
+    use quicspin_webpop::{IpVersion, Population, PopulationConfig};
 
     fn population() -> Population {
         Population::generate(PopulationConfig::tiny(99))
@@ -468,20 +419,29 @@ mod tests {
         pop.domains().iter().find(|d| d.quic).expect("quic domain")
     }
 
+    /// Week 0, IPv4, the paper's grease filter, clean paths.
+    fn clean() -> CampaignConfig {
+        CampaignConfig {
+            conditions: NetworkConditions::clean(),
+            ..CampaignConfig::default()
+        }
+    }
+
+    /// Probes at depth 0 on fresh scratch.
+    fn probe(
+        d: &DomainRecord,
+        plan: &ConnectionPlan,
+        config: &CampaignConfig,
+    ) -> (ConnectionRecord, Option<Response>) {
+        probe_connection(d, plan, 0, config, &mut ProbeScratch::default())
+    }
+
     #[test]
     fn probe_establishes_and_reports() {
         let pop = population();
         let d = first_quic(&pop);
         let plan = pop.plan_connection(d.id, 0, IpVersion::V4, 0).unwrap();
-        let (record, response) = probe_connection(
-            d,
-            &plan,
-            0,
-            IpVersion::V4,
-            0,
-            &NetworkConditions::clean(),
-            GreaseFilter::paper(),
-        );
+        let (record, response) = probe(d, &plan, &clean());
         assert_eq!(record.outcome, ScanOutcome::Ok);
         assert!(record.report.is_some());
         assert!(record.webserver.is_some());
@@ -500,15 +460,7 @@ mod tests {
             .find(|d| d.quic && d.redirects)
             .expect("redirecting quic domain");
         let plan = pop.plan_connection(d.id, 0, IpVersion::V4, 0).unwrap();
-        let (record, response) = probe_connection(
-            d,
-            &plan,
-            0,
-            IpVersion::V4,
-            0,
-            &NetworkConditions::clean(),
-            GreaseFilter::paper(),
-        );
+        let (record, response) = probe(d, &plan, &clean());
         assert_eq!(record.outcome, ScanOutcome::Ok);
         let r = response.expect("redirect response");
         assert!(r.status.is_redirect());
@@ -534,15 +486,7 @@ mod tests {
             if plan.spin_policy != quicspin_quic::SpinPolicy::Participate {
                 continue;
             }
-            let (record, _) = probe_connection(
-                d,
-                &plan,
-                0,
-                IpVersion::V4,
-                0,
-                &NetworkConditions::clean(),
-                GreaseFilter::paper(),
-            );
+            let (record, _) = probe(d, &plan, &clean());
             let report = record.report.unwrap();
             if matches!(
                 report.classification,
@@ -572,15 +516,7 @@ mod tests {
             if plan.spin_policy != quicspin_quic::SpinPolicy::FixedZero {
                 continue;
             }
-            let (record, _) = probe_connection(
-                d,
-                &plan,
-                0,
-                IpVersion::V4,
-                0,
-                &NetworkConditions::clean(),
-                GreaseFilter::paper(),
-            );
+            let (record, _) = probe(d, &plan, &clean());
             assert_eq!(
                 record.report.unwrap().classification,
                 FlowClassification::AllZero
@@ -594,22 +530,14 @@ mod tests {
     fn scratch_reuse_matches_fresh_probe() {
         let pop = population();
         let mut scratch = ProbeScratch::default();
+        let config = CampaignConfig {
+            keep_qlogs: true,
+            ..CampaignConfig::default()
+        };
         for d in pop.domains().iter().filter(|d| d.quic).take(5) {
             let plan = pop.plan_connection(d.id, 0, IpVersion::V4, 0).unwrap();
-            let args = |scratch: &mut ProbeScratch| {
-                probe_connection_scratch(
-                    d,
-                    &plan,
-                    0,
-                    IpVersion::V4,
-                    0,
-                    &NetworkConditions::default(),
-                    GreaseFilter::paper(),
-                    true,
-                    scratch,
-                )
-                .0
-            };
+            let args =
+                |scratch: &mut ProbeScratch| probe_connection(d, &plan, 0, &config, scratch).0;
             let fresh = args(&mut ProbeScratch::default());
             // The scratch carries state over from all previous iterations.
             let reused = args(&mut scratch);
@@ -624,24 +552,7 @@ mod tests {
         let pop = population();
         let d = first_quic(&pop);
         let plan = pop.plan_connection(d.id, 0, IpVersion::V4, 0).unwrap();
-        let run = |tap: Option<f64>| {
-            let mut scratch = ProbeScratch {
-                tap_position: tap,
-                ..ProbeScratch::default()
-            };
-            probe_connection_scratch(
-                d,
-                &plan,
-                0,
-                IpVersion::V4,
-                0,
-                &NetworkConditions::clean(),
-                GreaseFilter::paper(),
-                false,
-                &mut scratch,
-            )
-            .0
-        };
+        let run = |tap: Option<f64>| probe(d, &plan, &CampaignConfig { tap, ..clean() }).0;
         let untapped = run(None);
         let tapped = run(Some(0.5));
         assert!(untapped.observer.is_none());
@@ -664,23 +575,18 @@ mod tests {
         let pop = population();
         let d = first_quic(&pop);
         let plan = pop.plan_connection(d.id, 0, IpVersion::V4, 0).unwrap();
+        let tapped = CampaignConfig {
+            tap: Some(0.5),
+            ..clean()
+        };
         let run = || {
-            let mut scratch = ProbeScratch {
-                tap_position: Some(0.5),
-                ..ProbeScratch::default()
-            };
+            let mut scratch = ProbeScratch::default();
             scratch.telemetry.set_enabled(false, true);
-            probe_connection_scratch(
-                d,
-                &plan,
-                0,
-                IpVersion::V4,
-                0,
-                &NetworkConditions::clean(),
-                GreaseFilter::paper(),
-                true,
-                &mut scratch,
-            );
+            let config = CampaignConfig {
+                keep_qlogs: true,
+                ..tapped.clone()
+            };
+            probe_connection(d, &plan, 0, &config, &mut scratch);
             scratch.telemetry
         };
         let a = run();
@@ -703,22 +609,9 @@ mod tests {
         assert!(a.wall_ns(ScopeId::Lab) > 0, "lab wall must be timed");
 
         // An unprofiled probe leaves every scope cell untouched.
-        let mut off = ProbeScratch {
-            tap_position: Some(0.5),
-            ..ProbeScratch::default()
-        };
+        let mut off = ProbeScratch::default();
         off.telemetry.set_enabled(true, false);
-        probe_connection_scratch(
-            d,
-            &plan,
-            0,
-            IpVersion::V4,
-            0,
-            &NetworkConditions::clean(),
-            GreaseFilter::paper(),
-            false,
-            &mut off,
-        );
+        probe_connection(d, &plan, 0, &tapped, &mut off);
         assert!(ScopeId::ALL
             .iter()
             .all(|&s| off.telemetry.enters(s) == 0 && off.telemetry.wall_ns(s) == 0));
@@ -734,18 +627,7 @@ mod tests {
         let pop = population();
         let d = first_quic(&pop);
         let plan = pop.plan_connection(d.id, 0, IpVersion::V4, 0).unwrap();
-        let run = || {
-            probe_connection(
-                d,
-                &plan,
-                0,
-                IpVersion::V4,
-                0,
-                &NetworkConditions::default(),
-                GreaseFilter::paper(),
-            )
-            .0
-        };
+        let run = || probe(d, &plan, &CampaignConfig::default()).0;
         let a = run();
         let b = run();
         assert_eq!(a.report, b.report);

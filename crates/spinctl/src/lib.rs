@@ -24,7 +24,8 @@
 //! * `spinctl compare <a> <b>` — diff two campaign directories (or,
 //!   with `--bench`, two `BENCH_JSON` reports): virtual-latency p99
 //!   quantiles against a multiplicative band, error-rate drift, and
-//!   classification-mix drift. Exits 2 when a regression is found;
+//!   classification-mix drift. Exits 2 when a regression is found
+//!   (with `--bench`, also when a baseline row is missing);
 //! * `spinctl profile <run>` — render a profiled run's hierarchical
 //!   cost attribution (`profile.json` + `profile.folded`): the
 //!   deterministic scope tree plus the top-N wall-clock self-time
@@ -131,7 +132,8 @@ of the path, next to the client's own spin and stack means.
 a multiplicative band (default 1.25), error-rate drift, and
 classification-mix drift (default 0.02) — or, with --bench, two
 BENCH_JSON benchmark reports (band default 1.50). It exits 2 when it
-finds a regression. `run --profile` attributes probe cost to a static
+finds a regression; with --bench, a row of <a.json> that <b.json> lacks
+counts as one (MISSING). `run --profile` attributes probe cost to a static
 scope tree and additionally writes profile.json (deterministic counts;
 byte-identical for any --threads) and profile.folded (collapsed wall
 self-time stacks; load in speedscope or flamegraph.pl). `profile`
@@ -1304,6 +1306,10 @@ fn compare_bench(
     let b = load_bench(b_path)?;
     let mut text = String::new();
     let mut regressions: Vec<String> = Vec::new();
+    // A baseline row the candidate lacks fails the gate too: a bench
+    // filter that skips it, or a renamed bench, would otherwise pass
+    // unchecked. Rows only in the candidate are new and informational.
+    let mut missing: Vec<String> = Vec::new();
     let _ = writeln!(
         text,
         "comparing bench reports (mean gate: > a×{band:.2} and ≥ a+{BENCH_FLOOR_NS}):"
@@ -1315,7 +1321,12 @@ fn compare_bench(
     );
     for ra in &a.results {
         let Some(rb) = b.results.iter().find(|r| r.name == ra.name) else {
-            let _ = writeln!(text, "  {:<44} only in {}", ra.name, a_path.display());
+            missing.push(ra.name.clone());
+            let _ = writeln!(
+                text,
+                "  {:<44} {:>12} {:>12}  MISSING",
+                ra.name, ra.mean_ns, "-"
+            );
             continue;
         };
         let worse = regressed(ra.mean_ns, rb.mean_ns, band, BENCH_FLOOR_NS);
@@ -1336,20 +1347,31 @@ fn compare_bench(
             let _ = writeln!(text, "  {:<44} only in {}", rb.name, b_path.display());
         }
     }
-    if regressions.is_empty() {
+    if regressions.is_empty() && missing.is_empty() {
         let _ = writeln!(text, "\nno regressions detected");
         write!(out, "{text}").map_err(|e| e.to_string())?;
-        Ok(0)
-    } else {
+        return Ok(0);
+    }
+    let _ = writeln!(text);
+    if !regressions.is_empty() {
         let _ = writeln!(
             text,
-            "\n{} regression(s) detected: {}",
+            "{} regression(s) detected: {}",
             regressions.len(),
             regressions.join(", ")
         );
-        write!(out, "{text}").map_err(|e| e.to_string())?;
-        Ok(EXIT_REGRESSIONS)
     }
+    if !missing.is_empty() {
+        let _ = writeln!(
+            text,
+            "{} baseline row(s) missing from {}: {}",
+            missing.len(),
+            b_path.display(),
+            missing.join(", ")
+        );
+    }
+    write!(out, "{text}").map_err(|e| e.to_string())?;
+    Ok(EXIT_REGRESSIONS)
 }
 
 // ---------------------------------------------------------------------------
@@ -2070,6 +2092,53 @@ mod tests {
         let (code, out) = run_code(&["compare", "--bench", a, b]).unwrap();
         assert_eq!(code, EXIT_REGRESSIONS, "4× mean must regress: {out}");
         assert!(out.contains("scanner/probe"), "out: {out}");
+
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn compare_bench_fails_on_a_missing_baseline_row_only() {
+        let base = temp_dir("bench-missing");
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let report = |names: &[&str]| BenchReport {
+            schema_version: 1,
+            results: names
+                .iter()
+                .map(|name| BenchResult {
+                    name: name.to_string(),
+                    group: "layer".to_string(),
+                    case: name.to_string(),
+                    mean_ns: 10_000,
+                    min_ns: 5_000,
+                    max_ns: 20_000,
+                })
+                .collect(),
+        };
+        let write = |file: &str, names: &[&str]| {
+            let path = base.join(file);
+            std::fs::write(&path, serde_json::to_string_pretty(&report(names)).unwrap()).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let both = write("both.json", &["layer/a", "layer/b"]);
+        let only_a = write("only_a.json", &["layer/a"]);
+        let extra = write("extra.json", &["layer/a", "layer/b", "layer/new"]);
+
+        // The candidate lacks a baseline row: the gate fails on it.
+        let (code, out) = run_code(&["compare", "--bench", &both, &only_a]).unwrap();
+        assert_eq!(code, EXIT_REGRESSIONS, "missing row must fail: {out}");
+        assert!(out.contains("MISSING"), "out: {out}");
+        assert!(
+            out.contains("1 baseline row(s) missing from") && out.ends_with("layer/b\n"),
+            "out: {out}"
+        );
+        assert!(!out.contains("no regressions detected"), "out: {out}");
+
+        // A row only in the candidate is new, not a failure.
+        let (code, out) = run_code(&["compare", "--bench", &both, &extra]).unwrap();
+        assert_eq!(code, 0, "extra candidate row is informational: {out}");
+        assert!(out.contains("layer/new"), "out: {out}");
+        assert!(out.contains("no regressions detected"), "out: {out}");
 
         let _ = std::fs::remove_dir_all(&base);
     }

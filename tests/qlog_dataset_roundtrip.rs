@@ -9,18 +9,31 @@ use quicspin::scanner::CampaignConfig;
 
 #[test]
 fn lab_qlog_serializes_and_preserves_spin_observations() {
-    let out = ConnectionLab::new(LabConfig::default()).run();
-    let file = QlogFile::new(vec![out.client_qlog.clone(), out.server_qlog.clone()]);
+    // Two client traces, as a dataset holds one per probed connection.
+    let a = ConnectionLab::new(LabConfig::default()).run();
+    let b = ConnectionLab::new(LabConfig {
+        seed: 2,
+        path_rtt_ms: 80.0,
+        ..LabConfig::default()
+    })
+    .run();
+    let file = QlogFile::new(vec![a.client_qlog.clone(), b.client_qlog.clone()]);
     let json = file.to_json().unwrap();
     let back = QlogFile::from_json(&json).unwrap();
-    assert_eq!(back.traces.len(), 2);
-    assert_eq!(
+    assert_eq!(back, file);
+    for (trace, out) in back.traces.iter().zip([&a, &b]) {
+        assert_eq!(
+            trace.spin_observations(),
+            out.client_qlog.spin_observations(),
+            "the §3.3 extraction survives serialization"
+        );
+        assert_eq!(trace.vantage_point, "client");
+    }
+    assert_ne!(
         back.traces[0].spin_observations(),
-        out.client_qlog.spin_observations(),
-        "the §3.3 extraction survives serialization"
+        back.traces[1].spin_observations(),
+        "the two traces are distinct connections"
     );
-    assert_eq!(back.traces[0].vantage_point, "client");
-    assert_eq!(back.traces[1].vantage_point, "server");
 }
 
 #[test]
