@@ -68,11 +68,6 @@ impl Histogram {
         self.share_of(self.counts[..=idx].iter().sum())
     }
 
-    /// Share of values at or above `threshold` (must be an edge).
-    pub fn share_at_or_above(&self, threshold: f64) -> f64 {
-        1.0 - self.share_below(threshold)
-    }
-
     /// Human-readable bin label.
     pub fn bin_label(&self, idx: usize) -> String {
         if idx == 0 {
@@ -112,13 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn share_below_and_above() {
+    fn share_below_counts_lower_bins() {
         let mut h = Histogram::new(vec![0.0, 25.0, 200.0]);
         for v in [-10.0, 5.0, 10.0, 30.0, 250.0] {
             h.add(v);
         }
         assert!((h.share_below(25.0) - 3.0 / 5.0).abs() < 1e-12);
-        assert!((h.share_at_or_above(200.0) - 1.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]

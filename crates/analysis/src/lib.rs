@@ -12,7 +12,6 @@
 //! | [`fig3`] | Fig. 3 — absolute accuracy histogram |
 //! | [`fig4`] | Fig. 4 — mapped-ratio accuracy histogram |
 //! | [`reordering`] | §5.2 — received-order vs. sorted-order impact |
-//! | [`vantage`] | on-path observer accuracy across tap positions and path conditions |
 //! | [`webserver`] | §4.2 — web-server attribution of spin support |
 //! | [`render`] | ASCII tables / bar charts and CSV export |
 //! | [`dataset`] | [`DomainClass`], the per-list domain tally and [`Dataset`] — every artefact as one fold |
@@ -34,7 +33,6 @@ pub mod render;
 pub mod reordering;
 pub mod spin_config;
 pub mod stats;
-pub mod vantage;
 pub mod webserver;
 
 pub use dataset::{Dataset, DomainClass};
@@ -47,5 +45,4 @@ pub use overview::OverviewTable;
 pub use reordering::ReorderingImpact;
 pub use spin_config::SpinConfigTable;
 pub use stats::Summary;
-pub use vantage::{VantageCell, VantageFigure};
 pub use webserver::WebServerShares;

@@ -128,11 +128,6 @@ impl OrgTable {
     pub fn total_connections(&self) -> u64 {
         self.rows.iter().map(|r| r.total_connections).sum()
     }
-
-    /// Total spinning connections.
-    pub fn total_spin_connections(&self) -> u64 {
-        self.rows.iter().map(|r| r.spin_connections).sum()
-    }
 }
 
 #[cfg(test)]
@@ -220,7 +215,6 @@ mod tests {
             t.total_connections(),
             t.rows.iter().map(|r| r.total_connections).sum::<u64>()
         );
-        assert!(t.total_spin_connections() <= t.total_connections());
     }
 
     #[test]

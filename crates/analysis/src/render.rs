@@ -177,16 +177,6 @@ pub fn render_fig4(fig: &RatioAccuracyFigure) -> String {
     out
 }
 
-/// Exports a histogram as CSV (`bin,count,share`).
-pub fn histogram_to_csv(h: &Histogram) -> String {
-    let mut out = String::from("bin,count,share\n");
-    let shares = h.shares();
-    for (i, (&count, share)) in h.counts.iter().zip(&shares).enumerate() {
-        out.push_str(&format!("\"{}\",{},{:.6}\n", h.bin_label(i), count, share));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,18 +187,6 @@ mod tests {
         assert_eq!(fmt_count(999), "999");
         assert_eq!(fmt_count(1_000), "1,000");
         assert_eq!(fmt_count(216_520_521), "216,520,521");
-    }
-
-    #[test]
-    fn histogram_csv_roundtrips_counts() {
-        let mut h = Histogram::new(vec![0.0, 10.0]);
-        h.add(-1.0);
-        h.add(5.0);
-        h.add(5.0);
-        let csv = histogram_to_csv(&h);
-        assert!(csv.contains("\"< 0\",1,"));
-        assert!(csv.contains("\"[0, 10)\",2,"));
-        assert_eq!(csv.lines().count(), 4);
     }
 
     #[test]

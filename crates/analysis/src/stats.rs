@@ -60,12 +60,6 @@ impl Summary {
             p95: percentile(&sorted, 0.95),
         })
     }
-
-    /// Summary of microsecond samples, reported in milliseconds.
-    pub fn of_us_as_ms(samples_us: &[u64]) -> Option<Summary> {
-        let ms: Vec<f64> = samples_us.iter().map(|&v| v as f64 / 1000.0).collect();
-        Summary::of(&ms)
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +87,6 @@ mod tests {
     #[test]
     fn empty_yields_none() {
         assert!(Summary::of(&[]).is_none());
-        assert!(Summary::of_us_as_ms(&[]).is_none());
     }
 
     #[test]
@@ -118,14 +111,6 @@ mod tests {
     fn even_count_median_averages() {
         let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(s.median, 2.5);
-    }
-
-    #[test]
-    fn microseconds_to_milliseconds() {
-        let s = Summary::of_us_as_ms(&[40_000, 60_000]).unwrap();
-        assert_eq!(s.mean, 50.0);
-        assert_eq!(s.min, 40.0);
-        assert_eq!(s.max, 60.0);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! whose spin differs from the kept value) and turns the time between
 //! consecutive accepted edges into an RTT sample.
 //!
-//! The client-side extraction (Fig. 3/4), the on-path observer and
-//! [`FlowMap`](crate::FlowMap) all run this one machine; they differ only
-//! in the [`EdgePolicy`] they pass:
+//! The client-side extraction (Fig. 3/4) and the on-path observer both
+//! run this one machine; they differ only in the [`EdgePolicy`] they
+//! pass:
 //!
 //! * [`EdgePolicy::RAW`] — the paper's baseline: every edge after the
 //!   first yields a sample.

@@ -12,7 +12,6 @@
 //!   [`EdgePolicy::ON_PATH`] for the RFC 9312 heuristics of an on-path
 //!   observer), plus the RFC 9312 §4.2.1 [`component`] split of a tap
 //!   that sees both directions.
-//! * [`FlowMap`] — per-flow edge machines keyed by connection ID.
 //! * [`VecObserver`] — the Valid Edge Counter of De Vaere et al., carried
 //!   in the short header's reserved bits by consenting endpoints.
 //! * [`GreaseFilter`] — the paper's filter: a connection presumably
@@ -33,7 +32,6 @@
 pub mod accuracy;
 pub mod classify;
 pub mod edge;
-pub mod flowmap;
 pub mod grease;
 pub mod observation;
 pub mod reorder;
@@ -46,7 +44,6 @@ pub use edge::{
     component, AcceptedEdge, Component, Direction, Edge, EdgeMachine, EdgePolicy, SampleSummary,
     PERIOD_WINDOW,
 };
-pub use flowmap::FlowMap;
 pub use grease::GreaseFilter;
 pub use observation::PacketObservation;
 pub use report::ObserverReport;

@@ -67,12 +67,6 @@ impl ReorderComparison {
     pub fn differs(&self) -> bool {
         self.samples_received_us != self.samples_sorted_us
     }
-
-    /// Absolute difference of the two means in ms (`None` if either side
-    /// has no samples).
-    pub fn mean_abs_delta_ms(&self) -> Option<f64> {
-        Some((self.mean_received_ms()? - self.mean_sorted_ms()?).abs())
-    }
 }
 
 fn mean_ms(samples: &[u64]) -> Option<f64> {
@@ -121,7 +115,6 @@ mod tests {
         let cmp = ReorderComparison::run(&seq);
         assert!(!cmp.differs());
         assert_eq!(cmp.mean_received_ms(), Some(40.0));
-        assert_eq!(cmp.mean_abs_delta_ms(), Some(0.0));
     }
 
     #[test]
@@ -147,15 +140,6 @@ mod tests {
             (cmp.mean_sorted_ms().unwrap() - real).abs()
                 < (cmp.mean_received_ms().unwrap() - real).abs()
         );
-    }
-
-    #[test]
-    fn mean_delta_none_when_one_side_empty() {
-        // A single edge yields no sample in either mode.
-        let seq = vec![obs(0, 0, false), obs(40, 1, true)];
-        let cmp = ReorderComparison::run(&seq);
-        assert_eq!(cmp.mean_abs_delta_ms(), None);
-        assert!(!cmp.differs());
     }
 
     proptest::proptest! {

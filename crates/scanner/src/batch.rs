@@ -1,16 +1,15 @@
-//! Columnar (structure-of-arrays) record batches for the campaign merge
-//! path.
+//! Record batches for the streamed campaign path.
 //!
 //! A [`crate::record::ConnectionRecord`] is built for fidelity, not for
 //! aggregation: it drags an optional observer report (spin samples,
 //! rejection counters) and an optional qlog trace behind every row. The
 //! sinks of a streamed campaign — [`crate::timeseries`]'s cumulative fold
-//! and the observer document builder — touch a dozen scalar fields per
-//! record. A [`RecordBatch`] stores exactly those fields in parallel
-//! columns, one batch per scheduler work unit, so the sinks walk dense
-//! arrays instead of pointer-laden structs and
+//! and the observer document builder — read a dozen scalar fields per
+//! record. A [`RecordBatch`] keeps exactly those fields, one `Copy`
+//! [`RecordRow`] per record and one batch per scheduler work unit, so
 //! [`run_campaign_streamed`](crate::campaign::Scanner::run_campaign_streamed)
-//! can account its resident bytes precisely.
+//! drops the heavy parts early and can account its resident bytes
+//! precisely.
 //!
 //! Rows are appended per domain ([`RecordBatch::push_group`]) and read
 //! back per domain ([`RecordBatch::groups`]): the group structure mirrors
@@ -22,9 +21,9 @@ use crate::record::{ConnectionRecord, ScanOutcome};
 use quicspin_core::FlowClassification;
 use quicspin_webpop::{HostAddr, ListKind, Org, WebServer};
 
-/// One record's aggregation-relevant fields, copied out of a column set
-/// (or a [`ConnectionRecord`]). Plain `Copy` data — cheap to hand around
-/// by value.
+/// One record's aggregation-relevant fields, copied out of a
+/// [`ConnectionRecord`]. Plain `Copy` data — cheap to hand around by
+/// value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecordRow {
     /// Scanned domain id.
@@ -73,21 +72,10 @@ impl RecordRow {
     }
 }
 
-/// A structure-of-arrays batch of record rows, grouped by domain.
+/// A batch of record rows, grouped by domain.
 #[derive(Debug, Clone, Default)]
 pub struct RecordBatch {
-    domain_ids: Vec<u32>,
-    lists: Vec<ListKind>,
-    orgs: Vec<Org>,
-    outcomes: Vec<ScanOutcome>,
-    redirect_depths: Vec<u32>,
-    hosts: Vec<Option<HostAddr>>,
-    webservers: Vec<Option<WebServer>>,
-    classifications: Vec<Option<FlowClassification>>,
-    virtual_handshake_us: Vec<Option<u64>>,
-    virtual_total_us: Vec<u64>,
-    queue_high_waters: Vec<u64>,
-    observers: Vec<Option<ObserverView>>,
+    rows: Vec<RecordRow>,
     /// Row offset where each domain group starts; rows of one domain are
     /// contiguous. `group_starts[i]..group_starts[i+1]` (or `len`) is
     /// group `i`.
@@ -107,32 +95,18 @@ impl RecordBatch {
         if records.is_empty() {
             return;
         }
-        self.group_starts.push(self.domain_ids.len() as u32);
-        for r in records {
-            self.domain_ids.push(r.domain_id);
-            self.lists.push(r.list);
-            self.orgs.push(r.org);
-            self.outcomes.push(r.outcome);
-            self.redirect_depths.push(r.redirect_depth);
-            self.hosts.push(r.host);
-            self.webservers.push(r.webserver);
-            self.classifications
-                .push(r.report.as_ref().map(|rep| rep.classification));
-            self.virtual_handshake_us.push(r.virtual_handshake_us);
-            self.virtual_total_us.push(r.virtual_total_us);
-            self.queue_high_waters.push(r.queue_high_water);
-            self.observers.push(r.observer);
-        }
+        self.group_starts.push(self.rows.len() as u32);
+        self.rows.extend(records.iter().map(RecordRow::of));
     }
 
     /// Number of rows (records).
     pub fn len(&self) -> usize {
-        self.domain_ids.len()
+        self.rows.len()
     }
 
     /// Whether the batch holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.domain_ids.is_empty()
+        self.rows.is_empty()
     }
 
     /// Number of domain groups.
@@ -140,22 +114,9 @@ impl RecordBatch {
         self.group_starts.len()
     }
 
-    /// The row at `index`, reassembled from the columns.
+    /// The row at `index`.
     pub fn row(&self, index: usize) -> RecordRow {
-        RecordRow {
-            domain_id: self.domain_ids[index],
-            list: self.lists[index],
-            org: self.orgs[index],
-            outcome: self.outcomes[index],
-            redirect_depth: self.redirect_depths[index],
-            host: self.hosts[index],
-            webserver: self.webservers[index],
-            classification: self.classifications[index],
-            virtual_handshake_us: self.virtual_handshake_us[index],
-            virtual_total_us: self.virtual_total_us[index],
-            queue_high_water: self.queue_high_waters[index],
-            observer: self.observers[index],
-        }
+        self.rows[index]
     }
 
     /// Iterates the rows of group `g`.
@@ -165,7 +126,7 @@ impl RecordBatch {
             .group_starts
             .get(g + 1)
             .map_or(self.len(), |&s| s as usize);
-        (start..end).map(move |i| self.row(i))
+        self.rows[start..end].iter().copied()
     }
 
     /// Iterates all groups, each as its row iterator, in append order.
@@ -173,41 +134,16 @@ impl RecordBatch {
         (0..self.group_count()).map(move |g| self.group(g))
     }
 
-    /// Approximate resident bytes of the column storage (capacities, not
-    /// lengths — this is what the streamed path's byte budget accounts).
+    /// Approximate resident bytes of the batch (capacities, not lengths
+    /// — this is what the streamed path's byte budget accounts).
     pub fn approx_bytes(&self) -> usize {
-        fn col<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
-        }
-        col(&self.domain_ids)
-            + col(&self.lists)
-            + col(&self.orgs)
-            + col(&self.outcomes)
-            + col(&self.redirect_depths)
-            + col(&self.hosts)
-            + col(&self.webservers)
-            + col(&self.classifications)
-            + col(&self.virtual_handshake_us)
-            + col(&self.virtual_total_us)
-            + col(&self.queue_high_waters)
-            + col(&self.observers)
-            + col(&self.group_starts)
+        self.rows.capacity() * std::mem::size_of::<RecordRow>()
+            + self.group_starts.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Clears all rows and groups, keeping the column allocations.
+    /// Clears all rows and groups, keeping the allocations.
     pub fn clear(&mut self) {
-        self.domain_ids.clear();
-        self.lists.clear();
-        self.orgs.clear();
-        self.outcomes.clear();
-        self.redirect_depths.clear();
-        self.hosts.clear();
-        self.webservers.clear();
-        self.classifications.clear();
-        self.virtual_handshake_us.clear();
-        self.virtual_total_us.clear();
-        self.queue_high_waters.clear();
-        self.observers.clear();
+        self.rows.clear();
         self.group_starts.clear();
     }
 }
@@ -248,6 +184,40 @@ mod tests {
         let g1: Vec<RecordRow> = batch.group(1).collect();
         assert_eq!(g1, b.iter().map(RecordRow::of).collect::<Vec<_>>());
         assert_eq!(batch.groups().count(), 2);
+    }
+
+    #[test]
+    fn groups_round_trip_observed_records() {
+        use crate::{CampaignConfig, NetworkConditions, Scanner};
+        use quicspin_webpop::{Population, PopulationConfig};
+        let pop = Population::generate(PopulationConfig {
+            seed: 11,
+            toplist_domains: 40,
+            zone_domains: 160,
+        });
+        let config = CampaignConfig {
+            tap: Some(0.5),
+            conditions: NetworkConditions::clean(),
+            ..CampaignConfig::default()
+        };
+        let campaign = Scanner::new(&pop).run_campaign_over(&config, 0..80);
+        let mut batch = RecordBatch::new();
+        for domain in campaign.domains() {
+            batch.push_group(domain);
+        }
+
+        assert_eq!(batch.len(), campaign.len());
+        assert_eq!(batch.group_count(), campaign.domains().count());
+        for (i, record) in campaign.records.iter().enumerate() {
+            assert_eq!(batch.row(i), RecordRow::of(record));
+        }
+        for (g, domain) in campaign.domains().enumerate() {
+            assert!(batch.group(g).eq(domain.iter().map(RecordRow::of)));
+        }
+        let observed = (0..batch.len())
+            .filter(|&i| batch.row(i).observer.is_some())
+            .count();
+        assert!(observed > 0, "a tapped campaign carries observer views");
     }
 
     #[test]

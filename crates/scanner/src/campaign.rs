@@ -361,15 +361,15 @@ impl<'p> Scanner<'p> {
     }
 
     /// Runs a full sweep in streamed, bounded-memory mode: every finished
-    /// scheduler batch reaches `sink` as a columnar [`RecordBatch`], in
+    /// scheduler batch reaches `sink` as a [`RecordBatch`] of rows, in
     /// strict batch-index order, and is dropped right after — the full
     /// record vector never exists. Aggregates, time series and flight
     /// artifacts folded from the stream are byte-identical to the
     /// materializing path for any worker-thread count, because the sink
     /// sees exactly the per-batch merge sequence `run_campaign` uses.
     ///
-    /// `budget_bytes` is the high-water byte budget for resident columnar
-    /// records (finished batches awaiting the in-order merge plus the one
+    /// `budget_bytes` is the high-water byte budget for resident record
+    /// rows (finished batches awaiting the in-order merge plus the one
     /// being folded); `0` means unbounded. Workers stop claiming new
     /// batches while the budget is exhausted, so the overshoot is bounded
     /// by one in-flight batch per worker. Peak residency is reported on
@@ -425,9 +425,9 @@ impl<'p> Scanner<'p> {
         (campaign, shard)
     }
 
-    /// The streamed caller of the engine: each batch interns into a
-    /// columnar [`RecordBatch`], accounted against `budget_bytes`, and
-    /// reaches `sink` in batch order. Returns the merged (not yet
+    /// The streamed caller of the engine: each batch's records become
+    /// the rows of a [`RecordBatch`], which is accounted against
+    /// `budget_bytes` and reaches `sink` in batch order. Returns the merged (not yet
     /// finalized) flight shard. See
     /// [`run_campaign_streamed`](Scanner::run_campaign_streamed).
     fn stream<S>(
@@ -605,7 +605,7 @@ impl<'p> Scanner<'p> {
     /// The streamed, bounded-memory campaign with the flight recorder
     /// armed, live progress reporting, and a run manifest — the full
     /// operator path without ever materializing the record vector.
-    /// Columnar batches reach `batch_sink` on the calling thread, in
+    /// Row batches reach `batch_sink` on the calling thread, in
     /// deterministic batch order; `budget_bytes` caps resident record
     /// bytes as in [`run_campaign_streamed`](Scanner::run_campaign_streamed)
     /// (`0` = unbounded). The streamed records match a non-flight run

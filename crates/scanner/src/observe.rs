@@ -189,13 +189,7 @@ impl ObserverDocBuilder {
 
     /// Notes one materialized record (no-op unless it carries a view).
     pub fn note_record(&mut self, record: &ConnectionRecord) {
-        if let Some(view) = record.observer {
-            self.flows.push(ObserverFlowRow {
-                domain_id: record.domain_id,
-                hop: record.redirect_depth,
-                view,
-            });
-        }
+        self.note_row(&RecordRow::of(record));
     }
 
     /// Finalizes the document, computing the summary over all rows.
@@ -358,6 +352,91 @@ mod tests {
         let doc = ObserverDoc::from_records("week0", 0.1, &[record]);
         assert!(doc.flows.is_empty());
         assert_eq!(doc.summary.flows, 0);
+    }
+
+    /// Folds one tapped campaign over a small population into the
+    /// all-flows document and the spinning-flows-only document.
+    fn fold_cell(vantage: f64, loss: f64) -> (ObserverDoc, ObserverDoc) {
+        use crate::{CampaignConfig, NetworkConditions, Scanner};
+        use quicspin_webpop::{Population, PopulationConfig};
+        let pop = Population::generate(PopulationConfig {
+            seed: 11,
+            toplist_domains: 40,
+            zone_domains: 160,
+        });
+        let config = CampaignConfig {
+            tap: Some(vantage),
+            conditions: NetworkConditions {
+                loss,
+                ..NetworkConditions::clean()
+            },
+            threads: 2,
+            ..CampaignConfig::default()
+        };
+        let campaign = Scanner::new(&pop).run_campaign_over(&config, 0..80);
+        let mut all = ObserverDocBuilder::new("cell", vantage);
+        let mut spinning = ObserverDocBuilder::new("cell", vantage);
+        for record in &campaign.records {
+            let row = RecordRow::of(record);
+            all.note_row(&row);
+            if row.classification == Some(FlowClassification::Spinning) {
+                spinning.note_row(&row);
+            }
+        }
+        (all.finish(), spinning.finish())
+    }
+
+    /// Mean observer and client RTT (µs) over the flows where both
+    /// produced a mean.
+    fn paired_means_us(doc: &ObserverDoc) -> (f64, f64) {
+        let paired: Vec<(u64, u64)> = doc
+            .flows
+            .iter()
+            .filter_map(|row| Some((row.view.stats.mean_us?, row.view.client_spin_mean_us?)))
+            .collect();
+        assert!(!paired.is_empty(), "no flow has both means");
+        let n = paired.len() as f64;
+        let sum = |f: fn(&(u64, u64)) -> u64| paired.iter().map(f).sum::<u64>() as f64 / n;
+        (sum(|p| p.0), sum(|p| p.1))
+    }
+
+    #[test]
+    fn clean_path_observer_matches_the_client_from_any_tap() {
+        for vantage in [0.1, 0.5, 0.9] {
+            let (doc, _) = fold_cell(vantage, 0.0);
+            let s = &doc.summary;
+            assert!(s.flows > 0, "vantage {vantage} saw no flows");
+            assert!(s.measurable > 0);
+            assert_eq!(s.rejected_gap, 0);
+            let (observer, client) = paired_means_us(&doc);
+            assert!(
+                (observer - client).abs() < 10.0,
+                "vantage {vantage}: paired observer {observer} µs vs client {client} µs"
+            );
+        }
+    }
+
+    #[test]
+    fn lossy_path_observer_tracks_the_client() {
+        let (doc, _) = fold_cell(0.5, 0.05);
+        let s = &doc.summary;
+        assert!(s.flows > 0);
+        let observer = s.observer_mean_us.unwrap() as f64;
+        let client = s.client_mean_us.unwrap() as f64;
+        assert!(
+            (observer - client).abs() / client < 0.5,
+            "lossy cell: observer {observer} µs vs client {client} µs"
+        );
+    }
+
+    #[test]
+    fn spinning_fold_drops_non_spinning_flows() {
+        let (all, spinning) = fold_cell(0.5, 0.0);
+        assert!(spinning.summary.flows > 0);
+        assert!(
+            spinning.summary.flows < all.summary.flows,
+            "the spinning fold must drop non-spinning flows"
+        );
     }
 
     #[test]

@@ -21,14 +21,6 @@ pub enum ScanOutcome {
     Ok,
 }
 
-impl ScanOutcome {
-    /// Whether the domain counts into the paper's "QUIC" column
-    /// (a connection could be established).
-    pub fn is_quic(self) -> bool {
-        matches!(self, ScanOutcome::Ok)
-    }
-}
-
 /// One scanned connection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConnectionRecord {
@@ -119,15 +111,6 @@ impl ConnectionRecord {
 mod tests {
     use super::*;
     use quicspin_core::FlowClassification;
-
-    #[test]
-    fn outcome_quic_classification() {
-        assert!(ScanOutcome::Ok.is_quic());
-        assert!(!ScanOutcome::NotResolved.is_quic());
-        assert!(!ScanOutcome::NoQuic.is_quic());
-        assert!(!ScanOutcome::Unreachable.is_quic());
-        assert!(!ScanOutcome::HandshakeFailed.is_quic());
-    }
 
     #[test]
     fn failed_record_has_no_report() {

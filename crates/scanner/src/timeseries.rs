@@ -54,7 +54,7 @@ struct CumulativeState {
 
 impl CumulativeState {
     /// Folds one domain's rows (all its redirect hops) in. Shared by the
-    /// record-slice path and the columnar [`RecordBatch`] path.
+    /// record-slice path and the streamed [`RecordBatch`] path.
     fn absorb_group(&mut self, rows: impl Iterator<Item = RecordRow>) {
         self.probes += 1;
         let mut errored = false;
@@ -150,7 +150,7 @@ impl TimeSeriesBuilder {
         self.held = true;
     }
 
-    /// Absorbs every domain group of a columnar batch, in order.
+    /// Absorbs every domain group of a row batch, in order.
     pub fn push_batch(&mut self, batch: &RecordBatch) {
         for group in batch.groups() {
             self.push_group(group);
@@ -178,16 +178,8 @@ pub fn build_timeseries(
     capacity: usize,
 ) -> TimeSeriesDoc {
     let mut builder = TimeSeriesBuilder::new(capacity);
-    let records = &campaign.records;
-    let mut start = 0usize;
-    while start < records.len() {
-        let domain_id = records[start].domain_id;
-        let mut end = start + 1;
-        while end < records.len() && records[end].domain_id == domain_id {
-            end += 1;
-        }
-        builder.push_group(records[start..end].iter().map(RecordRow::of));
-        start = end;
+    for domain in campaign.domains() {
+        builder.push_group(domain.iter().map(RecordRow::of));
     }
     builder.finish(config.campaign_id())
 }

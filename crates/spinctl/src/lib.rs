@@ -1276,20 +1276,39 @@ fn compare_runs(
         }
     }
 
-    if regressions.is_empty() {
+    verdict(text, &regressions, None, out)
+}
+
+/// The closing step of every comparison: appends `no regressions
+/// detected`, or the regressed names followed by `failure` (a further
+/// failure line), writes `text` to `out`, and returns the exit code (0
+/// clean, [`EXIT_REGRESSIONS`] otherwise).
+fn verdict(
+    mut text: String,
+    regressions: &[String],
+    failure: Option<String>,
+    out: &mut dyn Write,
+) -> Result<i32, String> {
+    let code = if regressions.is_empty() && failure.is_none() {
         let _ = writeln!(text, "\nno regressions detected");
-        write!(out, "{text}").map_err(|e| e.to_string())?;
-        Ok(0)
+        0
     } else {
-        let _ = writeln!(
-            text,
-            "\n{} regression(s) detected: {}",
-            regressions.len(),
-            regressions.join(", ")
-        );
-        write!(out, "{text}").map_err(|e| e.to_string())?;
-        Ok(EXIT_REGRESSIONS)
-    }
+        let _ = writeln!(text);
+        if !regressions.is_empty() {
+            let _ = writeln!(
+                text,
+                "{} regression(s) detected: {}",
+                regressions.len(),
+                regressions.join(", ")
+            );
+        }
+        if let Some(line) = failure {
+            let _ = writeln!(text, "{line}");
+        }
+        EXIT_REGRESSIONS
+    };
+    write!(out, "{text}").map_err(|e| e.to_string())?;
+    Ok(code)
 }
 
 fn load_bench(path: &Path) -> Result<BenchReport, String> {
@@ -1347,31 +1366,15 @@ fn compare_bench(
             let _ = writeln!(text, "  {:<44} only in {}", rb.name, b_path.display());
         }
     }
-    if regressions.is_empty() && missing.is_empty() {
-        let _ = writeln!(text, "\nno regressions detected");
-        write!(out, "{text}").map_err(|e| e.to_string())?;
-        return Ok(0);
-    }
-    let _ = writeln!(text);
-    if !regressions.is_empty() {
-        let _ = writeln!(
-            text,
-            "{} regression(s) detected: {}",
-            regressions.len(),
-            regressions.join(", ")
-        );
-    }
-    if !missing.is_empty() {
-        let _ = writeln!(
-            text,
+    let missing_line = (!missing.is_empty()).then(|| {
+        format!(
             "{} baseline row(s) missing from {}: {}",
             missing.len(),
             b_path.display(),
             missing.join(", ")
-        );
-    }
-    write!(out, "{text}").map_err(|e| e.to_string())?;
-    Ok(EXIT_REGRESSIONS)
+        )
+    });
+    verdict(text, &regressions, missing_line, out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1545,20 +1548,7 @@ fn profile_diff(a_dir: &Path, b_dir: &Path, band: f64, out: &mut dyn Write) -> R
             be as i64 - ae as i64,
         );
     }
-    if regressions.is_empty() {
-        let _ = writeln!(text, "\nno regressions detected");
-        write!(out, "{text}").map_err(|e| e.to_string())?;
-        Ok(0)
-    } else {
-        let _ = writeln!(
-            text,
-            "\n{} regression(s) detected: {}",
-            regressions.len(),
-            regressions.join(", ")
-        );
-        write!(out, "{text}").map_err(|e| e.to_string())?;
-        Ok(EXIT_REGRESSIONS)
-    }
+    verdict(text, &regressions, None, out)
 }
 
 // ---------------------------------------------------------------------------

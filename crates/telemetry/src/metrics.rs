@@ -188,7 +188,7 @@ metric_enum! {
         CampaignSize => "campaign_size",
         /// Worker threads the campaign ran with.
         WorkerThreads => "worker_threads",
-        /// High-water mark of resident columnar record bytes on the
+        /// High-water mark of resident record-row bytes on the
         /// streamed campaign path (finished batches awaiting merge plus
         /// the batch being folded).
         PeakRecordBytes => "peak_record_bytes",

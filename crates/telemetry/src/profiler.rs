@@ -333,11 +333,6 @@ impl ScopeId {
             .copied()
             .filter(move |s| s.parent() == Some(self))
     }
-
-    /// Looks a scope up by its full path.
-    pub fn from_path(path: &str) -> Option<ScopeId> {
-        ScopeId::ALL.iter().copied().find(|s| s.path() == path)
-    }
 }
 
 /// One scope's cells inside a [`WorkerShard`]: plain integers the
@@ -591,7 +586,6 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(ScopeId::from_path(s.path()), Some(s));
         }
         // The deliberate exception: the batch-mailbox hand-off is pure
         // scheduling cost, so it must stay out of profile.json.

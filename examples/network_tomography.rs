@@ -7,16 +7,13 @@
 //! position. This example places taps at several points along the same
 //! path, folds each capture through the on-path `FlowObserver` (one
 //! spin-edge machine per direction plus the RFC 9312 §4.2.1 component
-//! split), demultiplexes flows by connection ID, and shows the component
-//! split moving with the tap — plus a pcap round-trip, since a real
-//! observer would work from captures.
+//! split), and shows the component split moving with the tap — plus a
+//! pcap round-trip, since a real observer would work from captures.
 //!
 //! Run with: `cargo run --release --example network_tomography`
 
-use quicspin::core::{EdgePolicy, FlowMap};
-use quicspin::netsim::{read_pcap, write_pcap, Side};
+use quicspin::netsim::{read_pcap, write_pcap};
 use quicspin::prelude::*;
-use quicspin::wire::Header;
 use quicspin_observer::FlowObserver;
 
 fn main() {
@@ -36,16 +33,8 @@ fn main() {
 
         let mut observer = FlowObserver::default();
         observer.ingest_tap_records(&records, 8, |_, _| {});
-        // Per-flow single-direction observation keyed by DCID.
-        let mut flows: FlowMap<Vec<u8>> = FlowMap::new(EdgePolicy::RAW);
-        for record in records.iter().filter(|r| r.from == Side::Server) {
-            let Some(header) = Header::peek_observable(record.snap(), 8) else {
-                continue;
-            };
-            let obs = quicspin::core::PacketObservation::wire(record.time.as_micros(), header.spin);
-            flows.observe(header.dcid.as_slice().to_vec(), &obs);
-        }
 
+        // A lab holds one connection, so the tap sees at most one flow.
         let stats = observer.stats();
         let ms = |us: Option<u64>| us.map_or(f64::NAN, |us| us as f64 / 1000.0);
         let full = stats
@@ -58,8 +47,8 @@ fn main() {
             ms(stats.client_side_mean_us),
             ms(stats.server_side_mean_us),
             ms(full),
-            flows.len(),
-            flows.measurable_flows(),
+            u8::from(stats.packets > 0),
+            u8::from(stats.measurable),
         );
     }
     println!("\npath RTT is 80 ms; the component split follows the tap position");

@@ -29,6 +29,12 @@ cargo test -q -p quicspin-telemetry
 # break `bash spinbench/run.sh` unseen.
 cargo test -q --manifest-path spinbench/Cargo.toml
 
+# The two observer examples run, not just compile: spin_observatory
+# folds each vantage × loss cell through the observer document, and
+# network_tomography reads its counts from the capture-fed observer.
+cargo run --release --example spin_observatory -- 200
+cargo run --release --example network_tomography
+
 # Bench smoke doubles as the BENCH_JSON report path check: one smoke
 # iteration per benchmark, report written, then diffed against itself
 # (which must always be regression-free).
