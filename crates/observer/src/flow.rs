@@ -58,9 +58,6 @@ pub struct FlowStats {
     pub rejected_reorder: u64,
     /// Samples rejected as loss gaps (both directions).
     pub rejected_gap: u64,
-    /// Always 0: the handshake warm-up suppression is gone. The field
-    /// stays in `observer.json` until its next schema bump.
-    pub suppressed_warmup: u64,
     /// Whether the flow yielded at least one accepted downstream sample.
     pub measurable: bool,
 }
@@ -158,7 +155,6 @@ impl FlowObserver {
             client_side_mean_us: self.client_side.mean_us(),
             rejected_reorder: up.rejected_reorder() + down.rejected_reorder(),
             rejected_gap: up.rejected_gap() + down.rejected_gap(),
-            suppressed_warmup: 0,
             measurable: down.samples().count() > 0,
         }
     }

@@ -172,9 +172,9 @@ pub fn read_observer(dir: &Path) -> std::io::Result<crate::observe::ObserverDoc>
 
 /// Writes a [`ProfileDoc`] as pretty-printed JSON named
 /// [`PROFILE_FILE_NAME`] inside `dir` (created if missing). The doc
-/// carries only the deterministic scope counts (enters / allocs /
-/// queue-ops — never wall time), so the file is byte-identical for any
-/// `--threads` on the streamed path. Returns the path written.
+/// carries only the deterministic scope enter counts (never wall time),
+/// so the file is byte-identical for any `--threads` on the streamed
+/// path. Returns the path written.
 pub fn write_profile(dir: &Path, doc: &ProfileDoc) -> std::io::Result<PathBuf> {
     write_json(dir, PROFILE_FILE_NAME, doc)
 }
@@ -380,12 +380,12 @@ mod tests {
 
     #[test]
     fn profile_roundtrips_and_errors_are_descriptive() {
-        use quicspin_telemetry::{ProfilerRegistry, ScopeId};
+        use quicspin_telemetry::{Metric, ProfilerRegistry, ScopeId};
         let reg = ProfilerRegistry::new();
         let mut shard = reg.shard();
         let p = shard.begin();
-        shard.enter_n(ScopeId::PacketEncode, 12);
-        shard.add_queue_ops(ScopeId::WheelPush, 7);
+        shard.add(Metric::PacketsSent, 12);
+        shard.add(Metric::NetsimQueuePushes, 7);
         shard.end(ScopeId::Probe, p);
         reg.absorb(&shard);
         let snapshot = reg.snapshot();

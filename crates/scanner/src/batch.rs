@@ -140,12 +140,6 @@ impl RecordBatch {
         self.rows.capacity() * std::mem::size_of::<RecordRow>()
             + self.group_starts.capacity() * std::mem::size_of::<u32>()
     }
-
-    /// Clears all rows and groups, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-        self.group_starts.clear();
-    }
 }
 
 #[cfg(test)]
@@ -218,19 +212,6 @@ mod tests {
             .filter(|&i| batch.row(i).observer.is_some())
             .count();
         assert!(observed > 0, "a tapped campaign carries observer views");
-    }
-
-    #[test]
-    fn clear_keeps_capacity_and_resets_groups() {
-        let mut batch = RecordBatch::new();
-        batch.push_group(&[failed(1, ScanOutcome::NoQuic)]);
-        let bytes = batch.approx_bytes();
-        assert!(bytes > 0);
-        batch.clear();
-        assert!(batch.is_empty());
-        assert_eq!(batch.group_count(), 0);
-        // Capacity (and thus the byte estimate) survives the clear.
-        assert_eq!(batch.approx_bytes(), bytes);
     }
 
     #[test]

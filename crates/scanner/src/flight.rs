@@ -1203,7 +1203,6 @@ mod tests {
             client_side_mean_us: None,
             rejected_reorder: 0,
             rejected_gap: 0,
-            suppressed_warmup: 0,
             measurable: samples > 0,
         };
         let report = |spin: &[u64]| ObserverReport {

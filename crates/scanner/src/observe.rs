@@ -17,7 +17,7 @@ use quicspin_observer::FlowStats;
 use serde::{Deserialize, Serialize};
 
 /// Schema version of [`ObserverDoc`].
-pub const OBSERVER_SCHEMA_VERSION: u32 = 1;
+pub const OBSERVER_SCHEMA_VERSION: u32 = 2;
 
 fn mean_us(samples: &[u64]) -> Option<u64> {
     if samples.is_empty() {
@@ -265,7 +265,6 @@ mod tests {
             client_side_mean_us: None,
             rejected_reorder: 0,
             rejected_gap: 0,
-            suppressed_warmup: 0,
             measurable: samples > 0,
         }
     }

@@ -68,11 +68,10 @@ impl ProbeScratch {
 }
 
 /// Maps one lab run's plain stats into the worker's shard: transport and
-/// path counters, the count-only netsim/quic scopes (enters, allocation
-/// deltas, event-queue-op deltas, fed post hoc from counters those
-/// crates already maintain — the hot path reads no clock for them), and
-/// the lab's own handshake/transfer stopwatches, each recorded once into
-/// its scope and the scope's stage.
+/// path counters (the count-only netsim/quic scopes are views of them,
+/// so the hot path reads no clock for those layers), and the lab's own
+/// handshake/transfer stopwatches, each recorded once into its scope
+/// and the scope's stage.
 fn note_lab(shard: &mut WorkerShard, stats: &LabStats, established: bool) {
     // Transport counters, both endpoints.
     for conn in [&stats.client, &stats.server] {
@@ -82,20 +81,10 @@ fn note_lab(shard: &mut WorkerShard, stats: &LabStats, established: bool) {
         shard.add(Metric::PacketsDuplicate, conn.packets_duplicate);
         shard.add(Metric::PacketsLost, conn.packets_lost);
         shard.add(Metric::FramesRetransmitted, conn.frames_retransmitted);
+        shard.add(Metric::FramesReassembled, conn.frames_reassembled);
         shard.add(Metric::PtosFired, conn.ptos_fired);
         shard.add(Metric::DatagramPoolHits, conn.datagram_pool_hits);
         shard.add(Metric::DatagramPoolMisses, conn.datagram_pool_misses);
-        shard.enter_n(ScopeId::PacketEncode, conn.packets_sent);
-        shard.enter_n(
-            ScopeId::PacketDecode,
-            conn.packets_received + conn.packets_undecodable,
-        );
-        shard.enter_n(ScopeId::Reassembly, conn.frames_reassembled);
-        shard.enter_n(
-            ScopeId::DatagramPool,
-            conn.datagram_pool_hits + conn.datagram_pool_misses,
-        );
-        shard.add_allocs(ScopeId::DatagramPool, conn.datagram_pool_misses);
     }
     // Spin edges as seen by the scanning client (the measurement side).
     shard.add(Metric::SpinTransitionsObserved, stats.client.spin_edges);
@@ -110,23 +99,21 @@ fn note_lab(shard: &mut WorkerShard, stats: &LabStats, established: bool) {
         Metric::NetsimDuplicates,
         path.duplicated[0] + path.duplicated[1],
     );
+    shard.add(Metric::NetsimQueuePushes, path.queue_pushes);
+    shard.add(Metric::NetsimQueuePops, path.queue_pops);
+    shard.add(Metric::NetsimDeliveries, path.delivered);
     shard.gauge_max(GaugeId::NetsimQueueHighWater, path.queue_high_water);
-    shard.enter_n(ScopeId::WheelPush, path.queue_pushes);
-    shard.add_queue_ops(ScopeId::WheelPush, path.queue_pushes);
-    shard.enter_n(ScopeId::WheelPop, path.queue_pops);
-    shard.add_queue_ops(ScopeId::WheelPop, path.queue_pops);
-    shard.enter_n(ScopeId::LinkDelivery, path.delivered);
     // Every lab run attempts a handshake; only established connections
-    // reach the transfer phase. Both facts are worker-count invariant.
-    // The handshake stopwatch stops only on establishment, so a failed
-    // handshake adds no wall sample.
-    shard.enter(ScopeId::LabHandshake);
+    // reach the transfer phase. The handshake stopwatch stops only on
+    // establishment, so a failed handshake adds no wall sample.
     if stats.handshake_wall_ns > 0 {
         shard.add_wall_ns(ScopeId::LabHandshake, stats.handshake_wall_ns);
     }
     if established {
-        shard.enter(ScopeId::LabTransfer);
+        shard.incr(Metric::HandshakesCompleted);
         shard.add_wall_ns(ScopeId::LabTransfer, stats.transfer_wall_ns);
+    } else {
+        shard.incr(Metric::HandshakesFailed);
     }
 }
 
@@ -273,7 +260,6 @@ pub fn probe_connection(
     let t = scratch.telemetry.lap(ScopeId::Lab, t);
 
     if !outcome.handshake_completed {
-        scratch.telemetry.incr(Metric::HandshakesFailed);
         let qlog = capture_trace(domain, config, scratch, &mut outcome);
         let record = ConnectionRecord {
             domain_id: domain.id,
@@ -297,7 +283,6 @@ pub fn probe_connection(
         return (record, None);
     }
 
-    scratch.telemetry.incr(Metric::HandshakesCompleted);
     let observations = outcome.client_observations();
     let t = scratch.telemetry.lap(ScopeId::SpinExtraction, t);
 
@@ -338,9 +323,6 @@ pub fn probe_connection(
         } else {
             Metric::ObserverFlowsUnmeasurable
         });
-        scratch
-            .telemetry
-            .enter_n(ScopeId::ObserverSamples, stats.packets);
         crate::observe::ObserverView::new(position, stats, &report)
     });
     let t = if config.tap.is_some() {
@@ -599,7 +581,7 @@ mod tests {
         assert_eq!(a.enters(ScopeId::Probe), 1);
         assert_eq!(a.enters(ScopeId::LabHandshake), 1);
         assert_eq!(a.enters(ScopeId::LabTransfer), 1);
-        assert!(a.enters(ScopeId::WheelPush) > 0, "wheel pushes must count");
+        assert!(a.enters(ScopeId::WheelPush) > 0, "queue pushes must count");
         assert!(a.enters(ScopeId::PacketEncode) > 0);
         assert!(a.enters(ScopeId::PacketDecode) > 0);
         assert!(a.enters(ScopeId::Reassembly) > 0);
@@ -608,13 +590,20 @@ mod tests {
         assert!(a.wall_ns(ScopeId::Probe) > 0, "probe wall must be timed");
         assert!(a.wall_ns(ScopeId::Lab) > 0, "lab wall must be timed");
 
-        // An unprofiled probe leaves every scope cell untouched.
+        // An unprofiled probe leaves every scope cell untouched; only the
+        // views, which read the un-gated counters, still count.
         let mut off = ProbeScratch::default();
         off.telemetry.set_enabled(true, false);
         probe_connection(d, &plan, 0, &tapped, &mut off);
-        assert!(ScopeId::ALL
-            .iter()
-            .all(|&s| off.telemetry.enters(s) == 0 && off.telemetry.wall_ns(s) == 0));
+        for &s in ScopeId::ALL {
+            assert_eq!(off.telemetry.wall_ns(s), 0, "{}", s.path());
+            let want = if s.counts().is_empty() {
+                0
+            } else {
+                a.enters(s)
+            };
+            assert_eq!(off.telemetry.enters(s), want, "{}", s.path());
+        }
         // ...while its metrics half still times the staged scopes.
         let classify = off
             .telemetry

@@ -1425,21 +1425,13 @@ fn profile_render(dir: &Path, top: usize, out: &mut dyn Write) -> Result<(), Str
         text,
         "\nscope tree (deterministic counts; identical for any --threads):"
     );
-    let _ = writeln!(
-        text,
-        "  {:<36} {:>12} {:>12} {:>12}",
-        "scope", "enters", "allocs", "queue_ops"
-    );
+    let _ = writeln!(text, "  {:<36} {:>12}", "scope", "enters");
     for scope in ScopeId::ALL {
         let Some(row) = doc.row(scope.path()) else {
             continue;
         };
         let label = format!("{}{}", "  ".repeat(scope.depth()), scope.name());
-        let _ = writeln!(
-            text,
-            "  {:<36} {:>12} {:>12} {:>12}",
-            label, row.enters, row.allocs, row.queue_ops
-        );
+        let _ = writeln!(text, "  {:<36} {:>12}", label, row.enters);
     }
 
     // The wall-clock weights live only in profile.folded (profile.json
@@ -1512,32 +1504,14 @@ fn profile_diff(a_dir: &Path, b_dir: &Path, band: f64, out: &mut dyn Write) -> R
             paths.push(r.path.as_str());
         }
     }
-    let count_regressed = |av: u64, bv: u64| regressed(av, bv, band, PROFILE_COUNT_FLOOR);
     for path in paths {
-        let zero = (0u64, 0u64, 0u64);
-        let counts = |doc: &ProfileDoc| {
-            doc.row(path)
-                .map_or(zero, |r| (r.enters, r.allocs, r.queue_ops))
-        };
-        let (ae, aa, aq) = counts(&a);
-        let (be, ba, bq) = counts(&b);
-        let mut bad: Vec<&str> = Vec::new();
-        if count_regressed(ae, be) {
-            bad.push("enters");
-        }
-        if count_regressed(aa, ba) {
-            bad.push("allocs");
-        }
-        if count_regressed(aq, bq) {
-            bad.push("queue_ops");
-        }
-        let verdict = if bad.is_empty() {
-            "ok".to_string()
+        let enters = |doc: &ProfileDoc| doc.row(path).map_or(0, |r| r.enters);
+        let (ae, be) = (enters(&a), enters(&b));
+        let verdict = if regressed(ae, be, band, PROFILE_COUNT_FLOOR) {
+            regressions.push(format!("{path}:enters"));
+            "REGRESSED (enters)"
         } else {
-            for metric in &bad {
-                regressions.push(format!("{path}:{metric}"));
-            }
-            format!("REGRESSED ({})", bad.join(", "))
+            "ok"
         };
         let _ = writeln!(
             text,
@@ -1971,7 +1945,7 @@ mod tests {
         let rendered = run_str(&["profile", dir_s, "--top", "5"]).unwrap();
         assert!(rendered.contains("scope tree"), "out: {rendered}");
         assert!(rendered.contains("probe"), "out: {rendered}");
-        assert!(rendered.contains("wheel_push"), "out: {rendered}");
+        assert!(rendered.contains("queue_push"), "out: {rendered}");
         assert!(rendered.contains("top 5 self-time"), "out: {rendered}");
 
         let (code, diff) = run_code(&["profile", "--diff", dir_s, dir_s]).unwrap();
@@ -1997,8 +1971,6 @@ mod tests {
             scopes: vec![ProfileScopeRow {
                 path: "probe/lab/packet_encode".to_string(),
                 enters,
-                allocs: 0,
-                queue_ops: 0,
             }],
         };
         let dir_a = base.join("a");
@@ -2245,7 +2217,8 @@ vantage = [0.5]
             "missing observer.json must render a dash row:\n{md}"
         );
         assert!(
-            md.contains("| `loss50000-vantage500000` | - | - | - | - |"),
+            md.lines()
+                .any(|l| l == "| `loss50000-vantage500000` | - | - |"),
             "missing profile.json must render a dash row:\n{md}"
         );
         let trace_links = md.lines().filter(|l| l.contains("[traces.bin]")).count();

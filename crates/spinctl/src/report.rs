@@ -40,7 +40,7 @@ pub const REPORT_MD_FILE_NAME: &str = "report.md";
 /// Machine-readable report file name.
 pub const REPORT_JSON_FILE_NAME: &str = "report.json";
 /// Schema version of [`MatrixLayout`] and [`MatrixReportDoc`].
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
+pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
 /// Classification-mix share drift (millionths) past which a cell counts
 /// as drifted vs the baseline cell — the integer twin of `compare`'s
@@ -176,10 +176,6 @@ pub struct ProfileDigest {
     pub scopes: u64,
     /// Total scope enters.
     pub enters: u64,
-    /// Total attributed allocations.
-    pub allocs: u64,
-    /// Total attributed event-queue operations.
-    pub queue_ops: u64,
 }
 
 /// One cell's folded metrics inside a [`MatrixReportDoc`].
@@ -336,9 +332,7 @@ fn fold_cell(out_dir: &Path, slot: &CellSlot) -> Result<CellReport, String> {
         let live = doc.scopes.iter().filter(|r| r.enters > 0);
         Some(ProfileDigest {
             scopes: live.clone().count() as u64,
-            enters: live.clone().map(|r| r.enters).sum(),
-            allocs: live.clone().map(|r| r.allocs).sum(),
-            queue_ops: live.map(|r| r.queue_ops).sum(),
+            enters: live.map(|r| r.enters).sum(),
         })
     } else {
         None
@@ -630,15 +624,13 @@ fn render_markdown(doc: &MatrixReportDoc) -> String {
 
     // Deterministic profile digest; unprofiled cells render "-".
     md.push_str(&heading(2, "Profile"));
-    let mut prof = MarkdownTable::new(&["cell", "live scopes", "enters", "allocs", "queue ops"]);
+    let mut prof = MarkdownTable::new(&["cell", "live scopes", "enters"]);
     for c in &doc.cells {
         match &c.profile {
             Some(p) => prof.row(&[
                 format!("`{}`", c.id),
                 p.scopes.to_string(),
                 p.enters.to_string(),
-                p.allocs.to_string(),
-                p.queue_ops.to_string(),
             ]),
             None => prof.row(&[format!("`{}`", c.id)]),
         }
@@ -831,8 +823,6 @@ mod tests {
         cells[1].profile = Some(ProfileDigest {
             scopes: 12,
             enters: 44_000,
-            allocs: 900,
-            queue_ops: 8_000,
         });
         let md = render_markdown(&doc(cells));
         for section in [
@@ -857,7 +847,7 @@ mod tests {
         // Profile present only on the second cell.
         assert!(md.contains("| 44000 |"), "profile digest missing:\n{md}");
         assert!(
-            md.contains("| `loss0` | - | - | - | - |"),
+            md.lines().any(|l| l == "| `loss0` | - | - |"),
             "no dash profile row:\n{md}"
         );
         // Flamegraph link absent → "-" in the artifact table.

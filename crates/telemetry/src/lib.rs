@@ -18,14 +18,16 @@
 //!   ([`Registry::shard`]) and merge back out of ([`Registry::absorb`]).
 //!   [`Registry::disabled`] is a no-op mode whose cost is a branch.
 //! * [`ProfilerRegistry`] — hierarchical per-probe cost profiler over a
-//!   static [`ScopeId`] tree: deterministic counts export as
+//!   static [`ScopeId`] tree: deterministic enter counts export as
 //!   `profile.json` ([`ProfileDoc`]), wall self-time as collapsed
 //!   flamegraph stacks.
 //! * [`WorkerShard`] — the one per-worker instrumentation shard both
 //!   registries absorb: counters, gauges, stage histograms and scope
-//!   cells, timed by one lap chain. Every stage but [`Stage::Probe`] is
-//!   a view of one scope, so each boundary reads the clock once and
-//!   feeds both.
+//!   cells, timed by one lap chain. Each fact is recorded once: every
+//!   stage but [`Stage::Probe`] is a view of one scope's wall, and every
+//!   scope off the lap chain is a view of [`Metric`] counters
+//!   ([`ScopeId::counts`]), so each boundary reads the clock once and
+//!   each count lives in one counter.
 //! * [`RunManifest`] — serde-serializable export (config echo, wall time,
 //!   counters, per-stage histograms) written as `metrics.json`, plus
 //!   [`ProgressSnapshot`] for periodic `probes/sec | eta | errors` lines.

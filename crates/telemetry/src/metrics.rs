@@ -131,6 +131,9 @@ metric_enum! {
         PacketsLost => "packets_lost",
         /// Frames re-queued for retransmission (loss or PTO).
         FramesRetransmitted => "frames_retransmitted",
+        /// Crypto/stream frames folded into reassembly buffers (both
+        /// endpoints).
+        FramesReassembled => "frames_reassembled",
         /// Probe timeouts fired.
         PtosFired => "ptos_fired",
         /// Spin-bit edges observed by the scanning client.
@@ -141,16 +144,18 @@ metric_enum! {
         NetsimReorders => "netsim_reorders",
         /// Datagrams duplicated by the simulated path.
         NetsimDuplicates => "netsim_duplicates",
+        /// Events pushed onto the simulated path's event queue.
+        NetsimQueuePushes => "netsim_queue_pushes",
+        /// Events popped off the simulated path's event queue.
+        NetsimQueuePops => "netsim_queue_pops",
+        /// Datagrams the simulated link delivered.
+        NetsimDeliveries => "netsim_deliveries",
         /// Outgoing datagrams built into a recycled pool buffer.
         DatagramPoolHits => "datagram_pool_hits",
         /// Outgoing datagrams that needed a fresh allocation.
         DatagramPoolMisses => "datagram_pool_misses",
         /// Qlog traces retained on records (`keep_qlogs` campaigns).
         QlogTracesRetained => "qlog_traces_retained",
-        /// Bytes produced by compact binary qlog encoding. No campaign
-        /// path encodes binary qlog, so this stays 0; it keeps its slot so
-        /// `metrics.json` keeps its counter layout.
-        QlogBytesEncoded => "qlog_bytes_encoded",
         /// Qlog traces captured solely for flight-recorder inspection.
         FlightTracesInspected => "flight_traces_inspected",
         /// Anomalies flagged by the campaign flight recorder.

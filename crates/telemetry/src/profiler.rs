@@ -12,13 +12,12 @@
 //! 1. **Determinism.** Campaign artifacts are byte-identical across
 //!    worker counts; the profile artifact must be too. Wall-clock time
 //!    can never be, so the profile splits in two: `profile.json` carries
-//!    only costs that are pure functions of the record stream (enter
-//!    counts, allocation deltas, event-queue-op deltas), while wall-time
-//!    weights ride exclusively in the collapsed-stack export
-//!    (`profile.folded`) meant for flamegraph tooling. Scopes whose cost
-//!    is pure scheduling (the campaign engine's batch-mailbox hand-off)
-//!    are marked non-deterministic and excluded from `profile.json`
-//!    entirely.
+//!    only enter counts, which are pure functions of the record stream,
+//!    while wall-time weights ride exclusively in the collapsed-stack
+//!    export (`profile.folded`) meant for flamegraph tooling. Scopes
+//!    whose cost is pure scheduling (the campaign engine's batch-mailbox
+//!    hand-off) are marked non-deterministic and excluded from
+//!    `profile.json` entirely.
 //! 2. **Hot-path overhead under the CI-gated 3% budget.** Only the
 //!    coarse per-probe scopes read the clock: one lap chain of at most
 //!    eight reads per established probe (probe start, then the end of
@@ -26,30 +25,32 @@
 //!    `qlog_encode`, plus the probe's own end), each read shared by the
 //!    scope it closes and the one it opens. A flight-recorded campaign
 //!    adds one read per domain, closing the top-level `flight_inspect`
-//!    scope on the engine's per-domain chain. The inner netsim/quic scopes
-//!    are fed *post hoc* from the plain counters those crates already
-//!    export, costing integer adds. [`MAX_SCOPE_DEPTH`] bounds the tree
-//!    so per-scope work stays O(1).
-//! 3. **One instrumentation shard.** Scope costs accumulate in the same
+//!    scope on the engine's per-domain chain. [`MAX_SCOPE_DEPTH`] bounds
+//!    the tree so per-scope work stays O(1).
+//! 3. **Each fact counted once.** Scope costs accumulate in the same
 //!    [`WorkerShard`] as the telemetry counters and stage histograms
 //!    (plain integers, no atomics); the engine folds it into the shared
 //!    [`ProfilerRegistry`] (relaxed atomics, commutative adds — merge
-//!    order cannot matter) and the [`Registry`](crate::Registry).
-//!    Every [`Stage`] except
-//!    [`Stage::Probe`] is a *view* of exactly one scope (the stage
-//!    column of the scope table): one wall value per boundary feeds the
-//!    scope and its stage histogram, so the two can never disagree.
+//!    order cannot matter) and the [`Registry`](crate::Registry). A
+//!    scope that is not on a lap chain records no count of its own: its
+//!    enters are a *view* of the [`Metric`]s in its
+//!    [`counts`](ScopeId::counts) column (`packet_encode` is
+//!    `packets_sent`, `lab/handshake` is handshakes completed plus
+//!    failed), summed when the shard is absorbed. Likewise every
+//!    [`Stage`] except [`Stage::Probe`] is a view of exactly one scope
+//!    (the stage column): one wall value per boundary feeds the scope
+//!    and its stage histogram, so the two can never disagree.
 //!
 //! The scope *paths* are interned statically: every [`ScopeId`] carries
 //! its full slash-joined path as a `&'static str`, so nothing on the hot
 //! path ever formats a string.
 
-use crate::metrics::{Counter, Stage};
+use crate::metrics::{Counter, Metric, Stage};
 use crate::registry::WorkerShard;
 use serde::{Deserialize, Serialize};
 
 /// Schema version stamped into [`ProfileDoc`] (`profile.json`).
-pub const PROFILE_SCHEMA_VERSION: u32 = 1;
+pub const PROFILE_SCHEMA_VERSION: u32 = 2;
 
 /// Upper bound on scope nesting. The static table keeps well under it
 /// (current maximum depth is 3); the bound exists so the snapshot walk
@@ -70,16 +71,20 @@ pub enum ScopeId {
     Plan,
     /// The connection lab: both endpoints plus the simulated path.
     Lab,
-    /// Lab wall time until the handshake completed.
+    /// Lab wall time until the handshake completed. Enters count lab
+    /// runs (handshakes completed plus failed).
     LabHandshake,
-    /// Lab wall time from handshake to close.
+    /// Lab wall time from handshake to close. Enters count completed
+    /// handshakes.
     LabTransfer,
-    /// Netsim event-queue pushes (count-only; fed from `PathStats`). The
-    /// scope keeps the `wheel_push` name from when the scheduler was a
-    /// timing wheel: `profile.json` bytes fix it.
+    /// Netsim event-queue pushes (count-only), exported as
+    /// `probe/lab/queue_push`. The variant keeps its name from when the
+    /// scheduler was a timing wheel because the benchmark package names
+    /// it; it is renamed with that package.
     WheelPush,
-    /// Netsim event-queue pops (count-only; fed from `PathStats`); named
-    /// `wheel_pop` for the same reason.
+    /// Netsim event-queue pops (count-only), exported as
+    /// `probe/lab/queue_pop`; the variant keeps its name for the same
+    /// reason as [`ScopeId::WheelPush`].
     WheelPop,
     /// Datagrams the simulated link delivered (count-only).
     LinkDelivery,
@@ -89,7 +94,7 @@ pub enum ScopeId {
     PacketDecode,
     /// Crypto/stream frames folded into reassembly buffers (count-only).
     Reassembly,
-    /// Datagram pool lookups; allocation delta = pool misses.
+    /// Datagram pool lookups, hits plus misses (count-only).
     DatagramPool,
     /// §3.3 qlog extraction into packet observations.
     SpinExtraction,
@@ -115,8 +120,8 @@ pub enum ScopeId {
 
 /// Static metadata for one scope: leaf name, interned full path,
 /// parent link, whether its counts are deterministic (pure functions of
-/// the record stream, independent of worker count), and the telemetry
-/// stage it feeds.
+/// the record stream, independent of worker count), the telemetry
+/// stage it feeds, and the counters its enters are a view of.
 #[derive(Debug)]
 pub struct ScopeInfo {
     /// Leaf name (last path segment).
@@ -129,130 +134,140 @@ pub struct ScopeInfo {
     pub deterministic: bool,
     /// The stage histogram that is a view of this scope's wall samples.
     pub stage: Option<Stage>,
+    /// The counters whose sum is this scope's enter count. Empty for a
+    /// scope whose enters are its own lap-chain closes.
+    pub counts: &'static [Metric],
 }
 
 const fn scope(
     name: &'static str,
     path: &'static str,
     parent: Option<ScopeId>,
-    deterministic: bool,
     stage: Option<Stage>,
+    counts: &'static [Metric],
 ) -> ScopeInfo {
     ScopeInfo {
         name,
         path,
         parent,
-        deterministic,
+        deterministic: true,
         stage,
+        counts,
     }
 }
 
+const PROBE: Option<ScopeId> = Some(ScopeId::Probe);
+const LAB: Option<ScopeId> = Some(ScopeId::Lab);
+
 /// The static scope table, indexed by `ScopeId as usize`.
 const SCOPES: [ScopeInfo; ScopeId::COUNT] = [
-    scope("probe", "probe", None, true, None),
-    scope("plan", "probe/plan", Some(ScopeId::Probe), true, None),
-    scope("lab", "probe/lab", Some(ScopeId::Probe), true, None),
+    scope("probe", "probe", None, None, &[]),
+    scope("plan", "probe/plan", PROBE, None, &[]),
+    scope("lab", "probe/lab", PROBE, None, &[]),
     scope(
         "handshake",
         "probe/lab/handshake",
-        Some(ScopeId::Lab),
-        true,
+        LAB,
         Some(Stage::Handshake),
+        &[Metric::HandshakesCompleted, Metric::HandshakesFailed],
     ),
     scope(
         "transfer",
         "probe/lab/transfer",
-        Some(ScopeId::Lab),
-        true,
+        LAB,
         Some(Stage::Transfer),
+        &[Metric::HandshakesCompleted],
     ),
     scope(
-        "wheel_push",
-        "probe/lab/wheel_push",
-        Some(ScopeId::Lab),
-        true,
+        "queue_push",
+        "probe/lab/queue_push",
+        LAB,
         None,
+        &[Metric::NetsimQueuePushes],
     ),
     scope(
-        "wheel_pop",
-        "probe/lab/wheel_pop",
-        Some(ScopeId::Lab),
-        true,
+        "queue_pop",
+        "probe/lab/queue_pop",
+        LAB,
         None,
+        &[Metric::NetsimQueuePops],
     ),
     scope(
         "link_delivery",
         "probe/lab/link_delivery",
-        Some(ScopeId::Lab),
-        true,
+        LAB,
         None,
+        &[Metric::NetsimDeliveries],
     ),
     scope(
         "packet_encode",
         "probe/lab/packet_encode",
-        Some(ScopeId::Lab),
-        true,
+        LAB,
         None,
+        &[Metric::PacketsSent],
     ),
     scope(
         "packet_decode",
         "probe/lab/packet_decode",
-        Some(ScopeId::Lab),
-        true,
+        LAB,
         None,
+        &[Metric::PacketsReceived, Metric::PacketsUndecodable],
     ),
     scope(
         "reassembly",
         "probe/lab/reassembly",
-        Some(ScopeId::Lab),
-        true,
+        LAB,
         None,
+        &[Metric::FramesReassembled],
     ),
     scope(
         "datagram_pool",
         "probe/lab/datagram_pool",
-        Some(ScopeId::Lab),
-        true,
+        LAB,
         None,
+        &[Metric::DatagramPoolHits, Metric::DatagramPoolMisses],
     ),
     scope(
         "spin_extraction",
         "probe/spin_extraction",
-        Some(ScopeId::Probe),
-        true,
+        PROBE,
         Some(Stage::SpinExtraction),
+        &[],
     ),
     scope(
         "classify",
         "probe/classify",
-        Some(ScopeId::Probe),
-        true,
+        PROBE,
         Some(Stage::Classify),
+        &[],
     ),
     scope(
         "observer_fold",
         "probe/observer_fold",
-        Some(ScopeId::Probe),
-        true,
+        PROBE,
         Some(Stage::ObserverFold),
+        &[],
     ),
     scope(
         "samples",
         "probe/observer_fold/samples",
         Some(ScopeId::ObserverFold),
-        true,
         None,
+        &[Metric::ObserverPacketsObserved],
     ),
     scope(
         "qlog_encode",
         "probe/qlog_encode",
-        Some(ScopeId::Probe),
-        true,
+        PROBE,
         Some(Stage::QlogEncode),
+        &[],
     ),
-    scope("flight_inspect", "flight_inspect", None, true, None),
-    scope("record_intern", "record_intern", None, true, None),
-    scope("batch_mailbox", "batch_mailbox", None, false, None),
+    scope("flight_inspect", "flight_inspect", None, None, &[]),
+    scope("record_intern", "record_intern", None, None, &[]),
+    ScopeInfo {
+        deterministic: false,
+        ..scope("batch_mailbox", "batch_mailbox", None, None, &[])
+    },
 ];
 
 impl ScopeId {
@@ -315,6 +330,12 @@ impl ScopeId {
         self.info().stage
     }
 
+    /// The counters whose sum is this scope's enter count; empty when
+    /// the enters are the scope's own lap-chain closes.
+    pub fn counts(self) -> &'static [Metric] {
+        self.info().counts
+    }
+
     /// Nesting depth (roots are 0).
     pub fn depth(self) -> usize {
         let mut d = 0;
@@ -335,16 +356,6 @@ impl ScopeId {
     }
 }
 
-/// One scope's cells inside a [`WorkerShard`]: plain integers the
-/// [`ProfilerRegistry`] folds in on absorb.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ScopeCells {
-    pub(crate) enters: u64,
-    pub(crate) wall_ns: u64,
-    pub(crate) allocs: u64,
-    pub(crate) queue_ops: u64,
-}
-
 /// The shared, campaign-wide profiler store (relaxed atomics).
 ///
 /// Absorbing a shard is a sequence of commutative `fetch_add`s, so the
@@ -355,8 +366,6 @@ pub struct ProfilerRegistry {
     enabled: bool,
     enters: [Counter; ScopeId::COUNT],
     wall_ns: [Counter; ScopeId::COUNT],
-    allocs: [Counter; ScopeId::COUNT],
-    queue_ops: [Counter; ScopeId::COUNT],
 }
 
 impl Default for ProfilerRegistry {
@@ -380,8 +389,6 @@ impl ProfilerRegistry {
             enabled,
             enters: std::array::from_fn(|_| Counter::new()),
             wall_ns: std::array::from_fn(|_| Counter::new()),
-            allocs: std::array::from_fn(|_| Counter::new()),
-            queue_ops: std::array::from_fn(|_| Counter::new()),
         }
     }
 
@@ -410,21 +417,22 @@ impl ProfilerRegistry {
         shard
     }
 
-    /// Folds the scope cells of one worker shard into the shared store
-    /// (no-op when disabled; only nonzero cells touch shared
-    /// cachelines).
+    /// Folds one worker shard into the shared store: each scope's
+    /// [`WorkerShard::enters`] (a view scope's counter sum, else its
+    /// lap-chain closes) and wall. Shard counters are un-gated, so views
+    /// fill even when the campaign's [`Registry`](crate::Registry) is
+    /// disabled. No-op when this profiler is disabled; only nonzero
+    /// values touch shared cachelines.
     pub fn absorb(&self, shard: &WorkerShard) {
         if !self.enabled {
             return;
         }
-        for (i, cells) in shard.scopes.iter().enumerate() {
-            let pairs = [
-                (&self.enters[i], cells.enters),
-                (&self.wall_ns[i], cells.wall_ns),
-                (&self.allocs[i], cells.allocs),
-                (&self.queue_ops[i], cells.queue_ops),
-            ];
-            for (total, v) in pairs {
+        for &s in ScopeId::ALL {
+            let i = s as usize;
+            for (total, v) in [
+                (&self.enters[i], shard.enters(s)),
+                (&self.wall_ns[i], shard.wall_ns(s)),
+            ] {
                 if v != 0 {
                     total.add(v);
                 }
@@ -455,8 +463,6 @@ impl ProfilerRegistry {
                     enters: self.enters(s),
                     wall_ns: wall[s as usize],
                     self_ns: wall[s as usize].saturating_sub(child_wall),
-                    allocs: self.allocs[s as usize].get(),
-                    queue_ops: self.queue_ops[s as usize].get(),
                 }
             })
             .collect();
@@ -476,10 +482,6 @@ pub struct ScopeCost {
     /// Self wall nanoseconds: cumulative minus the children's cumulative
     /// (saturating — clock jitter can make children sum past the parent).
     pub self_ns: u64,
-    /// Heap allocations attributed to the scope.
-    pub allocs: u64,
-    /// Event-queue operations attributed to the scope.
-    pub queue_ops: u64,
 }
 
 /// A merged view of every scope, in declaration order.
@@ -506,8 +508,6 @@ impl ProfileSnapshot {
                 .map(|c| ProfileScopeRow {
                     path: c.scope.path().to_string(),
                     enters: c.enters,
-                    allocs: c.allocs,
-                    queue_ops: c.queue_ops,
                 })
                 .collect(),
         }
@@ -526,9 +526,9 @@ impl ProfileSnapshot {
 }
 
 /// The deterministic profile artifact (`profile.json`): per-scope enter
-/// counts and allocation / event-queue-op deltas. Wall time is
-/// deliberately absent — it can never be byte-identical across runs, so
-/// it rides only in the collapsed-stack export.
+/// counts. Wall time is deliberately absent — it can never be
+/// byte-identical across runs, so it rides only in the collapsed-stack
+/// export.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfileDoc {
     /// Schema version (currently [`PROFILE_SCHEMA_VERSION`]).
@@ -545,10 +545,6 @@ pub struct ProfileScopeRow {
     pub path: String,
     /// Times the scope was entered.
     pub enters: u64,
-    /// Heap allocations attributed to the scope.
-    pub allocs: u64,
-    /// Event-queue operations attributed to the scope.
-    pub queue_ops: u64,
 }
 
 impl ProfileDoc {
@@ -615,6 +611,52 @@ mod tests {
     }
 
     #[test]
+    fn every_count_only_scope_is_a_view_of_metrics() {
+        // The scopes closed on a lap chain (`lap`/`end` in the scanner
+        // and the campaign engine). Every other scope, count-only or fed
+        // wall by `add_wall_ns`, takes its enters from counters, and no
+        // lap-chain scope may be a view as well.
+        const LAP_CHAIN: [ScopeId; 10] = [
+            ScopeId::Probe,
+            ScopeId::Plan,
+            ScopeId::Lab,
+            ScopeId::SpinExtraction,
+            ScopeId::Classify,
+            ScopeId::ObserverFold,
+            ScopeId::QlogEncode,
+            ScopeId::FlightInspect,
+            ScopeId::RecordIntern,
+            ScopeId::BatchMailbox,
+        ];
+        for &s in ScopeId::ALL {
+            assert_eq!(
+                s.counts().is_empty(),
+                LAP_CHAIN.contains(&s),
+                "{}",
+                s.path()
+            );
+        }
+    }
+
+    #[test]
+    fn view_enters_are_the_sum_of_their_counters() {
+        // Counters are un-gated, so a view fills from a shard whose
+        // metrics half is off.
+        let reg = ProfilerRegistry::new();
+        let mut shard = reg.shard();
+        shard.add(Metric::PacketsReceived, 3);
+        shard.add(Metric::PacketsUndecodable, 2);
+        shard.incr(Metric::HandshakesFailed);
+        assert_eq!(shard.enters(ScopeId::PacketDecode), 5);
+        reg.absorb(&shard);
+        reg.absorb(&shard);
+        assert_eq!(reg.enters(ScopeId::PacketDecode), 10);
+        assert_eq!(reg.enters(ScopeId::LabHandshake), 2);
+        assert_eq!(reg.enters(ScopeId::LabTransfer), 0);
+        assert_eq!(reg.enters(ScopeId::PacketEncode), 0);
+    }
+
+    #[test]
     fn disabled_profiler_costs_a_branch_and_records_nothing() {
         let reg = ProfilerRegistry::disabled();
         let mut shard = reg.shard();
@@ -622,8 +664,8 @@ mod tests {
         assert!(shard.begin().is_none());
         assert!(shard.lap(ScopeId::Plan, None).is_none());
         shard.end(ScopeId::Probe, None);
-        shard.enter(ScopeId::Probe);
         assert!(shard.is_empty());
+        shard.add(Metric::PacketsSent, 4);
         reg.absorb(&shard);
         assert_eq!(reg.enters(ScopeId::Probe), 0);
         assert!(reg.snapshot().scopes.iter().all(|c| c.enters == 0));
@@ -682,11 +724,11 @@ mod tests {
         // must agree.
         let profiler = ProfilerRegistry::new();
         let fill = |s: &mut WorkerShard, k: u64| {
+            for (i, &metric) in Metric::ALL.iter().enumerate() {
+                s.add(metric, k * 7 + i as u64);
+            }
             for (i, &scope) in ScopeId::ALL.iter().enumerate() {
-                s.enter_n(scope, k * 7 + i as u64);
                 s.add_wall_ns(scope, k * 1_000 + i as u64 * 13);
-                s.add_allocs(scope, k + i as u64);
-                s.add_queue_ops(scope, (k * i as u64) % 9);
             }
         };
         let shards: Vec<WorkerShard> = (0..5u64)
@@ -700,7 +742,7 @@ mod tests {
             let snap = reg.snapshot();
             snap.scopes
                 .iter()
-                .map(|c| (c.enters, c.wall_ns, c.self_ns, c.allocs, c.queue_ops))
+                .map(|c| (c.enters, c.wall_ns, c.self_ns))
                 .collect::<Vec<_>>()
         };
         let forward = ProfilerRegistry::new();
@@ -732,10 +774,9 @@ mod tests {
     fn doc_covers_exactly_the_deterministic_scopes_without_wall_time() {
         let reg = ProfilerRegistry::new();
         let mut shard = reg.shard();
-        shard.enter_n(ScopeId::WheelPush, 42);
-        shard.add_queue_ops(ScopeId::WheelPush, 42);
-        shard.enter(ScopeId::BatchMailbox);
-        shard.add_wall_ns(ScopeId::BatchMailbox, 9_999);
+        shard.add(Metric::NetsimQueuePushes, 42);
+        let t = shard.begin();
+        shard.end(ScopeId::BatchMailbox, t);
         reg.absorb(&shard);
         let doc = reg.snapshot().doc();
         assert_eq!(doc.schema_version, PROFILE_SCHEMA_VERSION);
@@ -744,8 +785,7 @@ mod tests {
             ScopeId::ALL.iter().filter(|s| s.deterministic()).count()
         );
         assert!(doc.row("batch_mailbox").is_none());
-        let row = doc.row("probe/lab/wheel_push").unwrap();
-        assert_eq!((row.enters, row.queue_ops), (42, 42));
+        assert_eq!(doc.row("probe/lab/queue_push").unwrap().enters, 42);
         // Zero rows still export: a stable layout keeps diffs aligned.
         assert_eq!(doc.scopes[0].path, "probe");
         let json = serde_json::to_string(&doc).unwrap();

@@ -15,6 +15,11 @@
 //!   once per worker ([`Registry::absorb`] and
 //!   [`ProfilerRegistry::absorb`](crate::ProfilerRegistry::absorb) take
 //!   the same shard).
+//! * Each fact is recorded once. A shard's scope cells hold only
+//!   lap-chain closes and wall; a scope off the lap chain is a view of
+//!   counters ([`ScopeId::counts`]), read through
+//!   [`WorkerShard::enters`], so `metrics.json` and `profile.json` cannot
+//!   disagree about a count.
 //! * Coarse per-domain counters (probes started/completed/errored) go
 //!   straight to the registry's atomics so a monitor thread can report
 //!   live progress; at a handful of relaxed adds per multi-microsecond
@@ -31,7 +36,7 @@
 use crate::histogram::{HistogramShard, LatencyHistogram};
 use crate::manifest::{ConfigEntry, CounterSnapshot, RunManifest, MANIFEST_SCHEMA_VERSION};
 use crate::metrics::{Counter, Gauge, GaugeId, Metric, Stage};
-use crate::profiler::{ScopeCells, ScopeId};
+use crate::profiler::ScopeId;
 use crate::ProgressSnapshot;
 use std::time::Instant;
 
@@ -203,12 +208,20 @@ impl Registry {
     }
 }
 
+/// One scope's profiler cells inside a [`WorkerShard`]: its lap-chain
+/// closes and its wall.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct ScopeCells {
+    enters: u64,
+    wall_ns: u64,
+}
+
 /// One worker's private, unsynchronized instrumentation buffer:
 /// telemetry counters, gauges and stage histograms, plus the profiler's
-/// per-scope cells.
+/// per-scope enters and wall.
 ///
 /// Two enabled bits mirror the campaign's two registries. Counter and
-/// gauge updates are plain integer ops and stay un-gated; scope counts
+/// gauge updates are plain integer ops and stay un-gated; scope cells
 /// record only while profiling, stage samples only while metrics are on,
 /// and the clock helpers read the clock only while either is.
 #[derive(Debug, Clone)]
@@ -218,7 +231,7 @@ pub struct WorkerShard {
     counters: [u64; Metric::COUNT],
     gauges: [u64; GaugeId::COUNT],
     stages: [HistogramShard; Stage::COUNT],
-    pub(crate) scopes: [ScopeCells; ScopeId::COUNT],
+    scopes: [ScopeCells; ScopeId::COUNT],
 }
 
 impl Default for WorkerShard {
@@ -286,37 +299,6 @@ impl WorkerShard {
         &self.stages[stage as usize]
     }
 
-    /// Counts one scope entry (while profiling).
-    #[inline]
-    pub fn enter(&mut self, scope: ScopeId) {
-        self.enter_n(scope, 1);
-    }
-
-    /// Counts `n` scope entries (post-hoc mapping of per-lab counters).
-    #[inline]
-    pub fn enter_n(&mut self, scope: ScopeId, n: u64) {
-        if self.profiling {
-            self.scopes[scope as usize].enters += n;
-        }
-    }
-
-    /// Attributes `n` heap allocations to a scope (while profiling).
-    #[inline]
-    pub fn add_allocs(&mut self, scope: ScopeId, n: u64) {
-        if self.profiling {
-            self.scopes[scope as usize].allocs += n;
-        }
-    }
-
-    /// Attributes `n` event-queue operations to a scope (while
-    /// profiling).
-    #[inline]
-    pub fn add_queue_ops(&mut self, scope: ScopeId, n: u64) {
-        if self.profiling {
-            self.scopes[scope as usize].queue_ops += n;
-        }
-    }
-
     /// Adds one wall value measured elsewhere (e.g. the lab's own
     /// handshake/transfer stopwatches) without counting an entry: to the
     /// scope while profiling, and as one sample of the scope's stage
@@ -382,13 +364,24 @@ impl WorkerShard {
     }
 
     fn close(&mut self, scope: ScopeId, ns: u64) {
-        self.enter(scope);
+        debug_assert!(
+            scope.counts().is_empty(),
+            "{} counts a metric, not its laps",
+            scope.path()
+        );
+        if self.profiling {
+            self.scopes[scope as usize].enters += 1;
+        }
         self.add_wall_ns(scope, ns);
     }
 
-    /// Recorded enter count for one scope.
+    /// Enter count for one scope: the sum of its counters for a view
+    /// ([`ScopeId::counts`]), else its recorded lap-chain closes.
     pub fn enters(&self, scope: ScopeId) -> u64 {
-        self.scopes[scope as usize].enters
+        match scope.counts() {
+            [] => self.scopes[scope as usize].enters,
+            counts => counts.iter().map(|&m| self.counter(m)).sum(),
+        }
     }
 
     /// Recorded cumulative wall nanoseconds for one scope.
@@ -480,8 +473,9 @@ mod tests {
         assert!(shard.is_empty());
         shard.incr(Metric::NetsimDrops);
         shard.gauge_max(GaugeId::NetsimQueueHighWater, 9);
-        shard.enter(ScopeId::LabTransfer);
+        shard.incr(Metric::HandshakesCompleted);
         shard.add_wall_ns(ScopeId::LabTransfer, 123);
+        assert_eq!(shard.enters(ScopeId::LabTransfer), 1);
         assert!(!shard.is_empty());
         shard.reset();
         assert!(shard.is_empty());
@@ -523,7 +517,6 @@ mod tests {
         let t = metrics.lap_probe(t);
         assert!(t.is_some());
         metrics.end(ScopeId::RecordIntern, t);
-        metrics.enter_n(ScopeId::WheelPush, 5);
         assert_eq!(metrics.stage_histogram(Stage::Classify).count(), 1);
         assert_eq!(metrics.stage_histogram(Stage::Probe).count(), 1);
         assert!(ScopeId::ALL
@@ -536,9 +529,7 @@ mod tests {
         let t = profiling.begin();
         let t = profiling.lap(ScopeId::Classify, t);
         profiling.lap_probe(t);
-        profiling.enter_n(ScopeId::WheelPush, 5);
         assert_eq!(profiling.enters(ScopeId::Classify), 1);
-        assert_eq!(profiling.enters(ScopeId::WheelPush), 5);
         assert!(Stage::ALL
             .iter()
             .all(|&s| profiling.stage_histogram(s).count() == 0));

@@ -94,14 +94,15 @@ fn main() {
 
     let vantages = [0.1, 0.25, 0.5, 0.75, 0.9];
     let losses = [0.0, 0.01, 0.05];
-    // Small zone counts produce populations under the default flow count;
-    // probing past the end of the domain table is out of bounds.
-    let flows = 800u32.min(population.len() as u32);
+    // Each cell probes the first 800 domain ids; most never yield an
+    // established, observed flow. Small zone counts produce populations
+    // under 800 domains, and probing past the end of the domain table is
+    // out of bounds.
+    let ids = 800u32.min(population.len() as u32);
     eprintln!(
-        "sweeping {} vantages x {} loss rates, {} flows each ...",
+        "sweeping {} vantages x {} loss rates, {ids} domain ids each ...",
         vantages.len(),
         losses.len(),
-        flows
     );
     let scanner = Scanner::new(&population);
     let base = CampaignConfig::default();
@@ -116,7 +117,7 @@ fn main() {
                 },
                 ..base.clone()
             };
-            let campaign = scanner.run_campaign_over(&config, 0..flows);
+            let campaign = scanner.run_campaign_over(&config, 0..ids);
             let id = config.campaign_id();
             let mut every = ObserverDocBuilder::new(&id, vantage);
             let mut spin = ObserverDocBuilder::new(&id, vantage);
@@ -127,16 +128,21 @@ fn main() {
                     spin.note_row(&row);
                 }
             }
+            let (every, spin) = (every.finish(), spin.finish());
+            eprintln!(
+                "  vantage {vantage:.2} loss {loss:.2}: {} flows observed, {} spinning",
+                every.summary.flows, spin.summary.flows
+            );
             let reorder = config.conditions.reorder;
             all.push(Cell {
                 loss,
                 reorder,
-                doc: every.finish(),
+                doc: every,
             });
             spinning.push(Cell {
                 loss,
                 reorder,
-                doc: spin.finish(),
+                doc: spin,
             });
         }
     }

@@ -23,7 +23,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q --workspace
-cargo test -q -p quicspin-telemetry
 # The benchmark is a package of its own, outside the workspace: test it
 # here so a signature change to a function its replay calls cannot
 # break `bash spinbench/run.sh` unseen.
