@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use quicspin_core::{EdgeMachine, EdgePolicy, PacketObservation};
 use quicspin_netsim::{LinkConfig, Side, SimDuration, SimTime, Simulator};
-use quicspin_quic::{Connection, ConnectionLab, LabConfig, TransportConfig};
+use quicspin_quic::{Connection, ConnectionLab, LabConfig, TransportConfig, CID_LEN};
 use quicspin_webpop::{Population, PopulationConfig};
 use quicspin_wire::{ConnectionId, Frame, Header, Packet, PacketNumber, PacketWriter, ShortHeader};
 
@@ -48,12 +48,10 @@ fn wire_codec(c: &mut Criterion) {
 /// padded to 1 200 bytes, which the server decodes (and walks twice:
 /// validation, then its frames) once per probe.
 fn padded_initial(c: &mut Criterion) {
-    let cfg = TransportConfig::default();
-    let cid_len = cfg.cid_len;
-    let initial = Connection::new_client(cfg, 1, SimTime::ZERO)
+    let initial = Connection::new_client(TransportConfig::default(), 1, SimTime::ZERO)
         .poll_transmit(SimTime::ZERO)
         .expect("a client opens with an Initial");
-    let packet = Packet::decode(&initial, cid_len).expect("the Initial decodes");
+    let packet = Packet::decode(&initial, CID_LEN).expect("the Initial decodes");
     let frames: Vec<Frame<'_>> = packet
         .frames()
         .filter(|f| !matches!(f, Frame::Padding { .. }))
@@ -72,7 +70,7 @@ fn padded_initial(c: &mut Criterion) {
     group.bench_function("encode_padded_initial", |b| b.iter(encode));
     group.bench_function("decode_padded_initial", |b| {
         b.iter(|| {
-            let packet = Packet::decode(std::hint::black_box(&initial), cid_len).unwrap();
+            let packet = Packet::decode(std::hint::black_box(&initial), CID_LEN).unwrap();
             packet.frames().count()
         })
     });

@@ -12,8 +12,10 @@
 //!   [`EdgePolicy::ON_PATH`] for the RFC 9312 heuristics of an on-path
 //!   observer), plus the RFC 9312 §4.2.1 [`component`] split of a tap
 //!   that sees both directions.
-//! * [`VecObserver`] — the Valid Edge Counter of De Vaere et al., carried
-//!   in the short header's reserved bits by consenting endpoints.
+//! * [`vec_counter`] — the Valid Edge Counter of De Vaere et al., carried
+//!   in the short header's reserved bits by consenting endpoints; an
+//!   observer under [`EdgePolicy::require_valid_edge`] accepts an edge
+//!   only once the counter saturates at [`VEC_MAX`].
 //! * [`GreaseFilter`] — the paper's filter: a connection presumably
 //!   greases the spin bit if any spin-derived RTT estimate undercuts the
 //!   minimum of the QUIC stack's own estimates.
@@ -47,4 +49,4 @@ pub use edge::{
 pub use grease::GreaseFilter;
 pub use observation::PacketObservation;
 pub use report::ObserverReport;
-pub use vec_counter::{VecObserver, VEC_INVALID, VEC_MAX};
+pub use vec_counter::{VEC_INVALID, VEC_MAX};

@@ -60,17 +60,6 @@ impl VecEndpoint {
     }
 }
 
-/// Observer-side helper: decides whether an observed edge is valid.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VecObserver;
-
-impl VecObserver {
-    /// An edge is fully valid once the counter saturates.
-    pub fn edge_is_valid(vec: u8) -> bool {
-        vec >= VEC_MAX
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,13 +102,5 @@ mod tests {
         let mut e = VecEndpoint::new();
         e.on_spin_update(3);
         assert_eq!(e.outgoing_vec(true, true), 1);
-    }
-
-    #[test]
-    fn observer_accepts_only_saturated() {
-        assert!(!VecObserver::edge_is_valid(0));
-        assert!(!VecObserver::edge_is_valid(1));
-        assert!(!VecObserver::edge_is_valid(2));
-        assert!(VecObserver::edge_is_valid(3));
     }
 }

@@ -4,8 +4,8 @@
 //! substitute: a deterministic, seedable network simulator in the style of
 //! smoltcp's fault-injection examples. It models a single client↔server
 //! path with per-direction propagation delay, jitter, loss, reordering
-//! (hold-back so later packets overtake), duplication, and token-bucket
-//! rate limiting — plus an **on-path tap** at a configurable position that
+//! (hold-back so later packets overtake), and token-bucket rate limiting
+//! — plus an **on-path tap** at a configurable position that
 //! keeps a header snap of every crossing datagram, which is where the
 //! passive spin-bit observer of `quicspin-core` attaches.
 //!
@@ -23,7 +23,7 @@ pub mod sim;
 pub mod time;
 
 pub use event::EventQueue;
-pub use link::{Deliveries, Link, LinkConfig, Transit};
+pub use link::{Link, LinkConfig, Transit};
 pub use pcap::{read_pcap, write_pcap, PcapError};
 pub use rng::{Rng, WeightTable};
 pub use sim::{PathStats, Side, SimEvent, SimScratch, Simulator, TapRecord, TAP_SNAP_LEN};

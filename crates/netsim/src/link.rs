@@ -1,9 +1,9 @@
 //! Unidirectional link model with smoltcp-style fault injection.
 //!
 //! A [`Link`] applies, in order: serialization (token-bucket rate limit),
-//! propagation delay with jitter, random extra "reorder" delay, random
-//! loss, and random duplication. All randomness comes from the caller's
-//! [`Rng`], so a link is exactly reproducible.
+//! propagation delay with jitter, random extra "reorder" delay, and random
+//! loss. All randomness comes from the caller's [`Rng`], so a link is
+//! exactly reproducible.
 
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
@@ -22,10 +22,6 @@ pub struct LinkConfig {
     pub reorder: f64,
     /// Extra delay applied to held-back packets.
     pub reorder_hold: SimDuration,
-    /// Probability a packet is duplicated (second copy after `dup_gap`).
-    pub duplicate: f64,
-    /// Gap between a packet and its duplicate.
-    pub dup_gap: SimDuration,
     /// Link rate in bytes/second; `None` = infinite (no serialization delay).
     pub rate_bytes_per_sec: Option<u64>,
 }
@@ -38,8 +34,6 @@ impl Default for LinkConfig {
             loss: 0.0,
             reorder: 0.0,
             reorder_hold: SimDuration::from_millis(2),
-            duplicate: 0.0,
-            dup_gap: SimDuration::from_micros(200),
             rate_bytes_per_sec: None,
         }
     }
@@ -73,34 +67,6 @@ impl LinkConfig {
     }
 }
 
-/// Delivery times of one packet at the far end, held inline: none (lost),
-/// one, or two (duplicated). Dereferences to a slice of times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Deliveries {
-    times: [SimTime; 2],
-    len: usize,
-}
-
-impl Deliveries {
-    const NONE: Deliveries = Deliveries {
-        times: [SimTime::ZERO; 2],
-        len: 0,
-    };
-
-    fn push(&mut self, at: SimTime) {
-        self.times[self.len] = at;
-        self.len += 1;
-    }
-}
-
-impl core::ops::Deref for Deliveries {
-    type Target = [SimTime];
-
-    fn deref(&self) -> &[SimTime] {
-        &self.times[..self.len]
-    }
-}
-
 /// What happened to a packet entering the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transit {
@@ -109,12 +75,10 @@ pub struct Transit {
     /// of the propagation delay. Populated for every packet, including
     /// ones dropped later on the path.
     pub tap_time: SimTime,
-    /// Delivery times at the far end; empty = lost, two entries = duplicated.
-    pub deliveries: Deliveries,
+    /// Delivery time at the far end; `None` = dropped.
+    pub delivery: Option<SimTime>,
     /// Whether this packet was held back for reordering.
     pub reordered: bool,
-    /// Whether this packet was dropped.
-    pub lost: bool,
 }
 
 /// One direction of a network path.
@@ -176,19 +140,11 @@ impl Link {
 
         // Loss.
         let lost = rng.chance(self.config.loss);
-        let mut deliveries = Deliveries::NONE;
-        if !lost {
-            deliveries.push(arrival);
-            if rng.chance(self.config.duplicate) {
-                deliveries.push(arrival + self.config.dup_gap);
-            }
-        }
 
         Transit {
             tap_time,
-            deliveries,
+            delivery: (!lost).then_some(arrival),
             reordered,
-            lost,
         }
     }
 }
@@ -206,19 +162,18 @@ mod tests {
         let mut link = Link::new(LinkConfig::ideal(ms(10)));
         let mut rng = Rng::new(1);
         let t = link.send(SimTime::ZERO, 1200, 0.5, &mut rng);
-        assert_eq!(*t.deliveries, [SimTime::ZERO + ms(10)]);
+        assert_eq!(t.delivery, Some(SimTime::ZERO + ms(10)));
         assert_eq!(t.tap_time, SimTime::ZERO + ms(5));
-        assert!(!t.lost && !t.reordered);
+        assert!(!t.reordered);
     }
 
     #[test]
-    fn loss_drops_all_deliveries_but_tap_still_sees() {
+    fn loss_drops_the_delivery_but_tap_still_sees() {
         let cfg = LinkConfig::ideal(ms(10)).with_loss(1.0);
         let mut link = Link::new(cfg);
         let mut rng = Rng::new(2);
         let t = link.send(SimTime::ZERO, 100, 0.0, &mut rng);
-        assert!(t.lost);
-        assert!(t.deliveries.is_empty());
+        assert_eq!(t.delivery, None);
         assert_eq!(t.tap_time, SimTime::ZERO);
     }
 
@@ -233,7 +188,7 @@ mod tests {
         let mut rng = Rng::new(3);
         let t = link.send(SimTime::ZERO, 100, 1.0, &mut rng);
         assert!(t.reordered);
-        assert_eq!(*t.deliveries, [SimTime::ZERO + ms(15)]);
+        assert_eq!(t.delivery, Some(SimTime::ZERO + ms(15)));
     }
 
     #[test]
@@ -249,21 +204,7 @@ mod tests {
         // Second packet through an unimpaired link sent 1 ms later.
         let mut clean = Link::new(LinkConfig::ideal(ms(10)));
         let second = clean.send(SimTime::ZERO + ms(1), 100, 0.0, &mut rng);
-        assert!(second.deliveries[0] < first.deliveries[0], "overtake");
-    }
-
-    #[test]
-    fn duplicate_produces_two_deliveries() {
-        let cfg = LinkConfig {
-            duplicate: 1.0,
-            dup_gap: ms(1),
-            ..LinkConfig::ideal(ms(10))
-        };
-        let mut link = Link::new(cfg);
-        let mut rng = Rng::new(5);
-        let t = link.send(SimTime::ZERO, 100, 0.0, &mut rng);
-        assert_eq!(t.deliveries.len(), 2);
-        assert_eq!(t.deliveries[1] - t.deliveries[0], ms(1));
+        assert!(second.delivery < first.delivery, "overtake");
     }
 
     #[test]
@@ -277,8 +218,8 @@ mod tests {
         let mut rng = Rng::new(6);
         let a = link.send(SimTime::ZERO, 1000, 0.0, &mut rng);
         let b = link.send(SimTime::ZERO, 1000, 0.0, &mut rng);
-        assert_eq!(a.deliveries[0], SimTime::ZERO + ms(11));
-        assert_eq!(b.deliveries[0], SimTime::ZERO + ms(12));
+        assert_eq!(a.delivery, Some(SimTime::ZERO + ms(11)));
+        assert_eq!(b.delivery, Some(SimTime::ZERO + ms(12)));
     }
 
     #[test]
@@ -288,7 +229,7 @@ mod tests {
         let mut rng = Rng::new(7);
         for _ in 0..200 {
             let t = link.send(SimTime::ZERO, 100, 0.0, &mut rng);
-            let d = t.deliveries[0] - SimTime::ZERO;
+            let d = t.delivery.unwrap() - SimTime::ZERO;
             assert!(d >= ms(10) && d <= ms(14), "delay {d}");
         }
     }
@@ -299,7 +240,11 @@ mod tests {
         let mut link = Link::new(cfg);
         let mut rng = Rng::new(8);
         let lost = (0..10_000)
-            .filter(|_| link.send(SimTime::ZERO, 100, 0.0, &mut rng).lost)
+            .filter(|_| {
+                link.send(SimTime::ZERO, 100, 0.0, &mut rng)
+                    .delivery
+                    .is_none()
+            })
             .count();
         let rate = lost as f64 / 10_000.0;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
@@ -317,7 +262,7 @@ mod tests {
             (0..50)
                 .map(|i| {
                     link.send(SimTime::ZERO + ms(i), 100, 0.5, &mut rng)
-                        .deliveries
+                        .delivery
                 })
                 .collect::<Vec<_>>()
         };

@@ -96,8 +96,6 @@ pub struct PathStats {
     pub sent: [u64; 2],
     /// Datagrams dropped.
     pub lost: [u64; 2],
-    /// Datagrams duplicated.
-    pub duplicated: [u64; 2],
     /// Datagrams held back for reordering.
     pub reordered: [u64; 2],
     /// Bytes entering the path.
@@ -309,39 +307,25 @@ impl Simulator {
         };
         let transit = link.send(self.now + delay, datagram.len(), pos_along, &mut self.rng);
 
-        if transit.lost {
-            self.stats.lost[dir] += 1;
-        }
         if transit.reordered {
             self.stats.reordered[dir] += 1;
         }
-        if transit.deliveries.len() > 1 {
-            self.stats.duplicated[dir] += 1;
-        }
 
         // The tap keeps only a snap of the header; the delivery owns the
-        // buffer, and only a duplicate costs a copy.
+        // buffer.
         if self.tap_position.is_some() {
             self.tap_records
                 .push(TapRecord::capture(transit.tap_time, from, &datagram));
         }
 
-        let to = from.other();
-        self.stats.queue_pushes += transit.deliveries.len() as u64;
-        match *transit.deliveries {
-            [at] => self.queue.push(at, Pending::Deliver { to, datagram }),
-            [first, second] => {
-                self.queue.push(
-                    first,
-                    Pending::Deliver {
-                        to,
-                        datagram: datagram.clone(),
-                    },
-                );
-                self.queue.push(second, Pending::Deliver { to, datagram });
+        match transit.delivery {
+            Some(at) => {
+                self.stats.queue_pushes += 1;
+                let to = from.other();
+                self.queue.push(at, Pending::Deliver { to, datagram });
             }
             // Lost: the buffer is dropped with the packet.
-            _ => {}
+            None => self.stats.lost[dir] += 1,
         }
         self.note_queue_depth();
     }
@@ -606,21 +590,62 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_datagrams_deliver_two_equal_copies() {
-        let cfg = LinkConfig {
-            duplicate: 1.0,
-            ..LinkConfig::ideal(ms(10))
-        };
-        let mut sim = Simulator::symmetric(cfg, 1);
-        sim.send(Side::Client, vec![4, 5, 6]);
-        let mut copies = Vec::new();
-        while let Some((_, event)) = sim.step() {
-            if let SimEvent::Datagram { datagram, .. } = event {
-                copies.push(datagram);
+    fn every_sent_datagram_is_delivered_once_or_lost() {
+        // Property: under random loss, reorder, jitter and rate settings,
+        // each direction delivers or loses every datagram it sent, exactly
+        // once; with no timers armed, every event-queue push is a
+        // delivery.
+        let mut cases = Rng::new(0x5eed);
+        for case in 0..200u64 {
+            let mut link = || LinkConfig {
+                delay: SimDuration::from_micros(1 + cases.next_below(50_000)),
+                jitter: SimDuration::from_micros(cases.next_below(5_000)),
+                loss: cases.f64() * 0.6,
+                reorder: cases.f64() * 0.5,
+                reorder_hold: SimDuration::from_micros(cases.next_below(10_000)),
+                rate_bytes_per_sec: (cases.next_below(2) == 0)
+                    .then(|| 10_000 + cases.next_below(20_000_000)),
+            };
+            let (c2s, s2c) = (link(), link());
+            let mut sim = Simulator::new(c2s, s2c, case);
+            // Deliveries per sending direction.
+            let mut delivered = [0u64; 2];
+            let mut count = |step: Option<(SimTime, SimEvent)>| match step {
+                Some((_, SimEvent::Datagram { to, .. })) => {
+                    delivered[PathStats::dir(to.other())] += 1;
+                    true
+                }
+                Some((_, SimEvent::Timer { .. })) => panic!("case {case}: no timer was armed"),
+                None => false,
+            };
+            for i in 0..1 + cases.next_below(60) {
+                let from = if cases.next_below(2) == 0 {
+                    Side::Client
+                } else {
+                    Side::Server
+                };
+                sim.send(from, vec![i as u8; 1 + cases.index(1200)]);
+                // Interleave some deliveries with the sends.
+                if cases.next_below(4) == 0 {
+                    count(sim.step());
+                }
             }
+            while count(sim.step()) {}
+            let stats = *sim.stats();
+            for (dir, delivered) in delivered.iter().enumerate() {
+                assert_eq!(
+                    delivered + stats.lost[dir],
+                    stats.sent[dir],
+                    "case {case} dir {dir}"
+                );
+            }
+            assert_eq!(stats.delivered, delivered[0] + delivered[1]);
+            assert_eq!(
+                stats.queue_pushes,
+                stats.total_sent() - stats.total_lost(),
+                "case {case}"
+            );
         }
-        assert_eq!(copies, [vec![4, 5, 6], vec![4, 5, 6]]);
-        assert_eq!(sim.stats().duplicated, [1, 0]);
     }
 
     #[test]

@@ -60,12 +60,12 @@ impl SimDuration {
     }
 
     /// Creates a duration from microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// Creates a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
@@ -75,7 +75,7 @@ impl SimDuration {
     }
 
     /// Creates a duration from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
     }
 

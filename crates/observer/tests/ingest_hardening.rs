@@ -9,7 +9,7 @@
 use proptest::TestRng;
 use quicspin_netsim::{SimTime, TapRecord};
 use quicspin_observer::FlowObserver;
-use quicspin_quic::{ConnectionLab, LabConfig, LabOutcome};
+use quicspin_quic::{ConnectionLab, LabConfig, LabOutcome, CID_LEN};
 
 const ROUNDS: usize = 200;
 
@@ -26,10 +26,10 @@ fn lab_capture(seed: u64) -> LabOutcome {
 }
 
 /// Folds `records`; panics (failing the test) if any record is lost.
-fn fold_accounts_for_every_record(records: &[TapRecord], cid_len: usize) {
+fn fold_accounts_for_every_record(records: &[TapRecord]) {
     let mut flow = FlowObserver::default();
     let mut samples = 0u64;
-    flow.ingest_tap_records(records, cid_len, |_, _| samples += 1);
+    flow.ingest_tap_records(records, CID_LEN, |_, _| samples += 1);
     let stats = flow.stats();
     assert_eq!(stats.packets + stats.unobservable, records.len() as u64);
     assert_eq!(samples, stats.samples + stats.samples_upstream);
@@ -59,7 +59,7 @@ fn truncated_datagrams_never_panic() {
                 with_snap(r, &r.snap()[..keep])
             })
             .collect();
-        fold_accounts_for_every_record(&records, outcome.cid_len);
+        fold_accounts_for_every_record(&records);
     }
 }
 
@@ -80,7 +80,7 @@ fn one_byte_mutations_never_panic() {
                 with_snap(r, &bytes)
             })
             .collect();
-        fold_accounts_for_every_record(&records, outcome.cid_len);
+        fold_accounts_for_every_record(&records);
     }
 }
 
@@ -102,7 +102,7 @@ fn shuffled_times_never_panic() {
             .zip(&times)
             .map(|(r, &time)| at_time(r, time))
             .collect();
-        fold_accounts_for_every_record(&records, outcome.cid_len);
+        fold_accounts_for_every_record(&records);
     }
 }
 
@@ -121,5 +121,5 @@ fn extreme_times_never_panic() {
             )
         })
         .collect();
-    fold_accounts_for_every_record(&records, outcome.cid_len);
+    fold_accounts_for_every_record(&records);
 }

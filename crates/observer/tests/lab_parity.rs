@@ -9,7 +9,7 @@
 
 use quicspin_core::{Direction, EdgePolicy};
 use quicspin_observer::FlowObserver;
-use quicspin_quic::{ConnectionLab, LabConfig, LabOutcome};
+use quicspin_quic::{ConnectionLab, LabConfig, LabOutcome, CID_LEN};
 
 fn clean_run(seed: u64, rtt_ms: f64, tap: f64) -> LabOutcome {
     let outcome = ConnectionLab::new(LabConfig {
@@ -28,7 +28,7 @@ fn clean_run(seed: u64, rtt_ms: f64, tap: f64) -> LabOutcome {
 fn fold(outcome: &LabOutcome, policy: EdgePolicy) -> (FlowObserver, Vec<u64>) {
     let mut flow = FlowObserver::new(policy);
     let mut downstream = Vec::new();
-    flow.ingest_tap_records(&outcome.tap_records, outcome.cid_len, |dir, sample| {
+    flow.ingest_tap_records(&outcome.tap_records, CID_LEN, |dir, sample| {
         if dir == Direction::Downstream {
             downstream.push(sample);
         }

@@ -1,4 +1,9 @@
-//! Endpoint configuration: transport parameters and the spin policy.
+//! Endpoint configuration: what differs between endpoints — version,
+//! spin policy, VEC and processing latencies. The transport parameters
+//! every endpoint shares (CID length, ACK delay and threshold, loss
+//! threshold, initial RTT and window, idle timeout, payload size) are
+//! RFC-default constants beside the code that reads them in
+//! [`crate::conn`].
 
 use quicspin_netsim::{Rng, SimDuration};
 use quicspin_wire::Version;
@@ -52,22 +57,6 @@ pub struct TransportConfig {
     pub spin_policy: SpinPolicy,
     /// Whether to carry the Valid Edge Counter in the reserved bits.
     pub vec_enabled: bool,
-    /// Maximum delay before a delayed ACK is sent (RFC 9000 default 25 ms).
-    pub max_ack_delay: SimDuration,
-    /// Send an immediate ACK after this many ack-eliciting packets.
-    pub ack_eliciting_threshold: u32,
-    /// Packet reordering threshold for loss detection (RFC 9002: 3).
-    pub packet_threshold: u64,
-    /// Initial RTT estimate before any sample (RFC 9002: 333 ms).
-    pub initial_rtt: SimDuration,
-    /// Connection ID length used by this endpoint.
-    pub cid_len: usize,
-    /// Idle timeout.
-    pub idle_timeout: SimDuration,
-    /// Maximum stream payload bytes per packet.
-    pub max_payload: usize,
-    /// Initial congestion window in packets (RFC 9002: 10).
-    pub initial_cwnd_packets: u64,
     /// Processing latency of *data-bearing* packets: time between the
     /// triggering event and the packet leaving the host, dominated by
     /// application write scheduling. Inflates every spin period (the
@@ -86,14 +75,6 @@ impl Default for TransportConfig {
             version: Version::V1,
             spin_policy: SpinPolicy::Participate,
             vec_enabled: false,
-            max_ack_delay: SimDuration::from_millis(25),
-            ack_eliciting_threshold: 2,
-            packet_threshold: 3,
-            initial_rtt: SimDuration::from_millis(333),
-            cid_len: 8,
-            idle_timeout: SimDuration::from_secs(30),
-            max_payload: 1200,
-            initial_cwnd_packets: 10,
             processing_latency: SimDuration::ZERO,
             ack_processing_latency: SimDuration::ZERO,
         }
@@ -134,10 +115,12 @@ mod tests {
 
     #[test]
     fn defaults_match_rfc_values() {
+        use crate::conn::{INITIAL_CWND_PACKETS, INITIAL_RTT, MAX_ACK_DELAY, PACKET_THRESHOLD};
+        assert_eq!(MAX_ACK_DELAY, SimDuration::from_millis(25));
+        assert_eq!(PACKET_THRESHOLD, 3);
+        assert_eq!(INITIAL_RTT, SimDuration::from_millis(333));
+        assert_eq!(INITIAL_CWND_PACKETS, 10);
         let c = TransportConfig::default();
-        assert_eq!(c.max_ack_delay, SimDuration::from_millis(25));
-        assert_eq!(c.packet_threshold, 3);
-        assert_eq!(c.initial_rtt, SimDuration::from_millis(333));
         assert_eq!(c.version, Version::V1);
         assert_eq!(c.spin_policy, SpinPolicy::Participate);
         assert!(!c.vec_enabled);

@@ -21,6 +21,26 @@ use quicspin_wire::{
 };
 use std::collections::VecDeque;
 
+/// Length of every connection ID this stack issues
+/// ([`ConnectionId::from_u64`]). A short header carries no CID length,
+/// so receivers and on-path taps parse with this one.
+pub const CID_LEN: usize = 8;
+/// Maximum delay before a delayed ACK is sent (RFC 9000 §18.2: 25 ms).
+pub(crate) const MAX_ACK_DELAY: SimDuration = SimDuration::from_millis(25);
+/// Ack-eliciting 1-RTT packets after which an ACK goes out at once
+/// (RFC 9000 §13.2.2: every second packet).
+const ACK_ELICITING_THRESHOLD: u32 = 2;
+/// Packet reordering threshold for loss detection (RFC 9002 §6.1.1: 3).
+pub(crate) const PACKET_THRESHOLD: u64 = 3;
+/// RTT estimate before the first sample (RFC 9002 §6.2.2: 333 ms).
+pub(crate) const INITIAL_RTT: SimDuration = SimDuration::from_millis(333);
+/// Idle timeout.
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Maximum CRYPTO or STREAM payload bytes per packet.
+const MAX_PAYLOAD: usize = 1200;
+/// Initial congestion window in packets (RFC 9002 §7.2: 10).
+pub(crate) const INITIAL_CWND_PACKETS: u64 = 10;
+
 /// Endpoint role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -347,7 +367,7 @@ impl Connection {
             lost,
             send_frames,
         } = storage;
-        let mut rtt = RttEstimator::new(cfg.initial_rtt);
+        let mut rtt = RttEstimator::new(INITIAL_RTT);
         rtt.reuse_samples(rtt_samples);
         Connection {
             role,
@@ -373,7 +393,7 @@ impl Connection {
             last_send_latency: SimDuration::ZERO,
             prestocked: datagram_pool.len(),
             datagram_pool,
-            cwnd: cfg.initial_cwnd_packets,
+            cwnd: INITIAL_CWND_PACKETS,
             ssthresh: u64::MAX,
             ca_credit: 0,
             counters: ConnCounters::default(),
@@ -531,7 +551,7 @@ impl Connection {
         if self.state == State::Closed {
             return;
         }
-        let Ok(packet) = Packet::decode(datagram, self.cfg.cid_len) else {
+        let Ok(packet) = Packet::decode(datagram, CID_LEN) else {
             self.counters.packets_undecodable += 1;
             return; // undecodable datagrams are dropped (counted, not logged)
         };
@@ -577,7 +597,7 @@ impl Connection {
 
         let ack_eliciting = packet.is_ack_eliciting();
         let threshold = match space {
-            PacketSpace::Application => self.cfg.ack_eliciting_threshold,
+            PacketSpace::Application => ACK_ELICITING_THRESHOLD,
             _ => 1, // handshake spaces acknowledge immediately
         };
         let fresh = self.spaces[space_index(space)].recv.on_packet(
@@ -585,7 +605,7 @@ impl Connection {
             ack_eliciting,
             now,
             threshold,
-            self.cfg.max_ack_delay,
+            MAX_ACK_DELAY,
         );
         if !fresh {
             self.counters.packets_duplicate += 1;
@@ -606,7 +626,7 @@ impl Connection {
                 lost.clear();
                 let outcome = self.spaces[space_index(space)].sent.on_ack(
                     ranges,
-                    self.cfg.packet_threshold,
+                    PACKET_THRESHOLD,
                     &mut lost,
                 );
                 if let Some(sent_time) = outcome.rtt_sample_from {
@@ -615,9 +635,7 @@ impl Connection {
                     // the application space (RFC 9002 §5.3).
                     let reported = SimDuration::from_micros(delay_us);
                     let capped = match space {
-                        PacketSpace::Application if reported > self.cfg.max_ack_delay => {
-                            self.cfg.max_ack_delay
-                        }
+                        PacketSpace::Application if reported > MAX_ACK_DELAY => MAX_ACK_DELAY,
                         _ => reported,
                     };
                     self.rtt.update(raw, capped);
@@ -820,7 +838,7 @@ impl Connection {
         let s = &mut self.spaces[idx];
         let unsent = s.crypto_out.len() - s.crypto_sent;
         if unsent > 0 {
-            let len = unsent.min(self.cfg.max_payload);
+            let len = unsent.min(MAX_PAYLOAD);
             frames.push(SentFrame::Crypto {
                 offset: s.crypto_sent as u64,
                 len,
@@ -836,7 +854,7 @@ impl Connection {
             }
             let in_flight = self.spaces[idx].sent.eliciting_in_flight();
             if in_flight < self.cwnd {
-                if let Some(stream_frame) = self.streams.next_frame(self.cfg.max_payload) {
+                if let Some(stream_frame) = self.streams.next_frame(MAX_PAYLOAD) {
                     frames.push(stream_frame);
                 }
             }
@@ -1034,7 +1052,7 @@ impl Connection {
     // ------------------------------------------------------------------
 
     fn pto_interval(&self) -> SimDuration {
-        let base = self.rtt.pto(self.cfg.max_ack_delay);
+        let base = self.rtt.pto(MAX_ACK_DELAY);
         base * (1u64 << self.pto_count.min(10))
     }
 
@@ -1056,7 +1074,7 @@ impl Connection {
             consider(s.recv.next_timeout());
             consider(s.sent.pto_deadline(self.pto_interval()));
         }
-        consider(Some(self.last_activity + self.cfg.idle_timeout));
+        consider(Some(self.last_activity + IDLE_TIMEOUT));
         deadline
     }
 
@@ -1067,7 +1085,7 @@ impl Connection {
         }
 
         // Idle timeout.
-        if now >= self.last_activity + self.cfg.idle_timeout {
+        if now >= self.last_activity + IDLE_TIMEOUT {
             self.state = State::Closed;
             self.error = Some(ConnectionError::IdleTimeout);
             self.events.push_back(AppEvent::Closed {

@@ -12,7 +12,7 @@
 //! estimate stays anchored to the network path.
 
 use crate::config::TransportConfig;
-use crate::conn::{AppEvent, ConnCounters, ConnStorage, Connection};
+use crate::conn::{AppEvent, ConnCounters, ConnStorage, Connection, CID_LEN};
 use quicspin_core::{GreaseFilter, ObserverReport, PacketObservation};
 use quicspin_netsim::{
     LinkConfig, PathStats, Side, SimDuration, SimEvent, SimScratch, SimTime, Simulator, TapRecord,
@@ -94,8 +94,6 @@ pub struct LabConfig {
     /// Bytes prepended to the first response chunk (e.g. an HTTP/3-style
     /// response header, so the `server:` identification travels the wire).
     pub response_prefix: Vec<u8>,
-    /// Hard wall on simulated duration.
-    pub max_duration: SimDuration,
     /// Measure real (host) wall time of the handshake and transfer phases
     /// into [`LabStats`]. Off by default so un-instrumented runs never
     /// read the monotonic clock.
@@ -118,7 +116,6 @@ impl Default for LabConfig {
             tap_position: Some(0.5),
             request: b"GET / HTTP/3\r\nhost: lab.example\r\n\r\n".to_vec(),
             response_prefix: Vec::new(),
-            max_duration: SimDuration::from_secs(60),
             time_stages: false,
         }
     }
@@ -164,8 +161,6 @@ pub struct LabOutcome {
     /// Tap records (time-sorted), both directions: each datagram's
     /// header snap and length.
     pub tap_records: Vec<TapRecord>,
-    /// Connection-ID length, needed to parse tap records.
-    pub cid_len: usize,
     /// Simulated completion time.
     pub finished_at: SimTime,
     /// The client stack's RTT samples in µs.
@@ -193,7 +188,7 @@ impl LabOutcome {
             .iter()
             .filter(|r| r.from == from)
             .filter_map(|r| {
-                Header::peek_observable(r.snap(), self.cid_len)
+                Header::peek_observable(r.snap(), CID_LEN)
                     .map(|h| PacketObservation::wire(r.time.as_micros(), h.spin).with_vec(h.vec))
             })
             .collect()
@@ -258,6 +253,9 @@ impl LabScratch {
     }
 }
 
+/// Hard wall on a lab run's simulated duration.
+const MAX_DURATION: SimDuration = SimDuration::from_secs(60);
+
 /// Timer token for transport timeouts.
 const TOKEN_TRANSPORT: u64 = 0;
 /// Timer tokens >= this index into the server app's pending chunks.
@@ -275,7 +273,7 @@ impl ConnectionLab {
         ConnectionLab { config }
     }
 
-    /// Runs the exchange to completion (or `max_duration`).
+    /// Runs the exchange to completion (or to the simulated-time limit).
     pub fn run(&mut self) -> LabOutcome {
         self.run_with_scratch(&mut LabScratch::default())
     }
@@ -293,7 +291,6 @@ impl ConnectionLab {
             reorder: cfg.reorder,
             reorder_hold: SimDuration::from_millis_f64(cfg.reorder_hold_ms),
             rate_bytes_per_sec: cfg.link_rate_bytes_per_sec,
-            ..LinkConfig::default()
         };
         let mut sim =
             Simulator::symmetric_from_scratch(link, cfg.seed, std::mem::take(&mut scratch.sim));
@@ -324,7 +321,7 @@ impl ConnectionLab {
         let mut response_data: Vec<u8> = std::mem::take(&mut scratch.response_data);
         response_data.clear();
         let mut client_done = false;
-        let deadline = SimTime::ZERO + cfg.max_duration;
+        let deadline = SimTime::ZERO + MAX_DURATION;
         // Host wall-time stage split (handshake vs. everything after).
         // Gated so an un-instrumented run never reads the clock.
         let started_at = cfg.time_stages.then(std::time::Instant::now);
@@ -483,7 +480,6 @@ impl ConnectionLab {
             client_stack_samples_us: client.rtt().samples_us().to_vec(),
             client_qlog: client.take_qlog(),
             tap_records,
-            cid_len: cfg.client.cid_len,
             finished_at,
             stats,
         };

@@ -33,7 +33,7 @@ pub mod spin;
 pub mod streams;
 
 pub use config::{SpinPolicy, TransportConfig};
-pub use conn::{AppEvent, ConnCounters, Connection, ConnectionError, Role};
+pub use conn::{AppEvent, ConnCounters, Connection, ConnectionError, Role, CID_LEN};
 pub use lab::{ConnectionLab, LabConfig, LabOutcome, LabScratch, LabStats, ServerProfile};
 pub use rtt::RttEstimator;
 pub use spin::SpinGenerator;

@@ -133,7 +133,7 @@ impl CampaignConfig {
             ));
             entries.push(entry(
                 "flight_rtt_divergence_threshold",
-                self.flight.rtt_divergence_threshold.to_string(),
+                crate::flight::RTT_DIVERGENCE_THRESHOLD.to_string(),
             ));
             entries.push(entry(
                 "flight_baseline_sample_every",

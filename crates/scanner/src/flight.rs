@@ -7,8 +7,11 @@
 //! sorting (§3.3/§5.2), classification flips across redirect hops,
 //! handshake failures, and virtual stage-latency outliers — and the full
 //! qlog trace of every flagged probe is retained in the compact binary
-//! codec under a byte budget. Aggregates answer "how often"; the flight
-//! recorder answers "which connections, and show me the packets".
+//! codec under a byte budget. The divergence and impossible-edge
+//! thresholds are constants; the stage-outlier thresholds, the budget
+//! and baseline sampling are [`FlightConfig`]. Aggregates answer "how
+//! often"; the flight recorder answers "which connections, and show me
+//! the packets".
 //!
 //! Detection is content-based and therefore deterministic: the same
 //! campaign config flags the same probes and retains the same traces for
@@ -48,6 +51,14 @@ pub const TRACE_STORE_VERSION: u8 = 1;
 /// starts here.
 pub const TRACE_STORE_HEADER_LEN: usize = 5;
 
+/// Relative spin-vs-stack mean-RTT divergence past which a probe is
+/// flagged (the paper's Fig. 3 tail sits past 10%).
+pub(crate) const RTT_DIVERGENCE_THRESHOLD: f64 = 0.10;
+
+/// A spin period shorter than this fraction of the connection's minimum
+/// stack RTT is an impossible edge.
+const MIN_EDGE_INTERVAL_FRAC: f64 = 0.5;
+
 /// Flight-recorder configuration (all thresholds are campaign-constant,
 /// so detection stays deterministic).
 #[derive(Debug, Clone)]
@@ -57,12 +68,6 @@ pub struct FlightConfig {
     /// Campaign seed: drives deterministic baseline sampling and is
     /// echoed into the campaign id.
     pub seed: u64,
-    /// Relative spin-vs-stack mean-RTT divergence past which a probe is
-    /// flagged (the paper's Fig. 3 tail sits past 10%).
-    pub rtt_divergence_threshold: f64,
-    /// A spin period shorter than this fraction of the connection's
-    /// minimum stack RTT is an impossible edge.
-    pub min_edge_interval_frac: f64,
     /// Virtual handshake time (µs, from the trace) past which a probe is
     /// a stage outlier. Calibrate from a previous run with
     /// [`FlightConfig::calibrate_outliers`].
@@ -83,8 +88,6 @@ impl Default for FlightConfig {
         FlightConfig {
             enabled: false,
             seed: 0,
-            rtt_divergence_threshold: 0.10,
-            min_edge_interval_frac: 0.5,
             handshake_outlier_us: 1_500_000,
             total_outlier_us: 10_000_000,
             retention_budget_bytes: 2 * 1024 * 1024,
@@ -184,7 +187,7 @@ impl FromStr for ProbeId {
 #[serde(rename_all = "kebab-case")]
 pub enum AnomalyKind {
     /// Spin-derived mean RTT diverges from the stack's ACK-based mean
-    /// beyond the configured threshold (Fig. 3 tail).
+    /// by more than 10% (Fig. 3 tail).
     RttDivergence,
     /// Spin edges that remain impossible after packet-number sorting
     /// (flip faster than a fraction of the minimum stack RTT, or time
@@ -330,12 +333,8 @@ fn splitmix64(seed: u64) -> u64 {
 
 /// Counts spin edges that stay impossible after packet-number sorting:
 /// time running backwards across an edge, or a spin period shorter than
-/// `min_edge_interval_frac` of the connection's minimum stack RTT.
-fn invalid_spin_edges(
-    trace: &TraceLog,
-    min_stack_rtt_us: Option<u64>,
-    min_edge_interval_frac: f64,
-) -> u64 {
+/// [`MIN_EDGE_INTERVAL_FRAC`] of the connection's minimum stack RTT.
+fn invalid_spin_edges(trace: &TraceLog, min_stack_rtt_us: Option<u64>) -> u64 {
     let mut obs = trace.spin_observations();
     if obs.len() < 2 {
         return 0;
@@ -353,7 +352,7 @@ fn invalid_spin_edges(
                 invalid += 1;
             } else if let (Some(edge_at), Some(min_rtt)) = (prev_edge_time, min_stack_rtt_us) {
                 let period = time.saturating_sub(edge_at);
-                if (period as f64) < min_rtt as f64 * min_edge_interval_frac {
+                if (period as f64) < min_rtt as f64 * MIN_EDGE_INTERVAL_FRAC {
                     invalid += 1;
                 }
             }
@@ -411,7 +410,7 @@ impl FlightShard {
                 if let Some(acc) = report.accuracy_sorted() {
                     if acc.stack_mean_ms > 0.0 {
                         let div = (acc.spin_mean_ms - acc.stack_mean_ms).abs() / acc.stack_mean_ms;
-                        if div > cfg.rtt_divergence_threshold {
+                        if div > RTT_DIVERGENCE_THRESHOLD {
                             found.push(Anomaly {
                                 probe,
                                 kind: AnomalyKind::RttDivergence,
@@ -444,7 +443,7 @@ impl FlightShard {
 
             if let Some(view) = &rec.observer {
                 if let Some(div) = view.divergence() {
-                    if div > cfg.rtt_divergence_threshold {
+                    if div > RTT_DIVERGENCE_THRESHOLD {
                         found.push(Anomaly {
                             probe,
                             kind: AnomalyKind::ObserverDivergence,
@@ -495,7 +494,7 @@ impl FlightShard {
                     .report
                     .as_ref()
                     .and_then(|r| r.stack_samples_us.iter().copied().min());
-                let invalid = invalid_spin_edges(trace, min_stack_rtt, cfg.min_edge_interval_frac);
+                let invalid = invalid_spin_edges(trace, min_stack_rtt);
                 if invalid > 0 {
                     found.push(Anomaly {
                         probe,
@@ -508,8 +507,9 @@ impl FlightShard {
                     });
                 }
 
-                let handshake = trace.handshake_time_us();
-                let total = trace.duration_us();
+                // The probe read both off this same trace.
+                let handshake = rec.virtual_handshake_us;
+                let total = rec.virtual_total_us;
                 if let Some(hs) = handshake {
                     self.handshake_us.record(hs);
                 }
@@ -1150,9 +1150,9 @@ mod tests {
         push(12_000, 2, true);
         push(14_000, 3, false);
         push(60_000, 4, true);
-        assert_eq!(invalid_spin_edges(&t, Some(40_000), 0.5), 1);
+        assert_eq!(invalid_spin_edges(&t, Some(40_000)), 1);
         // Without a stack-RTT baseline only time inversions count.
-        assert_eq!(invalid_spin_edges(&t, None, 0.5), 0);
+        assert_eq!(invalid_spin_edges(&t, None), 0);
     }
 
     #[test]
@@ -1179,7 +1179,7 @@ mod tests {
                 size: 64,
             },
         );
-        assert_eq!(invalid_spin_edges(&t, None, 0.5), 1);
+        assert_eq!(invalid_spin_edges(&t, None), 1);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use quicspin_netsim::{Rng, SimDuration};
 use quicspin_qlog::TraceLog;
 use quicspin_quic::{
     ConnectionLab, LabConfig, LabOutcome, LabScratch, LabStats, ServerProfile, TransportConfig,
+    CID_LEN,
 };
 use quicspin_telemetry::{GaugeId, Metric, ScopeId, WorkerShard};
 use quicspin_webpop::{ConnectionPlan, DomainRecord, WebServer};
@@ -39,9 +40,8 @@ pub struct ProbeScratch {
     /// currently being probed. A probe resolves the same name at several
     /// call sites (request host, redirect location, qlog titles) across
     /// up to two hops; the cache formats it once per domain instead of
-    /// once per call. The worker-side counterpart of render-time
-    /// interning via [`quicspin_webpop::SymbolTable`] — deliberately one
-    /// entry, so memory stays flat over million-domain sweeps.
+    /// once per call. Deliberately one entry, so memory stays flat over
+    /// million-domain sweeps.
     www_name: String,
     www_name_for: Option<u32>,
 }
@@ -94,10 +94,6 @@ fn note_lab(shard: &mut WorkerShard, stats: &LabStats, established: bool) {
     shard.add(
         Metric::NetsimReorders,
         path.reordered[0] + path.reordered[1],
-    );
-    shard.add(
-        Metric::NetsimDuplicates,
-        path.duplicated[0] + path.duplicated[1],
     );
     shard.add(Metric::NetsimQueuePushes, path.queue_pushes);
     shard.add(Metric::NetsimQueuePops, path.queue_pops);
@@ -237,7 +233,6 @@ pub fn probe_connection(
         tap_position: config.tap,
         request: request.encode(),
         response_prefix: response.encode_header(),
-        max_duration: SimDuration::from_secs(60),
         // Only pay for phase wall-clocks when the shard is live (they
         // split probe/lab into handshake/transfer).
         time_stages: scratch.telemetry.is_enabled(),
@@ -298,7 +293,7 @@ pub fn probe_connection(
     // next to the client's own report.
     let observer_view = config.tap.map(|position| {
         let mut flow = quicspin_observer::FlowObserver::default();
-        flow.ingest_tap_records(&outcome.tap_records, outcome.cid_len, |_, _| {});
+        flow.ingest_tap_records(&outcome.tap_records, CID_LEN, |_, _| {});
         let stats = flow.stats();
         scratch
             .telemetry

@@ -81,8 +81,14 @@ const DEFAULT_BAND: f64 = 1.25;
 /// as regressed; filters noise on near-zero baselines.
 const LATENCY_FLOOR_US: u64 = 1_000;
 
-/// Error-rate worsening (absolute fraction) that counts as a regression.
+/// Error-rate worsening (absolute fraction) that counts as a
+/// regression, in `compare` and in the matrix report's per-cell verdicts.
 const ERROR_RATE_DRIFT: f64 = 0.02;
+
+/// Default classification-mix share drift (absolute fraction) past which
+/// a class counts as drifted: `compare`'s `--mix-drift` and the matrix
+/// report's per-cell verdicts.
+const DEFAULT_MIX_DRIFT: f64 = 0.02;
 
 /// Minimum absolute worsening (ns) before a benchmark mean can count as
 /// regressed.
@@ -1121,7 +1127,7 @@ fn cmd_compare(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
         compare_bench(&a, &b, band, out)
     } else {
         let band: f64 = args.get_parsed("p99-band", DEFAULT_BAND)?;
-        let drift: f64 = args.get_parsed("mix-drift", 0.02)?;
+        let drift: f64 = args.get_parsed("mix-drift", DEFAULT_MIX_DRIFT)?;
         compare_runs(&a, &b, band, drift, out)
     }
 }

@@ -39,17 +39,24 @@ pub const MATRIX_FILE_NAME: &str = "matrix.json";
 pub const REPORT_MD_FILE_NAME: &str = "report.md";
 /// Machine-readable report file name.
 pub const REPORT_JSON_FILE_NAME: &str = "report.json";
-/// Schema version of [`MatrixLayout`] and [`MatrixReportDoc`].
+/// Schema version of `matrix.json` ([`MatrixLayout`]) alone.
+pub const MATRIX_SCHEMA_VERSION: u32 = 2;
+/// Schema version of `report.json` ([`MatrixReportDoc`]) alone.
 pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
-/// Classification-mix share drift (millionths) past which a cell counts
-/// as drifted vs the baseline cell — the integer twin of `compare`'s
-/// default `--mix-drift 0.02`.
-const MIX_DRIFT_MILLIONTHS: u64 = 20_000;
+/// Classification-mix share drift past which a cell counts as drifted
+/// vs the baseline cell: `compare`'s default `--mix-drift`, in the
+/// millionths the report's shares are kept in.
+const MIX_DRIFT_MILLIONTHS: u64 = millionths(super::DEFAULT_MIX_DRIFT);
 
-/// Error-rate drift (millionths) past which a cell counts as regressed
-/// vs the baseline cell — the integer twin of `compare`'s 2% gate.
-const ERROR_DRIFT_MILLIONTHS: u64 = 20_000;
+/// Error-rate drift past which a cell counts as regressed vs the
+/// baseline cell: `compare`'s error-rate gate, in millionths.
+const ERROR_DRIFT_MILLIONTHS: u64 = millionths(super::ERROR_RATE_DRIFT);
+
+/// A non-negative fraction in millionths, rounded to the nearest.
+const fn millionths(fraction: f64) -> u64 {
+    (fraction * 1_000_000.0 + 0.5) as u64
+}
 
 // ---------------------------------------------------------------------------
 // matrix.json — the layout document the runner writes
@@ -77,7 +84,7 @@ pub struct CellSlot {
 /// The `matrix.json` document: what ran, where its artifacts live.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatrixLayout {
-    /// Schema version ([`REPORT_SCHEMA_VERSION`]).
+    /// Schema version ([`MATRIX_SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Scenario name.
     pub scenario: String,
@@ -94,7 +101,7 @@ impl MatrixLayout {
     /// `cells/<id>`.
     pub fn from_matrix(matrix: &ScenarioMatrix) -> MatrixLayout {
         MatrixLayout {
-            schema_version: REPORT_SCHEMA_VERSION,
+            schema_version: MATRIX_SCHEMA_VERSION,
             scenario: matrix.name.clone(),
             description: matrix.description.clone(),
             axes: matrix
@@ -807,6 +814,9 @@ mod tests {
                 "mix:greased".to_string(),
             ]
         );
+        // Both drift gates are compare's 2%, in the report's millionths.
+        assert_eq!(MIX_DRIFT_MILLIONTHS, 20_000);
+        assert_eq!(ERROR_DRIFT_MILLIONTHS, 20_000);
     }
 
     #[test]
@@ -876,7 +886,7 @@ mod tests {
             std::env::temp_dir().join(format!("quicspin-report-layout-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let layout = MatrixLayout {
-            schema_version: REPORT_SCHEMA_VERSION,
+            schema_version: MATRIX_SCHEMA_VERSION,
             scenario: "rt".to_string(),
             description: String::new(),
             axes: vec![AxisEcho {

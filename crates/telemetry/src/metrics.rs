@@ -142,8 +142,6 @@ metric_enum! {
         NetsimDrops => "netsim_drops",
         /// Datagrams held back for reordering by the simulated path.
         NetsimReorders => "netsim_reorders",
-        /// Datagrams duplicated by the simulated path.
-        NetsimDuplicates => "netsim_duplicates",
         /// Events pushed onto the simulated path's event queue.
         NetsimQueuePushes => "netsim_queue_pushes",
         /// Events popped off the simulated path's event queue.

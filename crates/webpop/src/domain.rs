@@ -84,12 +84,6 @@ pub struct DomainRecord {
 impl DomainRecord {
     /// The domain name (synthetic but stable; zone domains carry their
     /// registry TLD).
-    ///
-    /// **Deprecation note:** formats a fresh `String` on every call. Hot
-    /// paths that resolve names repeatedly (render passes, per-hop request
-    /// construction) should go through
-    /// [`crate::symbols::SymbolTable::name`], which interns each name once
-    /// per campaign. This accessor stays for one-off lookups and tests.
     pub fn name(&self) -> String {
         let tld = match self.list {
             ListKind::Toplist => "com".to_string(),
@@ -99,10 +93,6 @@ impl DomainRecord {
     }
 
     /// The "www." target actually queried (paper §3.2.1 prepends www).
-    ///
-    /// **Deprecation note:** allocates twice per call (`name()` plus the
-    /// prefix). Repeated resolution belongs on
-    /// [`crate::symbols::SymbolTable::www_name`]; see [`Self::name`].
     pub fn www_name(&self) -> String {
         format!("www.{}", self.name())
     }

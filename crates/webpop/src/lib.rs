@@ -31,7 +31,6 @@ pub mod domain;
 pub mod lists;
 pub mod org;
 pub mod population;
-pub mod symbols;
 
 pub use config::PopulationConfig;
 pub use delay::{RttProfile, ServiceClass};
@@ -39,4 +38,3 @@ pub use domain::{DomainRecord, HostAddr, IpVersion, ListKind};
 pub use lists::{ZoneRegistry, DEDUPLICATED_TOPLIST_SIZE, TOPLIST_SOURCES, ZONE_COUNT};
 pub use org::{Org, OrgProfile, WebServer, ALL_ORGS, ORG_PROFILES};
 pub use population::{ConnectionPlan, Population};
-pub use symbols::SymbolTable;

@@ -33,6 +33,10 @@ cargo test -q --manifest-path spinbench/Cargo.toml
 # network_tomography reads its counts from the capture-fed observer.
 cargo run --release --example spin_observatory -- 200
 cargo run --release --example network_tomography
+# quickstart and passive_observer build the lab and transport configs
+# and read the lab outcome; each runs one lab, so they run here too.
+cargo run --release --example quickstart
+cargo run --release --example passive_observer
 
 # Bench smoke doubles as the BENCH_JSON report path check: one smoke
 # iteration per benchmark, report written, then diffed against itself

@@ -49,7 +49,7 @@ pub mod prelude {
     };
     pub use quicspin_core::{
         AccuracySample, EdgeMachine, EdgePolicy, FlowClassification, GreaseFilter, ObserverReport,
-        PacketObservation, VecObserver,
+        PacketObservation,
     };
     pub use quicspin_netsim::{LinkConfig, SimDuration, SimTime, Simulator};
     pub use quicspin_quic::{ConnectionLab, LabConfig, SpinPolicy, TransportConfig};
