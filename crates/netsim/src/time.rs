@@ -107,7 +107,19 @@ impl SimDuration {
     /// Multiplies by a non-negative float, rounding to nanoseconds.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(factor >= 0.0, "duration factor must be >= 0");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_non_negative(self.0 as f64 * factor))
+    }
+}
+
+/// `x.round() as u64` for `x >= 0`, without the `round` library call
+/// (the link calls this twice per datagram). The fraction `x - trunc(x)`
+/// is exact, so ties round away from zero exactly as `f64::round` does.
+fn round_non_negative(x: f64) -> u64 {
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole.saturating_add(1)
+    } else {
+        whole
     }
 }
 
@@ -226,6 +238,28 @@ mod tests {
         assert_eq!(a / 2, SimDuration::from_millis(5));
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
         assert_eq!(a.mul_f64(0.5), SimDuration::from_millis(5));
+    }
+
+    #[test]
+    fn round_non_negative_matches_f64_round() {
+        let mut xs = vec![0.0, 0.5, 1.5, 2.5, 1e15 + 0.5, f64::INFINITY, f64::NAN];
+        for p in [52, 53, 63, 64] {
+            xs.push(2f64.powi(p));
+        }
+        for k in 0..10_000u64 {
+            let tie = k as f64 + 0.5;
+            xs.extend([tie, tie.next_down(), tie.next_up(), k as f64 * 0.37]);
+        }
+        let mut z = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..100_000 {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            xs.push((z >> 11) as f64 / (1u64 << 53) as f64 * 2e9);
+        }
+        for x in xs {
+            assert_eq!(round_non_negative(x), x.round() as u64, "{x:e}");
+        }
     }
 
     #[test]

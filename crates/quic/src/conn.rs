@@ -193,19 +193,39 @@ impl ConnStorage {
         rtt_samples.clear();
         // Pooled datagram buffers are kept: they pre-stock the next
         // connection (see `Connection::prestocked`).
-        datagram_pool.truncate(STORED_DATAGRAM_POOL_CAP);
+        datagram_pool.truncate(DATAGRAM_POOL_CAP);
         lost.clear();
         send_frames.clear();
+    }
+
+    /// Hands this storage's pooled datagram buffers past the first
+    /// [`KEPT_DATAGRAM_POOL`] to `to`, until `to` holds
+    /// [`DATAGRAM_POOL_CAP`]; frees what is left over.
+    ///
+    /// A datagram travels in its sender's buffer and is recycled into the
+    /// receiver's pool, so buffers drift towards the endpoint that sends
+    /// less. Handing the receiver's surplus back after each run keeps
+    /// both endpoints' next connections stocked instead of one allocating
+    /// what the other frees. Pre-stocked sends count as pool misses, so
+    /// no counter depends on this.
+    pub(crate) fn hand_over_datagrams(&mut self, to: &mut ConnStorage) {
+        let surplus = self.datagram_pool.len().saturating_sub(KEPT_DATAGRAM_POOL);
+        let room = DATAGRAM_POOL_CAP.saturating_sub(to.datagram_pool.len());
+        let from = self.datagram_pool.len() - surplus.min(room);
+        to.datagram_pool.extend(self.datagram_pool.drain(from..));
+        self.datagram_pool.truncate(KEPT_DATAGRAM_POOL);
     }
 }
 
 /// Most datagram buffers a connection's pool holds from its own
-/// deliveries.
+/// deliveries, and most a [`ConnStorage`] carries to the next connection.
 const DATAGRAM_POOL_CAP: usize = 64;
 
-/// Most pooled datagram buffers a finished connection hands to the next
-/// one through its [`ConnStorage`].
-const STORED_DATAGRAM_POOL_CAP: usize = 32;
+/// Pooled datagram buffers a [`ConnStorage`] keeps when it hands its
+/// surplus to the other endpoint's
+/// ([`ConnStorage::hand_over_datagrams`]): enough for a client's sends
+/// before the server's first datagrams arrive to be recycled.
+const KEPT_DATAGRAM_POOL: usize = 8;
 
 /// Maximum consecutive PTOs before the connection gives up.
 const MAX_PTO_COUNT: u32 = 6;
@@ -407,7 +427,7 @@ impl Connection {
     /// packet-number ledgers, range lists, stream and crypto buffers and
     /// event queue keep their capacity for the next connection built
     /// with [`new_client_in`] or [`new_server_in`], which behaves exactly
-    /// like a fresh one. Up to 32 pooled datagram buffers stay in the
+    /// like a fresh one. Up to 64 pooled datagram buffers stay in the
     /// storage and pre-stock that connection's pool; sends they serve
     /// count as pool misses, so its counters match a fresh one's too.
     /// (The qlog event buffer has its own path,
@@ -533,6 +553,12 @@ impl Connection {
     /// Queues stream data (only meaningful once established).
     pub fn send_stream(&mut self, id: u64, data: &[u8], fin: bool) {
         self.streams.write(id, data, fin);
+    }
+
+    /// Queues `len` copies of `byte` as stream data, written straight
+    /// into the stream's send buffer with no staging copy.
+    pub fn send_stream_repeat(&mut self, id: u64, byte: u8, len: usize, fin: bool) {
+        self.streams.write_repeat(id, byte, len, fin);
     }
 
     /// Starts an orderly close.
@@ -832,7 +858,10 @@ impl Connection {
         frames.clear();
 
         // 1. Retransmissions.
-        frames.append(&mut self.spaces[idx].retransmit);
+        let retransmit = &mut self.spaces[idx].retransmit;
+        if !retransmit.is_empty() {
+            frames.append(retransmit);
+        }
 
         // 2. Fresh CRYPTO data.
         let s = &mut self.spaces[idx];
@@ -1277,8 +1306,23 @@ mod tests {
             client.recycle_datagram(Vec::with_capacity(64));
         }
         pump(&mut client, &mut server, at(0));
-        let storage = client.into_storage();
-        assert_eq!(storage.datagram_pool.len(), STORED_DATAGRAM_POOL_CAP);
+        let pooled = client.datagram_pool.len();
+        assert!((KEPT_DATAGRAM_POOL + 1..=DATAGRAM_POOL_CAP).contains(&pooled));
+        let mut storage = client.into_storage();
+        assert_eq!(
+            storage.datagram_pool.len(),
+            pooled,
+            "the whole pool is kept"
+        );
+        // The surplus past the kept share goes to the other endpoint.
+        let mut server_storage = server.into_storage();
+        let server_pooled = server_storage.datagram_pool.len();
+        storage.hand_over_datagrams(&mut server_storage);
+        assert_eq!(storage.datagram_pool.len(), KEPT_DATAGRAM_POOL);
+        assert_eq!(
+            server_storage.datagram_pool.len(),
+            server_pooled + pooled - KEPT_DATAGRAM_POOL
+        );
         let mut next =
             Connection::new_client_in(TransportConfig::default(), 1, SimTime::ZERO, storage);
         let mut fresh = Connection::new_client(TransportConfig::default(), 1, SimTime::ZERO);
@@ -1289,6 +1333,24 @@ mod tests {
             while conn.poll_transmit(at(0)).is_some() {}
         }
         assert_eq!(next.counters(), fresh.counters());
+    }
+
+    #[test]
+    fn hand_over_fills_the_receiver_to_its_cap_and_frees_the_rest() {
+        let stocked = |n: usize| {
+            let mut storage = ConnStorage::default();
+            storage.datagram_pool.resize_with(n, Vec::new);
+            storage
+        };
+        let (mut from, mut to) = (stocked(DATAGRAM_POOL_CAP), stocked(DATAGRAM_POOL_CAP - 4));
+        from.hand_over_datagrams(&mut to);
+        assert_eq!(from.datagram_pool.len(), KEPT_DATAGRAM_POOL);
+        assert_eq!(to.datagram_pool.len(), DATAGRAM_POOL_CAP);
+        // Nothing past the kept share: nothing moves.
+        let (mut from, mut to) = (stocked(KEPT_DATAGRAM_POOL - 1), stocked(0));
+        from.hand_over_datagrams(&mut to);
+        assert_eq!(from.datagram_pool.len(), KEPT_DATAGRAM_POOL - 1);
+        assert!(to.datagram_pool.is_empty());
     }
 
     #[test]

@@ -209,15 +209,15 @@ impl LabOutcome {
 ///
 /// One connection lab run allocates a simulator event queue, two
 /// connections' ledgers and buffers, the client's qlog event buffer (the
-/// server logs nothing), the response byte buffer and a chunk staging
-/// buffer. A scan loop performs millions
-/// of runs; keeping one `LabScratch` per worker thread and passing it to
-/// [`run_with_scratch`](ConnectionLab::run_with_scratch) (then recovering
-/// the outcome's buffers via [`reclaim`](LabScratch::reclaim)) leaves a
-/// run with well under one allocation per packet: every delivered
-/// datagram buffer is recycled into the receiver's pool, and each
-/// connection's pooled buffers pre-stock the next run's. Results are
-/// identical to [`run`](ConnectionLab::run).
+/// server logs nothing) and the response byte buffer. A scan loop
+/// performs millions of runs; keeping one `LabScratch` per worker thread
+/// and passing it to [`run_with_scratch`](ConnectionLab::run_with_scratch)
+/// (then recovering the outcome's buffers via
+/// [`reclaim`](LabScratch::reclaim)) leaves a run with well under one
+/// allocation per packet: every delivered datagram buffer is recycled
+/// into the receiver's pool, the client hands its surplus buffers to the
+/// server after each run, and each connection's pooled buffers pre-stock
+/// the next run's. Results are identical to [`run`](ConnectionLab::run).
 #[derive(Debug, Default)]
 pub struct LabScratch {
     sim: SimScratch,
@@ -225,7 +225,6 @@ pub struct LabScratch {
     conns: [ConnStorage; 2],
     client_events: Vec<LoggedEvent>,
     response_data: Vec<u8>,
-    body: Vec<u8>,
 }
 
 impl LabScratch {
@@ -364,13 +363,10 @@ impl ConnectionLab {
                         if side == Side::Server && idx == chunks_sent && idx < response_plan.len() {
                             let size = response_plan[idx];
                             let fin = idx + 1 == response_plan.len();
-                            let body = &mut scratch.body;
-                            body.clear();
                             if idx == 0 {
-                                body.extend_from_slice(&cfg.response_prefix);
+                                server.send_stream(0, &cfg.response_prefix, false);
                             }
-                            body.extend(std::iter::repeat_n(0x42u8, size));
-                            server.send_stream(0, body, fin);
+                            server.send_stream_repeat(0, 0x42, size, fin);
                             touched[SERVER] = true;
                             chunks_sent += 1;
                             if fin {
@@ -483,7 +479,12 @@ impl ConnectionLab {
             finished_at,
             stats,
         };
-        scratch.conns = [client.into_storage(), server.into_storage()];
+        let (mut client_storage, mut server_storage) =
+            (client.into_storage(), server.into_storage());
+        // The client receives more datagrams than it sends, so its pool
+        // ends the run with the server's buffers: hand them back.
+        client_storage.hand_over_datagrams(&mut server_storage);
+        scratch.conns = [client_storage, server_storage];
         outcome
     }
 }

@@ -83,11 +83,15 @@ impl RecvStream {
         if from >= end || end > self.read + RECV_WINDOW {
             return; // duplicate, or beyond the window
         }
-        let (lo, hi) = ((from - self.read) as usize, (end - self.read) as usize);
-        if self.buf.len() < hi {
-            self.buf.resize(hi, 0);
+        let lo = (from - self.read) as usize;
+        let data = &data[(from - offset) as usize..];
+        if self.buf.len() < lo {
+            self.buf.resize(lo, 0); // out of order: zeroes up to the gap's end
         }
-        self.buf[lo..hi].copy_from_slice(&data[(from - offset) as usize..]);
+        // Overwrite what the buffer already spans, append the rest.
+        let (within, beyond) = data.split_at(data.len().min(self.buf.len() - lo));
+        self.buf[lo..lo + within.len()].copy_from_slice(within);
+        self.buf.extend_from_slice(beyond);
         self.received.insert(from, end - 1);
     }
 
@@ -167,9 +171,19 @@ impl StreamSet {
 
     /// Queues application data (and optionally FIN) on a stream.
     pub fn write(&mut self, id: u64, data: &[u8], fin: bool) {
+        self.append(id, fin, |buf| buf.extend_from_slice(data));
+    }
+
+    /// Queues `len` copies of `byte` (and optionally FIN) on a stream,
+    /// written straight into its send buffer.
+    pub fn write_repeat(&mut self, id: u64, byte: u8, len: usize, fin: bool) {
+        self.append(id, fin, |buf| buf.resize(buf.len() + len, byte));
+    }
+
+    fn append(&mut self, id: u64, fin: bool, write: impl FnOnce(&mut Vec<u8>)) {
         let s = entry(&mut self.send, id);
         assert!(!s.fin_queued, "write after FIN on stream {id}");
-        s.data.extend_from_slice(data);
+        write(&mut s.data);
         if fin {
             s.fin_queued = true;
         }

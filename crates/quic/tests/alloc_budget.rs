@@ -6,9 +6,10 @@
 //! ledger, reassembly, the event queue) allocates nothing once warm. A
 //! datagram travels in the buffer its sender built it in, the tap keeps
 //! only a fixed-size snap of it, and the receiver recycles the buffer
-//! into its own pool; each connection's pooled buffers pre-stock the next
+//! into its own pool; after a run the client hands its surplus buffers
+//! to the server, and each connection's pooled buffers pre-stock the next
 //! run. What remains is each connection's fixed set-up and the sends a
-//! pool cannot serve. These tests pin that at one allocation per two
+//! pool cannot serve. These tests pin that at one allocation per four
 //! packets at most, with the tap on and off. The count is deterministic:
 //! the counter is per thread and the lab is seeded.
 
@@ -37,8 +38,8 @@ fn assert_within_budget(name: &str, cfg: &LabConfig) {
     let (allocs, packets) = allocations_per_run(cfg);
     println!("{name}: {allocs} allocations for {packets} packets");
     assert!(
-        2 * allocs <= packets,
-        "{name}: {allocs} allocations for {packets} packets exceeds one per two packets"
+        4 * allocs <= packets,
+        "{name}: {allocs} allocations for {packets} packets exceeds one per four packets"
     );
     assert_eq!(
         allocations_per_run(cfg),
@@ -48,12 +49,12 @@ fn assert_within_budget(name: &str, cfg: &LabConfig) {
 }
 
 #[test]
-fn default_lab_allocates_at_most_one_per_two_packets() {
+fn default_lab_allocates_at_most_one_per_four_packets() {
     assert_within_budget("LabConfig::default()", &LabConfig::default());
 }
 
 #[test]
-fn untapped_lab_allocates_at_most_one_per_two_packets() {
+fn untapped_lab_allocates_at_most_one_per_four_packets() {
     let cfg = LabConfig {
         tap_position: None,
         ..LabConfig::default()
@@ -62,7 +63,7 @@ fn untapped_lab_allocates_at_most_one_per_two_packets() {
 }
 
 #[test]
-fn large_instant_response_allocates_at_most_one_per_two_packets() {
+fn large_instant_response_allocates_at_most_one_per_four_packets() {
     let cfg = LabConfig {
         server_profile: ServerProfile::instant(120_000),
         ..LabConfig::default()

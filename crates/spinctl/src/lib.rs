@@ -72,6 +72,9 @@ pub const DEFAULT_DIR: &str = "target/flight";
 /// least one regression.
 pub const EXIT_REGRESSIONS: i32 = 2;
 
+/// Default `--tap` position of `run`: the middle of the path.
+const DEFAULT_TAP: f64 = 0.5;
+
 /// Default multiplicative band of every regression gate on run
 /// artifacts: `compare`'s p99 gate, `profile --diff`'s count gate and
 /// the matrix report's per-cell p99 verdicts.
@@ -90,6 +93,9 @@ const ERROR_RATE_DRIFT: f64 = 0.02;
 /// report's per-cell verdicts.
 const DEFAULT_MIX_DRIFT: f64 = 0.02;
 
+/// Default multiplicative band of `compare --bench` on benchmark means.
+const DEFAULT_BENCH_BAND: f64 = 1.5;
+
 /// Minimum absolute worsening (ns) before a benchmark mean can count as
 /// regressed.
 const BENCH_FLOOR_NS: u64 = 1_000;
@@ -98,7 +104,10 @@ const BENCH_FLOOR_NS: u64 = 1_000;
 /// count as regressed in `profile --diff`; filters tiny-scope noise.
 const PROFILE_COUNT_FLOOR: u64 = 1_000;
 
-const USAGE: &str = "\
+/// The help text; each default it states is rendered from its constant.
+fn usage() -> String {
+    format!(
+        "\
 spinctl — QUIC spin-bit campaign flight recorder
 
 USAGE:
@@ -124,7 +133,7 @@ flight recorder armed, and writes metrics.json, anomalies.json,
 traces.bin, timeseries.json, trace.json (Chrome trace-event form; load
 in Perfetto), and observer.json into DIR. --tap P places a passive
 on-path observer at fraction P of the client->server path (default
-0.5; `--tap off` disables it and skips observer.json). `matrix` runs a
+{DEFAULT_TAP}; `--tap off` disables it and skips observer.json). `matrix` runs a
 declarative scenario grid (TOML: population, base knobs, sweep axes)
 through the same streamed path — one campaign directory per cell under
 DIR/cells/<id> — then folds every cell into DIR/report.md and
@@ -135,9 +144,9 @@ instead of the table. `observe`
 renders observer.json: per-flow RTT as reconstructed from the middle
 of the path, next to the client's own spin and stack means.
 `compare` diffs two campaign directories — virtual-latency p99s against
-a multiplicative band (default 1.25), error-rate drift, and
-classification-mix drift (default 0.02) — or, with --bench, two
-BENCH_JSON benchmark reports (band default 1.50). It exits 2 when it
+a multiplicative band (default {DEFAULT_BAND:.2}), error-rate drift, and
+classification-mix drift (default {DEFAULT_MIX_DRIFT:.2}) — or, with --bench, two
+BENCH_JSON benchmark reports (band default {DEFAULT_BENCH_BAND:.2}). It exits 2 when it
 finds a regression; with --bench, a row of <a.json> that <b.json> lacks
 counts as one (MISSING). `run --profile` attributes probe cost to a static
 scope tree and additionally writes profile.json (deterministic counts;
@@ -145,13 +154,15 @@ byte-identical for any --threads) and profile.folded (collapsed wall
 self-time stacks; load in speedscope or flamegraph.pl). `profile`
 renders the scope tree plus the top-N self-time ranking; with --diff
 it compares two runs' deterministic counts against a multiplicative
-band (default 1.25) and exits 2 past it. `trend` tabulates campaign
+band (default {DEFAULT_BAND:.2}) and exits 2 past it. `trend` tabulates campaign
 directories by week as a spin-compliance view.
 `<probe-id>` is `domain` or `domain:hop`, as printed by `anomalies`.
 KIND is one of: rtt-divergence, invalid-spin-edge, classification-flip,
 handshake-failure, stage-outlier, baseline-sample, observer-divergence,
 observer-extra-edges, observer-unmeasurable.
-";
+"
+    )
+}
 
 /// Executes one spinctl invocation. `args` excludes the program name.
 /// All output goes to `out`; the `Ok` value is the process exit code
@@ -160,7 +171,7 @@ observer-extra-edges, observer-unmeasurable.
 /// the binary to print on stderr and exit 1.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let Some(cmd) = args.first() else {
-        return Err(USAGE.to_string());
+        return Err(usage());
     };
     let rest = &args[1..];
     match cmd.as_str() {
@@ -175,10 +186,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
         "profile" => cmd_profile(rest, out),
         "trend" => cmd_trend(rest, out).map(|()| 0),
         "help" | "--help" | "-h" => {
-            write!(out, "{USAGE}").map_err(|e| e.to_string())?;
+            write!(out, "{}", usage()).map_err(|e| e.to_string())?;
             Ok(0)
         }
-        other => Err(format!("unknown subcommand {other:?}\n\n{USAGE}")),
+        other => Err(format!("unknown subcommand {other:?}\n\n{}", usage())),
     }
 }
 
@@ -209,7 +220,7 @@ impl ParsedArgs {
                 } else {
                     let value = iter
                         .next()
-                        .ok_or_else(|| format!("flag --{name} needs a value\n\n{USAGE}"))?;
+                        .ok_or_else(|| format!("flag --{name} needs a value\n\n{}", usage()))?;
                     out.flags.push((name.to_string(), value.clone()));
                 }
             } else {
@@ -247,7 +258,7 @@ impl ParsedArgs {
     fn ensure_known(&self, known: &[&str]) -> Result<(), String> {
         for (k, _) in &self.flags {
             if !known.contains(&k.as_str()) {
-                return Err(format!("unknown flag --{k}\n\n{USAGE}"));
+                return Err(format!("unknown flag --{k}\n\n{}", usage()));
             }
         }
         Ok(())
@@ -290,8 +301,9 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     ])?;
     if !args.positional.is_empty() {
         return Err(format!(
-            "unexpected argument {:?}\n\n{USAGE}",
-            args.positional[0]
+            "unexpected argument {:?}\n\n{}",
+            args.positional[0],
+            usage()
         ));
     }
     let dir = args.dir();
@@ -330,8 +342,8 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     // artifact `spinctl observe` renders.
     config.tap = match args.get("tap") {
         Some("off") => None,
-        raw => {
-            let raw = raw.unwrap_or("0.5");
+        None => Some(DEFAULT_TAP),
+        Some(raw) => {
             let p: f64 = raw
                 .parse()
                 .map_err(|_| format!("invalid value {raw:?} for --tap"))?;
@@ -549,11 +561,12 @@ fn cmd_matrix(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let scenario_path = args
         .positional
         .first()
-        .ok_or_else(|| format!("matrix needs a scenario file\n\n{USAGE}"))?;
+        .ok_or_else(|| format!("matrix needs a scenario file\n\n{}", usage()))?;
     if args.positional.len() > 1 {
         return Err(format!(
-            "unexpected argument {:?}\n\n{USAGE}",
-            args.positional[1]
+            "unexpected argument {:?}\n\n{}",
+            args.positional[1],
+            usage()
         ));
     }
     let text = std::fs::read_to_string(scenario_path)
@@ -631,8 +644,9 @@ fn cmd_report(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     args.ensure_known(&["dir"])?;
     if !args.positional.is_empty() {
         return Err(format!(
-            "unexpected argument {:?}\n\n{USAGE}",
-            args.positional[0]
+            "unexpected argument {:?}\n\n{}",
+            args.positional[0],
+            usage()
         ));
     }
     let dir = PathBuf::from(args.get("dir").unwrap_or(DEFAULT_MATRIX_DIR));
@@ -1001,7 +1015,7 @@ fn cmd_trace(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         let raw = args
             .positional
             .first()
-            .ok_or(format!("expected a probe id (or --first)\n\n{USAGE}"))?;
+            .ok_or(format!("expected a probe id (or --first)\n\n{}", usage()))?;
         raw.parse()
             .map_err(|e: String| format!("invalid probe id {raw:?}: {e}"))?
     };
@@ -1116,14 +1130,15 @@ fn cmd_compare(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
     args.ensure_known(&["p99-band", "mix-drift", "bench-band"])?;
     if args.positional.len() != 2 {
         return Err(format!(
-            "compare needs exactly two runs (got {})\n\n{USAGE}",
-            args.positional.len()
+            "compare needs exactly two runs (got {})\n\n{}",
+            args.positional.len(),
+            usage()
         ));
     }
     let a = PathBuf::from(&args.positional[0]);
     let b = PathBuf::from(&args.positional[1]);
     if args.has("bench") {
-        let band: f64 = args.get_parsed("bench-band", 1.5)?;
+        let band: f64 = args.get_parsed("bench-band", DEFAULT_BENCH_BAND)?;
         compare_bench(&a, &b, band, out)
     } else {
         let band: f64 = args.get_parsed("p99-band", DEFAULT_BAND)?;
@@ -1393,8 +1408,9 @@ fn cmd_profile(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
     if args.has("diff") {
         if args.positional.len() != 2 {
             return Err(format!(
-                "profile --diff needs exactly two runs (got {})\n\n{USAGE}",
-                args.positional.len()
+                "profile --diff needs exactly two runs (got {})\n\n{}",
+                args.positional.len(),
+                usage()
             ));
         }
         let band: f64 = args.get_parsed("count-band", DEFAULT_BAND)?;
@@ -1404,7 +1420,8 @@ fn cmd_profile(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
     } else {
         if args.positional.len() != 1 {
             return Err(format!(
-                "profile needs one campaign directory (or --diff with two)\n\n{USAGE}"
+                "profile needs one campaign directory (or --diff with two)\n\n{}",
+                usage()
             ));
         }
         let top: usize = args.get_parsed("top", 10)?;
@@ -1540,7 +1557,8 @@ fn cmd_trend(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     args.ensure_known(&[])?;
     if args.positional.is_empty() {
         return Err(format!(
-            "trend needs at least one campaign directory\n\n{USAGE}"
+            "trend needs at least one campaign directory\n\n{}",
+            usage()
         ));
     }
     // (week, campaign id, pre-rendered row) — sorted by week so the
@@ -1651,6 +1669,28 @@ mod tests {
         assert!(help.contains("spinctl compare"));
         assert!(help.contains("spinctl trend"));
         assert!(help.contains("observer-divergence"));
+    }
+
+    #[test]
+    fn usage_states_each_default_from_its_constant() {
+        let help = usage();
+        let words: Vec<&str> = help.split_whitespace().collect();
+        // Every number the help text gives as a default, in order.
+        let stated: Vec<f64> = words
+            .windows(2)
+            .filter(|w| w[0].ends_with("default"))
+            .filter_map(|w| w[1].trim_end_matches([')', ';', ',', '.']).parse().ok())
+            .collect();
+        assert_eq!(
+            stated,
+            [
+                DEFAULT_TAP,
+                DEFAULT_BAND,
+                DEFAULT_MIX_DRIFT,
+                DEFAULT_BENCH_BAND,
+                DEFAULT_BAND
+            ]
+        );
     }
 
     #[test]

@@ -63,17 +63,28 @@ pub fn expand_packet_number(truncated: u64, bytes: usize, largest: Option<u64>) 
     }
 }
 
-/// A decoded QUIC packet: its header plus a validated view of the
-/// payload, borrowed from the datagram.
+/// Frames [`Packet::decode`] keeps from its validating pass. Every packet
+/// this stack builds has at most four (ACK+STREAM, CRYPTO+PADDING,
+/// HANDSHAKE_DONE+ACK+STREAM); a longer packet re-reads the rest.
+const KEPT_FRAMES: usize = 4;
+
+/// A decoded QUIC packet: its header plus its validated frames, borrowed
+/// from the datagram.
 ///
 /// [`Packet::decode`] walks every frame once, so a datagram with any
-/// malformed frame is rejected whole; [`Packet::frames`] then re-reads the
-/// same bytes lazily and cannot fail. Nothing is copied or allocated.
+/// malformed frame is rejected whole. It keeps the first four frames it
+/// decoded in an inline array; [`Packet::frames`] yields those and then
+/// re-reads any remainder lazily, which cannot fail. Nothing is copied or
+/// allocated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet<'a> {
     /// Packet header (long or short).
     pub header: Header,
-    payload: &'a [u8],
+    /// The first `kept_len` frames; the slots past it are unused.
+    kept: [Frame<'a>; KEPT_FRAMES],
+    kept_len: usize,
+    /// The payload bytes after the kept frames.
+    rest: &'a [u8],
     ack_eliciting: bool,
 }
 
@@ -89,22 +100,34 @@ impl<'a> Packet<'a> {
         let mut r = Reader::new(datagram);
         let header = Header::decode(&mut r, cid_len)?;
         let len = usize::from(r.read_u16("payload length")?);
-        let payload = r.read_bytes(len, "payload")?;
+        let mut r = Reader::new(r.read_bytes(len, "payload")?);
+        let mut kept = [const { Frame::Ping }; KEPT_FRAMES];
+        let mut kept_len = 0;
+        let mut rest = r.peek_rest();
         let mut ack_eliciting = false;
-        for frame in Frames::new(payload) {
-            ack_eliciting |= frame?.is_ack_eliciting();
+        while !r.is_empty() {
+            let frame = Frame::decode(&mut r)?;
+            ack_eliciting |= frame.is_ack_eliciting();
+            if kept_len < KEPT_FRAMES {
+                kept[kept_len] = frame;
+                kept_len += 1;
+                rest = r.peek_rest();
+            }
         }
         Ok(Packet {
             header,
-            payload,
+            kept,
+            kept_len,
+            rest,
             ack_eliciting,
         })
     }
 
     /// The frames, in payload order.
-    pub fn frames(&self) -> impl Iterator<Item = Frame<'a>> {
-        // Validated by `decode`: every item is `Ok`.
-        Frames::new(self.payload).map_while(Result::ok)
+    pub fn frames(&self) -> impl Iterator<Item = Frame<'a>> + '_ {
+        // The remainder was validated by `decode`: every item is `Ok`.
+        let rest = Frames::new(self.rest).map_while(Result::ok);
+        self.kept[..self.kept_len].iter().cloned().chain(rest)
     }
 
     /// Whether any frame is ack-eliciting.
