@@ -269,7 +269,8 @@ impl Simulator {
         &self.stats
     }
 
-    /// Records captured by the tap so far.
+    /// Records captured by the tap so far, in the order they crossed it
+    /// (equal times in send order).
     pub fn tap_records(&self) -> &[TapRecord] {
         &self.tap_records
     }
@@ -312,10 +313,18 @@ impl Simulator {
         }
 
         // The tap keeps only a snap of the header; the delivery owns the
-        // buffer.
+        // buffer. Records stay in crossing order: a held-back or jittered
+        // packet crosses after later sends, so it goes in behind the last
+        // record that crossed no later than it (equal times keep send
+        // order). Most land at the end.
         if self.tap_position.is_some() {
-            self.tap_records
-                .push(TapRecord::capture(transit.tap_time, from, &datagram));
+            let record = TapRecord::capture(transit.tap_time, from, &datagram);
+            let at = self
+                .tap_records
+                .iter()
+                .rposition(|r| r.time <= record.time)
+                .map_or(0, |i| i + 1);
+            self.tap_records.insert(at, record);
         }
 
         match transit.delivery {
@@ -360,14 +369,6 @@ impl Simulator {
             Pending::Timer { side, token } => SimEvent::Timer { side, token },
         };
         Some((at, event))
-    }
-
-    /// Sorts the tap records by time. Deliveries are naturally time-ordered
-    /// but tap crossings of *reordered* packets are recorded at send time
-    /// order; a real tap sees them in crossing order, so analysis code
-    /// should call this before consuming the records.
-    pub fn sort_tap_records(&mut self) {
-        self.tap_records.sort_by_key(|r| r.time);
     }
 }
 
@@ -537,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_tap_records_orders_by_crossing_time() {
+    fn tap_records_an_overtaker_first() {
         let cfg = LinkConfig {
             reorder: 0.5,
             reorder_hold: ms(50),
@@ -550,15 +551,19 @@ mod tests {
                 Simulator::new(cfg.clone(), LinkConfig::ideal(ms(10)), seed).with_tap(1.0);
             sim.send(Side::Client, vec![1]);
             sim.send(Side::Client, vec![2]);
-            if sim.stats().reordered[0] != 1
-                || sim.tap_records()[1].time >= sim.tap_records()[0].time
-            {
+            if sim.stats().reordered[0] != 1 {
                 continue;
             }
-            sim.sort_tap_records();
             let records = sim.tap_records();
-            assert_eq!(records[0].snap(), [2], "overtaker crosses tap first");
-            assert!(records[0].time <= records[1].time);
+            if records[0].snap() != [2] {
+                // The held-back packet still crossed first.
+                continue;
+            }
+            assert!(
+                records[0].time < records[1].time,
+                "overtaker crosses tap first"
+            );
+            assert_eq!(records[1].snap(), [1]);
             return;
         }
         panic!("no seed in 0..64 produced the reordering pattern");
@@ -660,7 +665,6 @@ mod tests {
             while let Some(step) = sim.step() {
                 out.push(step);
             }
-            sim.sort_tap_records();
             let taps = sim.tap_records().len();
             (out, taps, sim.into_scratch())
         };

@@ -453,7 +453,6 @@ impl ConnectionLab {
             }
         }
 
-        sim.sort_tap_records();
         let finished_at = sim.now();
         let tap_records = sim.take_tap_records();
         let stats = LabStats {

@@ -20,7 +20,7 @@ use quicspin_qlog::{
 use quicspin_telemetry::{ProfileDoc, ProfileSnapshot, RunManifest, TimeSeriesDoc};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
-use std::io::{BufWriter, ErrorKind, Write};
+use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File name of the run manifest written next to campaign artifacts.
@@ -246,14 +246,18 @@ pub fn read_chrome_trace(dir: &Path) -> std::io::Result<Vec<ChromeEvent>> {
 /// Writes a [`FlightRecording`]'s artifacts into `dir` (created if
 /// missing): the [`AnomalyIndex`] as pretty-printed JSON named
 /// [`ANOMALY_INDEX_FILE_NAME`], and the binary trace store named
-/// [`TRACE_STORE_FILE_NAME`]. Returns `(index_path, store_path)`.
+/// [`TRACE_STORE_FILE_NAME`]. Both stream from the recording through a
+/// buffered writer: neither the index nor the store is built in memory.
+/// Returns `(index_path, store_path)`.
 pub fn write_flight_recording(
     dir: &Path,
     recording: &FlightRecording,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
-    let index_path = write_json(dir, ANOMALY_INDEX_FILE_NAME, &recording.index())?;
+    let index_path = write_json(dir, ANOMALY_INDEX_FILE_NAME, &recording.index_view())?;
     let store_path = dir.join(TRACE_STORE_FILE_NAME);
-    std::fs::write(&store_path, recording.trace_store())?;
+    let mut out = BufWriter::new(File::create(&store_path)?);
+    recording.write_trace_store(&mut out)?;
+    out.flush()?;
     Ok((index_path, store_path))
 }
 
@@ -263,44 +267,67 @@ pub fn read_anomaly_index(dir: &Path) -> std::io::Result<AnomalyIndex> {
     read_json(&dir.join(ANOMALY_INDEX_FILE_NAME), "anomaly index")
 }
 
-/// Loads and decodes one retained trace from `dir`'s trace store, using
-/// the slot's offset/length from the anomaly index.
-pub fn read_flagged_trace(dir: &Path, slot: &TraceSlot) -> std::io::Result<TraceLog> {
+/// Reads the encoded bytes of one retained trace from `dir`'s trace
+/// store: the store's header, then only the slot's `len` bytes at its
+/// `offset`. The slot comes from the anomaly index, so it is checked
+/// against the file's length before anything is allocated for it.
+pub fn read_trace_slot(dir: &Path, slot: &TraceSlot) -> std::io::Result<Vec<u8>> {
     let path = dir.join(TRACE_STORE_FILE_NAME);
-    let store = std::fs::read(&path).map_err(|e| {
+    let cannot_read = |e: std::io::Error| {
         std::io::Error::new(
             e.kind(),
             format!("cannot read trace store {}: {e}", path.display()),
         )
-    })?;
-    if store.len() < TRACE_STORE_HEADER_LEN
-        || &store[..4] != TRACE_STORE_MAGIC
-        || store[4] != TRACE_STORE_VERSION
+    };
+    let mut file = File::open(&path).map_err(cannot_read)?;
+    let file_len = file.metadata().map_err(cannot_read)?.len();
+    let mut header = [0u8; TRACE_STORE_HEADER_LEN];
+    if file_len >= TRACE_STORE_HEADER_LEN as u64 {
+        file.read_exact(&mut header).map_err(cannot_read)?;
+    }
+    if file_len < TRACE_STORE_HEADER_LEN as u64
+        || &header[..4] != TRACE_STORE_MAGIC
+        || header[4] != TRACE_STORE_VERSION
     {
         return Err(std::io::Error::new(
             ErrorKind::InvalidData,
             format!("corrupt trace store {}: bad header", path.display()),
         ));
     }
-    let lo = usize::try_from(slot.offset).unwrap_or(usize::MAX);
-    let hi = lo.saturating_add(usize::try_from(slot.len).unwrap_or(usize::MAX));
-    let bytes = store.get(lo..hi).ok_or_else(|| {
-        std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!(
-                "trace slot for probe {} out of bounds in {}",
-                slot.probe,
-                path.display()
-            ),
-        )
-    })?;
-    decode_trace(bytes).map_err(|e| {
+    let len = slot
+        .offset
+        .checked_add(slot.len)
+        .filter(|&hi| hi <= file_len)
+        .and_then(|_| usize::try_from(slot.len).ok())
+        .ok_or_else(|| {
+            std::io::Error::new(
+                ErrorKind::InvalidData,
+                format!(
+                    "trace slot for probe {} out of bounds in {}",
+                    slot.probe,
+                    path.display()
+                ),
+            )
+        })?;
+    file.seek(SeekFrom::Start(slot.offset))
+        .map_err(cannot_read)?;
+    let mut bytes = vec![0u8; len];
+    file.read_exact(&mut bytes).map_err(cannot_read)?;
+    Ok(bytes)
+}
+
+/// Loads and decodes one retained trace from `dir`'s trace store, using
+/// the slot's offset/length from the anomaly index; see
+/// [`read_trace_slot`].
+pub fn read_flagged_trace(dir: &Path, slot: &TraceSlot) -> std::io::Result<TraceLog> {
+    let bytes = read_trace_slot(dir, slot)?;
+    decode_trace(&bytes).map_err(|e| {
         std::io::Error::new(
             ErrorKind::InvalidData,
             format!(
                 "corrupt trace for probe {} in {}: {e:?}",
                 slot.probe,
-                path.display()
+                dir.join(TRACE_STORE_FILE_NAME).display()
             ),
         )
     })
@@ -412,6 +439,46 @@ mod tests {
         assert!(err.to_string().contains("corrupt folded profile"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&missing);
+    }
+
+    #[test]
+    fn streamed_flight_artifacts_match_the_built_index_and_store() {
+        use crate::flight::FlightConfig;
+        let pop = Population::generate(PopulationConfig {
+            seed: 41,
+            toplist_domains: 300,
+            zone_domains: 900,
+        });
+        for threads in [1, 4] {
+            let mut flight = FlightConfig::armed(41);
+            flight.baseline_sample_every = 8;
+            let config = CampaignConfig {
+                conditions: NetworkConditions {
+                    loss: 0.05,
+                    reorder: 0.02,
+                    jitter_frac: 0.05,
+                },
+                threads,
+                tap: Some(0.5),
+                flight,
+                ..CampaignConfig::default()
+            };
+            let (_, recording) = Scanner::new(&pop).run_campaign_flight(&config);
+            assert!(!recording.anomalies().is_empty());
+            assert!(recording.retained().len() > 1);
+            let dir = temp_dir(&format!("flight-stream-t{threads}"));
+            let (index_path, store_path) = write_flight_recording(&dir, &recording).unwrap();
+            let index = serde_json::to_string_pretty(&recording.index()).unwrap();
+            assert!(
+                std::fs::read(&index_path).unwrap() == index.as_bytes(),
+                "anomalies.json differs from the built index at --threads {threads}"
+            );
+            assert!(
+                std::fs::read(&store_path).unwrap() == recording.trace_store(),
+                "traces.bin differs from the built store at --threads {threads}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

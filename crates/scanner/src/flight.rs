@@ -34,10 +34,11 @@ use crate::record::{ConnectionRecord, ScanOutcome};
 use quicspin_core::FlowClassification;
 use quicspin_qlog::{decode_trace, encode_trace, TraceLog};
 use quicspin_telemetry::{ConfigEntry, HistogramShard};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
+use std::io::{self, Write};
 use std::str::FromStr;
 
 /// Schema version of [`AnomalyIndex`] (`anomalies.json`).
@@ -686,17 +687,23 @@ impl AnomalyIndex {
 
     /// `(kind, count)` for every kind with at least one anomaly.
     pub fn counts_by_kind(&self) -> Vec<(AnomalyKind, usize)> {
-        AnomalyKind::ALL
-            .iter()
-            .map(|&k| (k, self.of_kind(k).count()))
-            .filter(|&(_, n)| n > 0)
-            .collect()
+        counts_by_kind(&self.anomalies)
     }
 
     /// The trace slot for a probe, if its trace was retained.
     pub fn slot(&self, probe: ProbeId) -> Option<&TraceSlot> {
         self.traces.iter().find(|s| s.probe == probe)
     }
+}
+
+/// `(kind, count)` for every kind with at least one anomaly in
+/// `anomalies`, in [`AnomalyKind::ALL`] order.
+pub fn counts_by_kind(anomalies: &[Anomaly]) -> Vec<(AnomalyKind, usize)> {
+    AnomalyKind::ALL
+        .iter()
+        .map(|&k| (k, anomalies.iter().filter(|a| a.kind == k).count()))
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 /// The finalized flight-recorder output of one campaign.
@@ -817,23 +824,34 @@ impl FlightRecording {
             .and_then(|t| decode_trace(&t.bytes).ok())
     }
 
-    /// Builds the serde index (the `anomalies.json` artifact).
-    pub fn index(&self) -> AnomalyIndex {
-        let mut offset = TRACE_STORE_HEADER_LEN as u64;
-        let traces = self
-            .traces
+    /// The retained traces' `traces.bin` slots, in store order.
+    fn slots(&self) -> impl Iterator<Item = TraceSlot> + '_ {
+        self.traces
             .iter()
-            .map(|t| {
+            .scan(TRACE_STORE_HEADER_LEN as u64, |offset, t| {
                 let slot = TraceSlot {
                     probe: t.probe,
                     severity: t.severity,
-                    offset,
+                    offset: *offset,
                     len: t.bytes.len() as u64,
                 };
-                offset += t.bytes.len() as u64;
-                slot
+                *offset += slot.len;
+                Some(slot)
             })
-            .collect();
+    }
+
+    /// The virtual stage baselines of the index.
+    fn stages(&self) -> [VirtualStageSummary; 2] {
+        [
+            virtual_summary("virtual_handshake", &self.handshake_us),
+            virtual_summary("virtual_total", &self.total_us),
+        ]
+    }
+
+    /// Builds the serde index (the `anomalies.json` artifact). Writing
+    /// it needs no copy: [`index_view`](Self::index_view) serializes to
+    /// the same bytes from the recording itself.
+    pub fn index(&self) -> AnomalyIndex {
         AnomalyIndex {
             schema_version: ANOMALY_SCHEMA_VERSION,
             campaign_id: self.campaign_id.clone(),
@@ -844,25 +862,67 @@ impl FlightRecording {
             evicted_traces: self.evicted_traces,
             retained_bytes: self.retained_bytes,
             anomalies: self.anomalies.clone(),
-            traces,
-            stages: vec![
-                virtual_summary("virtual_handshake", &self.handshake_us),
-                virtual_summary("virtual_total", &self.total_us),
-            ],
+            traces: self.slots().collect(),
+            stages: self.stages().to_vec(),
         }
     }
 
-    /// Builds the binary trace store (`traces.bin`): a 5-byte header
-    /// followed by the retained traces back to back, at exactly the
-    /// offsets the index's [`TraceSlot`]s record.
+    /// The [`index`](Self::index) as a borrowed, serializable view:
+    /// anomalies by reference, trace slots computed as they are written.
+    pub fn index_view(&self) -> IndexView<'_> {
+        IndexView(self)
+    }
+
+    /// Writes the binary trace store (`traces.bin`) into `out`: a 5-byte
+    /// header followed by the retained traces back to back, at exactly
+    /// the offsets the index's [`TraceSlot`]s record.
+    pub fn write_trace_store(&self, out: &mut impl Write) -> io::Result<()> {
+        out.write_all(TRACE_STORE_MAGIC)?;
+        out.write_all(&[TRACE_STORE_VERSION])?;
+        for t in &self.traces {
+            out.write_all(&t.bytes)?;
+        }
+        Ok(())
+    }
+
+    /// The binary trace store as one buffer; see
+    /// [`write_trace_store`](Self::write_trace_store).
     pub fn trace_store(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(TRACE_STORE_HEADER_LEN + self.retained_bytes as usize);
-        out.extend_from_slice(TRACE_STORE_MAGIC);
-        out.push(TRACE_STORE_VERSION);
-        for t in &self.traces {
-            out.extend_from_slice(&t.bytes);
-        }
+        self.write_trace_store(&mut out)
+            .expect("writing into a Vec cannot fail");
         out
+    }
+}
+
+/// A [`FlightRecording`]'s anomaly index, serialized straight from the
+/// recording: the same bytes as its [`AnomalyIndex`], without building
+/// one. See [`FlightRecording::index_view`].
+pub struct IndexView<'a>(&'a FlightRecording);
+
+impl Serialize for IndexView<'_> {
+    // Field for field what `AnomalyIndex`'s derive writes; the artifact
+    // tests compare the two byte for byte.
+    fn serialize<W: Write>(&self, s: &mut Serializer<W>) -> io::Result<()> {
+        let r = self.0;
+        let mut o = s.begin_object()?;
+        s.field(&mut o, "schema_version", &ANOMALY_SCHEMA_VERSION)?;
+        s.field(&mut o, "campaign_id", &r.campaign_id)?;
+        s.field(&mut o, "config", &r.config)?;
+        s.field(&mut o, "retention_budget_bytes", &r.retention_budget_bytes)?;
+        s.field(&mut o, "flagged_traces", &r.flagged_traces)?;
+        s.field(&mut o, "retained_traces", &(r.traces.len() as u64))?;
+        s.field(&mut o, "evicted_traces", &r.evicted_traces)?;
+        s.field(&mut o, "retained_bytes", &r.retained_bytes)?;
+        s.field(&mut o, "anomalies", &r.anomalies)?;
+        s.key(&mut o, "traces")?;
+        let mut traces = s.begin_array()?;
+        for slot in r.slots() {
+            s.element(&mut traces, &slot)?;
+        }
+        s.end_array(traces)?;
+        s.field(&mut o, "stages", &r.stages()[..])?;
+        s.end_object(o)
     }
 }
 

@@ -29,17 +29,17 @@ pub mod timeseries;
 pub use artifacts::{
     export_binary_stripped, export_qlogs, profile_folded_stacks, read_anomaly_index,
     read_chrome_trace, read_flagged_trace, read_json, read_observer, read_profile,
-    read_profile_folded, read_run_manifest, read_timeseries, strip_for_release, write_chrome_trace,
-    write_flight_recording, write_json, write_observer, write_profile, write_profile_folded,
-    write_run_manifest, write_timeseries, ANOMALY_INDEX_FILE_NAME, CHROME_TRACE_FILE_NAME,
-    MANIFEST_FILE_NAME, OBSERVER_FILE_NAME, PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME,
-    TIMESERIES_FILE_NAME, TRACE_STORE_FILE_NAME,
+    read_profile_folded, read_run_manifest, read_timeseries, read_trace_slot, strip_for_release,
+    write_chrome_trace, write_flight_recording, write_json, write_observer, write_profile,
+    write_profile_folded, write_run_manifest, write_timeseries, ANOMALY_INDEX_FILE_NAME,
+    CHROME_TRACE_FILE_NAME, MANIFEST_FILE_NAME, OBSERVER_FILE_NAME, PROFILE_FILE_NAME,
+    PROFILE_FOLDED_FILE_NAME, TIMESERIES_FILE_NAME, TRACE_STORE_FILE_NAME,
 };
 pub use batch::{RecordBatch, RecordRow};
 pub use campaign::{Campaign, CampaignConfig, Scanner};
 pub use flight::{
-    Anomaly, AnomalyIndex, AnomalyKind, FlightConfig, FlightRecording, FlightShard, ProbeId,
-    RetainedTrace, TraceSlot, VirtualStageSummary, ANOMALY_SCHEMA_VERSION,
+    counts_by_kind, Anomaly, AnomalyIndex, AnomalyKind, FlightConfig, FlightRecording, FlightShard,
+    IndexView, ProbeId, RetainedTrace, TraceSlot, VirtualStageSummary, ANOMALY_SCHEMA_VERSION,
 };
 pub use longitudinal::{run_longitudinal, DomainWeeks, LongitudinalConfig, LongitudinalResult};
 pub use observe::{

@@ -47,14 +47,14 @@ use quicspin_core::reorder::ReorderComparison;
 use quicspin_core::PacketObservation;
 use quicspin_qlog::render_timeline;
 use quicspin_scanner::{
-    parse_scenario, profile_folded_stacks, read_anomaly_index, read_flagged_trace, read_json,
-    read_observer, read_profile, read_profile_folded, read_run_manifest, read_timeseries,
-    write_flight_recording, write_json, write_observer, write_profile, write_profile_folded,
-    write_run_manifest, write_timeseries, AnomalyIndex, AnomalyKind, CampaignConfig, ChromeTrace,
-    FlightConfig, FlightRecording, ObserverDocBuilder, ProbeId, RunManifest, Scanner,
-    TimeSeriesBuilder, TimeSeriesDoc, ANOMALY_INDEX_FILE_NAME, CHROME_TRACE_FILE_NAME,
-    MANIFEST_FILE_NAME, OBSERVER_FILE_NAME, PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME,
-    TIMESERIES_FILE_NAME, TRACE_STORE_FILE_NAME,
+    counts_by_kind, parse_scenario, profile_folded_stacks, read_anomaly_index, read_flagged_trace,
+    read_json, read_observer, read_profile, read_profile_folded, read_run_manifest,
+    read_timeseries, write_flight_recording, write_json, write_observer, write_profile,
+    write_profile_folded, write_run_manifest, write_timeseries, AnomalyIndex, AnomalyKind,
+    CampaignConfig, ChromeTrace, FlightConfig, FlightRecording, ObserverDocBuilder, ProbeId,
+    RunManifest, Scanner, ScenarioMatrix, TimeSeriesBuilder, TimeSeriesDoc,
+    ANOMALY_INDEX_FILE_NAME, CHROME_TRACE_FILE_NAME, MANIFEST_FILE_NAME, OBSERVER_FILE_NAME,
+    PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME, TIMESERIES_FILE_NAME, TRACE_STORE_FILE_NAME,
 };
 use quicspin_telemetry::{ProfileDoc, ProfilerRegistry, ScopeId, DEFAULT_TIMESERIES_CAPACITY};
 use quicspin_webpop::{Population, PopulationConfig};
@@ -138,7 +138,7 @@ declarative scenario grid (TOML: population, base knobs, sweep axes)
 through the same streamed path — one campaign directory per cell under
 DIR/cells/<id> — then folds every cell into DIR/report.md and
 DIR/report.json (byte-identical at any --threads). `report`
-regenerates both from an existing matrix directory. `anomalies
+re-derives the same bytes from an existing matrix directory. `anomalies
 --json` emits the listing as a stable machine-readable document
 instead of the table. `observe`
 renders observer.json: per-flow RTT as reconstructed from the middle
@@ -357,7 +357,7 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     for line in &run.log {
         writeln!(out, "{line}").map_err(|e| e.to_string())?;
     }
-    export_campaign(run, &dir, out)
+    export_campaign(run, &dir, out, None).map(drop)
 }
 
 /// One finished streamed campaign, owned and not yet written: what
@@ -445,7 +445,14 @@ fn stream_campaign(
 /// recording, time series, Chrome trace and, when enabled, the observer
 /// document and the profile. Logs one `wrote` line per artifact to
 /// `log`. A failed write names the artifact and `dir`, on one line.
-fn export_campaign(run: CampaignRun, dir: &Path, log: &mut dyn Write) -> Result<(), String> {
+/// Given the run's matrix `slot`, also folds the cell's report row from
+/// what it has just written, so the report needs no read-back.
+fn export_campaign(
+    run: CampaignRun,
+    dir: &Path,
+    log: &mut dyn Write,
+    slot: Option<&report::CellSlot>,
+) -> Result<Option<report::CellReport>, String> {
     let failed = |artifact: &str, e: std::io::Error| {
         format!("cannot write {artifact} in {}: {e}", dir.display())
     };
@@ -478,9 +485,9 @@ fn export_campaign(run: CampaignRun, dir: &Path, log: &mut dyn Write) -> Result<
         trace_path.display(),
         trace.events_written(),
     ))?;
-    if let Some(observer) = run.observer {
-        let doc = observer.finish();
-        let observer_path = write_observer(dir, &doc).map_err(|e| failed(OBSERVER_FILE_NAME, e))?;
+    let observer = run.observer.map(ObserverDocBuilder::finish);
+    if let Some(doc) = &observer {
+        let observer_path = write_observer(dir, doc).map_err(|e| failed(OBSERVER_FILE_NAME, e))?;
         w(format!(
             "wrote {} ({} observed flows, tap at {:.3} of the path)",
             observer_path.display(),
@@ -488,7 +495,7 @@ fn export_campaign(run: CampaignRun, dir: &Path, log: &mut dyn Write) -> Result<
             doc.vantage(),
         ))?;
     }
-    if run.profiler.is_enabled() {
+    let profile = if run.profiler.is_enabled() {
         let snapshot = run.profiler.snapshot();
         let doc = snapshot.doc();
         let profile_path = write_profile(dir, &doc).map_err(|e| failed(PROFILE_FILE_NAME, e))?;
@@ -505,8 +512,27 @@ fn export_campaign(run: CampaignRun, dir: &Path, log: &mut dyn Write) -> Result<
             folded_path.display(),
             stacks.len(),
         ))?;
-    }
-    Ok(())
+        Some(doc)
+    } else {
+        None
+    };
+    let Some(slot) = slot else {
+        return Ok(None);
+    };
+    let inputs = report::CellInputs {
+        manifest: &run.manifest,
+        campaign: run.recording.campaign_id(),
+        anomaly_counts: &counts_by_kind(run.recording.anomalies()),
+        point: report::last_point(&series, dir)?,
+        observer: observer.as_ref(),
+        profile: profile.as_ref(),
+        links: report::CellLinks {
+            perfetto_trace: true,
+            flamegraph: profile.is_some(),
+            trace_store: true,
+        },
+    };
+    Ok(Some(report::fold_cell(slot, &inputs)))
 }
 
 /// Runs `campaign` for each cell in order and hands its result to
@@ -580,6 +606,17 @@ fn cmd_matrix(args: &[String], out: &mut dyn Write) -> Result<(), String> {
                 .map_err(|_| format!("invalid value {raw:?} for --threads"))?,
         ),
     };
+    run_matrix(&matrix, &out_dir, threads, out)
+}
+
+/// Runs every cell of `matrix` into `out_dir/cells/<id>`, then writes
+/// `matrix.json` and the report, folded from the runs as they export.
+fn run_matrix(
+    matrix: &ScenarioMatrix,
+    out_dir: &Path,
+    threads: Option<usize>,
+    out: &mut dyn Write,
+) -> Result<(), String> {
     writeln!(
         out,
         "scenario {}: {} cells over {} axis(es)",
@@ -589,10 +626,13 @@ fn cmd_matrix(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
 
+    let layout = report::MatrixLayout::from_matrix(matrix);
+    let cells: Vec<_> = matrix.cells.iter().zip(&layout.cells).collect();
     let population = Population::generate(matrix.population.clone());
+    let mut folded = Vec::with_capacity(cells.len());
     pipeline(
-        &matrix.cells,
-        |cell| {
+        &cells,
+        |(cell, _)| {
             let mut config = cell.config.clone();
             if let Some(t) = threads {
                 config.threads = t.max(1);
@@ -607,8 +647,8 @@ fn cmd_matrix(args: &[String], out: &mut dyn Write) -> Result<(), String> {
                 Duration::from_secs(3600),
             )
         },
-        |cell, run| {
-            let cell_dir = out_dir.join("cells").join(&cell.id);
+        |(cell, slot), run| {
+            let cell_dir = out_dir.join(&slot.dir);
             let line = format!(
                 "cell {}: {} records, {} anomalies -> {}",
                 cell.id,
@@ -616,18 +656,21 @@ fn cmd_matrix(args: &[String], out: &mut dyn Write) -> Result<(), String> {
                 run.recording.anomalies().len(),
                 cell_dir.display(),
             );
-            export_campaign(run, &cell_dir, &mut std::io::sink())
-                .map_err(|e| format!("cell {}: {e}", cell.id))?;
-            Ok(line)
+            let folded = export_campaign(run, &cell_dir, &mut std::io::sink(), Some(slot))
+                .map_err(|e| format!("cell {}: {e}", cell.id))?
+                .expect("a slot folds a report row");
+            Ok((line, folded))
         },
-        |line| writeln!(out, "{line}").map_err(|e| e.to_string()),
+        |(line, cell)| {
+            folded.push(cell);
+            writeln!(out, "{line}").map_err(|e| e.to_string())
+        },
     )?;
 
-    let layout = report::MatrixLayout::from_matrix(&matrix);
-    let layout_path = report::write_matrix_layout(&out_dir, &layout)?;
+    let layout_path = report::write_matrix_layout(out_dir, &layout)?;
     writeln!(out, "wrote {}", layout_path.display()).map_err(|e| e.to_string())?;
-    let (doc, md) = report::generate(&out_dir)?;
-    let (md_path, json_path) = report::write_report(&out_dir, &doc, &md)?;
+    let (doc, md) = report::assemble(layout, folded);
+    let (md_path, json_path) = report::write_report(out_dir, &doc, &md)?;
     writeln!(
         out,
         "wrote {} and {} ({} cells, baseline {})",
@@ -2280,6 +2323,56 @@ vantage = [0.5]
             assert!(trend.contains("campaign trend (1 runs)"), "out: {trend}");
         }
 
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn report_dir_rebuilds_the_report_matrix_folded_in_memory() {
+        let base = temp_dir("matrix-fold");
+        let _ = std::fs::remove_dir_all(&base);
+        // The baseline cell is tapped and profiled, the other neither, so
+        // every optional artifact is present in one cell and absent in
+        // the other.
+        let mut matrix = parse_scenario(MATRIX_SCENARIO).unwrap();
+        matrix.cells[1].config.tap = None;
+        matrix.cells[1].profile = false;
+        let mut reports = Vec::new();
+        for threads in [1, 4] {
+            let out_dir = base.join(format!("t{threads}"));
+            run_matrix(&matrix, &out_dir, Some(threads), &mut Vec::new()).unwrap();
+            let cell = |i: usize| out_dir.join("cells").join(&matrix.cells[i].id);
+            assert!(cell(0).join(OBSERVER_FILE_NAME).is_file());
+            assert!(cell(0).join(PROFILE_FOLDED_FILE_NAME).is_file());
+            assert!(!cell(1).join(OBSERVER_FILE_NAME).exists());
+            assert!(!cell(1).join(PROFILE_FILE_NAME).exists());
+            let read = |name: &str| std::fs::read(out_dir.join(name)).unwrap();
+            let folded = [
+                read(report::REPORT_MD_FILE_NAME),
+                read(report::REPORT_JSON_FILE_NAME),
+            ];
+            run_str(&["report", "--dir", out_dir.to_str().unwrap()]).unwrap();
+            let reread = [
+                read(report::REPORT_MD_FILE_NAME),
+                read(report::REPORT_JSON_FILE_NAME),
+            ];
+            assert!(
+                folded == reread,
+                "report --dir must rewrite the bytes matrix folded (--threads {threads})"
+            );
+            reports.push(folded);
+        }
+        assert!(reports[0] == reports[1], "reports differ across --threads");
+        let md = String::from_utf8(reports[0][0].clone()).unwrap();
+        let tapless = &matrix.cells[1].id;
+        assert!(
+            md.contains(&format!("| `{tapless}` | - | - | - | - | - |")),
+            "the tap-less cell must render a dash observer row:\n{md}"
+        );
+        assert_eq!(
+            md.matches("[profile.folded]").count(),
+            1,
+            "only the profiled cell links a flamegraph:\n{md}"
+        );
         let _ = std::fs::remove_dir_all(&base);
     }
 

@@ -7,6 +7,11 @@
 //! that into one `report.md` (human, GitHub-flavoured markdown) and one
 //! `report.json` (machine-readable, [`MatrixReportDoc`]).
 //!
+//! One fold turns a cell's inputs into its [`CellReport`]. `spinctl
+//! matrix` hands the inputs over from each run it exports, so nothing is
+//! read back; [`generate`] (`spinctl report --dir`) reads them from the
+//! cell directories and re-derives the same bytes.
+//!
 //! Both outputs are **byte-identical at any `--threads`**: every number
 //! in them comes from the deterministic artifact halves (the time
 //! series' final point, the anomaly index, the observer document, the
@@ -25,10 +30,11 @@
 use quicspin_qlog::{heading, millionths_percent, opt_millionths_percent, MarkdownTable};
 use quicspin_scanner::{
     read_anomaly_index, read_json, read_observer, read_profile, read_run_manifest, read_timeseries,
-    write_json, AnomalyKind, ScenarioMatrix, CHROME_TRACE_FILE_NAME, OBSERVER_FILE_NAME,
-    PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME, TRACE_STORE_FILE_NAME,
+    write_json, AnomalyKind, ObserverDoc, RunManifest, ScenarioMatrix, TimeSeriesDoc,
+    CHROME_TRACE_FILE_NAME, OBSERVER_FILE_NAME, PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME,
+    TRACE_STORE_FILE_NAME,
 };
-use quicspin_telemetry::ConfigEntry;
+use quicspin_telemetry::{ConfigEntry, ProfileDoc, TimePoint};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -265,16 +271,53 @@ fn percentile(sorted: &[u64], pct: u64) -> u64 {
     sorted[idx as usize]
 }
 
-fn fold_cell(out_dir: &Path, slot: &CellSlot) -> Result<CellReport, String> {
-    let dir = out_dir.join(&slot.dir);
-    let manifest = read_run_manifest(&dir).map_err(|e| e.to_string())?;
-    let index = read_anomaly_index(&dir).map_err(|e| e.to_string())?;
-    let series = read_timeseries(&dir).map_err(|e| e.to_string())?;
-    let point = series
-        .last_point()
-        .cloned()
-        .ok_or_else(|| format!("time series in {} has no samples", dir.display()))?;
+/// Which of a cell's linked artifacts exist.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellLinks {
+    /// `trace.json`, the Perfetto trace.
+    pub perfetto_trace: bool,
+    /// `profile.folded`, the collapsed flamegraph stacks.
+    pub flamegraph: bool,
+    /// `traces.bin`, the retained binary traces.
+    pub trace_store: bool,
+}
 
+/// What one cell's [`CellReport`] is folded from: the deterministic
+/// halves of its artifacts. `spinctl matrix` hands them over from the
+/// run it has just exported; [`generate`] reads them back from disk.
+pub(crate) struct CellInputs<'a> {
+    /// The run manifest (`metrics.json`).
+    pub manifest: &'a RunManifest,
+    /// Deterministic campaign identifier.
+    pub campaign: &'a str,
+    /// Anomaly counts by kind, as
+    /// [`counts_by_kind`](quicspin_scanner::counts_by_kind) returns them.
+    pub anomaly_counts: &'a [(AnomalyKind, usize)],
+    /// The time series' final point.
+    pub point: &'a TimePoint,
+    /// The observer document, for tapped cells.
+    pub observer: Option<&'a ObserverDoc>,
+    /// The deterministic profile, for profiled cells.
+    pub profile: Option<&'a ProfileDoc>,
+    /// Which linked artifacts exist.
+    pub links: CellLinks,
+}
+
+/// The last point of a cell's time series; a series without one cannot
+/// be reported.
+pub(crate) fn last_point<'a>(
+    series: &'a TimeSeriesDoc,
+    dir: &Path,
+) -> Result<&'a TimePoint, String> {
+    series
+        .last_point()
+        .ok_or_else(|| format!("time series in {} has no samples", dir.display()))
+}
+
+/// Folds one cell's inputs into its report row (`regressed` is left
+/// empty for [`assemble`] to fill).
+pub(crate) fn fold_cell(slot: &CellSlot, inputs: &CellInputs<'_>) -> CellReport {
+    let point = inputs.point;
     let mix_total: u64 = point.mix.iter().map(|c| c.value).sum::<u64>().max(1);
     let mix: Vec<MixEntry> = point
         .mix
@@ -286,10 +329,10 @@ fn fold_cell(out_dir: &Path, slot: &CellSlot) -> Result<CellReport, String> {
         })
         .collect();
 
-    let anomalies: Vec<AnomalyCount> = index
-        .counts_by_kind()
-        .into_iter()
-        .map(|(kind, n)| AnomalyCount {
+    let anomalies: Vec<AnomalyCount> = inputs
+        .anomaly_counts
+        .iter()
+        .map(|&(kind, n)| AnomalyCount {
             kind: kind.name().to_string(),
             count: n as u64,
         })
@@ -298,64 +341,57 @@ fn fold_cell(out_dir: &Path, slot: &CellSlot) -> Result<CellReport, String> {
     // The spin-vs-stack RTT error distribution comes from the observer
     // document's per-flow means: |client spin − stack| / stack. Only
     // flows where both means exist contribute.
-    let observer_path = dir.join(OBSERVER_FILE_NAME);
-    let (observer, spin_p50, spin_p99) = if observer_path.is_file() {
-        let doc = read_observer(&dir).map_err(|e| e.to_string())?;
-        let mut errors_millionths: Vec<u64> = doc
-            .flows
-            .iter()
-            .filter_map(|row| {
-                let spin = row.view.client_spin_mean_us?;
-                let stack = row.view.stack_mean_us?;
-                if stack == 0 {
-                    return None;
-                }
-                Some(spin.abs_diff(stack) * 1_000_000 / stack)
-            })
-            .collect();
-        errors_millionths.sort_unstable();
-        let (p50, p99) = if errors_millionths.is_empty() {
-            (None, None)
-        } else {
-            (
-                Some(percentile(&errors_millionths, 50)),
-                Some(percentile(&errors_millionths, 99)),
-            )
-        };
-        let digest = ObserverDigest {
-            vantage_millionths: doc.vantage_millionths,
-            flows: doc.summary.flows,
-            measurable: doc.summary.measurable,
-            unmeasurable: doc.summary.unmeasurable,
-            max_divergence_millionths: doc.summary.max_divergence_millionths,
-        };
-        (Some(digest), p50, p99)
-    } else {
-        (None, None, None)
+    let (observer, spin_p50, spin_p99) = match inputs.observer {
+        Some(doc) => {
+            let mut errors_millionths: Vec<u64> = doc
+                .flows
+                .iter()
+                .filter_map(|row| {
+                    let spin = row.view.client_spin_mean_us?;
+                    let stack = row.view.stack_mean_us?;
+                    if stack == 0 {
+                        return None;
+                    }
+                    Some(spin.abs_diff(stack) * 1_000_000 / stack)
+                })
+                .collect();
+            errors_millionths.sort_unstable();
+            let (p50, p99) = if errors_millionths.is_empty() {
+                (None, None)
+            } else {
+                (
+                    Some(percentile(&errors_millionths, 50)),
+                    Some(percentile(&errors_millionths, 99)),
+                )
+            };
+            let digest = ObserverDigest {
+                vantage_millionths: doc.vantage_millionths,
+                flows: doc.summary.flows,
+                measurable: doc.summary.measurable,
+                unmeasurable: doc.summary.unmeasurable,
+                max_divergence_millionths: doc.summary.max_divergence_millionths,
+            };
+            (Some(digest), p50, p99)
+        }
+        None => (None, None, None),
     };
 
-    let profile = if dir.join(PROFILE_FILE_NAME).is_file() {
-        let doc = read_profile(&dir).map_err(|e| e.to_string())?;
+    let profile = inputs.profile.map(|doc| {
         let live = doc.scopes.iter().filter(|r| r.enters > 0);
-        Some(ProfileDigest {
+        ProfileDigest {
             scopes: live.clone().count() as u64,
             enters: live.map(|r| r.enters).sum(),
-        })
-    } else {
-        None
-    };
+        }
+    });
 
-    let link = |name: &str| {
-        dir.join(name)
-            .is_file()
-            .then(|| format!("{}/{}", slot.dir, name))
-    };
+    let link = |exists: bool, name: &str| exists.then(|| format!("{}/{}", slot.dir, name));
+    let links = inputs.links;
 
-    Ok(CellReport {
+    CellReport {
         id: slot.id.clone(),
         dir: slot.dir.clone(),
-        campaign: index.campaign_id.clone(),
-        provenance: manifest.deterministic_view().config,
+        campaign: inputs.campaign.to_string(),
+        provenance: inputs.manifest.deterministic_view().config,
         probes: point.probes,
         records: point.records,
         errors: point.errors,
@@ -372,11 +408,48 @@ fn fold_cell(out_dir: &Path, slot: &CellSlot) -> Result<CellReport, String> {
         spin_rtt_error_p99_millionths: spin_p99,
         observer,
         profile,
-        perfetto_trace: link(CHROME_TRACE_FILE_NAME),
-        flamegraph: link(PROFILE_FOLDED_FILE_NAME),
-        trace_store: link(TRACE_STORE_FILE_NAME),
+        perfetto_trace: link(links.perfetto_trace, CHROME_TRACE_FILE_NAME),
+        flamegraph: link(links.flamegraph, PROFILE_FOLDED_FILE_NAME),
+        trace_store: link(links.trace_store, TRACE_STORE_FILE_NAME),
         regressed: Vec::new(),
-    })
+    }
+}
+
+/// Reads one cell's inputs back from its artifact directory and folds
+/// them: the three core artifacts are required, the optional ones are
+/// read when present.
+fn read_cell(out_dir: &Path, slot: &CellSlot) -> Result<CellReport, String> {
+    let dir = out_dir.join(&slot.dir);
+    let manifest = read_run_manifest(&dir).map_err(|e| e.to_string())?;
+    let index = read_anomaly_index(&dir).map_err(|e| e.to_string())?;
+    let series = read_timeseries(&dir).map_err(|e| e.to_string())?;
+    let exists = |name: &str| dir.join(name).is_file();
+    let observer = if exists(OBSERVER_FILE_NAME) {
+        Some(read_observer(&dir).map_err(|e| e.to_string())?)
+    } else {
+        None
+    };
+    let profile = if exists(PROFILE_FILE_NAME) {
+        Some(read_profile(&dir).map_err(|e| e.to_string())?)
+    } else {
+        None
+    };
+    Ok(fold_cell(
+        slot,
+        &CellInputs {
+            manifest: &manifest,
+            campaign: &index.campaign_id,
+            anomaly_counts: &index.counts_by_kind(),
+            point: last_point(&series, &dir)?,
+            observer: observer.as_ref(),
+            profile: profile.as_ref(),
+            links: CellLinks {
+                perfetto_trace: exists(CHROME_TRACE_FILE_NAME),
+                flamegraph: exists(PROFILE_FOLDED_FILE_NAME),
+                trace_store: exists(TRACE_STORE_FILE_NAME),
+            },
+        },
+    ))
 }
 
 /// `compare`'s p99 gate at its default band.
@@ -426,16 +499,13 @@ fn mark_regressions(cells: &mut [CellReport]) {
     }
 }
 
-/// Folds a matrix out-dir into the report document plus its rendered
-/// markdown. Requires `matrix.json` and each cell's core artifacts;
-/// optional artifacts (observer.json, profile.json, traces.bin,
-/// trace.json, profile.folded) render as `-`/absent.
-pub fn generate(out_dir: &Path) -> Result<(MatrixReportDoc, String), String> {
-    let layout = read_matrix_layout(out_dir)?;
-    let mut cells = Vec::with_capacity(layout.cells.len());
-    for slot in &layout.cells {
-        cells.push(fold_cell(out_dir, slot)?);
-    }
+/// Marks each cell's regressions against the first (the baseline) and
+/// assembles the report document plus its rendered markdown. `cells`
+/// are the layout's cells, folded, in layout order.
+pub(crate) fn assemble(
+    layout: MatrixLayout,
+    mut cells: Vec<CellReport>,
+) -> (MatrixReportDoc, String) {
     mark_regressions(&mut cells);
     let doc = MatrixReportDoc {
         schema_version: REPORT_SCHEMA_VERSION,
@@ -450,7 +520,23 @@ pub fn generate(out_dir: &Path) -> Result<(MatrixReportDoc, String), String> {
         cells,
     };
     let md = render_markdown(&doc);
-    Ok((doc, md))
+    (doc, md)
+}
+
+/// Folds a matrix out-dir into the report document plus its rendered
+/// markdown, reading every cell's artifacts back from disk: the same
+/// bytes `spinctl matrix` folds from the runs in hand. Requires
+/// `matrix.json` and each cell's core artifacts; optional artifacts
+/// (observer.json, profile.json, traces.bin, trace.json,
+/// profile.folded) render as `-`/absent.
+pub fn generate(out_dir: &Path) -> Result<(MatrixReportDoc, String), String> {
+    let layout = read_matrix_layout(out_dir)?;
+    let cells = layout
+        .cells
+        .iter()
+        .map(|slot| read_cell(out_dir, slot))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(assemble(layout, cells))
 }
 
 /// Writes `report.md` and `report.json` into the matrix out-dir.

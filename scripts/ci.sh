@@ -127,8 +127,14 @@ for cell in "$SPINCTL_DIR"/mx1/cells/*; do
     cmp "$cell/$f" "$SPINCTL_DIR/mx4/cells/$(basename "$cell")/$f"
   done
 done
+# `matrix` folds the report from the runs in hand; `report --dir` must
+# re-derive the same bytes from the cells' artifacts on disk.
+cp "$SPINCTL_DIR/mx1/report.md" "$SPINCTL_DIR/mx1-folded.md"
+cp "$SPINCTL_DIR/mx1/report.json" "$SPINCTL_DIR/mx1-folded.json"
 cargo run --release -p quicspin-spinctl --bin spinctl -- \
   report --dir "$SPINCTL_DIR/mx1"
+cmp "$SPINCTL_DIR/mx1/report.md" "$SPINCTL_DIR/mx1-folded.md"
+cmp "$SPINCTL_DIR/mx1/report.json" "$SPINCTL_DIR/mx1-folded.json"
 cmp "$SPINCTL_DIR/mx1/report.md" "$SPINCTL_DIR/mx4/report.md"
 printf '[scenario]\nname = "broken"\n[sweep]\n' > "$SPINCTL_DIR/broken.toml"
 if cargo run --release -p quicspin-spinctl --bin spinctl -- \
