@@ -15,7 +15,7 @@ use quicspin_core::GreaseFilter;
 use quicspin_h3::MAX_REDIRECTS;
 use quicspin_telemetry::{
     ConfigEntry, GaugeId, Metric, ProfilerRegistry, ProgressSnapshot, Registry, RunManifest,
-    ScopeId, Stage, TimePoint, TimeSeries, DEFAULT_TIMESERIES_CAPACITY,
+    ScopeId,
 };
 use quicspin_webpop::{IpVersion, Population};
 use std::collections::BTreeMap;
@@ -224,9 +224,11 @@ impl<'p> Scanner<'p> {
 
     /// [`scan_domain_into`](Scanner::scan_domain_into) on the engine's
     /// per-domain lap chain started at `t`: follows the domain's
-    /// redirects, closes the [`Stage::Probe`] timer once the hops are
-    /// scanned and, on flight-recorded campaigns, the `flight_inspect`
-    /// scope once the recorder is done. Returns the last boundary.
+    /// redirects, closes the
+    /// [`Stage::Probe`](quicspin_telemetry::Stage::Probe) timer once the
+    /// hops are scanned and, on flight-recorded campaigns, the
+    /// `flight_inspect` scope once the recorder is done. Returns the last
+    /// boundary.
     fn scan_domain_timed(
         &self,
         domain_id: u32,
@@ -679,7 +681,7 @@ impl<'p> Scanner<'p> {
         let progress_every = progress_every.max(Duration::from_millis(1));
 
         let started = Instant::now();
-        let (result, live) = std::thread::scope(|scope| {
+        let (result, ticks) = std::thread::scope(|scope| {
             // Dropping `hang_up` — when the campaign returns or unwinds —
             // wakes the monitor at once.
             let (hang_up, stopped) = mpsc::channel();
@@ -692,20 +694,20 @@ impl<'p> Scanner<'p> {
                     started,
                     progress_every,
                     &stopped,
-                    sink_ref,
+                    |snap| sink_ref(&snap.render()),
                 )
             });
             let result = run(self, &config);
             drop(hang_up);
-            let live = ticker
+            let ticks = ticker
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (result, live)
+            (result, ticks)
         });
 
         let manifest = reg.manifest(config.config_entries(), elapsed_ns(started));
         sink(&reg.progress(total, manifest.wall_time_ns).render());
-        if let Some(trend) = render_trend(&live) {
+        if let Some(trend) = ticks.trend() {
             sink(&trend);
         }
         sink(&manifest.summary_table());
@@ -825,67 +827,63 @@ impl<A> Drop for PanicAlarm<'_, A> {
     }
 }
 
-/// The progress monitor: every `every` it samples `reg` into the live
-/// series and hands `sink` one status line. It blocks on `stopped`, not
-/// on a sleep, so it returns the moment the campaign hangs up (drops the
-/// sender) and a campaign that ends before the first tick emits none.
+/// The progress monitor: every `every` it snapshots the progress
+/// counters of `reg`, hands the snapshot to `sink` and notes it in the
+/// returned [`Ticks`]. It blocks on `stopped`, not on a sleep, so it
+/// returns the moment the campaign hangs up (drops the sender) and a
+/// campaign that ends before the first tick emits none.
 fn monitor(
     reg: &Registry,
     total: u64,
     started: Instant,
     every: Duration,
     stopped: &mpsc::Receiver<()>,
-    mut sink: impl FnMut(&str),
-) -> TimeSeries {
-    // The live series samples the registry on each tick: wall clock, so
-    // display-only — the persisted timeseries.json is rebuilt
-    // deterministically from the record stream instead (see
-    // `crate::timeseries::build_timeseries`).
-    let mut live = TimeSeries::new(DEFAULT_TIMESERIES_CAPACITY);
+    mut sink: impl FnMut(&ProgressSnapshot),
+) -> Ticks {
+    let mut ticks = Ticks::default();
     while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(every) {
         let snap = reg.progress(total, elapsed_ns(started));
-        live.push(live_point(reg, &snap));
-        sink(&snap.render());
+        sink(&snap);
+        ticks.note(snap);
     }
-    live
+    ticks
 }
 
-/// Samples the registry into one live (wall-clock) time-series point.
-fn live_point(reg: &Registry, snap: &ProgressSnapshot) -> TimePoint {
-    let handshake = reg.stage_histogram(Stage::Handshake).to_shard();
-    let probe = reg.stage_histogram(Stage::Probe).to_shard();
-    TimePoint {
-        seq: 0, // assigned by TimeSeries on admission
-        probes: snap.completed,
-        records: reg.counter(Metric::RecordsProduced),
-        errors: snap.errored,
-        redirects: reg.counter(Metric::RedirectsFollowed),
-        elapsed_us: snap.elapsed_ns / 1_000,
-        queue_high_water: reg.gauge(GaugeId::NetsimQueueHighWater),
-        handshake_p50_us: handshake.quantile(0.50) / 1_000,
-        handshake_p99_us: handshake.quantile(0.99) / 1_000,
-        total_p50_us: probe.quantile(0.50) / 1_000,
-        total_p99_us: probe.quantile(0.99) / 1_000,
-        mix: Vec::new(),
-    }
+/// What the progress monitor keeps of its ticks, however many there are:
+/// their count, the first one that saw a completed probe, and the last.
+#[derive(Default)]
+struct Ticks {
+    count: u64,
+    first: Option<ProgressSnapshot>,
+    last: Option<ProgressSnapshot>,
 }
 
-/// One summary line of the live monitor series: how the average
-/// throughput and error rate moved across the sweep.
-fn render_trend(live: &TimeSeries) -> Option<String> {
-    let first = live.points().iter().find(|p| p.probes > 0)?;
-    let last = live.points().last()?;
-    if last.seq <= first.seq {
-        return None;
+impl Ticks {
+    fn note(&mut self, snap: ProgressSnapshot) {
+        self.count += 1;
+        if self.first.is_none() && snap.completed > 0 {
+            self.first = Some(snap);
+        }
+        self.last = Some(snap);
     }
-    Some(format!(
-        "throughput trend: {} samples | {:.1} -> {:.1} probes/s | errors {:.1}% -> {:.1}%",
-        live.len(),
-        first.probes_per_sec(),
-        last.probes_per_sec(),
-        100.0 * first.error_rate(),
-        100.0 * last.error_rate(),
-    ))
+
+    /// One summary line: how the average throughput and error rate moved
+    /// from the first tick with completed probes to the last tick. `None`
+    /// unless those are two different ticks.
+    fn trend(&self) -> Option<String> {
+        let (first, last) = (self.first?, self.last?);
+        if last.elapsed_ns <= first.elapsed_ns {
+            return None;
+        }
+        Some(format!(
+            "throughput trend: {} samples | {:.1} -> {:.1} probes/s | errors {:.1}% -> {:.1}%",
+            self.count,
+            first.probes_per_sec(),
+            last.probes_per_sec(),
+            100.0 * first.error_rate(),
+            100.0 * last.error_rate(),
+        ))
+    }
 }
 
 /// Notes the configured tap position on the vantage gauge (once per
@@ -931,6 +929,7 @@ fn elapsed_ns(start: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicspin_telemetry::Stage;
     use quicspin_webpop::PopulationConfig;
 
     fn tiny_pop() -> Population {
@@ -1104,6 +1103,15 @@ mod tests {
                 assert!(pair[0] <= pair[1], "monitor ticks regressed: {pair:?}");
             }
             assert_eq!(counts.last(), Some(&1000), "lines: {lines:?}");
+            // One trend line, counting every tick: all progress lines but
+            // the final one.
+            let trends: Vec<u64> = lines
+                .iter()
+                .filter_map(|l| l.strip_prefix("throughput trend: "))
+                .filter_map(|rest| rest.split(' ').next()?.parse().ok())
+                .collect();
+            let ticks = counts.len() as u64 - 1;
+            assert_eq!(trends, [ticks], "lines: {lines:?}");
         }
     }
 
@@ -1122,10 +1130,12 @@ mod tests {
     }
 
     #[test]
-    fn live_points_never_decrease_beside_a_streamed_flight_campaign() {
-        // The monitor samples the registry while workers update it; every
-        // counter a live point reads must come out non-decreasing.
-        let points = within_a_minute(|| {
+    fn monitor_snapshots_never_decrease_beside_a_streamed_flight_campaign() {
+        // The monitor reads the registry while workers update it: the
+        // snapshots it hands its sink must come out non-decreasing, and
+        // the ticks it returns must be the first completed and the last
+        // of them.
+        let (seen, ticks) = within_a_minute(|| {
             let pop = tiny_pop();
             let reg = Arc::new(Registry::new());
             let mut config = clean_config();
@@ -1133,26 +1143,33 @@ mod tests {
             config.flight.enabled = true;
             let (hang_up, stopped) = mpsc::channel();
             let started = Instant::now();
-            let live = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let (reg, total) = (&*reg, pop.len() as u64);
                 let every = Duration::from_millis(1);
-                let ticker =
-                    scope.spawn(move || monitor(reg, total, started, every, &stopped, |_| {}));
+                let ticker = scope.spawn(move || {
+                    let mut seen = Vec::new();
+                    let ticks = monitor(reg, total, started, every, &stopped, |snap| {
+                        seen.push(*snap)
+                    });
+                    (seen, ticks)
+                });
                 Scanner::new(&pop).run_campaign_streamed(&config, 4096, |_| {});
                 drop(hang_up);
                 ticker.join().expect("monitor thread")
-            });
-            live.points().to_vec()
+            })
         });
-        assert!(!points.is_empty(), "no tick during the campaign");
-        for pair in points.windows(2) {
-            let key = |p: &TimePoint| (p.probes, p.records, p.errors, p.redirects, p.elapsed_us);
+        assert!(!seen.is_empty(), "no tick during the campaign");
+        for pair in seen.windows(2) {
+            let key = |p: &ProgressSnapshot| (p.completed, p.errored, p.elapsed_ns);
             let (a, b) = (key(&pair[0]), key(&pair[1]));
             assert!(
-                a.0 <= b.0 && a.1 <= b.1 && a.2 <= b.2 && a.3 <= b.3 && a.4 <= b.4,
-                "live point regressed: {a:?} then {b:?}"
+                a.0 <= b.0 && a.1 <= b.1 && a.2 <= b.2,
+                "monitor snapshot regressed: {a:?} then {b:?}"
             );
         }
+        assert_eq!(ticks.count, seen.len() as u64);
+        assert_eq!(ticks.first, seen.iter().find(|p| p.completed > 0).copied());
+        assert_eq!(ticks.last, seen.last().copied());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Deterministic campaign time series and Chrome trace export.
 //!
 //! The persisted `timeseries.json` must be byte-identical for any
-//! worker-thread count, so it cannot be built from wall-clock monitor
-//! ticks. Instead [`build_timeseries`] replays the merged record stream —
+//! worker-thread count, so it cannot be built from wall-clock samples.
+//! Instead [`build_timeseries`] replays the merged record stream —
 //! which the batch scheduler already guarantees is bit-identical — and
 //! samples cumulative *virtual-clock* state one point per probed domain:
 //! error rate, redirect and queue behaviour, virtual handshake/total
@@ -22,9 +22,7 @@ use crate::flight::{Anomaly, FlightRecording, RetainedTrace};
 use crate::record::ScanOutcome;
 use quicspin_core::FlowClassification;
 use quicspin_qlog::{chrome_trace_events, decode_trace, ChromeArgs, ChromeEvent};
-use quicspin_telemetry::{
-    CounterSnapshot, HistogramShard, SeriesClock, TimePoint, TimeSeries, TimeSeriesDoc,
-};
+use quicspin_telemetry::{CounterSnapshot, HistogramShard, TimePoint, TimeSeries, TimeSeriesDoc};
 use serde::{Serialize, Serializer};
 use std::cell::Cell;
 use std::io::{self, Write};
@@ -162,7 +160,7 @@ impl TimeSeriesBuilder {
         if self.held {
             self.series.push_final(self.state.point());
         }
-        self.series.into_doc(campaign_id, SeriesClock::Virtual)
+        self.series.into_doc(campaign_id)
     }
 }
 

@@ -308,6 +308,9 @@ fn cmd_run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     }
     let dir = args.dir();
     let domains: u32 = args.get_parsed("domains", 600)?;
+    if domains == 0 {
+        return Err("--domains must be at least 1".to_string());
+    }
     let seed: u64 = args.get_parsed("seed", 23)?;
     let threads: usize = args.get_parsed("threads", 1)?;
     let budget: u64 = args.get_parsed("budget-bytes", 2 << 20)?;
@@ -443,8 +446,10 @@ fn stream_campaign(
 
 /// Writes every artifact of `run` into `dir`: manifest, flight
 /// recording, time series, Chrome trace and, when enabled, the observer
-/// document and the profile. Logs one `wrote` line per artifact to
-/// `log`. A failed write names the artifact and `dir`, on one line.
+/// document and the profile. An optional artifact the run does not write
+/// is removed, so a reused `dir` holds no earlier run's copy. Logs one
+/// `wrote` line per artifact to `log`. A failed write or removal names
+/// the artifact and `dir`, on one line.
 /// Given the run's matrix `slot`, also folds the cell's report row from
 /// what it has just written, so the report needs no read-back.
 fn export_campaign(
@@ -494,6 +499,8 @@ fn export_campaign(
             doc.flows.len(),
             doc.vantage(),
         ))?;
+    } else {
+        remove_stale(dir, OBSERVER_FILE_NAME)?;
     }
     let profile = if run.profiler.is_enabled() {
         let snapshot = run.profiler.snapshot();
@@ -514,6 +521,8 @@ fn export_campaign(
         ))?;
         Some(doc)
     } else {
+        remove_stale(dir, PROFILE_FILE_NAME)?;
+        remove_stale(dir, PROFILE_FOLDED_FILE_NAME)?;
         None
     };
     let Some(slot) = slot else {
@@ -533,6 +542,18 @@ fn export_campaign(
         },
     };
     Ok(Some(report::fold_cell(slot, &inputs)))
+}
+
+/// Removes `dir`'s `artifact`, which this run does not write, if an
+/// earlier run left one there.
+fn remove_stale(dir: &Path, artifact: &str) -> Result<(), String> {
+    match std::fs::remove_file(dir.join(artifact)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(format!(
+            "cannot remove stale {artifact} in {}: {e}",
+            dir.display()
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Runs `campaign` for each cell in order and hands its result to
@@ -2076,6 +2097,45 @@ mod tests {
         let (code, out) = run_code(&["profile", "--diff", b, a]).unwrap();
         assert_eq!(code, 0, "shrinking counts are not a regression: {out}");
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn run_removes_optional_artifacts_it_does_not_write() {
+        let dir = temp_dir("stale-artifacts");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_s = dir.to_str().unwrap();
+        let optional = [
+            OBSERVER_FILE_NAME,
+            PROFILE_FILE_NAME,
+            PROFILE_FOLDED_FILE_NAME,
+        ];
+        run_str(&["run", "--dir", dir_s, "--domains", "40", "--profile"]).unwrap();
+        for artifact in optional {
+            assert!(dir.join(artifact).is_file(), "{artifact} not written");
+        }
+        run_str(&["run", "--dir", dir_s, "--domains", "40", "--tap", "off"]).unwrap();
+        for artifact in optional {
+            assert!(!dir.join(artifact).exists(), "stale {artifact} kept");
+        }
+        // A removal that fails for any reason but absence names the
+        // artifact and the directory.
+        std::fs::create_dir(dir.join(OBSERVER_FILE_NAME)).unwrap();
+        let err = run_str(&["run", "--dir", dir_s, "--domains", "40", "--tap", "off"]).unwrap_err();
+        assert!(
+            err.starts_with(&format!(
+                "cannot remove stale {OBSERVER_FILE_NAME} in {dir_s}: "
+            )),
+            "err: {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_rejects_zero_domains() {
+        let dir = temp_dir("zero-domains");
+        let err = run_str(&["run", "--dir", dir.to_str().unwrap(), "--domains", "0"]).unwrap_err();
+        assert_eq!(err, "--domains must be at least 1");
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! * [`HistogramShard`] — plain `u64` buckets, owned by exactly one worker
 //!   thread. Recording is a handful of arithmetic ops and one array store;
 //!   no atomics, no sharing, no contention.
-//! * [`LatencyHistogram`] — `AtomicU64` buckets, owned by the registry.
-//!   Shards merge into it once per worker (relaxed adds), so the hot path
-//!   never touches shared cachelines.
+//! * [`LatencyHistogram`] — one shard behind a lock, owned by the
+//!   registry. Each worker merges its shard in once, when it finishes, so
+//!   the hot path never touches shared memory and a reader sees whole
+//!   merges only.
 
 use crate::manifest::StageSnapshot;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Number of buckets in every histogram.
 pub const BUCKET_COUNT: usize = 256;
@@ -200,111 +201,38 @@ impl HistogramShard {
     }
 }
 
-/// The registry-side histogram: identical layout, atomic buckets.
+/// The registry-side histogram: a [`HistogramShard`] behind a lock.
 ///
-/// All operations use relaxed ordering — per-bucket totals are exact
-/// because every shard merge happens-before the owning worker joins, and
-/// readers only run after the sweep (or accept slightly-stale progress).
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKET_COUNT],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LatencyHistogram")
-            .field("count", &self.count.load(Ordering::Relaxed))
-            .field("max", &self.max.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
+/// Each worker merges its shard in once per sweep and readers run after
+/// the sweep, so the lock is taken a few times per stage per campaign.
+#[derive(Debug, Default)]
+pub struct LatencyHistogram(Mutex<HistogramShard>);
 
 impl LatencyHistogram {
-    /// Records a single value directly (registry-side slow path; workers
-    /// should record into a [`HistogramShard`] and merge instead).
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+    fn lock(&self) -> MutexGuard<'_, HistogramShard> {
+        self.0
+            .lock()
+            .expect("stage histogram lock poisoned by a panicked merge")
     }
 
-    /// Merges one worker shard in (called once per worker per sweep; only
-    /// occupied buckets touch shared memory).
+    /// Merges one worker shard in.
     pub fn merge_shard(&self, shard: &HistogramShard) {
-        if shard.count == 0 {
-            return;
-        }
-        for (idx, &n) in shard.buckets.iter().enumerate() {
-            if n != 0 {
-                self.buckets[idx].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(shard.count, Ordering::Relaxed);
-        self.sum.fetch_add(shard.sum, Ordering::Relaxed);
-        self.min.fetch_min(shard.min, Ordering::Relaxed);
-        self.max.fetch_max(shard.max, Ordering::Relaxed);
+        self.lock().merge(shard);
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.lock().count
     }
 
     /// Copies the current state into a plain shard (for quantiles etc.).
     pub fn to_shard(&self) -> HistogramShard {
-        let mut shard = HistogramShard {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        };
-        // A racing merge can make the tracked count lag the bucket sum (or
-        // vice versa); renormalize so quantile ranks stay in range.
-        let bucket_total: u64 = shard.buckets.iter().sum();
-        shard.count = bucket_total;
-        // The same race can surface occupied buckets while min/max still
-        // hold the empty-state inverted pair (u64::MAX, 0) — `clamp` in
-        // `quantile` panics on an inverted range. Rebuild a consistent
-        // envelope from the occupied buckets.
-        if shard.min > shard.max {
-            match (
-                shard.buckets.iter().position(|&n| n > 0),
-                shard.buckets.iter().rposition(|&n| n > 0),
-            ) {
-                (Some(lo), Some(hi)) => {
-                    shard.min = bucket_bounds(lo).0;
-                    shard.max = bucket_bounds(hi).1.saturating_sub(1);
-                }
-                _ => {
-                    shard.min = 0;
-                    shard.max = 0;
-                }
-            }
-        }
-        shard
+        self.lock().clone()
     }
 
     /// Point-in-time export of the summary statistics.
     pub fn snapshot(&self, name: &str) -> StageSnapshot {
-        self.to_shard().snapshot(name)
+        self.lock().snapshot(name)
     }
 }
 
@@ -565,16 +493,23 @@ mod tests {
         assert_eq!(spike.quantile(0.5), spike.quantile(0.99));
     }
 
+    /// A registry histogram holding exactly `shard`.
+    fn merged(shard: &HistogramShard) -> LatencyHistogram {
+        let registry = LatencyHistogram::default();
+        registry.merge_shard(shard);
+        registry
+    }
+
     #[test]
-    fn atomic_histogram_matches_shard_semantics() {
-        let atomic = LatencyHistogram::default();
+    fn registry_histogram_matches_shard_semantics() {
         let mut shard = HistogramShard::default();
         for v in [3u64, 9, 81, 6_561, 43_046_721] {
-            atomic.record(v);
             shard.record(v);
         }
-        assert_eq!(atomic.to_shard(), shard);
-        assert_eq!(atomic.snapshot("s"), shard.snapshot("s"));
+        let registry = merged(&shard);
+        assert_eq!(registry.count(), 5);
+        assert_eq!(registry.to_shard(), shard);
+        assert_eq!(registry.snapshot("s"), shard.snapshot("s"));
     }
 
     #[test]
@@ -583,11 +518,11 @@ mod tests {
         for q in [0.50, 0.90, 0.99] {
             assert_eq!(shard.quantile(q), 0, "p{q} of an empty shard");
         }
-        let atomic = LatencyHistogram::default();
+        let registry = merged(&shard);
         for q in [0.50, 0.90, 0.99] {
-            assert_eq!(atomic.to_shard().quantile(q), 0);
+            assert_eq!(registry.to_shard().quantile(q), 0);
         }
-        let snap = atomic.snapshot("empty");
+        let snap = registry.snapshot("empty");
         assert_eq!((snap.p50_ns, snap.p90_ns, snap.p99_ns), (0, 0, 0));
     }
 
@@ -601,9 +536,7 @@ mod tests {
             for q in [0.0, 0.50, 0.90, 0.99, 1.0] {
                 assert_eq!(shard.quantile(q), value, "p{q} of single {value}");
             }
-            let atomic = LatencyHistogram::default();
-            atomic.record(value);
-            let snap = atomic.snapshot("one");
+            let snap = merged(&shard).snapshot("one");
             assert_eq!(
                 (snap.p50_ns, snap.p90_ns, snap.p99_ns),
                 (value, value, value)
@@ -619,20 +552,18 @@ mod tests {
         let (lo, hi) = (1_000u64, 1_020u64);
         assert_eq!(bucket_index(lo), bucket_index(hi), "one bucket");
         let mut shard = HistogramShard::default();
-        let atomic = LatencyHistogram::default();
         for i in 0..100u64 {
-            let v = lo + (i % 2) * (hi - lo);
-            shard.record(v);
-            atomic.record(v);
+            shard.record(lo + (i % 2) * (hi - lo));
         }
         assert_eq!(shard.occupied_buckets(), 1);
+        let registry = merged(&shard);
         for q in [0.50, 0.90, 0.99] {
             let est = shard.quantile(q);
             assert!(
                 (lo..=hi).contains(&est),
                 "p{q} = {est} escapes [{lo}, {hi}]"
             );
-            assert_eq!(atomic.to_shard().quantile(q), est);
+            assert_eq!(registry.to_shard().quantile(q), est);
         }
         // All quantiles collapse to one value: the degenerate-shape
         // signal occupied_buckets() exists to flag.
@@ -640,35 +571,20 @@ mod tests {
     }
 
     #[test]
-    fn atomic_merge_shard_accumulates() {
-        let atomic = LatencyHistogram::default();
+    fn registry_merge_shard_accumulates() {
+        let registry = LatencyHistogram::default();
         let mut a = HistogramShard::default();
         let mut b = HistogramShard::default();
         for v in 0..100u64 {
             a.record(v * 11);
             b.record(v * 17);
         }
-        atomic.merge_shard(&a);
-        atomic.merge_shard(&b);
-        atomic.merge_shard(&HistogramShard::default()); // empty: no-op
+        registry.merge_shard(&a);
+        registry.merge_shard(&b);
+        registry.merge_shard(&HistogramShard::default()); // empty: no-op
         let mut expect = a.clone();
         expect.merge(&b);
-        assert_eq!(atomic.to_shard(), expect);
-    }
-
-    #[test]
-    fn torn_snapshot_with_stale_min_max_yields_sane_quantiles() {
-        // A progress monitor's to_shard() can race a record(): the bucket
-        // increment lands but min/max still hold the empty-state inverted
-        // pair (u64::MAX, 0). The snapshot must repair the envelope from
-        // the occupied buckets instead of panicking in quantile's clamp.
-        let atomic = LatencyHistogram::default();
-        atomic.buckets[bucket_index(5_000)].fetch_add(1, Ordering::Relaxed);
-        let shard = atomic.to_shard();
-        assert_eq!(shard.count(), 1);
-        assert!(shard.min() <= shard.max());
-        let (lo, hi) = bucket_bounds(bucket_index(5_000));
-        let p50 = shard.quantile(0.50);
-        assert!((lo..hi).contains(&p50), "p50 = {p50} outside [{lo}, {hi})");
+        assert_eq!(registry.to_shard(), expect);
+        assert_eq!(registry.count(), 200);
     }
 }

@@ -1,7 +1,7 @@
 //! # quicspin-telemetry
 //!
-//! Lock-free campaign telemetry: the observability substrate for the
-//! quicspin measurement pipeline.
+//! Campaign telemetry: the observability substrate for the quicspin
+//! measurement pipeline.
 //!
 //! The paper's campaigns ran weekly over hundreds of millions of domains;
 //! results at that scale are only trustworthy when the pipeline itself is
@@ -10,8 +10,8 @@
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed-atomic scalars.
 //! * [`LatencyHistogram`] — fixed-bucket log-scale histogram (~6% relative
-//!   resolution) with mergeable plain-integer [`HistogramShard`]s so
-//!   workers never contend.
+//!   resolution): a locked plain-integer [`HistogramShard`] that each
+//!   worker's own shard merges into once, when the worker finishes.
 //! * [`Stage`] names the pipeline phases (probe, handshake, transfer,
 //!   spin-extraction, classify, qlog-encode, observer-fold).
 //! * [`Registry`] — the shared store workers shard into
@@ -59,6 +59,5 @@ pub use profiler::{
 };
 pub use registry::{Registry, WorkerShard};
 pub use timeseries::{
-    SeriesClock, TimePoint, TimeSeries, TimeSeriesDoc, DEFAULT_TIMESERIES_CAPACITY,
-    TIMESERIES_SCHEMA_VERSION,
+    TimePoint, TimeSeries, TimeSeriesDoc, DEFAULT_TIMESERIES_CAPACITY, TIMESERIES_SCHEMA_VERSION,
 };

@@ -4,9 +4,10 @@
 //! Concurrency model:
 //!
 //! * The [`Registry`] owns one atomic [`Counter`] per [`Metric`], one
-//!   [`Gauge`] per [`GaugeId`], and one [`LatencyHistogram`] per
-//!   [`Stage`]. It is shared behind an `Arc` and safe to read at any time
-//!   (progress monitoring reads slightly-stale relaxed values).
+//!   [`Gauge`] per [`GaugeId`], and one locked [`LatencyHistogram`] per
+//!   [`Stage`]. It is shared behind an `Arc`. Its histograms are read
+//!   once, after the sweep; only the coarse per-domain counters below
+//!   are read while workers run.
 //! * Each worker thread owns one private [`WorkerShard`] — plain
 //!   integers, zero atomics — that holds both halves of the
 //!   instrumentation: telemetry counters, gauges and stage histograms,

@@ -8,18 +8,10 @@
 //! clocks, no randomness — which is what lets a campaign persist its series
 //! as a byte-identical `timeseries.json` for any worker-thread count.
 //!
-//! The same container serves two producers:
-//!
-//! * the **deterministic builder** in the scanner walks the merged record
-//!   stream after a campaign and samples cumulative virtual-clock state one
-//!   point per probed domain (this is what gets persisted), and
-//! * the **monitor thread** in `run_campaign_with_progress` pushes one
-//!   wall-clock point per progress tick for live trend display (never
-//!   persisted — wall time is not reproducible).
-//!
-//! [`TimeSeriesDoc`] is the versioned serde envelope written next to
-//! `metrics.json`; its `clock` field records which of the two producers
-//! filled it.
+//! Its one producer is the deterministic builder in the scanner, which
+//! walks the merged record stream and samples cumulative virtual-clock
+//! state one point per probed domain. [`TimeSeriesDoc`] is the versioned
+//! serde envelope written next to `metrics.json`.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +27,7 @@ pub const DEFAULT_TIMESERIES_CAPACITY: usize = 512;
 /// persisted series round-trips through JSON bit-exactly.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimePoint {
-    /// Arrival index of this sample (probe ordinal or monitor tick).
+    /// Arrival index of this sample (the probe ordinal).
     pub seq: u64,
     /// Domains finished so far.
     pub probes: u64,
@@ -45,8 +37,7 @@ pub struct TimePoint {
     pub errors: u64,
     /// Redirect hops followed so far.
     pub redirects: u64,
-    /// Elapsed time at this sample, microseconds. Virtual-clock µs for the
-    /// persisted builder series; wall-clock µs for the live monitor series.
+    /// Elapsed virtual time at this sample, microseconds.
     pub elapsed_us: u64,
     /// Deepest netsim queue observed so far.
     pub queue_high_water: u64,
@@ -64,14 +55,6 @@ pub struct TimePoint {
 }
 
 impl TimePoint {
-    /// Completed probes per second of elapsed time at this sample.
-    pub fn probes_per_sec(&self) -> f64 {
-        if self.elapsed_us == 0 {
-            return 0.0;
-        }
-        self.probes as f64 / (self.elapsed_us as f64 / 1e6)
-    }
-
     /// Fraction of completed probes that erred, in `[0, 1]`.
     pub fn error_rate(&self) -> f64 {
         if self.probes == 0 {
@@ -116,18 +99,10 @@ impl TimeSeries {
         }
     }
 
-    /// Offers one point. Its `seq` is overwritten with the arrival index;
-    /// the point is retained only if that index lands on the current
-    /// stride. Returns whether the point was kept.
-    pub fn push(&mut self, point: TimePoint) -> bool {
-        self.push_with(|| point)
-    }
-
-    /// Like [`push`](TimeSeries::push), but builds the point only when
-    /// the arrival index survives the stride filter — the fast path for
-    /// callers whose samples are expensive to materialize (quantile
-    /// computation per offer, say). Admission depends only on the
-    /// arrival index, so `push_with` and `push` retain identical series.
+    /// Offers one point, built by `make` only when its arrival index lands
+    /// on the current stride (quantiles are costly to compute per offer).
+    /// The point's `seq` is set to the arrival index. Returns whether the
+    /// point was kept.
     pub fn push_with(&mut self, make: impl FnOnce() -> TimePoint) -> bool {
         let idx = self.seen;
         self.seen += 1;
@@ -165,60 +140,16 @@ impl TimeSeries {
         self.stride = next;
     }
 
-    /// Retained points, in arrival order.
-    pub fn points(&self) -> &[TimePoint] {
-        &self.points
-    }
-
-    /// Current admission stride (a power of two).
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
-    /// Total points offered so far, retained or not.
-    pub fn offered(&self) -> u64 {
-        self.seen
-    }
-
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether no points have been retained.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Wraps the series into its versioned serde envelope.
-    pub fn into_doc(self, campaign_id: impl Into<String>, clock: SeriesClock) -> TimeSeriesDoc {
+    pub fn into_doc(self, campaign_id: impl Into<String>) -> TimeSeriesDoc {
         TimeSeriesDoc {
             schema_version: TIMESERIES_SCHEMA_VERSION,
             campaign_id: campaign_id.into(),
-            clock: clock.name().to_string(),
+            clock: "virtual-us".to_string(),
             capacity: self.capacity as u32,
             stride: self.stride,
             offered: self.seen,
             points: self.points,
-        }
-    }
-}
-
-/// Which clock filled a series: the deterministic virtual clock or wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeriesClock {
-    /// Simulated microseconds; reproducible for any thread count.
-    Virtual,
-    /// Wall-clock microseconds; live display only.
-    Wall,
-}
-
-impl SeriesClock {
-    /// Stable name stored in the `clock` field of a [`TimeSeriesDoc`].
-    pub fn name(self) -> &'static str {
-        match self {
-            SeriesClock::Virtual => "virtual-us",
-            SeriesClock::Wall => "wall-us",
         }
     }
 }
@@ -230,7 +161,7 @@ pub struct TimeSeriesDoc {
     pub schema_version: u32,
     /// Campaign identity (week, IP version, seed — thread count excluded).
     pub campaign_id: String,
-    /// Clock that filled the series (see [`SeriesClock::name`]).
+    /// Clock of the `elapsed_us` fields: always `"virtual-us"`.
     pub clock: String,
     /// Configured point capacity.
     pub capacity: u32,
@@ -270,50 +201,63 @@ mod tests {
         }
     }
 
+    /// Offers points `0..n` to a series of `capacity`.
+    fn offered(capacity: usize, n: u64) -> TimeSeries {
+        let mut ts = TimeSeries::new(capacity);
+        for i in 0..n {
+            ts.push_with(|| point(i));
+        }
+        ts
+    }
+
+    fn seqs(doc: &TimeSeriesDoc) -> Vec<u64> {
+        doc.points.iter().map(|p| p.seq).collect()
+    }
+
     #[test]
     fn keeps_everything_under_capacity() {
         let mut ts = TimeSeries::new(16);
         for i in 0..10 {
-            assert!(ts.push(point(i)));
+            assert!(ts.push_with(|| point(i)));
         }
-        assert_eq!(ts.len(), 10);
-        assert_eq!(ts.stride(), 1);
-        let seqs: Vec<u64> = ts.points().iter().map(|p| p.seq).collect();
-        assert_eq!(seqs, (0..10).collect::<Vec<_>>());
+        let doc = ts.into_doc("c");
+        assert_eq!(doc.stride, 1);
+        assert_eq!(seqs(&doc), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn stride_doubles_on_overflow_and_stays_bounded() {
-        let mut ts = TimeSeries::new(8);
-        for i in 0..1_000 {
-            ts.push(point(i));
-        }
-        assert!(ts.len() <= 8, "len {} exceeds capacity", ts.len());
-        assert_eq!(ts.offered(), 1_000);
+        let doc = offered(8, 1_000).into_doc("c");
+        assert!(doc.points.len() <= 8, "{} points", doc.points.len());
+        assert_eq!(doc.offered, 1_000);
         // Stride is a power of two and every retained seq lands on it.
-        assert!(ts.stride().is_power_of_two());
-        assert!(ts.stride() > 1);
-        for p in ts.points() {
-            assert_eq!(p.seq % ts.stride(), 0);
+        assert!(doc.stride.is_power_of_two());
+        assert!(doc.stride > 1);
+        for p in &doc.points {
+            assert_eq!(p.seq % doc.stride, 0);
         }
         // Retained seqs ascend.
-        let seqs: Vec<u64> = ts.points().iter().map(|p| p.seq).collect();
-        let mut sorted = seqs.clone();
+        let mut sorted = seqs(&doc);
         sorted.sort_unstable();
-        assert_eq!(seqs, sorted);
+        assert_eq!(seqs(&doc), sorted);
+    }
+
+    #[test]
+    fn rejected_offers_are_never_built() {
+        let mut ts = offered(4, 100);
+        let mut built = false;
+        // After 100 offers into 4 slots the stride is 32: index 100 misses it.
+        let kept = ts.push_with(|| {
+            built = true;
+            point(100)
+        });
+        assert!(!kept && !built);
     }
 
     #[test]
     fn downsampling_is_a_pure_function_of_arrival_count() {
-        let runs: Vec<Vec<u64>> = [100usize, 100, 100]
-            .iter()
-            .map(|&n| {
-                let mut ts = TimeSeries::new(8);
-                for i in 0..n as u64 {
-                    ts.push(point(i));
-                }
-                ts.points().iter().map(|p| p.seq).collect()
-            })
+        let runs: Vec<Vec<u64>> = (0..3)
+            .map(|_| seqs(&offered(8, 100).into_doc("c")))
             .collect();
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[1], runs[2]);
@@ -321,33 +265,23 @@ mod tests {
 
     #[test]
     fn push_final_always_lands() {
-        let mut ts = TimeSeries::new(4);
-        for i in 0..99 {
-            ts.push(point(i));
-        }
+        let mut ts = offered(4, 99);
         ts.push_final(point(99));
-        let last = ts.points().last().unwrap();
-        assert_eq!(last.seq, 99);
-        assert!(ts.len() <= 4);
+        let doc = ts.into_doc("c");
+        assert_eq!(doc.last_point().unwrap().seq, 99);
+        assert!(doc.points.len() <= 4);
     }
 
     #[test]
     fn capacity_clamps_to_two() {
-        let mut ts = TimeSeries::new(0);
-        for i in 0..50 {
-            ts.push(point(i));
-        }
-        assert!(ts.len() <= 2);
-        assert!(!ts.is_empty());
+        let doc = offered(0, 50).into_doc("c");
+        assert!((1..=2).contains(&doc.points.len()));
+        assert_eq!(doc.capacity, 2);
     }
 
     #[test]
     fn doc_roundtrips_through_json() {
-        let mut ts = TimeSeries::new(8);
-        for i in 0..20 {
-            ts.push(point(i));
-        }
-        let mut doc = ts.into_doc("week0-V1-seed0000000000000017", SeriesClock::Virtual);
+        let mut doc = offered(8, 20).into_doc("week0-V1-seed0000000000000017");
         doc.points[0].mix = vec![CounterSnapshot {
             name: "spinning".into(),
             value: 7,
@@ -363,8 +297,6 @@ mod tests {
     fn point_rates_and_mix_share() {
         let mut p = point(10);
         p.errors = 2;
-        p.elapsed_us = 2_000_000;
-        assert!((p.probes_per_sec() - 5.0).abs() < 1e-9);
         assert!((p.error_rate() - 0.2).abs() < 1e-12);
         p.mix = vec![
             CounterSnapshot {
@@ -380,7 +312,6 @@ mod tests {
         assert_eq!(p.mix_share("greased"), 0.0);
 
         let zero = point(0);
-        assert_eq!(zero.probes_per_sec(), 0.0);
         assert_eq!(zero.error_rate(), 0.0);
         assert_eq!(zero.mix_share("spinning"), 0.0);
     }

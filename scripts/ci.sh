@@ -136,6 +136,32 @@ cargo run --release -p quicspin-spinctl --bin spinctl -- \
 cmp "$SPINCTL_DIR/mx1/report.md" "$SPINCTL_DIR/mx1-folded.md"
 cmp "$SPINCTL_DIR/mx1/report.json" "$SPINCTL_DIR/mx1-folded.json"
 cmp "$SPINCTL_DIR/mx1/report.md" "$SPINCTL_DIR/mx4/report.md"
+# A reused out-dir keeps no optional artifact of an earlier run: the
+# scenario runs profiled, then unprofiled into the same out-dir. No cell
+# may keep profile.json or profile.folded, and `report --dir` must
+# re-derive the second run's report bytes from what is on disk.
+sed 's/^profile = true/profile = false/' examples/scenarios/loss_vantage.toml \
+  > "$SPINCTL_DIR/unprofiled.toml"
+grep -q '^profile = false' "$SPINCTL_DIR/unprofiled.toml"
+cargo run --release -p quicspin-spinctl --bin spinctl -- \
+  matrix examples/scenarios/loss_vantage.toml --out "$SPINCTL_DIR/mxr"
+cargo run --release -p quicspin-spinctl --bin spinctl -- \
+  matrix "$SPINCTL_DIR/unprofiled.toml" --out "$SPINCTL_DIR/mxr"
+test "$(ls "$SPINCTL_DIR/mxr/cells" | wc -l)" -eq 4
+for cell in "$SPINCTL_DIR"/mxr/cells/*; do
+  for f in profile.json profile.folded; do
+    if [ -e "$cell/$f" ]; then
+      echo "ERROR: $cell/$f survived an unprofiled rerun" >&2
+      exit 1
+    fi
+  done
+done
+cp "$SPINCTL_DIR/mxr/report.md" "$SPINCTL_DIR/mxr-folded.md"
+cp "$SPINCTL_DIR/mxr/report.json" "$SPINCTL_DIR/mxr-folded.json"
+cargo run --release -p quicspin-spinctl --bin spinctl -- \
+  report --dir "$SPINCTL_DIR/mxr"
+cmp "$SPINCTL_DIR/mxr/report.md" "$SPINCTL_DIR/mxr-folded.md"
+cmp "$SPINCTL_DIR/mxr/report.json" "$SPINCTL_DIR/mxr-folded.json"
 printf '[scenario]\nname = "broken"\n[sweep]\n' > "$SPINCTL_DIR/broken.toml"
 if cargo run --release -p quicspin-spinctl --bin spinctl -- \
   matrix "$SPINCTL_DIR/broken.toml" --out "$SPINCTL_DIR/broken" 2>/dev/null; then
