@@ -246,14 +246,14 @@ pub fn read_chrome_trace(dir: &Path) -> std::io::Result<Vec<ChromeEvent>> {
 /// Writes a [`FlightRecording`]'s artifacts into `dir` (created if
 /// missing): the [`AnomalyIndex`] as pretty-printed JSON named
 /// [`ANOMALY_INDEX_FILE_NAME`], and the binary trace store named
-/// [`TRACE_STORE_FILE_NAME`]. Both stream from the recording through a
-/// buffered writer: neither the index nor the store is built in memory.
-/// Returns `(index_path, store_path)`.
+/// [`TRACE_STORE_FILE_NAME`]. Both are written from the recording
+/// through a buffered writer, without a copy. Returns
+/// `(index_path, store_path)`.
 pub fn write_flight_recording(
     dir: &Path,
     recording: &FlightRecording,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
-    let index_path = write_json(dir, ANOMALY_INDEX_FILE_NAME, &recording.index_view())?;
+    let index_path = write_json(dir, ANOMALY_INDEX_FILE_NAME, recording.index())?;
     let store_path = dir.join(TRACE_STORE_FILE_NAME);
     let mut out = BufWriter::new(File::create(&store_path)?);
     recording.write_trace_store(&mut out)?;
@@ -468,7 +468,7 @@ mod tests {
             assert!(recording.retained().len() > 1);
             let dir = temp_dir(&format!("flight-stream-t{threads}"));
             let (index_path, store_path) = write_flight_recording(&dir, &recording).unwrap();
-            let index = serde_json::to_string_pretty(&recording.index()).unwrap();
+            let index = serde_json::to_string_pretty(recording.index()).unwrap();
             assert!(
                 std::fs::read(&index_path).unwrap() == index.as_bytes(),
                 "anomalies.json differs from the built index at --threads {threads}"

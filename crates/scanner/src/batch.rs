@@ -7,7 +7,7 @@
 //! and the observer document builder — read a dozen scalar fields per
 //! record. A [`RecordBatch`] keeps exactly those fields, one `Copy`
 //! [`RecordRow`] per record and one batch per scheduler work unit, so
-//! [`run_campaign_streamed`](crate::campaign::Scanner::run_campaign_streamed)
+//! [`run_campaign_streamed_flight_with_progress`](crate::campaign::Scanner::run_campaign_streamed_flight_with_progress)
 //! drops the heavy parts early and can account its resident bytes
 //! precisely.
 //!

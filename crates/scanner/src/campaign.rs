@@ -362,30 +362,6 @@ impl<'p> Scanner<'p> {
         acc
     }
 
-    /// Runs a full sweep in streamed, bounded-memory mode: every finished
-    /// scheduler batch reaches `sink` as a [`RecordBatch`] of rows, in
-    /// strict batch-index order, and is dropped right after — the full
-    /// record vector never exists. Aggregates, time series and flight
-    /// artifacts folded from the stream are byte-identical to the
-    /// materializing path for any worker-thread count, because the sink
-    /// sees exactly the per-batch merge sequence `run_campaign` uses.
-    ///
-    /// `budget_bytes` is the high-water byte budget for resident record
-    /// rows (finished batches awaiting the in-order merge plus the one
-    /// being folded); `0` means unbounded. Workers stop claiming new
-    /// batches while the budget is exhausted, so the overshoot is bounded
-    /// by one in-flight batch per worker. Peak residency is reported on
-    /// the [`GaugeId::PeakRecordBytes`] gauge, the merge-queue depth on
-    /// [`GaugeId::EventQueueDepth`], and the configured budget on
-    /// [`GaugeId::RecordBudgetBytes`].
-    pub fn run_campaign_streamed<S>(&self, config: &CampaignConfig, budget_bytes: usize, sink: S)
-    where
-        S: FnMut(&RecordBatch),
-    {
-        let n = self.population.len() as u32;
-        self.stream(config, 0..n, budget_bytes, sink);
-    }
-
     /// Runs a full sweep with the flight recorder armed: every probe is
     /// inspected for anomalies and flagged probes' qlog traces are
     /// retained (bounded by `config.flight.retention_budget_bytes`).
@@ -429,10 +405,11 @@ impl<'p> Scanner<'p> {
 
     /// The streamed caller of the engine: each batch's records become
     /// the rows of a [`RecordBatch`], which is accounted against
-    /// `budget_bytes` and reaches `sink` in batch order. Returns the merged (not yet
-    /// finalized) flight shard. See
-    /// [`run_campaign_streamed`](Scanner::run_campaign_streamed).
-    fn stream<S>(
+    /// `budget_bytes` and reaches `sink` in batch order. Returns the
+    /// merged (not yet finalized) flight shard. See
+    /// [`run_campaign_streamed_flight_with_progress`](Scanner::run_campaign_streamed_flight_with_progress)
+    /// for the budget.
+    pub(crate) fn stream<S>(
         &self,
         config: &CampaignConfig,
         ids: std::ops::Range<u32>,
@@ -607,13 +584,25 @@ impl<'p> Scanner<'p> {
     /// The streamed, bounded-memory campaign with the flight recorder
     /// armed, live progress reporting, and a run manifest — the full
     /// operator path without ever materializing the record vector.
-    /// Row batches reach `batch_sink` on the calling thread, in
-    /// deterministic batch order; `budget_bytes` caps resident record
-    /// bytes as in [`run_campaign_streamed`](Scanner::run_campaign_streamed)
-    /// (`0` = unbounded). The streamed records match a non-flight run
-    /// exactly, as in [`run_campaign_flight`](Scanner::run_campaign_flight).
-    /// Write the recording next to `metrics.json` with
+    /// Row batches reach `batch_sink` on the calling thread as
+    /// [`RecordBatch`]es, in strict batch-index order, and are dropped
+    /// right after. Aggregates, time series and flight artifacts folded
+    /// from the stream are byte-identical to the materializing path for
+    /// any worker-thread count, because the sink sees exactly the
+    /// per-batch merge sequence [`run_campaign`](Scanner::run_campaign)
+    /// uses. The streamed records match a non-flight run exactly, as in
+    /// [`run_campaign_flight`](Scanner::run_campaign_flight). Write the
+    /// recording next to `metrics.json` with
     /// [`write_flight_recording`](crate::artifacts::write_flight_recording).
+    ///
+    /// `budget_bytes` is the high-water byte budget for resident record
+    /// rows (finished batches awaiting the in-order merge plus the one
+    /// being folded); `0` means unbounded. Workers stop claiming new
+    /// batches while the budget is exhausted, so the overshoot is bounded
+    /// by one in-flight batch per worker. Peak residency is reported on
+    /// the [`GaugeId::PeakRecordBytes`] gauge, the merge-queue depth on
+    /// [`GaugeId::EventQueueDepth`], and the configured budget on
+    /// [`GaugeId::RecordBudgetBytes`].
     pub fn run_campaign_streamed_flight_with_progress<S, F>(
         &self,
         config: &CampaignConfig,
@@ -1153,7 +1142,7 @@ mod tests {
                     });
                     (seen, ticks)
                 });
-                Scanner::new(&pop).run_campaign_streamed(&config, 4096, |_| {});
+                Scanner::new(&pop).stream(&config, 0..pop.len() as u32, 4096, |_| {});
                 drop(hang_up);
                 ticker.join().expect("monitor thread")
             })
@@ -1313,7 +1302,7 @@ mod tests {
         };
         let materialized = scanner.run_campaign(&cfg);
         let mut rows = Vec::new();
-        scanner.run_campaign_streamed(&cfg, 0, |batch| {
+        scanner.stream(&cfg, 0..pop.len() as u32, 0, |batch| {
             for group in batch.groups() {
                 rows.extend(group);
             }
@@ -1337,7 +1326,7 @@ mod tests {
         let budget = 16 * 1024usize;
         let mut batches = 0u32;
         let mut max_batch = 0usize;
-        scanner.run_campaign_streamed(&cfg, budget, |batch| {
+        scanner.stream(&cfg, 0..pop.len() as u32, budget, |batch| {
             batches += 1;
             max_batch = max_batch.max(batch.approx_bytes());
         });
@@ -1397,7 +1386,9 @@ mod tests {
         // that unwinds out of the consumer must release them.
         let message = panic_of(|| {
             let pop = tiny_pop();
-            Scanner::new(&pop).run_campaign_streamed(&clean_config(), 1, |_| panic!("sink failed"));
+            Scanner::new(&pop).stream(&clean_config(), 0..pop.len() as u32, 1, |_| {
+                panic!("sink failed")
+            });
         });
         assert_eq!(message, "sink failed");
     }
@@ -1414,7 +1405,7 @@ mod tests {
                 ..clean_config()
             };
             if streamed {
-                scanner.run_campaign_streamed(&cfg, 8 * 1024, |_| {});
+                scanner.stream(&cfg, 0..pop.len() as u32, 8 * 1024, |_| {});
             } else {
                 scanner.run_campaign(&cfg);
             }
@@ -1443,7 +1434,7 @@ mod tests {
                 ..clean_config()
             };
             if streamed {
-                scanner.run_campaign_streamed(&cfg, 8 * 1024, |_| {});
+                scanner.stream(&cfg, 0..pop.len() as u32, 8 * 1024, |_| {});
             } else {
                 scanner.run_campaign(&cfg);
             }

@@ -7,11 +7,11 @@
 //! sorting (§3.3/§5.2), classification flips across redirect hops,
 //! handshake failures, and virtual stage-latency outliers — and the full
 //! qlog trace of every flagged probe is retained in the compact binary
-//! codec under a byte budget. The divergence and impossible-edge
-//! thresholds are constants; the stage-outlier thresholds, the budget
-//! and baseline sampling are [`FlightConfig`]. Aggregates answer "how
-//! often"; the flight recorder answers "which connections, and show me
-//! the packets".
+//! codec under a byte budget. The divergence, impossible-edge and
+//! stage-outlier thresholds are constants; the budget and baseline
+//! sampling are [`FlightConfig`]. Aggregates answer "how often"; the
+//! flight recorder answers "which connections, and show me the
+//! packets".
 //!
 //! Detection is content-based and therefore deterministic: the same
 //! campaign config flags the same probes and retains the same traces for
@@ -34,7 +34,7 @@ use crate::record::{ConnectionRecord, ScanOutcome};
 use quicspin_core::FlowClassification;
 use quicspin_qlog::{decode_trace, encode_trace, TraceLog};
 use quicspin_telemetry::{ConfigEntry, HistogramShard};
-use serde::{Deserialize, Serialize, Serializer};
+use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
@@ -60,6 +60,14 @@ pub(crate) const RTT_DIVERGENCE_THRESHOLD: f64 = 0.10;
 /// stack RTT is an impossible edge.
 const MIN_EDGE_INTERVAL_FRAC: f64 = 0.5;
 
+/// Virtual handshake time (µs, from the trace) past which a probe is a
+/// stage outlier.
+const HANDSHAKE_OUTLIER_US: u64 = 1_500_000;
+
+/// Virtual total connection time (µs) past which a probe is a stage
+/// outlier.
+const TOTAL_OUTLIER_US: u64 = 10_000_000;
+
 /// Flight-recorder configuration (all thresholds are campaign-constant,
 /// so detection stays deterministic).
 #[derive(Debug, Clone)]
@@ -69,13 +77,6 @@ pub struct FlightConfig {
     /// Campaign seed: drives deterministic baseline sampling and is
     /// echoed into the campaign id.
     pub seed: u64,
-    /// Virtual handshake time (µs, from the trace) past which a probe is
-    /// a stage outlier. Calibrate from a previous run with
-    /// [`FlightConfig::calibrate_outliers`].
-    pub handshake_outlier_us: u64,
-    /// Virtual total connection time (µs) past which a probe is a stage
-    /// outlier.
-    pub total_outlier_us: u64,
     /// Byte budget for retained binary traces (per worker during the run
     /// and globally after the merge).
     pub retention_budget_bytes: u64,
@@ -89,8 +90,6 @@ impl Default for FlightConfig {
         FlightConfig {
             enabled: false,
             seed: 0,
-            handshake_outlier_us: 1_500_000,
-            total_outlier_us: 10_000_000,
             retention_budget_bytes: 2 * 1024 * 1024,
             baseline_sample_every: 0,
         }
@@ -98,7 +97,7 @@ impl Default for FlightConfig {
 }
 
 impl FlightConfig {
-    /// An enabled recorder with default thresholds and the given seed.
+    /// An enabled recorder with the default budget and the given seed.
     pub fn armed(seed: u64) -> Self {
         FlightConfig {
             enabled: true,
@@ -106,41 +105,6 @@ impl FlightConfig {
             ..FlightConfig::default()
         }
     }
-
-    /// Derives the stage-outlier thresholds from a previous run's virtual
-    /// stage histograms: anything past `multiplier` × the `q`-quantile is
-    /// an outlier.
-    ///
-    /// A histogram only yields a usable band when it has *shape*: an empty
-    /// histogram has no baseline at all, and one whose every sample landed
-    /// in a single bucket collapses p50 and p99 to the same value — worst
-    /// case (all samples in bucket 0) the derived threshold is 0 and every
-    /// future probe would be flagged. Such degenerate inputs leave the
-    /// corresponding threshold untouched.
-    pub fn calibrate_outliers(
-        &mut self,
-        handshake_us: &HistogramShard,
-        total_us: &HistogramShard,
-        q: f64,
-        multiplier: f64,
-    ) {
-        if let Some(threshold) = usable_outlier_threshold(handshake_us, q, multiplier) {
-            self.handshake_outlier_us = threshold;
-        }
-        if let Some(threshold) = usable_outlier_threshold(total_us, q, multiplier) {
-            self.total_outlier_us = threshold;
-        }
-    }
-}
-
-/// The calibration band from `histogram` if it has enough shape to trust:
-/// at least two occupied buckets and a strictly positive scaled quantile.
-fn usable_outlier_threshold(histogram: &HistogramShard, q: f64, multiplier: f64) -> Option<u64> {
-    if histogram.occupied_buckets() < 2 {
-        return None;
-    }
-    let threshold = histogram.outlier_threshold(q, multiplier);
-    (threshold > 0).then_some(threshold)
 }
 
 /// Identifies one probe: a domain plus the redirect hop within it.
@@ -518,8 +482,8 @@ impl FlightShard {
                     self.total_us.record(total);
                 }
                 let excess = handshake
-                    .map_or(0, |hs| hs.saturating_sub(cfg.handshake_outlier_us))
-                    .max(total.saturating_sub(cfg.total_outlier_us));
+                    .map_or(0, |hs| hs.saturating_sub(HANDSHAKE_OUTLIER_US))
+                    .max(total.saturating_sub(TOTAL_OUTLIER_US));
                 if excess > 0 {
                     found.push(Anomaly {
                         probe,
@@ -685,9 +649,14 @@ impl AnomalyIndex {
         self.anomalies.iter().filter(move |a| a.kind == kind)
     }
 
-    /// `(kind, count)` for every kind with at least one anomaly.
+    /// `(kind, count)` for every kind with at least one anomaly, in
+    /// [`AnomalyKind::ALL`] order.
     pub fn counts_by_kind(&self) -> Vec<(AnomalyKind, usize)> {
-        counts_by_kind(&self.anomalies)
+        AnomalyKind::ALL
+            .iter()
+            .map(|&k| (k, self.of_kind(k).count()))
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
     /// The trace slot for a probe, if its trace was retained.
@@ -696,29 +665,12 @@ impl AnomalyIndex {
     }
 }
 
-/// `(kind, count)` for every kind with at least one anomaly in
-/// `anomalies`, in [`AnomalyKind::ALL`] order.
-pub fn counts_by_kind(anomalies: &[Anomaly]) -> Vec<(AnomalyKind, usize)> {
-    AnomalyKind::ALL
-        .iter()
-        .map(|&k| (k, anomalies.iter().filter(|a| a.kind == k).count()))
-        .filter(|&(_, n)| n > 0)
-        .collect()
-}
-
-/// The finalized flight-recorder output of one campaign.
+/// The finalized flight-recorder output of one campaign: its
+/// [`AnomalyIndex`] and the retained traces the index's slots point at.
 #[derive(Debug)]
 pub struct FlightRecording {
-    campaign_id: String,
-    config: Vec<ConfigEntry>,
-    retention_budget_bytes: u64,
-    flagged_traces: u64,
-    evicted_traces: u64,
-    retained_bytes: u64,
-    anomalies: Vec<Anomaly>,
+    index: AnomalyIndex,
     traces: Vec<RetainedTrace>,
-    handshake_us: HistogramShard,
-    total_us: HistogramShard,
 }
 
 impl FlightRecording {
@@ -761,72 +713,8 @@ impl FlightRecording {
             keep,
             "worker eviction dropped a trace the global prefix rule keeps"
         );
-        let retained_bytes = traces.iter().map(|t| t.bytes.len() as u64).sum();
-        FlightRecording {
-            campaign_id,
-            config,
-            retention_budget_bytes: budget,
-            flagged_traces: shard.flagged.len() as u64,
-            evicted_traces: (shard.flagged.len() - traces.len()) as u64,
-            retained_bytes,
-            anomalies: shard.anomalies,
-            traces,
-            handshake_us: shard.handshake_us,
-            total_us: shard.total_us,
-        }
-    }
-
-    /// The deterministic campaign identifier.
-    pub fn campaign_id(&self) -> &str {
-        &self.campaign_id
-    }
-
-    /// Every anomaly, sorted by (domain, hop, kind).
-    pub fn anomalies(&self) -> &[Anomaly] {
-        &self.anomalies
-    }
-
-    /// Retained traces in priority order.
-    pub fn retained(&self) -> &[RetainedTrace] {
-        &self.traces
-    }
-
-    /// Probes whose trace was flagged (retained or evicted).
-    pub fn flagged_traces(&self) -> u64 {
-        self.flagged_traces
-    }
-
-    /// Traces evicted to honour the budget.
-    pub fn evicted_traces(&self) -> u64 {
-        self.evicted_traces
-    }
-
-    /// Total bytes of retained binary traces.
-    pub fn retained_bytes(&self) -> u64 {
-        self.retained_bytes
-    }
-
-    /// Virtual handshake-time distribution over all inspected probes.
-    pub fn handshake_us(&self) -> &HistogramShard {
-        &self.handshake_us
-    }
-
-    /// Virtual total-time distribution over all inspected probes.
-    pub fn total_us(&self) -> &HistogramShard {
-        &self.total_us
-    }
-
-    /// Decodes the retained trace of one probe.
-    pub fn trace(&self, probe: ProbeId) -> Option<TraceLog> {
-        self.traces
-            .iter()
-            .find(|t| t.probe == probe)
-            .and_then(|t| decode_trace(&t.bytes).ok())
-    }
-
-    /// The retained traces' `traces.bin` slots, in store order.
-    fn slots(&self) -> impl Iterator<Item = TraceSlot> + '_ {
-        self.traces
+        // The `traces.bin` slots, in store order.
+        let slots: Vec<TraceSlot> = traces
             .iter()
             .scan(TRACE_STORE_HEADER_LEN as u64, |offset, t| {
                 let slot = TraceSlot {
@@ -838,39 +726,67 @@ impl FlightRecording {
                 *offset += slot.len;
                 Some(slot)
             })
-    }
-
-    /// The virtual stage baselines of the index.
-    fn stages(&self) -> [VirtualStageSummary; 2] {
-        [
-            virtual_summary("virtual_handshake", &self.handshake_us),
-            virtual_summary("virtual_total", &self.total_us),
-        ]
-    }
-
-    /// Builds the serde index (the `anomalies.json` artifact). Writing
-    /// it needs no copy: [`index_view`](Self::index_view) serializes to
-    /// the same bytes from the recording itself.
-    pub fn index(&self) -> AnomalyIndex {
-        AnomalyIndex {
+            .collect();
+        let index = AnomalyIndex {
             schema_version: ANOMALY_SCHEMA_VERSION,
-            campaign_id: self.campaign_id.clone(),
-            config: self.config.clone(),
-            retention_budget_bytes: self.retention_budget_bytes,
-            flagged_traces: self.flagged_traces,
-            retained_traces: self.traces.len() as u64,
-            evicted_traces: self.evicted_traces,
-            retained_bytes: self.retained_bytes,
-            anomalies: self.anomalies.clone(),
-            traces: self.slots().collect(),
-            stages: self.stages().to_vec(),
-        }
+            campaign_id,
+            config,
+            retention_budget_bytes: budget,
+            flagged_traces: shard.flagged.len() as u64,
+            retained_traces: traces.len() as u64,
+            evicted_traces: (shard.flagged.len() - traces.len()) as u64,
+            retained_bytes: slots.iter().map(|s| s.len).sum(),
+            anomalies: shard.anomalies,
+            traces: slots,
+            stages: vec![
+                virtual_summary("virtual_handshake", &shard.handshake_us),
+                virtual_summary("virtual_total", &shard.total_us),
+            ],
+        };
+        FlightRecording { index, traces }
     }
 
-    /// The [`index`](Self::index) as a borrowed, serializable view:
-    /// anomalies by reference, trace slots computed as they are written.
-    pub fn index_view(&self) -> IndexView<'_> {
-        IndexView(self)
+    /// The serde index (the `anomalies.json` artifact).
+    pub fn index(&self) -> &AnomalyIndex {
+        &self.index
+    }
+
+    /// The deterministic campaign identifier.
+    pub fn campaign_id(&self) -> &str {
+        &self.index.campaign_id
+    }
+
+    /// Every anomaly, sorted by (domain, hop, kind).
+    pub fn anomalies(&self) -> &[Anomaly] {
+        &self.index.anomalies
+    }
+
+    /// Retained traces in priority order.
+    pub fn retained(&self) -> &[RetainedTrace] {
+        &self.traces
+    }
+
+    /// Probes whose trace was flagged (retained or evicted).
+    pub fn flagged_traces(&self) -> u64 {
+        self.index.flagged_traces
+    }
+
+    /// Traces evicted to honour the budget.
+    pub fn evicted_traces(&self) -> u64 {
+        self.index.evicted_traces
+    }
+
+    /// Total bytes of retained binary traces.
+    pub fn retained_bytes(&self) -> u64 {
+        self.index.retained_bytes
+    }
+
+    /// Decodes the retained trace of one probe.
+    pub fn trace(&self, probe: ProbeId) -> Option<TraceLog> {
+        self.traces
+            .iter()
+            .find(|t| t.probe == probe)
+            .and_then(|t| decode_trace(&t.bytes).ok())
     }
 
     /// Writes the binary trace store (`traces.bin`) into `out`: a 5-byte
@@ -888,41 +804,11 @@ impl FlightRecording {
     /// The binary trace store as one buffer; see
     /// [`write_trace_store`](Self::write_trace_store).
     pub fn trace_store(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(TRACE_STORE_HEADER_LEN + self.retained_bytes as usize);
+        let mut out =
+            Vec::with_capacity(TRACE_STORE_HEADER_LEN + self.index.retained_bytes as usize);
         self.write_trace_store(&mut out)
             .expect("writing into a Vec cannot fail");
         out
-    }
-}
-
-/// A [`FlightRecording`]'s anomaly index, serialized straight from the
-/// recording: the same bytes as its [`AnomalyIndex`], without building
-/// one. See [`FlightRecording::index_view`].
-pub struct IndexView<'a>(&'a FlightRecording);
-
-impl Serialize for IndexView<'_> {
-    // Field for field what `AnomalyIndex`'s derive writes; the artifact
-    // tests compare the two byte for byte.
-    fn serialize<W: Write>(&self, s: &mut Serializer<W>) -> io::Result<()> {
-        let r = self.0;
-        let mut o = s.begin_object()?;
-        s.field(&mut o, "schema_version", &ANOMALY_SCHEMA_VERSION)?;
-        s.field(&mut o, "campaign_id", &r.campaign_id)?;
-        s.field(&mut o, "config", &r.config)?;
-        s.field(&mut o, "retention_budget_bytes", &r.retention_budget_bytes)?;
-        s.field(&mut o, "flagged_traces", &r.flagged_traces)?;
-        s.field(&mut o, "retained_traces", &(r.traces.len() as u64))?;
-        s.field(&mut o, "evicted_traces", &r.evicted_traces)?;
-        s.field(&mut o, "retained_bytes", &r.retained_bytes)?;
-        s.field(&mut o, "anomalies", &r.anomalies)?;
-        s.key(&mut o, "traces")?;
-        let mut traces = s.begin_array()?;
-        for slot in r.slots() {
-            s.element(&mut traces, &slot)?;
-        }
-        s.end_array(traces)?;
-        s.field(&mut o, "stages", &r.stages()[..])?;
-        s.end_object(o)
     }
 }
 
@@ -957,70 +843,6 @@ mod tests {
         // flagged as baseline this week must be flagged next week too.
         assert_eq!(splitmix64(0) % 97, splitmix64(0) % 97);
         assert_ne!(splitmix64(1), splitmix64(2));
-    }
-
-    #[test]
-    fn calibrate_outliers_ignores_empty_histograms() {
-        let mut cfg = FlightConfig::default();
-        let (hs_default, total_default) = (cfg.handshake_outlier_us, cfg.total_outlier_us);
-        cfg.calibrate_outliers(
-            &HistogramShard::default(),
-            &HistogramShard::default(),
-            0.99,
-            3.0,
-        );
-        assert_eq!(cfg.handshake_outlier_us, hs_default);
-        assert_eq!(cfg.total_outlier_us, total_default);
-    }
-
-    #[test]
-    fn calibrate_outliers_rejects_single_bucket_histograms() {
-        // Regression: a prior run whose virtual handshake times all landed
-        // in bucket 0 (e.g. a loopback-fast sweep) used to calibrate the
-        // threshold to 0, flagging every subsequent probe as an outlier.
-        let mut degenerate = HistogramShard::default();
-        for _ in 0..1_000 {
-            degenerate.record(0);
-        }
-        assert_eq!(degenerate.outlier_threshold(0.99, 3.0), 0);
-
-        let mut spike = HistogramShard::default();
-        for _ in 0..1_000 {
-            spike.record(40_000); // one bucket, nonzero value
-        }
-
-        let mut cfg = FlightConfig::default();
-        let (hs_default, total_default) = (cfg.handshake_outlier_us, cfg.total_outlier_us);
-        cfg.calibrate_outliers(&degenerate, &spike, 0.99, 3.0);
-        assert_eq!(
-            cfg.handshake_outlier_us, hs_default,
-            "all-zero histogram must not zero the threshold"
-        );
-        assert_eq!(
-            cfg.total_outlier_us, total_default,
-            "single-bucket spike has no spread to calibrate from"
-        );
-    }
-
-    #[test]
-    fn calibrate_outliers_applies_healthy_histograms() {
-        let mut hs = HistogramShard::default();
-        let mut total = HistogramShard::default();
-        for v in 1..=1_000u64 {
-            hs.record(v * 40); // ~40µs spread
-            total.record(v * 100);
-        }
-        let mut cfg = FlightConfig::default();
-        cfg.calibrate_outliers(&hs, &total, 0.99, 3.0);
-        assert_eq!(cfg.handshake_outlier_us, hs.outlier_threshold(0.99, 3.0));
-        assert_eq!(cfg.total_outlier_us, total.outlier_threshold(0.99, 3.0));
-        assert!(cfg.handshake_outlier_us > 0);
-
-        // A zero multiplier scales any quantile to 0 — degenerate again,
-        // so the previous (calibrated) thresholds survive.
-        let before = (cfg.handshake_outlier_us, cfg.total_outlier_us);
-        cfg.calibrate_outliers(&hs, &total, 0.99, 0.0);
-        assert_eq!((cfg.handshake_outlier_us, cfg.total_outlier_us), before);
     }
 
     fn retained_trace(probe: ProbeId, severity: u64, len: usize) -> RetainedTrace {
@@ -1320,6 +1142,44 @@ mod tests {
             shard.anomalies().iter().all(|a| a.probe.domain_id != 3),
             "clean flow must not be flagged"
         );
+    }
+
+    #[test]
+    fn stage_times_past_the_bands_trip_a_stage_outlier() {
+        use quicspin_webpop::{IpVersion, ListKind, Org};
+
+        let record = |domain_id: u32, handshake_us: u64, total_us: u64| {
+            let mut r = ConnectionRecord::failed(
+                domain_id,
+                ListKind::Toplist,
+                Org::Other,
+                0,
+                IpVersion::V4,
+                ScanOutcome::Ok,
+            );
+            r.virtual_handshake_us = Some(handshake_us);
+            r.virtual_total_us = total_us;
+            r.qlog = Some(TraceLog::new("client"));
+            r
+        };
+        let outliers = |rec: ConnectionRecord| {
+            let mut shard = FlightShard::default();
+            shard.inspect_domain(&FlightConfig::armed(7), &[rec]);
+            shard
+                .anomalies()
+                .iter()
+                .filter(|a| a.kind == AnomalyKind::StageOutlier)
+                .map(|a| (a.value, a.severity))
+                .collect::<Vec<_>>()
+        };
+
+        // Exactly at both bands (1.5 s handshake, 10 s total): not past
+        // them.
+        assert_eq!(outliers(record(1, 1_500_000, 10_000_000)), []);
+        // 25 000 µs past the total band: 50 + 25 000 / 10 000.
+        assert_eq!(outliers(record(2, 1_000, 10_025_000)), [(25_000.0, 52)]);
+        // The larger of the two excesses is the value.
+        assert_eq!(outliers(record(3, 1_540_000, 10_025_000)), [(40_000.0, 54)]);
     }
 
     #[test]

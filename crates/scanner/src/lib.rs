@@ -38,8 +38,8 @@ pub use artifacts::{
 pub use batch::{RecordBatch, RecordRow};
 pub use campaign::{Campaign, CampaignConfig, Scanner};
 pub use flight::{
-    counts_by_kind, Anomaly, AnomalyIndex, AnomalyKind, FlightConfig, FlightRecording, FlightShard,
-    IndexView, ProbeId, RetainedTrace, TraceSlot, VirtualStageSummary, ANOMALY_SCHEMA_VERSION,
+    Anomaly, AnomalyIndex, AnomalyKind, FlightConfig, FlightRecording, FlightShard, ProbeId,
+    RetainedTrace, TraceSlot, VirtualStageSummary, ANOMALY_SCHEMA_VERSION,
 };
 pub use longitudinal::{run_longitudinal, DomainWeeks, LongitudinalConfig, LongitudinalResult};
 pub use observe::{

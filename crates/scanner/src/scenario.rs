@@ -23,7 +23,6 @@
 use crate::campaign::CampaignConfig;
 use crate::flight::FlightConfig;
 use quicspin_webpop::PopulationConfig;
-use std::sync::Arc;
 
 /// Fixed declaration order of sweepable axes; cell ids concatenate the
 /// swept axes in this order, so the id layout is stable regardless of
@@ -597,8 +596,6 @@ fn build_cell(base: &BaseParams, picks: &[(&str, AxisValue)], id: String) -> Sce
     config.conditions.loss = loss;
     config.conditions.reorder = reorder;
     config.conditions.jitter_frac = jitter_frac;
-    // Fresh (disabled) registries; the runner swaps in live ones per cell.
-    config.telemetry = Arc::new(quicspin_telemetry::Registry::disabled());
     ScenarioCell {
         id,
         config,

@@ -359,8 +359,9 @@ mod tests {
                 ..config()
             };
             let mut builder = TimeSeriesBuilder::new(64);
-            Scanner::new(&pop)
-                .run_campaign_streamed(&cfg, 24 * 1024, |batch| builder.push_batch(batch));
+            Scanner::new(&pop).stream(&cfg, 0..pop.len() as u32, 24 * 1024, |batch| {
+                builder.push_batch(batch)
+            });
             let doc = builder.finish(cfg.campaign_id());
             assert_eq!(
                 serde_json::to_string_pretty(&doc).unwrap(),

@@ -47,14 +47,14 @@ use quicspin_core::reorder::ReorderComparison;
 use quicspin_core::PacketObservation;
 use quicspin_qlog::render_timeline;
 use quicspin_scanner::{
-    counts_by_kind, parse_scenario, profile_folded_stacks, read_anomaly_index, read_flagged_trace,
-    read_json, read_observer, read_profile, read_profile_folded, read_run_manifest,
-    read_timeseries, write_flight_recording, write_json, write_observer, write_profile,
-    write_profile_folded, write_run_manifest, write_timeseries, AnomalyIndex, AnomalyKind,
-    CampaignConfig, ChromeTrace, FlightConfig, FlightRecording, ObserverDocBuilder, ProbeId,
-    RunManifest, Scanner, ScenarioMatrix, TimeSeriesBuilder, TimeSeriesDoc,
-    ANOMALY_INDEX_FILE_NAME, CHROME_TRACE_FILE_NAME, MANIFEST_FILE_NAME, OBSERVER_FILE_NAME,
-    PROFILE_FILE_NAME, PROFILE_FOLDED_FILE_NAME, TIMESERIES_FILE_NAME, TRACE_STORE_FILE_NAME,
+    parse_scenario, profile_folded_stacks, read_anomaly_index, read_flagged_trace, read_json,
+    read_observer, read_profile, read_profile_folded, read_run_manifest, read_timeseries,
+    write_flight_recording, write_json, write_observer, write_profile, write_profile_folded,
+    write_run_manifest, write_timeseries, AnomalyIndex, AnomalyKind, CampaignConfig, ChromeTrace,
+    FlightConfig, FlightRecording, ObserverDocBuilder, ProbeId, RunManifest, Scanner,
+    ScenarioMatrix, TimeSeriesBuilder, TimeSeriesDoc, ANOMALY_INDEX_FILE_NAME,
+    CHROME_TRACE_FILE_NAME, MANIFEST_FILE_NAME, OBSERVER_FILE_NAME, PROFILE_FILE_NAME,
+    PROFILE_FOLDED_FILE_NAME, TIMESERIES_FILE_NAME, TRACE_STORE_FILE_NAME,
 };
 use quicspin_telemetry::{ProfileDoc, ProfilerRegistry, ScopeId, DEFAULT_TIMESERIES_CAPACITY};
 use quicspin_webpop::{Population, PopulationConfig};
@@ -531,7 +531,7 @@ fn export_campaign(
     let inputs = report::CellInputs {
         manifest: &run.manifest,
         campaign: run.recording.campaign_id(),
-        anomaly_counts: &counts_by_kind(run.recording.anomalies()),
+        anomaly_counts: &run.recording.index().counts_by_kind(),
         point: report::last_point(&series, dir)?,
         observer: observer.as_ref(),
         profile: profile.as_ref(),

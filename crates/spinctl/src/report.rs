@@ -291,7 +291,8 @@ pub(crate) struct CellInputs<'a> {
     /// Deterministic campaign identifier.
     pub campaign: &'a str,
     /// Anomaly counts by kind, as
-    /// [`counts_by_kind`](quicspin_scanner::counts_by_kind) returns them.
+    /// [`AnomalyIndex::counts_by_kind`](quicspin_scanner::AnomalyIndex::counts_by_kind)
+    /// returns them.
     pub anomaly_counts: &'a [(AnomalyKind, usize)],
     /// The time series' final point.
     pub point: &'a TimePoint,

@@ -161,30 +161,6 @@ impl HistogramShard {
         self.max
     }
 
-    /// Number of buckets holding at least one sample. A distribution
-    /// concentrated in a single bucket has no usable shape: its quantiles
-    /// all collapse to one value, so thresholds derived from it (e.g.
-    /// outlier calibration) are degenerate.
-    pub fn occupied_buckets(&self) -> usize {
-        self.buckets.iter().filter(|&&n| n != 0).count()
-    }
-
-    /// An outlier threshold derived from the recorded distribution: the
-    /// `q`-quantile scaled by `multiplier` (e.g. `outlier_threshold(0.99,
-    /// 3.0)` flags values past 3× the p99). An empty histogram returns
-    /// `u64::MAX` — with no baseline, nothing can be called an outlier.
-    pub fn outlier_threshold(&self, q: f64, multiplier: f64) -> u64 {
-        if self.count == 0 {
-            return u64::MAX;
-        }
-        let scaled = self.quantile(q) as f64 * multiplier.max(0.0);
-        if scaled >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            scaled as u64
-        }
-    }
-
     /// Point-in-time export of the summary statistics.
     pub fn snapshot(&self, name: &str) -> StageSnapshot {
         StageSnapshot {
@@ -438,61 +414,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn outlier_threshold_scales_quantile() {
-        let empty = HistogramShard::default();
-        assert_eq!(empty.outlier_threshold(0.99, 3.0), u64::MAX);
-        let mut h = HistogramShard::default();
-        for v in 1..=1_000u64 {
-            h.record(v);
-        }
-        let p99 = h.quantile(0.99);
-        assert_eq!(h.outlier_threshold(0.99, 3.0), p99 * 3);
-        assert_eq!(h.outlier_threshold(0.99, 0.0), 0);
-        // Negative multipliers clamp to zero, huge ones saturate.
-        assert_eq!(h.outlier_threshold(0.99, -5.0), 0);
-        assert_eq!(h.outlier_threshold(1.0, f64::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn occupied_buckets_counts_distinct_buckets() {
-        let mut h = HistogramShard::default();
-        assert_eq!(h.occupied_buckets(), 0);
-        h.record(0);
-        h.record(0);
-        h.record(0);
-        // All mass in one bucket: the quantile "band" collapses to a point.
-        assert_eq!(h.occupied_buckets(), 1);
-        assert_eq!(h.quantile(0.5), h.quantile(0.99));
-        h.record(5);
-        h.record(1_000_000);
-        assert_eq!(h.occupied_buckets(), 3);
-    }
-
-    #[test]
-    fn single_bucket_distribution_yields_degenerate_outlier_threshold() {
-        // Regression guard for `calibrate_outliers` consumers: a histogram
-        // whose every sample landed in bucket 0 reports quantile 0, so the
-        // scaled threshold is 0 and would flag *everything* as an outlier.
-        // Callers must check `occupied_buckets() >= 2` (and a nonzero
-        // threshold) before trusting the derived band.
-        let mut zeros = HistogramShard::default();
-        for _ in 0..50 {
-            zeros.record(0);
-        }
-        assert_eq!(zeros.occupied_buckets(), 1);
-        assert_eq!(zeros.outlier_threshold(0.99, 4.0), 0);
-
-        // A single-bucket histogram at a nonzero value is equally shapeless:
-        // p50 == p99, so the "p99 band" carries no spread information.
-        let mut spike = HistogramShard::default();
-        for _ in 0..50 {
-            spike.record(4_100);
-        }
-        assert_eq!(spike.occupied_buckets(), 1);
-        assert_eq!(spike.quantile(0.5), spike.quantile(0.99));
-    }
-
     /// A registry histogram holding exactly `shard`.
     fn merged(shard: &HistogramShard) -> LatencyHistogram {
         let registry = LatencyHistogram::default();
@@ -555,7 +476,6 @@ mod tests {
         for i in 0..100u64 {
             shard.record(lo + (i % 2) * (hi - lo));
         }
-        assert_eq!(shard.occupied_buckets(), 1);
         let registry = merged(&shard);
         for q in [0.50, 0.90, 0.99] {
             let est = shard.quantile(q);
@@ -565,8 +485,7 @@ mod tests {
             );
             assert_eq!(registry.to_shard().quantile(q), est);
         }
-        // All quantiles collapse to one value: the degenerate-shape
-        // signal occupied_buckets() exists to flag.
+        // All quantiles collapse to one value.
         assert_eq!(shard.quantile(0.50), shard.quantile(0.99));
     }
 

@@ -1,9 +1,8 @@
 //! The campaign flight recorder end to end: arm it on a sweep, inspect
 //! what it flagged (the paper's Fig. 3 divergence tail, impossible spin
 //! edges, classification flips across redirects, handshake failures,
-//! stage outliers), calibrate the stage-outlier thresholds from the
-//! first run's virtual histograms, and write the artifacts that
-//! `spinctl` reads back.
+//! stage outliers past fixed virtual-time bands), and write the
+//! artifacts that `spinctl` reads back.
 //!
 //! Usage: `cargo run --release --example flight_recorder [domains]`
 //! (default 2000; artifacts land in `target/flight-example/`).
@@ -27,8 +26,8 @@ fn main() {
     });
     let scanner = Scanner::new(&population);
 
-    // First pass: default thresholds, plus a healthy baseline sample of
-    // every 64th domain so the store is not only pathologies.
+    // A healthy baseline sample of every 64th domain, so the store is
+    // not only pathologies.
     let mut flight = FlightConfig::armed(0x5eed_2023);
     flight.baseline_sample_every = 64;
     let config = CampaignConfig {
@@ -60,25 +59,6 @@ fn main() {
     println!(
         "retained {} traces ({} B), evicted {}",
         index.retained_traces, index.retained_bytes, index.evicted_traces
-    );
-
-    // Second pass, the operator loop: derive stage-outlier thresholds
-    // from the observed virtual-time distributions (3x the p99) instead
-    // of the static defaults, and sweep again.
-    let mut calibrated = config.flight.clone();
-    calibrated.calibrate_outliers(recording.handshake_us(), recording.total_us(), 0.99, 3.0);
-    println!(
-        "calibrated stage outliers: handshake > {} µs, total > {} µs",
-        calibrated.handshake_outlier_us, calibrated.total_outlier_us
-    );
-    let (_campaign2, recording2) = scanner.run_campaign_flight(&CampaignConfig {
-        flight: calibrated,
-        ..CampaignConfig::default()
-    });
-    println!(
-        "calibrated run: {} anomalies on {} probes",
-        recording2.anomalies().len(),
-        recording2.flagged_traces()
     );
 
     let dir = Path::new("target/flight-example");

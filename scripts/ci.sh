@@ -37,6 +37,12 @@ cargo run --release --example network_tomography
 # and read the lab outcome; each runs one lab, so they run here too.
 cargo run --release --example quickstart
 cargo run --release --example passive_observer
+# flight_recorder streams a flight-recorded sweep and writes its
+# artifacts into target/flight-example; spinctl must read them back.
+cargo run --release --example flight_recorder
+cargo run --release -p quicspin-spinctl --bin spinctl -- summary --dir target/flight-example
+cargo run --release -p quicspin-spinctl --bin spinctl -- \
+  anomalies --dir target/flight-example --limit 5
 
 # Bench smoke doubles as the BENCH_JSON report path check: one smoke
 # iteration per benchmark, report written, then diffed against itself

@@ -44,7 +44,7 @@ fn anomaly_index_is_byte_identical_across_thread_counts() {
             "campaign must flag something for the comparison to mean anything"
         );
         assert!(recording.flagged_traces() > 0);
-        index_jsons.push(serde_json::to_string_pretty(&recording.index()).unwrap());
+        index_jsons.push(serde_json::to_string_pretty(recording.index()).unwrap());
         stores.push(recording.trace_store());
     }
     assert_eq!(
@@ -100,8 +100,8 @@ fn retention_budget_is_never_exceeded_and_keeps_highest_severity() {
 
     // The tight-budget keep-set is a prefix of the roomy one in priority
     // order, so every retained trace outranks every evicted one.
-    let full_slots = full.index().traces;
-    let small_slots = small.index().traces;
+    let full_slots = &full.index().traces;
+    let small_slots = &small.index().traces;
     assert_eq!(&full_slots[..small_slots.len()], &small_slots[..]);
     let min_retained = small_slots.iter().map(|s| s.severity).min().unwrap();
     let max_evicted = full_slots[small_slots.len()..]
@@ -132,7 +132,7 @@ fn stored_traces_round_trip_through_files_and_timeline() {
     let index = read_anomaly_index(&dir).unwrap();
     assert_eq!(
         serde_json::to_string(&index).unwrap(),
-        serde_json::to_string(&recording.index()).unwrap()
+        serde_json::to_string(recording.index()).unwrap()
     );
 
     for slot in &index.traces {
